@@ -10,6 +10,14 @@ truncation circle; target accuracy is about 1e-6 relative on smooth
 integrands.  Maximal functions take suprema over grid-aligned intervals or
 squares inside an explicit evaluation window, so both sides of any
 inequality tested here range over the same cube family.
+
+In 1D the largest average over windows [a, b] containing x is the steepest
+slope between a prefix-sum point left of x and one right of it: the bridge
+between the lower convex hull on the left and the upper hull on the right
+(Chung & Lu, SIAM J. Comput. 34, 2005).  One point costs O(K) per
+Dinkelbach step on a K-edge window; every cell center at once costs
+O(K log K) time and memory through hull trees with binary lifting.  No
+K x K table is built.
 """
 from __future__ import annotations
 
@@ -317,6 +325,21 @@ def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _padded_window(values: np.ndarray, bounds, part=np.abs) -> np.ndarray:
+    """part(values[i0:i1]) per axis (i0, i1) as floats, zero where a range
+    leaves the stored extent."""
+    out = np.zeros([i1 - i0 for i0, i1 in bounds])
+    src, dst = [], []
+    for (i0, i1), n in zip(bounds, values.shape):
+        lo, hi = max(i0, 0), min(i1, n)
+        if hi <= lo:
+            return out
+        src.append(slice(lo, hi))
+        dst.append(slice(lo - i0, hi - i0))
+    out[tuple(dst)] = part(values[tuple(src)])
+    return out
+
+
 def _window_1d(
     f: GridFunction, x: float, pad: float, max_cells: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -336,26 +359,52 @@ def _window_1d(
         span = (f.origin[0] + i0 * f.h, f.origin[0] + i1 * f.h)
         if span[0] > min(lo, x) or span[1] < max(hi, x):
             raise ValueError("window cap too small for support plus evaluation point")
-    n = len(f.values)
-    vals = np.zeros(i1 - i0, dtype=float)
-    s0, s1 = max(0, -i0), min(i1 - i0, n - i0)
-    if s1 > s0:
-        vals[s0:s1] = np.abs(f.values[max(i0, 0) : max(i0, 0) + (s1 - s0)])
     edges = f.origin[0] + f.h * np.arange(i0, i1 + 1)
-    return edges, vals
+    return edges, _padded_window(f.values, [(i0, i1)])
+
+
+def _slope(csum: np.ndarray, edges: np.ndarray, a, b):
+    return (csum[b] - csum[a]) / (edges[b] - edges[a])
+
+
+def _max_slope(csum: np.ndarray, edges: np.ndarray, p: int, q: int) -> float:
+    """Largest slope from a point a <= p to a point b >= q, a < b, of the
+    prefix-sum polyline, by Dinkelbach steps.
+
+    Each step takes the left point minimising csum - s*edges and the right
+    point maximising it; the slope of that pair is the next s.  Once s stops
+    rising, every left point lies on or above the line of slope s through
+    the pair and every right point on or below it, so s is the maximum.
+    Either q = p + 1, or q = p and the shared point pairs only with itself.
+    """
+    s = _slope(csum, edges, 0, len(edges) - 1)
+    while True:
+        a = int(np.argmin(csum[: p + 1] - s * edges[: p + 1]))
+        b = q + int(np.argmax(csum[q:] - s * edges[q:]))
+        if a == b:
+            return float(s)
+        t = _slope(csum, edges, a, b)
+        if not t > s:
+            return float(s)
+        s = t
 
 
 def _interval_averages_max(edges: np.ndarray, cellvals: np.ndarray, x: float) -> float:
+    """Largest average over windows [edges[a], edges[b]] that contain x.
+
+    The average is the slope between two points of the prefix-sum polyline,
+    one left of x and one right of it; `_max_slope` finds the steepest pair
+    in O(K) per step, a handful of steps in practice.
+    """
     csum = np.concatenate([[0.0], np.cumsum(cellvals * np.diff(edges))])
     tol = 1e-12 * max(1.0, abs(x))
-    lefts = np.nonzero(edges <= x + tol)[0]
-    rights = np.nonzero(edges >= x - tol)[0]
-    if len(lefts) == 0 or len(rights) == 0:
+    p = int(np.count_nonzero(edges <= x + tol)) - 1  # last left edge
+    q = int(np.count_nonzero(edges < x - tol))  # first right edge
+    if p < 0 or q >= len(edges) or len(edges) < 2:
         return 0.0
-    num = csum[rights][None, :] - csum[lefts][:, None]
-    den = edges[rights][None, :] - edges[lefts][:, None]
-    ok = den > 0
-    return float(np.max(np.where(ok, num / np.where(ok, den, 1.0), -np.inf)))
+    # an edge within tol of x is on both sides; a < b then needs a split at it
+    splits = [(t, t) for t in range(q, p + 1)] or [(p, q)]
+    return max(_max_slope(csum, edges, lo, hi) for lo, hi in splits)
 
 
 def hardy_littlewood(
@@ -375,7 +424,7 @@ def hardy_littlewood(
 
 
 def _window_2d(f: GridFunction, x, pad: float, max_cells: int):
-    out = []
+    bounds = []
     for axis in range(2):
         (lo, hi) = f.support_box()[axis]
         wlo, whi = min(lo, x[axis]), max(hi, x[axis])
@@ -386,16 +435,9 @@ def _window_2d(f: GridFunction, x, pad: float, max_cells: int):
         i1 = int(math.ceil((whi - f.origin[axis]) / f.h))
         if i1 - i0 > max_cells:
             raise ValueError("2D window exceeds the cell cap")
-        out.append((i0, i1))
-    (ix0, ix1), (iy0, iy1) = out
-    vals = np.zeros((ix1 - ix0, iy1 - iy0))
-    nx, ny = f.values.shape
-    sx0, sx1 = max(0, -ix0), min(ix1 - ix0, nx - ix0)
-    sy0, sy1 = max(0, -iy0), min(iy1 - iy0, ny - iy0)
-    if sx1 > sx0 and sy1 > sy0:
-        vals[sx0:sx1, sy0:sy1] = np.abs(
-            f.values[max(ix0, 0) : max(ix0, 0) + (sx1 - sx0), max(iy0, 0) : max(iy0, 0) + (sy1 - sy0)]
-        )
+        bounds.append((i0, i1))
+    (ix0, ix1), (iy0, iy1) = bounds
+    vals = _padded_window(f.values, bounds)
     ex = f.origin[0] + f.h * np.arange(ix0, ix1 + 1)
     ey = f.origin[1] + f.h * np.arange(iy0, iy1 + 1)
     return ex, ey, vals
@@ -430,19 +472,73 @@ def hardy_littlewood_all_centers(
 ) -> np.ndarray:
     """M of a 1D windowed function at every cell center of the window.
 
-    One O(K^2) pass: suffix maxima of the pairwise averages in the right
-    endpoint, then prefix maxima in the left endpoint.
+    The value at cell i is the largest slope from a prefix-sum point in
+    {0..i} to one in {i+1..K-1}: the bridge between the lower hull of the
+    first set and the upper hull of the second.  Both hull families are
+    trees built in one O(K) stack pass each.  All centers then run
+    Dinkelbach steps together, each step a binary-lifting tangent query
+    per hull, until no slope rises.  O(K log K) time and memory.
     """
     csum = np.concatenate([[0.0], np.cumsum(cellvals * np.diff(edges))])
     k = len(edges)
-    num = csum[None, :] - csum[:, None]
-    den = edges[None, :] - edges[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        avg = np.where(den > 0, num / np.where(den != 0, den, 1.0), -np.inf)
-    sm = np.maximum.accumulate(avg[:, ::-1], axis=1)[:, ::-1]
-    rm = np.maximum.accumulate(sm, axis=0)
-    idx = np.arange(k - 1)
-    return rm[idx, idx + 1]
+    lower = _HullTree(edges, csum)
+    # the upper hulls of suffixes are the lower hulls of the point set
+    # turned by 180 degrees; slopes are unchanged, bit for bit
+    upper = _HullTree(-edges[::-1], -csum[::-1])
+    live = np.arange(k - 1)
+    best = _slope(csum, edges, live, live + 1)
+    while live.size:
+        s = best[live]
+        a = lower.tangent(live, s)
+        b = k - 1 - upper.tangent(k - 2 - live, s)
+        t = _slope(csum, edges, a, b)
+        rise = t > s
+        live = live[rise]
+        best[live] = t[rise]
+    return best
+
+
+class _HullTree:
+    """Lower convex hulls of every prefix of points with increasing x.
+
+    parent[i] is i's left neighbour on the lower hull of points 0..i, so
+    that hull is the path from i to the root 0.  key[i] is the slope of the
+    edge parent[i] -> i (-inf at the root) and strictly decreases along
+    every path.  up[j] holds each node's 2^j-th ancestor.
+    """
+
+    __slots__ = ("up", "key")
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+        n = len(xs)
+        x, y = xs.tolist(), ys.tolist()
+        parent = [0] * n
+        key = [-math.inf] * n
+        stack = [0]
+        for i in range(1, n):
+            top = stack[-1]
+            s = (y[i] - y[top]) / (x[i] - x[top])
+            while len(stack) > 1 and key[top] >= s:
+                stack.pop()
+                top = stack[-1]
+                s = (y[i] - y[top]) / (x[i] - x[top])
+            parent[i] = top
+            key[i] = s
+            stack.append(i)
+        up = [np.array(parent, dtype=np.intp)]
+        for _ in range(max(1, (n - 1).bit_length()) - 1):
+            up.append(up[-1][up[-1]])
+        self.up = up
+        self.key = np.array(key)
+
+    def tangent(self, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Per query, the point of the hull path from v minimising y - s*x:
+        walk toward the root while the edge into the node is steeper than s."""
+        key = self.key
+        for row in reversed(self.up):
+            w = row[v]
+            v = np.where(key[w] > s, w, v)
+        return np.where(key[v] > s, self.up[0][v], v)
 
 
 def m_delta(f: GridFunction, x, delta: float, pad: float = 1.0, max_cells: int = 8192) -> float:
@@ -475,12 +571,8 @@ def m_sharp(f: GridFunction, x, pad: float = 0.0, max_cells: int = 512) -> float
     xx = float(x) if np.isscalar(x) else float(x[0])
     edges, _ = _window_1d(f, xx, pad, max_cells)
     # oscillation needs signed values; rebuild without the abs of the window
-    vals = np.zeros(len(edges) - 1, dtype=float)
     i0 = int(round((edges[0] - f.origin[0]) / f.h))
-    n = len(f.values)
-    s0, s1 = max(0, -i0), min(len(vals), n - i0)
-    if s1 > s0:
-        vals[s0:s1] = np.real(f.values[max(i0, 0) : max(i0, 0) + (s1 - s0)])
+    vals = _padded_window(f.values, [(i0, i0 + len(edges) - 1)], np.real)
     tol = 1e-12 * max(1.0, abs(xx))
     lefts = np.nonzero(edges <= xx + tol)[0]
     rights = np.nonzero(edges >= xx - tol)[0]
@@ -501,16 +593,9 @@ def m_sharp(f: GridFunction, x, pad: float = 0.0, max_cells: int = 512) -> float
 def _m_sharp_2d(f: GridFunction, x, pad: float, max_cells: int) -> float:
     ex, ey, _ = _window_2d(f, x, pad, max_cells)
     nx, ny = len(ex) - 1, len(ey) - 1
-    vals = np.zeros((nx, ny))
     ix0 = int(round((ex[0] - f.origin[0]) / f.h))
     iy0 = int(round((ey[0] - f.origin[1]) / f.h))
-    fx, fy = f.values.shape
-    sx0, sx1 = max(0, -ix0), min(nx, fx - ix0)
-    sy0, sy1 = max(0, -iy0), min(ny, fy - iy0)
-    if sx1 > sx0 and sy1 > sy0:
-        vals[sx0:sx1, sy0:sy1] = np.real(
-            f.values[max(ix0, 0) : max(ix0, 0) + (sx1 - sx0), max(iy0, 0) : max(iy0, 0) + (sy1 - sy0)]
-        )
+    vals = _padded_window(f.values, [(ix0, ix0 + nx), (iy0, iy0 + ny)], np.real)
     px = (x[0] - ex[0]) / f.h
     py = (x[1] - ey[0]) / f.h
     tol = 1e-12
@@ -586,11 +671,7 @@ def orlicz_llogl_average(f: GridFunction, q) -> float:
         i1 = int(round((b - f.origin[0]) / f.h))
         if abs(f.origin[0] + i0 * f.h - a) > 1e-9 or abs(f.origin[0] + i1 * f.h - b) > 1e-9:
             raise ValueError("cube must be grid aligned")
-        cells = np.zeros(i1 - i0)
-        n = len(f.values)
-        s0, s1 = max(0, -i0), min(i1 - i0, n - i0)
-        if s1 > s0:
-            cells[s0:s1] = np.abs(f.values[max(i0, 0) : max(i0, 0) + (s1 - s0)])
+        cells = _padded_window(f.values, [(i0, i1)])
     else:
         (x0, x1), (y0, y1) = q
         i0 = int(round((x0 - f.origin[0]) / f.h))
@@ -599,15 +680,7 @@ def orlicz_llogl_average(f: GridFunction, q) -> float:
         j1 = int(round((y1 - f.origin[1]) / f.h))
         if (i1 - i0) != (j1 - j0):
             raise ValueError("cube must be square")
-        nx, ny = f.values.shape
-        block = np.zeros((i1 - i0, j1 - j0))
-        sx0, sx1 = max(0, -i0), min(i1 - i0, nx - i0)
-        sy0, sy1 = max(0, -j0), min(j1 - j0, ny - j0)
-        if sx1 > sx0 and sy1 > sy0:
-            block[sx0:sx1, sy0:sy1] = np.abs(
-                f.values[max(i0, 0) : max(i0, 0) + (sx1 - sx0), max(j0, 0) : max(j0, 0) + (sy1 - sy0)]
-            )
-        cells = block.ravel()
+        cells = _padded_window(f.values, [(i0, i1), (j0, j1)]).ravel()
     m = len(cells)
     if m == 0:
         return 0.0

@@ -13,6 +13,7 @@ from czkit.gridops import (
     beurling_transform_grid,
     beurling_truncated,
     hardy_littlewood,
+    hardy_littlewood_all_centers,
     hilbert_breakpoints,
     hilbert_maximal,
     hilbert_transform,
@@ -24,7 +25,10 @@ from czkit.gridops import (
     m_llogl,
     m_sharp,
     orlicz_llogl_average,
+    _interval_averages_max,
+    _window_1d,
 )
+from czkit.experiments import HILBERT_SAMPLES, _transform_grid, hilbert_test_suite
 
 
 def step01(h=1.0 / 64):
@@ -111,6 +115,78 @@ def test_hardy_littlewood_examples():
     const = GridFunction(0.0, 0.25, np.full(64, 3.0))
     assert abs(hardy_littlewood(const, 8.0) - 3.0) < 1e-12
     assert m_sharp(const, 8.0) == 0.0
+
+
+def dense_interval_averages_max(edges, cellvals, x):
+    """Oracle: every interval average containing x, as one K x K table."""
+    csum = np.concatenate([[0.0], np.cumsum(cellvals * np.diff(edges))])
+    tol = 1e-12 * max(1.0, abs(x))
+    lefts = np.nonzero(edges <= x + tol)[0]
+    rights = np.nonzero(edges >= x - tol)[0]
+    if len(lefts) == 0 or len(rights) == 0:
+        return 0.0
+    num = csum[rights][None, :] - csum[lefts][:, None]
+    den = edges[rights][None, :] - edges[lefts][:, None]
+    ok = den > 0
+    return float(np.max(np.where(ok, num / np.where(ok, den, 1.0), -np.inf)))
+
+
+def dense_all_centers(edges, cellvals):
+    """Oracle: suffix maxima of the K x K pairwise averages in the right
+    endpoint, then prefix maxima in the left endpoint."""
+    csum = np.concatenate([[0.0], np.cumsum(cellvals * np.diff(edges))])
+    k = len(edges)
+    num = csum[None, :] - csum[:, None]
+    den = edges[None, :] - edges[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        avg = np.where(den > 0, num / np.where(den != 0, den, 1.0), -np.inf)
+    sm = np.maximum.accumulate(avg[:, ::-1], axis=1)[:, ::-1]
+    rm = np.maximum.accumulate(sm, axis=0)
+    idx = np.arange(k - 1)
+    return rm[idx, idx + 1]
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= rel * np.abs(want)), (got, want)
+
+
+def random_cells(rng, n, kind):
+    if kind == 0:
+        return rng.uniform(0.0, 3.0, n)
+    if kind == 1:  # few distinct values: many tied averages
+        return rng.choice([0.0, 0.5, 1.0, 4.0], size=n)
+    if kind == 2:  # constant runs, zero runs among them
+        return np.repeat(rng.choice([0.0, 1.0, 2.0], size=n // 5 + 1), 5)[:n]
+    return np.abs(rng.standard_cauchy(n)) * (rng.uniform(size=n) < 0.5)  # sparse, heavy-tailed
+
+
+def test_interval_maximal_matches_dense_oracle():
+    rng = np.random.default_rng(2024)
+    with np.errstate(all="raise"):
+        for n in range(1, 201):
+            h = float(rng.choice([1.0, 0.25, 1.0 / 3.0, 0.1, 1.0 / 128]))
+            edges = rng.uniform(-5.0, 5.0) + h * np.arange(n + 1)
+            vals = random_cells(rng, n, n % 4)
+            assert_rel_close(hardy_littlewood_all_centers(edges, vals), dense_all_centers(edges, vals))
+            inner = edges[rng.integers(0, n + 1)]
+            for x in (edges[0], edges[-1], inner, rng.uniform(edges[0], edges[-1]), edges[0] - h, edges[-1] + h):
+                got = _interval_averages_max(edges, vals, float(x))
+                assert_rel_close(got, dense_interval_averages_max(edges, vals, float(x)))
+
+
+def test_interval_maximal_matches_dense_oracle_on_pinned_window():
+    for _, f in hilbert_test_suite(1.0 / 128):
+        edges, vals = _window_1d(_transform_grid(f, 48.0, 3072), 0.0, 0.0, 3074)
+        assert len(edges) == 3073
+        with np.errstate(all="raise"):
+            inner = hardy_littlewood_all_centers(edges, vals)
+            assert_rel_close(inner, dense_all_centers(edges, vals))
+            for x in list(HILBERT_SAMPLES) + [edges[0], edges[1000], edges[-1]]:
+                got = _interval_averages_max(edges, vals, float(x))
+                assert_rel_close(got, dense_interval_averages_max(edges, vals, float(x)))
+                got = _interval_averages_max(edges, inner, float(x))
+                assert_rel_close(got, dense_interval_averages_max(edges, inner, float(x)))
 
 
 def test_maximal_sublinearity_randomized():
