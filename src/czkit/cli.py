@@ -46,7 +46,6 @@ def _cmd_exp(args: argparse.Namespace) -> int:
             kwargs["mesh"] = args.mesh
     elif args.name == "beurling-composition" and args.mesh:
         kwargs["mesh_src"] = args.mesh
-        kwargs["mesh_tgt"] = 2 * args.mesh
     elif args.name in ("counterexample-growth",) and args.window:
         kwargs["cells"] = int(args.window)
     result = fn(**kwargs)

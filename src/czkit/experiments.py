@@ -431,13 +431,18 @@ def _pinned_grid(lo: float, hi: float, per_decade: int = 24) -> TruncationGrid:
 def exp_beurling_composition(
     sample_points: Sequence[complex] | None = None,
     mesh_src: float = 1.0 / 16,
-    mesh_tgt: float = 1.0 / 8,
+    mesh_tgt: float | None = None,
 ) -> ExperimentResult:
     """Ratio of B*(Bf) to the iterated-kernel maximal plus Mf, per sample.
 
     The truncation scan families are pinned (mesh-independent), so a grid
-    refinement changes only quadrature, not the scanned radii.
+    refinement changes only quadrature, not the scanned radii.  The target
+    mesh defaults to 2 * mesh_src, the pairing the CLI uses at every mesh;
+    at a fixed 1/8 a fine source grid would put the targets 0.06 source
+    meshes from source centers, where the near-cell quadrature degenerates.
     """
+    if mesh_tgt is None:
+        mesh_tgt = 2.0 * mesh_src
     zs = list(sample_points) if sample_points is not None else COMPOSITION_SAMPLES
     eps_f = _pinned_grid(1.0 / 16, 16.0)
     eps_b = _pinned_grid(1.0 / 8, 40.0)

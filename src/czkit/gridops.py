@@ -18,6 +18,15 @@ between the lower convex hull on the left and the upper hull on the right
 Dinkelbach step on a K-edge window; every cell center at once costs
 O(K log K) time and memory through hull trees with binary lifting.  No
 K x K table is built.
+
+In 2D every radius of a truncation scan comes from one pass: one sort of
+the cells by distance, a suffix sum for the cells outside each circle, and
+the ring cells of all radii subdivided together in vectorised blocks.  On
+a target grid whose mesh is an integer multiple of the source mesh, the
+transform is a lattice convolution: one FFT correlation with a table that
+holds the kernel in the far field and a subdivided stencil within 4
+meshes (after the precorrected FFT of Phillips & White, IEEE TCAD 16,
+1997).
 """
 from __future__ import annotations
 
@@ -118,14 +127,8 @@ class GridFunction:
         rim = np.abs(d - radius) <= h  # cells possibly cut by the circle
         vals[d < radius - h] = 1.0
         if antialias > 1:
-            offs = (np.arange(antialias) + 0.5) / antialias - 0.5
-            ox, oy = np.meshgrid(offs * h, offs * h, indexing="ij")
-            ridx = np.argwhere(rim)
-            for i, j in ridx:
-                sx = gx[i, j] + ox
-                sy = gy[i, j] + oy
-                inside = np.hypot(sx - center[0], sy - center[1]) < radius
-                vals[i, j] = inside.mean()
+            sub = (gx[rim] + 1j * gy[rim])[:, None] + _sub_offsets(h, antialias)
+            vals[rim] = (np.abs(sub - complex(*center)) < radius).mean(axis=1)
         else:
             vals[rim & (d < radius)] = 1.0
         return GridFunction(origin, h, vals)
@@ -459,10 +462,9 @@ def _hl_2d(f: GridFunction, x, pad: float, max_cells: int) -> float:
         iy_hi = min(ny - s, int(math.floor(py + tol)))
         if ix_lo > ix_hi or iy_lo > iy_hi:
             continue
-        ixs = np.arange(ix_lo, ix_hi + 1)
-        iys = np.arange(iy_lo, iy_hi + 1)
-        gx, gy = np.meshgrid(ixs, iys, indexing="ij")
-        mass = ii[gx + s, gy + s] - ii[gx, gy + s] - ii[gx + s, gy] + ii[gx, gy]
+        lo_x, hi_x = slice(ix_lo, ix_hi + 1), slice(ix_lo + s, ix_hi + s + 1)
+        lo_y, hi_y = slice(iy_lo, iy_hi + 1), slice(iy_lo + s, iy_hi + s + 1)
+        mass = ii[hi_x, hi_y] - ii[lo_x, hi_y] - ii[hi_x, lo_y] + ii[lo_x, lo_y]
         best = max(best, float(mass.max()) / (s * s))  # cell areas cancel
     return best
 
@@ -722,63 +724,94 @@ def _kernel_b2(w: np.ndarray) -> np.ndarray:
 
 
 _SUBDIV = 16  # 2^4 per axis: dyadic subdivision depth 4 on boundary cells
+_NEAR_SUBDIV = 8  # per axis, on source cells within 4 meshes of a target
+_RING_BLOCK = 256  # ring cells per vectorised block: 64k sub-points stay in cache
 
 
-def _beurling_sum(f: GridFunction, z: complex, eps: float, kern) -> complex:
+def _sub_offsets(h: float, n: int) -> np.ndarray:
+    """Midpoints of the n x n subcells of a side-h cell centered at 0, as complex."""
+    offs = (np.arange(n) + 0.5) / n - 0.5
+    ox, oy = np.meshgrid(offs * h, offs * h, indexing="ij")
+    return (ox + 1j * oy).ravel()
+
+
+def _masked_kernel(kern, w: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """kern(w) where keep holds and 0 elsewhere, never evaluating a dropped w."""
+    return np.where(keep, kern(np.where(keep, w, 1.0)), 0.0)
+
+
+def _beurling_truncations(f: GridFunction, z: complex, eps: np.ndarray, kern) -> np.ndarray:
+    """Integral of f(w) kern(w - z) over {|w - z| > e}, for every radius e in eps.
+
+    Midpoint rule on the cells fully outside the circle, 16 x 16 sub-points
+    on the cells it may cut.  The cells are sorted by center distance once,
+    so the fully-outside part at every radius is one suffix sum, and the
+    ring cells of all radii are subdivided together in bounded blocks.
+    Cost: O(C log C + E log C + 256 R) for C cells, E radii and R
+    (radius, ring cell) pairs.
+    """
     if f.dim != 2:
         raise ValueError("planar truncation needs a 2D grid function")
-    cx = f.centers(0)
-    cy = f.centers(1)
-    gx, gy = np.meshgrid(cx, cy, indexing="ij")
-    w = (gx - z.real) + 1j * (gy - z.imag)
+    w = ((f.centers(0)[:, None] - z.real) + 1j * (f.centers(1)[None, :] - z.imag)).ravel()
     d = np.abs(w)
+    order = np.argsort(d, kind="stable")
+    w, d, vals = w[order], d[order], f.values.ravel()[order]
     half_diag = f.h * math.sqrt(2.0) / 2.0
-    area = f.h * f.h
-    outer = d >= eps + half_diag
-    total = complex(np.sum(f.values[outer] * kern(w[outer])) * area)
-    ring = (~outer) & (d > eps - half_diag) & (f.values != 0)
-    if np.any(ring):
-        offs = (np.arange(_SUBDIV) + 0.5) / _SUBDIV - 0.5
-        ox, oy = np.meshgrid(offs * f.h, offs * f.h, indexing="ij")
-        sub = (ox + 1j * oy).ravel()
-        sub_area = (f.h / _SUBDIV) ** 2
-        for i, j in np.argwhere(ring):
-            wij = w[i, j] + sub
-            keep = np.abs(wij) > eps
-            if keep.any():
-                total += complex(f.values[i, j] * np.sum(kern(wij[keep])) * sub_area)
-    return total
+    outer = np.searchsorted(d, eps + half_diag, side="left")
+    inner = np.searchsorted(d, eps - half_diag, side="right")
+    cellsum = vals * _masked_kernel(kern, w, d > 0)
+    suffix = np.append(np.cumsum(cellsum[::-1])[::-1], 0.0)
+    total = suffix[outer] * (f.h * f.h)
+
+    counts = outer - inner
+    radius = np.repeat(np.arange(len(eps)), counts)
+    cell = np.arange(counts.sum()) + np.repeat(inner - np.cumsum(counts) + counts, counts)
+    live = vals[cell] != 0
+    radius, cell = radius[live], cell[live]
+    sub = _sub_offsets(f.h, _SUBDIV)
+    ring = np.zeros(len(eps), dtype=complex)
+    for b in range(0, len(cell), _RING_BLOCK):
+        rb, cb = radius[b : b + _RING_BLOCK], cell[b : b + _RING_BLOCK]
+        ws = w[cb, None] + sub
+        part = vals[cb] * _masked_kernel(kern, ws, np.abs(ws) > eps[rb, None]).sum(axis=1)
+        ring += np.bincount(rb, part.real, len(eps)) + 1j * np.bincount(rb, part.imag, len(eps))
+    return total + ring * (f.h / _SUBDIV) ** 2
+
+
+def _one_truncation(f: GridFunction, z, eps: float, kern) -> complex:
+    if eps < f.h / 2:
+        raise ValueError("truncation radius below half a mesh")
+    return complex(_beurling_truncations(f, complex(z), np.array([float(eps)]), kern)[0])
 
 
 def beurling_truncated(f: GridFunction, z: complex, eps: float) -> complex:
     """Integral of f(w)/(w - z)^2 over {|w - z| > eps} (midpoint rule,
-    boundary cells dyadically subdivided)."""
-    if eps < f.h / 2:
-        raise ValueError("truncation radius below half a mesh")
-    return _beurling_sum(f, complex(z), float(eps), _kernel_b)
+    boundary cells dyadically subdivided).  Cost: one O(C log C) sort of
+    the C cells plus 256 sub-points per cell the circle may cut."""
+    return _one_truncation(f, z, eps, _kernel_b)
 
 
 def beurling_sq_truncated(f: GridFunction, z: complex, eps: float) -> complex:
     """Same truncation for the iterated kernel -2 conj(w-z)/(w-z)^3."""
-    if eps < f.h / 2:
-        raise ValueError("truncation radius below half a mesh")
-    return _beurling_sum(f, complex(z), float(eps), _kernel_b2)
+    return _one_truncation(f, z, eps, _kernel_b2)
 
 
 def beurling_maximal(
     f: GridFunction, z: complex, grid: TruncationGrid | None = None, kernel: str = "b"
 ) -> float:
-    """Scan sup over the radii of the truncation grid; a lower bound."""
+    """Scan sup over the radii of the truncation grid; a lower bound.
+
+    All radii of at least half a mesh are evaluated in one pass of
+    `_beurling_truncations`: one sort of the C cells by distance, then
+    O(log C) per radius plus 256 sub-points per (radius, ring cell) pair.
+    """
     if grid is None:
         grid = TruncationGrid.default_for(f)
     kern = {"b": _kernel_b, "b2": _kernel_b2}[kernel]
-    z = complex(z)
-    best = 0.0
-    for eps in grid.eps:
-        if eps < f.h / 2:
-            continue
-        best = max(best, abs(_beurling_sum(f, z, float(eps), kern)))
-    return best
+    eps = grid.eps[grid.eps >= f.h / 2]
+    if len(eps) == 0:
+        return 0.0
+    return float(np.max(np.abs(_beurling_truncations(f, complex(z), eps, kern))))
 
 
 def beurling_transform_grid(
@@ -786,39 +819,39 @@ def beurling_transform_grid(
 ) -> GridFunction:
     """Principal-value transform of f sampled at the centers of a target grid.
 
-    Cells around each target point closer than 4 source meshes are
-    subdivided; the exactly-centered source cell drops out of the principal
-    value by quarter-turn symmetry of the kernel on a square.
+    The target mesh h must be r * f.h for an integer r >= 1.  Every
+    source-target offset is then c0 + f.h * m on one integer lattice, so
+    the transform is a lattice convolution: one table holds K(w) f.h^2 per
+    offset, except that offsets closer than 4 source meshes hold the cell
+    integral on 8 x 8 sub-points, and the offset 0 holds 0, since the
+    centered cell drops out of the principal value by quarter-turn
+    symmetry.  numpy.fft convolves the values with the table at the
+    table's own size and every r-th output is kept; the kept outputs never
+    wrap.  Cost: O(M log M) for the M = (n1 + r(s1 - 1)) (n2 + r(s2 - 1))
+    table entries, with n the source and s the target shape.
     """
-    cx = f.centers(0)
-    cy = f.centers(1)
-    gx, gy = np.meshgrid(cx, cy, indexing="ij")
-    src = (gx + 1j * gy).ravel()
-    vals = f.values.ravel()
-    nz = vals != 0
-    src = src[nz]
-    vals = vals[nz]
-    area = f.h * f.h
-    tx = origin[0] + h * (np.arange(shape[0]) + 0.5)
-    ty = origin[1] + h * (np.arange(shape[1]) + 0.5)
-    out = np.zeros(shape, dtype=complex)
-    offs = (np.arange(8) + 0.5) / 8 - 0.5
-    ox, oy = np.meshgrid(offs * f.h, offs * f.h, indexing="ij")
-    sub = (ox + 1j * oy).ravel()
-    sub_area = (f.h / 8) ** 2
-    near_radius = 4.0 * f.h
-    for i, x in enumerate(tx):
-        w = src - (x + 1j * ty[None, :].T)  # (ny, m)
-        d = np.abs(w)
-        far = d >= near_radius
-        acc = np.where(far, _kernel_b(np.where(far, w, 1.0)) * area, 0.0) @ vals
-        out[i, :] = acc
-        near_rows, near_cols = np.nonzero(~far)
-        for r, c in zip(near_rows, near_cols):
-            wc = w[r, c]
-            if abs(wc) < f.h * 1e-9:
-                continue  # self cell: principal value vanishes by symmetry
-            ws = wc + sub
-            keep = np.abs(ws) > f.h * 1e-9
-            out[i, r] += vals[c] * np.sum(_kernel_b(ws[keep])) * sub_area
-    return GridFunction(origin, h, out)
+    if f.dim != 2:
+        raise ValueError("planar transform needs a 2D grid function")
+    if len(shape) != 2 or min(shape) < 1:
+        raise ValueError(f"target shape {tuple(shape)!r} must be two positive cell counts")
+    r = round(h / f.h)
+    if r < 1 or abs(h - r * f.h) > 1e-9 * f.h:
+        raise ValueError(
+            f"target mesh {h!r} is not a positive integer multiple of the source mesh {f.h!r}"
+        )
+    (n1, n2), (s1, s2) = f.values.shape, shape
+    # table entry p holds the offset m = n - 1 - p, so out[i] = sum_k v[k] G[r i - k + n - 1]
+    m1 = n1 - 1 - np.arange(n1 + r * (s1 - 1))
+    m2 = n2 - 1 - np.arange(n2 + r * (s2 - 1))
+    c0 = complex(
+        f.origin[0] - origin[0] + (f.h - h) / 2, f.origin[1] - origin[1] + (f.h - h) / 2
+    )
+    w = c0 + f.h * (m1[:, None] + 1j * m2[None, :])
+    near = np.abs(w) < 4.0 * f.h
+    table = _masked_kernel(_kernel_b, w, ~near) * (f.h * f.h)
+    wn = w[near]
+    ws = wn[:, None] + _sub_offsets(f.h, _NEAR_SUBDIV)
+    stencil = _masked_kernel(_kernel_b, ws, np.abs(ws) > f.h * 1e-9).sum(axis=1)
+    table[near] = np.where(np.abs(wn) < f.h * 1e-9, 0.0, stencil * (f.h / _NEAR_SUBDIV) ** 2)
+    conv = np.fft.ifft2(np.fft.fft2(f.values, s=table.shape) * np.fft.fft2(table))
+    return GridFunction(origin, h, conv[n1 - 1 :: r, n2 - 1 :: r])

@@ -102,6 +102,20 @@ def test_composition_guard_at_center():
     assert num < 0.2 and ratio < 0.3
 
 
+def test_composition_default_target_mesh_is_the_cli_pairing(tmp_path, monkeypatch):
+    # a fixed 1/8 target mesh over a 1/32 source grid puts every target
+    # 0.06 source meshes from a source center; the default follows the CLI
+    from czkit import experiments
+    from czkit.cli import main
+
+    monkeypatch.setattr(experiments, "COMPOSITION_SAMPLES", [0.4375 + 0.3125j])
+    api = experiments.exp_beurling_composition(mesh_src=1.0 / 32)
+    api.to_csv(str(tmp_path / "api.csv"))
+    assert main(["exp", "beurling-composition", "--mesh", repr(1 / 32), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "api.csv").read_bytes() == (tmp_path / "beurling-composition.csv").read_bytes()
+    assert max(row[3] for row in api.rows) < 10.0
+
+
 def test_growth_experiment_rejects_out_of_range_points():
     import pytest
 

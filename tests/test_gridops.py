@@ -26,6 +26,8 @@ from czkit.gridops import (
     m_sharp,
     orlicz_llogl_average,
     _interval_averages_max,
+    _kernel_b,
+    _kernel_b2,
     _window_1d,
 )
 from czkit.experiments import HILBERT_SAMPLES, _transform_grid, hilbert_test_suite
@@ -335,6 +337,110 @@ def test_beurling_transform_grid_matches_closed_form():
     mask = np.abs(zs) > 1.3
     err = np.max(np.abs(bg.values[mask] - math.pi / zs[mask] ** 2))
     assert err < 3e-2
+
+
+def _subcells(h, n):
+    offs = (np.arange(n) + 0.5) / n - 0.5
+    ox, oy = np.meshgrid(offs * h, offs * h, indexing="ij")
+    return (ox + 1j * oy).ravel()
+
+
+def scan_beurling_sum(f, z, eps, kern):
+    """Oracle: one truncation by a full pass over the cells, ring cells one by one."""
+    gx, gy = np.meshgrid(f.centers(0), f.centers(1), indexing="ij")
+    w = (gx - z.real) + 1j * (gy - z.imag)
+    d = np.abs(w)
+    half_diag = f.h * math.sqrt(2.0) / 2.0
+    outer = d >= eps + half_diag
+    total = complex(np.sum(f.values[outer] * kern(w[outer])) * f.h * f.h)
+    ring = (~outer) & (d > eps - half_diag) & (f.values != 0)
+    sub = _subcells(f.h, 16)
+    for i, j in np.argwhere(ring):
+        wij = w[i, j] + sub
+        keep = np.abs(wij) > eps
+        if keep.any():
+            total += complex(f.values[i, j] * np.sum(kern(wij[keep])) * (f.h / 16) ** 2)
+    return total
+
+
+def scan_beurling_maximal(f, z, grid, kernel="b"):
+    """Oracle: the per-radius scan of `beurling_maximal`."""
+    kern = {"b": _kernel_b, "b2": _kernel_b2}[kernel]
+    vals = [abs(scan_beurling_sum(f, complex(z), float(e), kern)) for e in grid.eps if e >= f.h / 2]
+    return max(vals, default=0.0)
+
+
+def direct_beurling_transform_grid(f, origin, h, shape):
+    """Oracle: the target x source double sum, near pairs subdivided one by one."""
+    gx, gy = np.meshgrid(f.centers(0), f.centers(1), indexing="ij")
+    src = (gx + 1j * gy).ravel()
+    vals = f.values.ravel()
+    tx = origin[0] + h * (np.arange(shape[0]) + 0.5)
+    ty = origin[1] + h * (np.arange(shape[1]) + 0.5)
+    out = np.zeros(shape, dtype=complex)
+    sub = _subcells(f.h, 8)
+    for i, x in enumerate(tx):
+        w = src - (x + 1j * ty[None, :].T)
+        far = np.abs(w) >= 4.0 * f.h
+        out[i, :] = np.where(far, _kernel_b(np.where(far, w, 1.0)) * f.h * f.h, 0.0) @ vals
+        for r, c in zip(*np.nonzero(~far)):
+            if abs(w[r, c]) < f.h * 1e-9:
+                continue  # self cell: principal value vanishes by symmetry
+            ws = w[r, c] + sub
+            keep = np.abs(ws) > f.h * 1e-9
+            out[i, r] += vals[c] * np.sum(_kernel_b(ws[keep])) * (f.h / 8) ** 2
+    return out
+
+
+def _planar_fields():
+    rng = np.random.default_rng(11)
+    real = GridFunction((-0.75, -0.5), 1.0 / 8, rng.choice([0.0, 1.0, -0.5], size=(9, 7)))
+    cplx = GridFunction((0.25, -0.375), 1.0 / 8, rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8)))
+    return [real, cplx, GridFunction.disk(0.5, 1.0 / 8)]
+
+
+def test_beurling_transform_grid_matches_direct_oracle():
+    with np.errstate(all="raise"):
+        for f in _planar_fields():
+            for r in (1, 2, 3):
+                h = r * f.h
+                # a lattice on the source centers (self-cell skip), a generic
+                # one, and one whose targets sit on near-stencil sub-points
+                for shift in ((0.0, 0.0), (0.11 * h, -0.37 * h), (f.h / 16, 3 * f.h / 16)):
+                    origin = (f.origin[0] - 3 * h + f.h / 2 - h / 2 + shift[0],
+                              f.origin[1] - 2 * h + f.h / 2 - h / 2 + shift[1])
+                    shape = (f.values.shape[0] // r + 6, f.values.shape[1] // r + 4)
+                    got = beurling_transform_grid(f, origin, h, shape)
+                    want = direct_beurling_transform_grid(f, origin, h, shape)
+                    assert got.h == h and got.origin == origin
+                    assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_beurling_truncations_match_scan_oracle():
+    # 90 radii give several ring-cell blocks per call
+    radii = TruncationGrid(np.concatenate([[0.03, 1.0 / 16, 0.07], np.geomspace(0.1, 3.0, 90)]))
+    with np.errstate(all="raise"):
+        for f in _planar_fields():
+            centre = complex(f.centers(0)[3], f.centers(1)[2])
+            for z in (centre, centre + 0.013 - 0.021j, 2.7 + 0.4j):
+                for kernel, kern in (("b", _kernel_b), ("b2", _kernel_b2)):
+                    got = beurling_maximal(f, z, radii, kernel=kernel)
+                    want = scan_beurling_maximal(f, z, radii, kernel=kernel)
+                    assert abs(got - want) <= 1e-12 * want
+                    one = beurling_truncated if kernel == "b" else beurling_sq_truncated
+                    for eps in radii.eps[radii.eps >= f.h / 2][::7]:
+                        assert abs(one(f, z, eps) - scan_beurling_sum(f, z, eps, kern)) <= 1e-12 * want
+            assert beurling_maximal(f, 0j, TruncationGrid(np.array([f.h / 4]))) == 0.0
+
+
+def test_beurling_transform_grid_rejects_bad_targets():
+    disk = GridFunction.disk(1.0, 1.0 / 16)
+    for h in (1.0 / 24, 3.0 / 32, 0.0, -1.0 / 8):
+        with pytest.raises(ValueError, match="not a positive integer multiple"):
+            beurling_transform_grid(disk, (0.0, 0.0), h, (4, 4))
+    for shape in ((0, 4), (4, 0), (), (4,)):
+        with pytest.raises(ValueError, match="two positive cell counts"):
+            beurling_transform_grid(disk, (0.0, 0.0), 1.0 / 8, shape)
 
 
 def test_beurling_maximal_far_field():
