@@ -7,23 +7,44 @@ the lowest-degree layer must divide every other layer exactly, and the
 multiplier-weighted sum of the quotients must not vanish anywhere on the
 unit sphere.
 
-Divisibility is decided by exact polynomial division.  Non-vanishing is
-certified numerically: the quotient sum F has (after factoring out one
-shared unit) real rational coefficients, and
+Divisibility is decided by exact polynomial division.  The quotient sum F
+has (after factoring out one shared unit) real rational coefficients, and
+its sign on the sphere is decided by branch-and-bound over a cube-sphere
+cover: the 2n facets of the cube [-1, 1]^n, each split by a 2^(n-1)-ary
+tree of boxes and projected radially onto the sphere.  A cell with center
+c and angular radius r keeps the sign of F(c) when
 
-    min over the sphere of |F|  >=  min over a grid of |F|  -  L * delta,
+    |F(c)|  >  |grad_T F(c)| * r  +  H * r^2 / 2  +  rho,
 
-where delta is the covering radius of the grid and L is an exact
-coefficient-sum bound on the gradient of F over the closed unit ball.
-A positive right-hand side certifies non-vanishing; a grid value below
-the zero tolerance reports a vanishing point with its witness; otherwise
-the grid is deepened, and the check returns INCONCLUSIVE at the depth cap.
+where grad_T F is the tangential gradient, H an exact coefficient bound
+on the second derivative of F along any unit-speed great circle, and rho
+an a-priori bound on float rounding (evaluating F and its gradient, and
+computed centers lying off the sphere).  Only undecided cells are split,
+one vectorised level at a time.  The verdicts carry certificates:
+
+* PASS: every cell is decided with one sign; ``certified_min`` is the
+  smallest |F(c)| - bound over the decided cells, a lower bound for |F|.
+* FAIL(vanishing): two evaluated points where F > rho and F < -rho (the
+  sphere is connected for n >= 2, so F has a zero; the witness is refined
+  by bisection along the arc between them), or F = 0 in exact arithmetic
+  at a rational sphere point (facet centers are the axis points; others
+  come from inverse stereographic projection of snapped cell centers).
+* INCONCLUSIVE: only when the depth cap or the cell budget is hit, for
+  instance at a tangential zero of F at an irrational point.
+
+The cost is set by the zero set and the extrema of |F|: a level holds
+2^(n-1) children of each undecided cell, and near a nondegenerate
+extremum of margin m the tree stops at a depth where H r^2 falls below m,
+about depth 22 for m = 1e-12.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,13 +52,47 @@ from .exact import SymScalar, riesz_multiplier
 from .kernels import KernelSpec
 from .polyalg import HarmonicComponent, MultiPoly, divide_exact
 
-ZERO_TOL = 1e-10
-DEFAULT_MAX_DEPTH = 14
-DEFAULT_POINT_BUDGET = 6_000_000
+EPS = 2.0**-53  # unit roundoff of float64
+# At depth d a cell's side on its facet is 2^(1-d), so r^2 is about 2^-2d;
+# from depth 26 on, H r^2 / 2 is of the order of EPS * H, below the
+# rounding bound rho, and a deeper level cannot decide what rho leaves open.
+DEFAULT_MAX_DEPTH = 26
+DEFAULT_CELL_BUDGET = 1_000_000
+_CHUNK = 1 << 14  # cells per vectorised evaluation; keeps peak memory flat
+_EXACT_TRIES = 2  # undecided cells per level tested for an exact rational zero
+_SLACK = 1.0 + 2.0**-40  # relative cover for the handful of roundings in a bound
 
 
-@dataclass
-class CheckReport:
+class TraceRow(NamedTuple):
+    """One tree level of the sign certifier."""
+
+    depth: int
+    cells: int
+    undecided: int
+    min_abs_f: float
+    seconds: float
+
+
+@dataclass(kw_only=True)
+class SphereCertificate:
+    """The sign certifier's verdict on F over the unit sphere, with its evidence."""
+
+    verdict: str = "INCONCLUSIVE"
+    stop_reason: str | None = None  # certified, sign-change, exact-zero, depth-cap or cell-budget
+    lipschitz_bound: float = 0.0
+    rounding_bound: float = 0.0  # rho for a value: |F(c)| beyond it has a certain sign
+    grid_min: float = math.inf  # smallest |F| at an evaluated cell center
+    certified_min: float | None = None
+    witness: tuple[float, ...] | None = None
+    witness_value: float | None = None
+    sign_pair: tuple[tuple[float, ...], tuple[float, ...]] | None = None  # F > rho, F < -rho
+    depth_used: int = 0
+    grid_points: int = 0  # cell centers evaluated
+    trace: list[TraceRow] = field(default_factory=list)
+
+
+@dataclass(kw_only=True)
+class CheckReport(SphereCertificate):
     """Verdict plus the evidence that produced it."""
 
     dim: int
@@ -47,14 +102,6 @@ class CheckReport:
     divisibility_ok: bool = False
     failed_degree: int | None = None
     unit: SymScalar | None = None
-    lipschitz_bound: float = 0.0
-    grid_min: float = math.inf
-    certified_min: float | None = None
-    witness: tuple[float, ...] | None = None
-    witness_value: float | None = None
-    depth_used: int = 0
-    grid_points: int = 0
-    certificate_gap: float | None = None
 
     def format_text(self) -> str:
         lines = [
@@ -64,18 +111,27 @@ class CheckReport:
             f"divisibility   : {'ok' if self.divisibility_ok else f'failed at degree {self.failed_degree}'}",
         ]
         if self.divisibility_ok:
+            lines.append(f"stop reason    : {self.stop_reason}")
             lines.append(f"gradient bound : {self.lipschitz_bound:.6g}")
-            lines.append(f"grid depth     : {self.depth_used} ({self.grid_points} points)")
-            lines.append(f"grid min |F|   : {self.grid_min:.6g}")
+            lines.append(f"tree depth     : {self.depth_used} ({self.grid_points} cells)")
+            lines.append(f"min |F| seen   : {self.grid_min:.6g}")
             if self.certified_min is not None:
                 lines.append(f"certified min  : {self.certified_min:.6g}")
-            if self.certificate_gap is not None:
-                lines.append(f"certificate gap: {self.certificate_gap:.6g}")
             if self.witness is not None:
                 pt = ", ".join(f"{x:.12g}" for x in self.witness)
                 lines.append(f"witness        : ({pt})")
             if self.witness_value is not None:
                 lines.append(f"|F(witness)|   : {self.witness_value:.6g}")
+            if self.sign_pair is not None:
+                for label, pt in zip(("F > rho at", "F < -rho at"), self.sign_pair):
+                    lines.append(f"{label:15s}: ({', '.join(f'{x:.12g}' for x in pt)})")
+                lines.append(f"rounding rho   : {self.rounding_bound:.6g}")
+            lines.append("level      cells  undecided       min |F|   seconds")
+            for row in self.trace:
+                lines.append(
+                    f"{row.depth:5d} {row.cells:10d} {row.undecided:10d} "
+                    f"{row.min_abs_f:13.6g} {row.seconds:9.4f}"
+                )
         return "\n".join(lines)
 
     def format_kv(self) -> str:
@@ -89,6 +145,8 @@ class CheckReport:
             "grid_min": repr(self.grid_min),
             "lipschitz_bound": repr(self.lipschitz_bound),
         }
+        if self.stop_reason is not None:
+            pairs["stop_reason"] = self.stop_reason
         if self.failed_degree is not None:
             pairs["failed_degree"] = self.failed_degree
         if self.certified_min is not None:
@@ -97,7 +155,19 @@ class CheckReport:
             pairs["witness"] = ",".join(repr(x) for x in self.witness)
         if self.witness_value is not None:
             pairs["witness_value"] = repr(self.witness_value)
+        if self.sign_pair is not None:
+            pairs["sign_pair"] = ";".join(",".join(repr(x) for x in pt) for pt in self.sign_pair)
+            pairs["rounding_bound"] = repr(self.rounding_bound)
+        for row in self.trace:
+            pairs[f"level_{row.depth}"] = (
+                f"cells:{row.cells},undecided:{row.undecided},"
+                f"min_abs_f:{row.min_abs_f!r},seconds:{row.seconds:.6f}"
+            )
         return "\n".join(f"{k}={v}" for k, v in pairs.items())
+
+
+def _coef_sum(p: MultiPoly) -> Fraction:
+    return sum((abs(c) for c in p.terms.values()), Fraction(0))
 
 
 def spherical_gradient_bound(f: MultiPoly) -> float:
@@ -108,47 +178,245 @@ def spherical_gradient_bound(f: MultiPoly) -> float:
     summing the per-partial bounds dominates the Euclidean norm of the
     gradient.  The exact rational bound is nudged up one ulp on conversion.
     """
-    total = 0
-    for i in range(f.nvars):
-        p = f.partial(i)
-        total += sum(abs(c) for c in p.terms.values())
+    total = sum((_coef_sum(f.partial(i)) for i in range(f.nvars)), Fraction(0))
     return float(total) * (1.0 + 2.0**-50)
 
 
-def sphere_grid(dim: int, depth: int) -> tuple[np.ndarray, float]:
-    """Nested grids on the unit sphere with a covering-radius bound.
+def _rounding_bound(p: MultiPoly) -> float:
+    """A-priori bound on |float_evaluator(p)(x) - p(x)| for |x| <= 1 + 2^-40.
 
-    dim 2: uniform angles, count a multiple of 8 so the axis points and
-    diagonals are hit exactly.  dim >= 3: product of polar angle grids
-    (including both poles) and one full-circle grid; the map to the sphere
-    is 1-Lipschitz in each angle, giving the stated ambient mesh bound.
+    Each term takes one rounding for its coefficient, at most two ulps per
+    power and one per product of the n factors; the dot product of m terms
+    adds at most m roundings of the sum of |terms|, which is at most the
+    coefficient sum.  The factor 2 covers the second-order terms and the
+    growth of the monomials off the unit sphere.
     """
-    if dim == 2:
-        m = 8 << depth
-        theta = np.arange(m) * (2.0 * math.pi / m)
-        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return pts, math.pi / m
-    k = 4 << depth
-    polar = [np.arange(k + 1) * (math.pi / k) for _ in range(dim - 2)]
-    azimuth = np.arange(2 * k) * (math.pi / k)
-    grids = np.meshgrid(*polar, azimuth, indexing="ij")
-    angles = [g.ravel() for g in grids]
-    pts = np.empty((angles[0].size, dim))
-    sin_prod = np.ones_like(angles[0])
-    for i in range(dim - 2):
-        pts[:, i] = sin_prod * np.cos(angles[i])
-        sin_prod = sin_prod * np.sin(angles[i])
-    pts[:, dim - 2] = sin_prod * np.cos(angles[-1])
-    pts[:, dim - 1] = sin_prod * np.sin(angles[-1])
-    delta = (dim - 1) * math.pi / (2.0 * k)
-    return pts, delta
+    return 2.0 * (3 * p.nvars + len(p.terms) + 3) * EPS * float(_coef_sum(p))
 
 
-def _grid_size(dim: int, depth: int) -> int:
-    if dim == 2:
-        return 8 << depth
-    k = 4 << depth
-    return (k + 1) ** (dim - 2) * 2 * k
+class _Bounds:
+    """Evaluators for F and grad F, with the exact constants of the cell test."""
+
+    def __init__(self, f: MultiPoly):
+        n = f.nvars
+        partials = [f.partial(i) for i in range(n)]
+        second = sum((_coef_sum(p.partial(j)) for p in partials for j in range(n)), Fraction(0))
+        first = sum((_coef_sum(p) for p in partials), Fraction(0))
+        self.lip = spherical_gradient_bound(f)
+        # |d^2/dt^2 F(gamma(t))| <= |Hess F| + |grad F . gamma| on a unit-speed great circle
+        self.hess = float(second + first) * (1.0 + 2.0**-50)
+        self.delta = _center_error(n)
+        # value at a computed center versus F at the true center
+        self.value = _rounding_bound(f) + 2.0 * self.lip * self.delta
+        # computed tangential gradient versus the true one at the true center
+        grad_eval = sum(_rounding_bound(p) for p in partials)
+        self.grad = 2.0 * (grad_eval + self.hess * self.delta) + 8.0 * (n + 4) * EPS * self.lip
+        self.f = f.float_evaluator()
+        self.partials = [p.float_evaluator() for p in partials]
+
+
+class Cells:
+    """Cells of the cube-sphere cover at one tree depth.
+
+    Cell i is the radial projection onto the unit sphere of the box with
+    center ``u[i]`` and half-width 2^-depth in the facet x[axis[i]] =
+    sign[i] of the cube [-1, 1]^n; the 2n facets are the depth-0 cells.
+    """
+
+    def __init__(self, axis: np.ndarray, sign: np.ndarray, u: np.ndarray, depth: int):
+        self.axis, self.sign, self.u, self.depth = axis, sign, u, depth
+
+    @classmethod
+    def root(cls, dim: int) -> "Cells":
+        axis = np.repeat(np.arange(dim), 2)
+        sign = np.tile([1.0, -1.0], dim)
+        return cls(axis, sign, np.zeros((2 * dim, dim - 1)), 0)
+
+    def __len__(self) -> int:
+        return len(self.axis)
+
+    @property
+    def half_width(self) -> float:
+        return 2.0**-self.depth
+
+    def take(self, idx) -> "Cells":
+        return Cells(self.axis[idx], self.sign[idx], self.u[idx], self.depth)
+
+    def split(self) -> "Cells":
+        """The 2^(n-1) children of every cell, child-major within a parent."""
+        k, m = self.u.shape
+        offsets = np.array(list(itertools.product((-0.5, 0.5), repeat=m))) * self.half_width
+        rep = len(offsets)
+        u = (self.u[:, None, :] + offsets[None, :, :]).reshape(k * rep, m)
+        return Cells(np.repeat(self.axis, rep), np.repeat(self.sign, rep), u, self.depth + 1)
+
+    def embed(self, u: np.ndarray) -> np.ndarray:
+        """Facet points with coordinates ``u`` (one row per cell) as points of R^n."""
+        k, m = u.shape
+        rows = np.arange(k)
+        others = np.array([[j for j in range(m + 1) if j != a] for a in range(m + 1)])
+        v = np.empty((k, m + 1))
+        v[rows, self.axis] = self.sign
+        v[rows[:, None], others[self.axis]] = u
+        return v
+
+
+def sphere_grid(cells: Cells) -> tuple[np.ndarray, np.ndarray]:
+    """Centers on the unit sphere of the cells of one level, and upper
+    bounds on their angular radii.
+
+    Within one cell every facet point makes an acute angle with the
+    center (the box lies in one orthant of the facet, or is the whole
+    facet around its center), and the sublevel sets of that angle are
+    convex on the facet plane, so its maximum is at a box corner.  The
+    angles do not depend on the facet, so they are taken with the axis
+    coordinate first.  The radii are inflated to cover the rounding of the
+    chords and of the normalised points.
+    """
+    k, m = cells.u.shape
+    centers = _normalize(cells.embed(cells.u))
+    base = _normalize(np.hstack([np.ones((k, 1)), cells.u]))
+    chord = np.zeros(k)
+    for corner in itertools.product((-1.0, 1.0), repeat=m):
+        w = _normalize(np.hstack([np.ones((k, 1)), cells.u + np.array(corner) * cells.half_width]))
+        chord = np.maximum(chord, np.sqrt(np.sum((base - w) ** 2, axis=1)))
+    radii = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord * _SLACK + _center_error(m + 1))) * _SLACK
+    return centers, radii
+
+
+def _center_error(n: int) -> float:
+    """Bound on the distance from a normalised float point of R^n to the
+    exact projection of its (exactly representable) preimage."""
+    return (n + 8) * EPS
+
+
+def _normalize(v: np.ndarray) -> np.ndarray:
+    return v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+
+
+def _evaluate(cells: Cells, b: _Bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F at the cell centers, |F| minus the cell bound, and the centers."""
+    vals, gaps, centers = [], [], []
+    for start in range(0, len(cells), _CHUNK):
+        c, r = sphere_grid(cells.take(slice(start, start + _CHUNK)))
+        v = b.f(c)
+        g = np.stack([ev(c) for ev in b.partials], axis=1)
+        gt = g - np.sum(c * g, axis=1, keepdims=True) * c
+        slope = np.sqrt(np.sum(gt * gt, axis=1)) + b.grad
+        bound = (slope * r + 0.5 * b.hess * r * r + b.value) * _SLACK
+        vals.append(v)
+        gaps.append(np.abs(v) - bound)
+        centers.append(c)
+    return np.concatenate(vals), np.concatenate(gaps), np.concatenate(centers)
+
+
+def _rational_point(center: np.ndarray, axis: int, sign: float, depth: int) -> tuple[Fraction, ...]:
+    """A rational point of the sphere near ``center``, on the cell's facet side.
+
+    The stereographic coordinates of ``center`` from the pole -sign*e_axis
+    are snapped to denominators at most 2^(depth-4), so a rational point
+    with a small denominator is hit once the cells around it are small
+    enough; inverse projection keeps the point exactly on the sphere.
+    """
+    den = 1 << max(0, depth - 4)
+    scale = 1.0 + abs(float(center[axis]))
+    t = [Fraction(float(x) / scale).limit_denominator(den) for j, x in enumerate(center) if j != axis]
+    s2 = sum((ti * ti for ti in t), Fraction(0))
+    pt = [2 * ti / (1 + s2) for ti in t]
+    pt.insert(axis, int(sign) * (1 - s2) / (1 + s2))
+    return tuple(pt)
+
+
+def _bisect_zero(ev, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """A point where the float sign of F changes, on an arc from p (F > 0) to q (F < 0)."""
+    if p @ q < -0.5:  # route through a point orthogonal to p: the arc stays defined
+        e = np.zeros_like(p)
+        e[int(np.argmin(np.abs(p)))] = 1.0
+        m = _normalize(e - (e @ p) * p)
+        if ev(m[None])[0] > 0:
+            p = m
+        else:
+            q = m
+    for _ in range(80):
+        mid = _normalize(p + q)
+        if np.array_equal(mid, p) or np.array_equal(mid, q):
+            break
+        if ev(mid[None])[0] > 0:
+            p = mid
+        else:
+            q = mid
+    return p if abs(ev(p[None])[0]) <= abs(ev(q[None])[0]) else q
+
+
+def certify_nonvanishing(
+    f: MultiPoly,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    cell_budget: int = DEFAULT_CELL_BUDGET,
+) -> SphereCertificate:
+    """Decide whether F vanishes on the unit sphere of R^n, n >= 2.
+
+    Branch-and-bound over the cube-sphere cover (see the module docstring);
+    levels 0..max_depth are evaluated while the total number of cells
+    stays within ``cell_budget``.
+    """
+    n = f.nvars
+    if n < 2:
+        raise ValueError("the sign certifier needs n >= 2, where the sphere is connected")
+    b = _Bounds(f)
+    cert = SphereCertificate(lipschitz_bound=b.lip, rounding_bound=b.value)
+    pos = neg = None  # the evaluated points with the largest and the smallest certified value
+    certified_min = math.inf
+    tested: set[tuple[Fraction, ...]] = set()
+    parents = None  # the undecided cells of the previous level
+    for depth in range(max_depth + 1):
+        count = 2 * n if parents is None else len(parents) << (n - 1)
+        if cert.grid_points + count > cell_budget:
+            cert.stop_reason = "cell-budget"
+            return cert
+        t0 = time.perf_counter()
+        cells = Cells.root(n) if parents is None else parents.split()
+        vals, gaps, centers = _evaluate(cells, b)
+        absval = np.abs(vals)
+        i = int(np.argmin(absval))
+        if absval[i] < cert.grid_min:
+            cert.grid_min = float(absval[i])
+            cert.witness, cert.witness_value = tuple(float(x) for x in centers[i]), float(absval[i])
+        decided = gaps > 0.0
+        if decided.any():
+            certified_min = min(certified_min, float(gaps[decided].min()))
+        hi, lo = int(np.argmax(vals)), int(np.argmin(vals))
+        if vals[hi] > b.value and (pos is None or vals[hi] > pos[0]):
+            pos = (float(vals[hi]), centers[hi])
+        if vals[lo] < -b.value and (neg is None or vals[lo] < neg[0]):
+            neg = (float(vals[lo]), centers[lo])
+        undecided = np.flatnonzero(~decided)
+        cert.depth_used = depth
+        cert.grid_points += len(cells)
+        if pos is not None and neg is not None:
+            w = _bisect_zero(b.f, pos[1], neg[1])
+            cert.verdict, cert.stop_reason = "FAIL(vanishing)", "sign-change"
+            cert.sign_pair = (tuple(float(x) for x in pos[1]), tuple(float(x) for x in neg[1]))
+            cert.witness = tuple(float(x) for x in w)
+            cert.witness_value = float(abs(b.f(w[None])[0]))
+        else:
+            for j in undecided[np.argsort(absval[undecided], kind="stable")[:_EXACT_TRIES]]:
+                pt = _rational_point(centers[j], int(cells.axis[j]), float(cells.sign[j]), depth)
+                if pt in tested:
+                    continue
+                tested.add(pt)
+                if f.eval_exact(pt) == 0:
+                    cert.verdict, cert.stop_reason = "FAIL(vanishing)", "exact-zero"
+                    cert.witness, cert.witness_value = tuple(float(x) for x in pt), 0.0
+                    break
+        if cert.stop_reason is None and len(undecided) == 0:
+            cert.verdict, cert.stop_reason = "PASS", "certified"
+            cert.certified_min = certified_min
+        cert.trace.append(TraceRow(depth, len(cells), len(undecided), float(absval[i]), time.perf_counter() - t0))
+        if cert.stop_reason is not None:
+            return cert
+        parents = cells.take(undecided)
+    cert.stop_reason = "depth-cap"
+    return cert
 
 
 def quotient_sum(kernel: KernelSpec) -> tuple[MultiPoly | None, list[MultiPoly], SymScalar, int | None]:
@@ -182,8 +450,7 @@ def quotient_sum(kernel: KernelSpec) -> tuple[MultiPoly | None, list[MultiPoly],
 def check_maximal_control(
     kernel: KernelSpec,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    zero_tol: float = ZERO_TOL,
-    point_budget: int = DEFAULT_POINT_BUDGET,
+    cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> CheckReport:
     """Run the divisibility-plus-nonvanishing check for an odd kernel."""
     if kernel.parity != "odd":
@@ -199,52 +466,12 @@ def check_maximal_control(
             divisibility_ok=False,
             failed_degree=failed,
         )
-    report = CheckReport(
+    cert = certify_nonvanishing(f, max_depth, cell_budget)
+    return CheckReport(
+        **vars(cert),
         dim=kernel.dim,
-        verdict="INCONCLUSIVE",
         divisor=divisor,
         quotients=quotients,
         divisibility_ok=True,
         unit=unit,
     )
-    lip = spherical_gradient_bound(f)
-    report.lipschitz_bound = lip
-
-    if f.is_zero():
-        report.verdict = "FAIL(vanishing)"
-        report.grid_min = 0.0
-        report.witness = tuple([1.0] + [0.0] * (kernel.dim - 1))
-        report.witness_value = 0.0
-        return report
-
-    ev = f.float_evaluator()
-    chunk = 1 << 18
-    for depth in range(2, max_depth + 1):
-        if _grid_size(kernel.dim, depth) > point_budget and depth > 2:
-            break
-        pts, delta = sphere_grid(kernel.dim, depth)
-        best = math.inf
-        best_idx = -1
-        # chunked evaluation keeps peak memory flat on deep grids
-        for start in range(0, len(pts), chunk):
-            vals = np.abs(ev(pts[start : start + chunk]))
-            i = int(np.argmin(vals))
-            if vals[i] < best:
-                best = float(vals[i])
-                best_idx = start + i
-        report.depth_used = depth
-        report.grid_points = len(pts)
-        report.grid_min = best
-        report.witness = tuple(float(x) for x in pts[best_idx])
-        report.witness_value = best
-        if best < zero_tol:
-            report.verdict = "FAIL(vanishing)"
-            return report
-        certified = best - lip * delta
-        if certified > 0.0:
-            report.verdict = "PASS"
-            report.certified_min = certified
-            return report
-        report.certificate_gap = lip * delta - best
-    report.verdict = "INCONCLUSIVE"
-    return report

@@ -6,7 +6,7 @@ import os
 import sys
 
 from . import __version__
-from .admissibility import check_maximal_control
+from .admissibility import DEFAULT_MAX_DEPTH, check_maximal_control
 from .experiments import EXPERIMENTS
 from .identities import run_identity_suite
 from .kernels import load_kernel_spec
@@ -68,7 +68,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p_check = sub.add_parser("check", help="run the divisor/non-vanishing check on a kernel file")
     p_check.add_argument("kernelfile")
-    p_check.add_argument("--depth", type=int, default=14, help="maximum grid depth")
+    p_check.add_argument(
+        "--depth",
+        type=int,
+        default=DEFAULT_MAX_DEPTH,
+        help="maximum depth of the cube-sphere tree; each level halves the cell side",
+    )
     p_check.add_argument("--kv", action="store_true", help="also print a key=value block")
     p_check.add_argument("--allow-fail", action="store_true", help="exit 0 on a decisive FAIL verdict")
     p_check.set_defaults(fn=_cmd_check)

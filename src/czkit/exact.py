@@ -13,6 +13,7 @@ all other operations are exact.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -279,11 +280,14 @@ def gamma_half_integer(a: RationalLike) -> SymScalar:
     return SymScalar(q, 1, 0)
 
 
+@functools.lru_cache(maxsize=4096)
 def binomial(a: RationalLike, m: int) -> Fraction:
     """Generalized binomial coefficient C(a, m) = a(a-1)...(a-m+1)/m!.
 
     Works for any rational a and non-negative integer m; C(a, 0) = 1, and
-    C(a, m) = 0 when a is a non-negative integer smaller than m.
+    C(a, m) = 0 when a is a non-negative integer smaller than m.  Results
+    are memoised: the identity verifiers ask for few distinct (a, m) many
+    times over, and a Fraction is immutable, so sharing it is safe.
     """
     if m < 0:
         raise ValueError("lower index must be non-negative")

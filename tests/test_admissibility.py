@@ -1,11 +1,15 @@
 """The divisor/non-vanishing decision procedure."""
+import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from czkit.admissibility import (
+    Cells,
     CheckReport,
+    certify_nonvanishing,
     check_maximal_control,
     quotient_sum,
     sphere_grid,
@@ -59,17 +63,22 @@ def test_mirrored_model_vanishes_on_diagonals():
     assert rep.witness_value < 1e-10
 
 
-def test_weak_mirrored_model_is_inconclusive():
-    # at lam = -1/2 the sum vanishes at x2^2 = 3/4: a genuine zero off the
-    # dyadic grid, so no certificate and no grid zero below tolerance, at
-    # any depth
-    verdicts = set()
+def test_weak_mirrored_model_fails_with_sign_change():
+    # at lam = -1/2 the sum -3 + 4 x2^2 vanishes at x2^2 = 3/4, off every
+    # dyadic point; F(0, 1) = 1 and F(1, 0) = -3 certify the zero
     for depth in (6, 12):
         rep = check_maximal_control(model_kernel(2, F(-1, 2)), max_depth=depth)
-        verdicts.add(rep.verdict)
-        assert rep.certificate_gap is not None
-    assert verdicts == {"INCONCLUSIVE"}
-    assert "certificate gap" in rep.format_text()
+        assert rep.verdict == "FAIL(vanishing)"
+        assert rep.stop_reason == "sign-change"
+        f = quotient_sum(model_kernel(2, F(-1, 2)))[0].float_evaluator()
+        plus, minus = (np.array([pt]) for pt in rep.sign_pair)
+        assert f(plus)[0] > rep.rounding_bound and f(minus)[0] < -rep.rounding_bound
+        assert abs(rep.witness[1] ** 2 - 0.75) < 1e-9
+        assert abs(np.hypot(*rep.witness) - 1.0) < 1e-15
+        assert rep.witness_value < 1e-10
+        assert rep.certified_min is None
+    assert "F < -rho at" in rep.format_text()
+    assert "sign_pair=" in rep.format_kv()
 
 
 def test_verdicts_stable_under_grid_deepening():
@@ -157,22 +166,151 @@ def test_gradient_bound_examples():
     assert abs(spherical_gradient_bound(f) - 8.0) < 1e-9
 
 
-def test_sphere_grid_mesh_and_axis_points():
-    pts, delta = sphere_grid(2, 4)
-    assert len(pts) == 8 << 4
-    assert delta <= 2.0**-4
-    import numpy as np
+def _angle(a, b):
+    return 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(a - b, axis=-1) / 2.0))
 
-    assert np.min(np.abs(pts - np.array([1.0, 0.0])).sum(axis=1)) < 1e-15
-    pts3, delta3 = sphere_grid(3, 3)
-    assert delta3 <= 2.0**-3 * 3.2
-    assert np.min(np.abs(pts3 - np.array([1.0, 0.0, 0.0])).sum(axis=1)) < 1e-15
+
+def test_cube_sphere_cover_radius_and_axis_centers():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        root = Cells.root(n)
+        centers, radii = sphere_grid(root)
+        axes = np.concatenate([np.eye(n)[i : i + 1] * s for i in range(n) for s in (1, -1)])
+        assert np.array_equal(centers, axes)
+        assert np.allclose(radii, np.arccos(1 / np.sqrt(n)))
+        cells = root
+        for depth in range(1, 9):
+            cells = cells.split()
+            assert len(cells) <= 2 * n * 2 ** ((n - 1) * depth)
+            assert cells.depth == depth
+            cells = cells.take(rng.choice(len(cells), size=min(len(cells), 64), replace=False))
+            centers, radii = sphere_grid(cells)
+            # points of the box, and points of its edges, seen from the center
+            for trial in range(40):
+                t = rng.uniform(-1.0, 1.0, size=cells.u.shape)
+                if trial % 2:
+                    t[:, 0] = np.sign(t[:, 0])
+                pts = cells.embed(cells.u + t * cells.half_width)
+                pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+                assert np.all(_angle(centers, pts) <= radii)
+    # the facets cover the sphere: every point lies in the box of its largest coordinate
+    x = rng.standard_normal((1000, 3))
+    face = np.argmax(np.abs(x), axis=1)
+    scaled = x / np.abs(x[np.arange(1000), face])[:, None]
+    assert np.all(np.abs(scaled) <= 1.0)
 
 
 def test_report_rendering():
     rep = check_maximal_control(model_kernel(2, F(1, 2)))
     text = rep.format_text()
     assert "PASS" in text and "certified" in text
+    assert "stop reason    : certified" in text
     kv = rep.format_kv()
-    assert "verdict=PASS" in kv
+    assert "verdict=PASS" in kv and "stop_reason=certified" in kv
     assert isinstance(rep, CheckReport)
+    # one trace row per tree level, shown in both renderings
+    assert [row.depth for row in rep.trace] == list(range(rep.depth_used + 1))
+    assert sum(row.cells for row in rep.trace) == rep.grid_points
+    assert rep.trace[-1].undecided == 0 and rep.trace[0].cells == 4
+    assert all(row.seconds >= 0 for row in rep.trace)
+    for row in rep.trace:
+        assert f"level_{row.depth}=cells:{row.cells},undecided:{row.undecided}," in kv
+    lines = text.splitlines()
+    assert len(lines) - lines.index("level      cells  undecided       min |F|   seconds") - 1 == len(rep.trace)
+
+
+def test_roadmap_cases_decide_correctly():
+    # n = 2: F = -2 + lam (2 x1^2 - 6 x2^2), max over the circle -2 + 2 lam
+    rep = check_maximal_control(model_kernel(2, 1 - F(5, 10**12)))
+    assert rep.verdict == "PASS" and rep.stop_reason == "certified"
+    assert 0 < rep.certified_min <= 1e-11
+    rep = check_maximal_control(model_kernel(2, 1 - F(1, 10**6)))
+    assert rep.verdict == "PASS" and 0 < rep.certified_min <= 2e-6
+    for n in (3, 4):
+        rep = check_maximal_control(model_kernel(n, F(-1, 2)))
+        assert rep.verdict == "FAIL(vanishing)" and rep.stop_reason == "sign-change"
+        assert rep.witness_value < 1e-10
+        assert rep.grid_points == 2 * n  # the facet centers already change sign
+
+
+def test_near_boundary_cost_is_bounded():
+    # the tree stops near depth 22 at margins of 1e-12; a uniform scan of
+    # that resolution would need about 10^20 points at n = 4
+    for n, lam in ((3, 1 - F(1, 10**12)), (4, 1 - F(93, 10**13)), (4, F(-1, 3) + F(93, 10**13))):
+        rep = check_maximal_control(model_kernel(n, lam))
+        assert rep.verdict == "PASS", (n, lam)
+        assert 18 <= rep.depth_used <= 24
+        assert rep.grid_points < 100_000
+
+
+def test_tangential_zero_at_irrational_point_is_inconclusive():
+    # (x1^2 - 2 x2^2)^2 >= 0 touches 0 at x2^2 = 1/3: no sign change and no
+    # rational zero, so neither certificate exists
+    q = MultiPoly.monomial(2, (2, 0)) - MultiPoly.monomial(2, (0, 2), 2)
+    cert = certify_nonvanishing(q * q, max_depth=20)
+    assert cert.verdict == "INCONCLUSIVE" and cert.stop_reason == "depth-cap"
+    assert cert.depth_used == 20 and cert.certified_min is None
+    assert abs(cert.witness[1] ** 2 - 1 / 3) < 1e-5
+    cert = certify_nonvanishing(q * q, cell_budget=200)
+    assert cert.verdict == "INCONCLUSIVE" and cert.stop_reason == "cell-budget"
+    assert cert.grid_points <= 200
+    # (3 x2 - 3 x1 / 4)^2 touches 0 at (4, 1) / sqrt(17), the center of a
+    # depth-2 cell, where its float value is -1.4e-17: a sign counts only
+    # beyond the rounding bound
+    q = MultiPoly.monomial(2, (0, 1), 3) - MultiPoly.monomial(2, (1, 0), F(3, 4))
+    center = np.array([[4.0, 1.0]]) / np.sqrt(17.0)
+    for g, sign in ((q * q, -1), (-(q * q), 1)):
+        assert g.float_evaluator()(center)[0] * sign > 0
+        cert = certify_nonvanishing(g, max_depth=12)
+        assert cert.verdict == "INCONCLUSIVE" and cert.stop_reason == "depth-cap"
+
+
+def test_tangential_zero_at_rational_point_is_exact():
+    # (4 x1 - 3 x2)^2 touches 0 only at +-(3/5, 4/5): found by snapping a
+    # cell center to a rational sphere point
+    q = MultiPoly.monomial(2, (1, 0), 4) - MultiPoly.monomial(2, (0, 1), 3)
+    cert = certify_nonvanishing(q * q)
+    assert cert.verdict == "FAIL(vanishing)" and cert.stop_reason == "exact-zero"
+    assert cert.witness_value == 0.0
+    assert np.allclose(np.abs(cert.witness), (0.6, 0.8), atol=0.0, rtol=1e-15)
+    for n in (2, 3):
+        assert certify_nonvanishing(MultiPoly.zero(n)).stop_reason == "exact-zero"
+    with pytest.raises(ValueError):
+        certify_nonvanishing(MultiPoly.constant(1, 1))
+
+
+def _strata(rng):
+    """Four lam strata around the exact rule -1/3 < lam < 1."""
+    lo, hi = F(-1, 3), F(1)
+    u1, u2 = (F(rng.randrange(1, 10**6), 10**6) for _ in range(2))  # in (0, 1)
+    tiny = F(rng.randrange(10**6, 10**7), 10**18)  # in [1e-12, 1e-11)
+    far = tiny * 10 ** rng.randrange(9)  # in [1e-12, 1e-3)
+    return {
+        "interior": lo + (hi - lo) * (F(1, 100) + F(98, 100) * u1),
+        "exterior": rng.choice((lo - 3 * u2 - F(1, 100), hi + 3 * u2 + F(1, 100))),
+        "near-inside": rng.choice((lo + tiny, hi - tiny)),
+        "near-outside": rng.choice((lo - far, hi + far)),
+    }
+
+
+def _truth(lam):
+    return "PASS" if F(-1, 3) < lam < 1 else "FAIL(vanishing)"
+
+
+def _sphere_sample(n, count, seed):
+    x = np.random.default_rng(seed).standard_normal((count, n))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def test_seeded_sweep_matches_rule_and_pass_is_sound():
+    rng = random.Random(2024)
+    for seed, n in itertools.product(range(3), (2, 3, 4)):
+        for stratum, lam in _strata(rng).items():
+            kernel = model_kernel(n, lam)
+            rep = check_maximal_control(kernel)
+            assert rep.verdict == _truth(lam), (n, stratum, lam, rep.verdict, rep.stop_reason)
+            if rep.verdict == "PASS":
+                # soundness: no sampled point goes below the certified minimum
+                f = quotient_sum(kernel)[0].float_evaluator()
+                sample = np.abs(f(_sphere_sample(n, 10**5, seed)))
+                assert sample.min() >= rep.certified_min > 0, (n, stratum, lam)
