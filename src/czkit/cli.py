@@ -27,12 +27,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_identities(args: argparse.Namespace) -> int:
-    results = run_identity_suite(n_max=args.n_max, N_max=args.N_max)
-    failures = 0
-    for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        print(f"{status} {r.name} [{r.params}]")
-        failures += 0 if r.ok else 1
+    def show(r) -> None:
+        print(f"{'PASS' if r.ok else 'FAIL'} {r.name} [{r.params}]", flush=True)
+
+    results = run_identity_suite(n_max=args.n_max, N_max=args.N_max, progress=show)
+    failures = sum(not r.ok for r in results)
     print(f"{len(results) - failures}/{len(results)} identities verified")
     return 0 if failures == 0 else 1
 

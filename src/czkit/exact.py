@@ -260,11 +260,14 @@ class SymSum:
         return "SymSum[" + " + ".join(bits) + "]"
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def gamma_half_integer(a: RationalLike) -> SymScalar:
     """Gamma(a) for a a positive integer or half-integer, exactly.
 
     Integer a gives (a-1)! with no sqrt(pi); half-integer a gives a rational
-    multiple of sqrt(pi).  Anything else is rejected.
+    multiple of sqrt(pi).  Anything else is rejected.  Results are memoised
+    like those of ``binomial`` (a SymScalar is frozen); the cache is typed so
+    that a float argument is still rejected rather than matched to an int.
     """
     a = _as_fraction(a)
     if a <= 0:
@@ -298,6 +301,7 @@ def binomial(a: RationalLike, m: int) -> Fraction:
     return num / math.factorial(m)
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def riesz_multiplier(degree: int, dim: int) -> SymScalar:
     """Fourier multiplier constant of the degree-d higher-order Riesz transform.
 
@@ -315,6 +319,7 @@ def riesz_multiplier(degree: int, dim: int) -> SymScalar:
     return SymScalar(ratio.q, ratio.h + dim, (ratio.k - degree) % 4)
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def fundamental_normalization(dim: int) -> SymScalar:
     """Constant c with Fourier transform of c/|x|^(n-1) equal to 1/|xi|.
 

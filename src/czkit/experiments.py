@@ -24,7 +24,6 @@ regression tests with 20% slack.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -70,24 +69,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
-
-
-def thread_count() -> int:
-    raw = os.environ.get("CZKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map(fn: Callable, items: Sequence):
-    workers = min(thread_count(), len(items)) if items else 1
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +175,7 @@ def exp_counterexample_growth(
             b <= 1.0 / x + 1e-12,
         )
 
-    rows = _map(one, [float(x) for x in x_values])
+    rows = [one(float(x)) for x in x_values]
     ratios = [r[2] for r in rows]
     res = ExperimentResult(
         "counterexample-growth",
@@ -219,7 +200,7 @@ def weak11_profile(
     """Far-window maximal profile on log-spaced points of [m, x_max]."""
     lo = M_CUT * 1.05
     xs = np.geomspace(lo, x_max, int(per_decade * math.log10(x_max / lo)) + 1)
-    prof = np.array(_map(lambda x: hilbert_maximal(far_window_pieces(float(x), cells), float(x)), list(xs)))
+    prof = np.array([hilbert_maximal(far_window_pieces(float(x), cells), float(x)) for x in xs])
     inner = np.sqrt(xs[1:] * xs[:-1])
     edges = np.concatenate([[M_CUT], inner, [x_max]])
     return xs, prof, np.diff(edges)
@@ -241,7 +222,7 @@ def exp_weak11_failure(
     grid = TruncationGrid.default_for(disk, per_decade=24)
     r_max = 1.5 * math.sqrt(4.0 / lam_min)
     radii = np.geomspace(1.3, r_max, 60)
-    bprof = np.array(_map(lambda r: beurling_maximal(disk, complex(r), grid), list(radii)))
+    bprof = np.array([beurling_maximal(disk, complex(r), grid) for r in radii])
     r_inner = np.sqrt(radii[1:] * radii[:-1])
     r_edges = np.concatenate([[1.0], r_inner, [r_max * 1.1]])
 
@@ -281,7 +262,7 @@ def exp_llogl_modular(
     neg = -pos
     core = np.linspace(-3.0, 4.0, 141) + off
     xs = np.unique(np.concatenate([neg, core, pos]))
-    prof = np.array(_map(lambda x: hilbert_maximal(full_window_pieces(float(x)), float(x)), list(xs)))
+    prof = np.array([hilbert_maximal(full_window_pieces(float(x)), float(x)) for x in xs])
     mid = 0.5 * (xs[1:] + xs[:-1])
     edges = np.concatenate([[xs[0] - (xs[1] - xs[0]) / 2], mid, [xs[-1] + (xs[-1] - xs[-2]) / 2]])
     widths = np.diff(edges)

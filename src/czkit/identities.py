@@ -30,11 +30,10 @@ under that common positive scale.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exact import (
     RationalLike,
@@ -467,23 +466,49 @@ def verify_series_constants(dim: int, order: int) -> bool:
 # --------------------------------------------------------------------------
 
 
-def verify_radial_sum_identity(dim: int, order: int, p: int, j: int, i: int) -> bool:
-    """The compact form of the inner s-sum, exact for N-1 >= p >= j+i >= 0."""
+def _radial_sum_lhs(dim: int, order: int, p: int, j: int, i: int) -> SymScalar:
+    """The inner s-sum of ``verify_radial_sum_identity``, by its term ratio."""
     n, N = dim, order
     if not (N - 1 >= p >= j + i >= 0 and j >= 0 and i >= 0):
         raise ValueError("index constraints violated")
     half = Frac(n, 2)
     m = p + 1 - i
-    lhs = SymSum()
-    for s in range(N - m + 1):
-        num = (
-            Frac((-1) ** s)
-            * binomial(half + N + m + s - 1, N - j)
-            * binomial(half + j + m + s - 1, s)
-        )
-        den_rat = (m + s + half - Frac(1, 2)) * math.factorial(N - m - s)
-        term = SymScalar(num / den_rat) / gamma_half_integer(half + 2 * m + i + s)
-        lhs = lhs + term
+    t0 = SymScalar(
+        binomial(half + N + m - 1, N - j) / ((m + half - Frac(1, 2)) * math.factorial(N - m))
+    ) / gamma_half_integer(half + 2 * m + i)
+    # Horner from the last term down: num/den <- 1 + r_s * num/den, r_s = -a/b.
+    num = den = 1
+    for s in range(N - m - 1, -1, -1):
+        a = (n + 2 * N + 2 * m + 2 * s) * (N - m - s) * (n + 2 * m + 2 * s - 1)
+        b = (s + 1) * (n + 2 * m + 2 * s + 1) * (n + 4 * m + 2 * i + 2 * s)
+        num, den = b * den - a * num, b * den
+    return t0 * Frac(num, den)
+
+
+def verify_radial_sum_identity(dim: int, order: int, p: int, j: int, i: int) -> bool:
+    """The compact form of the inner s-sum, exact for N-1 >= p >= j+i >= 0.
+
+    With m = p+1-i and h = n/2, the left side sums, for s = 0..N-m,
+
+        t_s = (-1)^s C(h+N+m+s-1, N-j) C(h+j+m+s-1, s)
+              / ((m+s+h-1/2) (N-m-s)! Gamma(h+2m+i+s)).
+
+    Consecutive terms have the integer term ratio
+
+        t_{s+1}/t_s = -(n+2N+2m+2s)(N-m-s)(n+2m+2s-1)
+                      / ((s+1)(n+2m+2s+1)(n+4m+2i+2s)),
+
+    the shift of the first binomial cancelling against the second one.  No
+    denominator factor can vanish: each is a positive integer, since s >= 0,
+    i >= 0 and m >= 1.  So the sum
+    is t_0 times one rational, built in Horner form from O(N) integer
+    products and reduced once; every term shares the sqrt(pi) basis of t_0.
+    The right side is the independent closed form.
+    """
+    n, N = dim, order
+    lhs = _radial_sum_lhs(n, N, p, j, i)
+    half = Frac(n, 2)
+    m = p + 1 - i
     rhs = (
         SymScalar(
             Frac(math.factorial(N - m - i) * math.factorial(m + i - j), math.factorial(N - j))
@@ -493,7 +518,7 @@ def verify_radial_sum_identity(dim: int, order: int, p: int, j: int, i: int) -> 
         * gamma_half_integer(m + half - Frac(1, 2))
         / (gamma_half_integer(half + 2 * m + i) * gamma_half_integer(N + half + Frac(1, 2)))
     )
-    return lhs == rhs.to_sum()
+    return lhs == rhs
 
 
 # --------------------------------------------------------------------------
@@ -751,37 +776,46 @@ class IdentityResult:
     ok: bool
 
 
-def thread_count() -> int:
-    raw = os.environ.get("CZKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _suite_cell(args: tuple[int, int]) -> list[IdentityResult]:
-    n, N = args
-    res = [
-        IdentityResult("radial-laplacian", f"n={n} N={N}", radial_laplacian_check(n, N)),
-        IdentityResult("matching-coeffs", f"n={n} N={N}", verify_matching_coeffs(n, N)),
-        IdentityResult("series-constants", f"n={n} N={N}", verify_series_constants(n, N)),
-    ]
+def _suite_cell(n: int, N: int) -> Iterator[IdentityResult]:
+    """Yield the records of one (n, N) cell, each as soon as it is decided."""
+    yield IdentityResult("radial-laplacian", f"n={n} N={N}", radial_laplacian_check(n, N))
+    yield IdentityResult("matching-coeffs", f"n={n} N={N}", verify_matching_coeffs(n, N))
+    yield IdentityResult("series-constants", f"n={n} N={N}", verify_series_constants(n, N))
     m = Frac(n - 1, 2)
     ok71 = all(falling_factorial_sum_a(m, N, L) for L in range(0, 2 * N + 1))
-    res.append(IdentityResult("factorial-sum-a", f"n={n} N={N}", ok71))
+    yield IdentityResult("factorial-sum-a", f"n={n} N={N}", ok71)
     if n % 2 == 1:
         mi = int(m)
         ls = [L for L in range(0, 2 * N + 1) if L - N + mi - 1 >= 0]
         if ls:
             ok72 = all(falling_factorial_sum_b(mi, N, L) for L in ls)
-            res.append(IdentityResult("factorial-sum-b", f"n={n} N={N}", ok72))
+            yield IdentityResult("factorial-sum-b", f"n={n} N={N}", ok72)
     ok15 = True
     for p in range(N):
         for i in range(p + 1):
             for j in range(p - i + 1):
                 ok15 = ok15 and verify_radial_sum_identity(n, N, p, j, i)
-    res.append(IdentityResult("radial-sum-identity", f"n={n} N={N}", ok15))
-    return res
+    yield IdentityResult("radial-sum-identity", f"n={n} N={N}", ok15)
+
+
+def _suite_records(n_max: int, N_max: int, triple_count: int, seed: int) -> Iterator[IdentityResult]:
+    for n in range(2, n_max + 1):
+        for N in range(1, N_max + 1):
+            yield from _suite_cell(n, N)
+
+    rng = random.Random(seed)
+    ok_tb = True
+    for _ in range(triple_count):
+        m = rng.randrange(0, 6)
+        n_ = rng.randrange(0, 6)
+        r = Frac(rng.randrange(-8, 13), rng.choice((1, 2)))
+        s = Frac(rng.randrange(-8, 13), rng.choice((1, 2)))
+        ok_tb = ok_tb and verify_triple_binomial(m, n_, r, s)
+    yield IdentityResult("triple-binomial", f"{triple_count} random tuples", ok_tb)
+
+    for n in (2, 3):
+        for p in range(0, 5):
+            yield IdentityResult("series-stabilization", f"n={n} p={p}", verify_series_stabilization(n, p))
 
 
 def run_identity_suite(
@@ -794,40 +828,12 @@ def run_identity_suite(
     """Run every exact verifier over the configured ranges.
 
     Returns one record per verifier per parameter cell; the CLI turns these
-    into PASS/FAIL lines.  CZKIT_THREADS caps the worker count used for the
-    independent cells.
+    into PASS/FAIL lines.  ``progress`` is called with each record as soon as
+    it is produced, before the next verifier runs.
     """
-    cells = [(n, N) for n in range(2, n_max + 1) for N in range(1, N_max + 1)]
     results: list[IdentityResult] = []
-    workers = min(thread_count(), len(cells))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(_suite_cell, cells):
-                results.extend(batch)
-    else:
-        for cell in cells:
-            results.extend(_suite_cell(cell))
-
-    rng = random.Random(seed)
-    ok_tb = True
-    for _ in range(triple_count):
-        m = rng.randrange(0, 6)
-        n_ = rng.randrange(0, 6)
-        r = Frac(rng.randrange(-8, 13), rng.choice((1, 2)))
-        s = Frac(rng.randrange(-8, 13), rng.choice((1, 2)))
-        ok_tb = ok_tb and verify_triple_binomial(m, n_, r, s)
-    results.append(IdentityResult("triple-binomial", f"{triple_count} random tuples", ok_tb))
-
-    for n in (2, 3):
-        for p in range(0, 5):
-            results.append(
-                IdentityResult(
-                    "series-stabilization", f"n={n} p={p}", verify_series_stabilization(n, p)
-                )
-            )
-    if progress:
-        for r in results:
+    for r in _suite_records(n_max, N_max, triple_count, seed):
+        results.append(r)
+        if progress:
             progress(r)
     return results

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from czkit import identities
 from czkit.cli import main
 
 RIESZ3 = """dim 2
@@ -73,14 +74,16 @@ def test_version(capsys):
     assert "czkit" in capsys.readouterr().out
 
 
-def test_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("CZKIT_THREADS", "2")
-    rc = main(["identities", "--n-max", "2", "--N-max", "1"])
-    assert rc == 0
-    monkeypatch.setenv("CZKIT_THREADS", "bogus")
-    from czkit.identities import thread_count
+def test_identities_verb_streams_records(monkeypatch, capsys):
+    def later_verifier(*args):
+        raise RuntimeError("stop")
 
-    assert thread_count() == 1
+    monkeypatch.setattr(identities, "verify_series_stabilization", later_verifier)
+    with pytest.raises(RuntimeError):
+        main(["identities", "--n-max", "2", "--N-max", "1"])
+    out = capsys.readouterr().out
+    assert out.startswith("PASS radial-laplacian [n=2 N=1]\n")
+    assert "identities verified" not in out
 
 
 def test_unknown_experiment_rejected():

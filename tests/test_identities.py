@@ -6,8 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from czkit.exact import SymScalar, fundamental_normalization, gamma_half_integer
+from czkit import identities
+from czkit.exact import SymScalar, SymSum, binomial, fundamental_normalization, gamma_half_integer
 from czkit.identities import (
+    _radial_sum_lhs,
     BesselArg,
     FormalCoefficientVector,
     RadialExpr,
@@ -203,6 +205,35 @@ def test_radial_sum_identity_full_range():
                         assert verify_radial_sum_identity(n, order, p, j, i)
 
 
+def _radial_sum_direct(n, N, p, j, i):
+    """The s-sum term by term, each term from its own binomials and Gamma."""
+    half = F(n, 2)
+    m = p + 1 - i
+    lhs = SymSum()
+    for s in range(N - m + 1):
+        num = F((-1) ** s) * binomial(half + N + m + s - 1, N - j) * binomial(half + j + m + s - 1, s)
+        den = (m + s + half - F(1, 2)) * math.factorial(N - m - s)
+        lhs = lhs + SymScalar(num / den) / gamma_half_integer(half + 2 * m + i + s)
+    return lhs
+
+
+def test_radial_sum_recurrence_matches_direct_sum():
+    single_term = 0
+    for n in range(2, 7):
+        for N in range(1, 9):
+            for p in range(N):
+                for i in range(p + 1):
+                    for j in range(p - i + 1):
+                        single_term += p + 1 - i == N
+                        assert _radial_sum_lhs(n, N, p, j, i) == _radial_sum_direct(n, N, p, j, i)
+    assert single_term == 5 * sum(range(1, 9))  # p = N-1, i = 0, any j: s stops at N-m = 0
+    for bad in ((2, 3, 3, 0, 0), (2, 3, 1, 1, 1), (2, 3, 1, -1, 0), (2, 3, 1, 0, -1)):
+        with pytest.raises(ValueError):
+            _radial_sum_lhs(*bad)
+        with pytest.raises(ValueError):
+            verify_radial_sum_identity(*bad)
+
+
 def test_radial_diffop_expansion_cross_oracle():
     n = 3
     x1 = MultiPoly.variable(n, 0)
@@ -237,6 +268,26 @@ def test_fundamental_solution_shape():
 def test_suite_driver_all_green():
     results = run_identity_suite(n_max=3, N_max=3, triple_count=50)
     assert results and all(r.ok for r in results)
+
+
+def test_suite_progress_streams_before_later_verifiers(monkeypatch):
+    class FirstRecord(Exception):
+        pass
+
+    def later_verifier(*args):
+        raise AssertionError("a later verifier ran before the first record was reported")
+
+    def stop(record):
+        raise FirstRecord(record.name)
+
+    monkeypatch.setattr(identities, "verify_series_stabilization", later_verifier)
+    monkeypatch.setattr(identities, "verify_radial_sum_identity", later_verifier)
+    with pytest.raises(FirstRecord, match="radial-laplacian"):
+        run_identity_suite(n_max=2, N_max=1, triple_count=1, progress=stop)
+    seen = []
+    monkeypatch.undo()
+    results = run_identity_suite(n_max=2, N_max=2, triple_count=5, progress=seen.append)
+    assert seen == results
 
 
 def test_suite_ranges_are_configuration():
