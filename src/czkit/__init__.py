@@ -41,16 +41,13 @@ from .gridops import (
     GridFunction,
     TruncationGrid,
     beurling_maximal,
-    beurling_sq_truncated,
     beurling_truncated,
     hardy_littlewood,
     hilbert_maximal,
-    hilbert_transform,
     hilbert_truncated,
     iterated_m2,
     m_delta,
     m_llogl,
-    m_sharp,
     orlicz_llogl_average,
 )
 
@@ -81,15 +78,12 @@ __all__ = [
     "TruncationGrid",
     "hilbert_truncated",
     "hilbert_maximal",
-    "hilbert_transform",
     "hardy_littlewood",
     "iterated_m2",
     "m_delta",
-    "m_sharp",
     "m_llogl",
     "orlicz_llogl_average",
     "beurling_truncated",
-    "beurling_sq_truncated",
     "beurling_maximal",
     "__version__",
 ]

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import SymScalar, riesz_multiplier
-from .kernels import KernelSpec
+from .kernels import KernelError, KernelSpec
 from .polyalg import HarmonicComponent, MultiPoly, divide_exact
 
 EPS = 2.0**-53  # unit roundoff of float64
@@ -454,7 +454,7 @@ def check_maximal_control(
 ) -> CheckReport:
     """Run the divisibility-plus-nonvanishing check for an odd kernel."""
     if kernel.parity != "odd":
-        raise ValueError(f"check requires an odd kernel, got parity {kernel.parity!r}")
+        raise KernelError(f"check requires an odd kernel, got parity {kernel.parity!r}")
     f, quotients, unit, failed = quotient_sum(kernel)
     divisor = kernel.components[0]
     if f is None:

@@ -9,12 +9,28 @@ from . import __version__
 from .admissibility import DEFAULT_MAX_DEPTH, check_maximal_control
 from .experiments import EXPERIMENTS
 from .identities import run_identity_suite
-from .kernels import load_kernel_spec
+from .kernels import KernelError, load_kernel_spec
+from .polyalg import ParseError
+
+# the options of `exp` that each experiment takes, and the keyword each sets
+EXP_OPTIONS = {
+    "counterexample-growth": {"cells": "cells"},
+    "weak11-failure": {},
+    "llogl-modular": {},
+    "pointwise-ratios": {"kernel": "kernel", "mesh": "mesh"},
+    "beurling-composition": {"mesh": "mesh_src"},
+}
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    kernel = load_kernel_spec(args.kernelfile)
-    report = check_maximal_control(kernel, max_depth=args.depth)
+    path = args.kernelfile
+    try:
+        kernel = load_kernel_spec(path)
+        report = check_maximal_control(kernel, max_depth=args.depth)
+    except (OSError, UnicodeDecodeError, KernelError, ParseError) as exc:
+        where = f"{path}:{exc.line}" if isinstance(exc, ParseError) else path
+        print(f"czkit: {where}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+        return 2
     print(report.format_text())
     if args.kv:
         print()
@@ -37,17 +53,9 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 
 
 def _cmd_exp(args: argparse.Namespace) -> int:
-    fn = EXPERIMENTS[args.name]
-    kwargs = {}
-    if args.name == "pointwise-ratios":
-        kwargs["kernel"] = args.kernel
-        if args.mesh:
-            kwargs["mesh"] = args.mesh
-    elif args.name == "beurling-composition" and args.mesh:
-        kwargs["mesh_src"] = args.mesh
-    elif args.name in ("counterexample-growth",) and args.window:
-        kwargs["cells"] = int(args.window)
-    result = fn(**kwargs)
+    options = EXP_OPTIONS[args.name].items()
+    kwargs = {key: getattr(args, opt) for opt, key in options if getattr(args, opt) is not None}
+    result = EXPERIMENTS[args.name](**kwargs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{result.name}.csv")
     result.to_csv(path)
@@ -85,15 +93,24 @@ def main(argv: list[str] | None = None) -> int:
     p_exp = sub.add_parser("exp", help="run a numerical experiment")
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
     p_exp.add_argument("--out", default="out", help="output directory for CSV tables")
-    p_exp.add_argument("--mesh", type=float, default=None, help="grid mesh override")
-    p_exp.add_argument("--window", type=float, default=None, help="window/cells override")
-    p_exp.add_argument("--kernel", choices=("hilbert", "beurling"), default="hilbert")
+    p_exp.add_argument("--mesh", type=float, help="grid mesh (pointwise-ratios, beurling-composition)")
+    p_exp.add_argument("--cells", type=int, help="cells per window piece (counterexample-growth)")
+    p_exp.add_argument("--kernel", choices=("hilbert", "beurling"), help="operator (pointwise-ratios)")
     p_exp.set_defaults(fn=_cmd_exp)
 
     p_ver = sub.add_parser("version", help="print the package version")
     p_ver.set_defaults(fn=lambda a: (print(f"czkit {__version__}"), 0)[1])
 
     args = parser.parse_args(argv)
+    if args.command == "exp":
+        for opt in ("mesh", "cells", "kernel"):
+            value = getattr(args, opt)
+            if value is None:
+                continue
+            if opt not in EXP_OPTIONS[args.name]:
+                p_exp.error(f"{args.name} does not take --{opt}")
+            if opt != "kernel" and not value > 0:
+                p_exp.error(f"--{opt} must be positive, got {value}")
     return args.fn(args)
 
 

@@ -75,10 +75,6 @@ class SymScalar:
     def imag_unit() -> "SymScalar":
         return SymScalar(Fraction(1), 0, 1)
 
-    @staticmethod
-    def from_rational(x: RationalLike) -> "SymScalar":
-        return SymScalar(_as_fraction(x))
-
     def is_zero(self) -> bool:
         return self.q == 0
 

@@ -405,10 +405,6 @@ def step_field(mesh: float, seed: int = 5, base: float = 1.0 / 8) -> GridFunctio
     return GridFunction((-1.0, -1.0), mesh, vals)
 
 
-def _pinned_grid(lo: float, hi: float, per_decade: int = 24) -> TruncationGrid:
-    return TruncationGrid(np.geomspace(lo, hi, max(2, int(per_decade * math.log10(hi / lo)) + 1)))
-
-
 def exp_beurling_composition(
     sample_points: Sequence[complex] | None = None,
     mesh_src: float = 1.0 / 16,
@@ -425,8 +421,8 @@ def exp_beurling_composition(
     if mesh_tgt is None:
         mesh_tgt = 2.0 * mesh_src
     zs = list(sample_points) if sample_points is not None else COMPOSITION_SAMPLES
-    eps_f = _pinned_grid(1.0 / 16, 16.0)
-    eps_b = _pinned_grid(1.0 / 8, 40.0)
+    eps_f = TruncationGrid.geometric(1.0 / 16, 16.0, 24)
+    eps_b = TruncationGrid.geometric(1.0 / 8, 40.0, 24)
     rows = []
     sups: dict[str, float] = {}
     for name, f in (("disk", GridFunction.disk(1.0, mesh_src)), ("steps", step_field(mesh_src))):

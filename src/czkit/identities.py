@@ -39,6 +39,7 @@ from .exact import (
     RationalLike,
     SymScalar,
     SymSum,
+    _as_fraction,
     binomial,
     fundamental_normalization,
     gamma_half_integer,
@@ -47,10 +48,6 @@ from .exact import (
 from .polyalg import MultiPoly, laplacian
 
 Frac = Fraction
-
-
-def _frac(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # --------------------------------------------------------------------------
@@ -74,7 +71,7 @@ class RadialExpr:
                 if e not in (0, 1):
                     raise ValueError("log exponent must be 0 or 1")
                 if not s.is_zero():
-                    key = (_frac(a), e)
+                    key = (_as_fraction(a), e)
                     if key in self.terms:
                         raise ValueError("duplicate term")
                     self.terms[key] = s
@@ -206,7 +203,7 @@ def fundamental_solution(
     """The radial solution as a RadialExpr in r (log r^2 = 2 log r)."""
     alpha, beta = fundamental_coeffs(dim, order)
     if alpha is None:
-        alpha = _frac(alpha_override) if alpha_override is not None else Frac(0)
+        alpha = _as_fraction(alpha_override) if alpha_override is not None else Frac(0)
     elif alpha_override is not None:
         raise ValueError("alpha is determined in this regime")
     c = fundamental_normalization(dim)
@@ -264,7 +261,7 @@ def matching_coeffs_taylor(dim: int, order: int, alpha: RationalLike = 0) -> dic
     power coefficient in the log regime.
     """
     N = order
-    expr = _solution_in_t(dim, order, _frac(alpha))
+    expr = _solution_in_t(dim, order, _as_fraction(alpha))
     derivs: list[SymScalar] = []
     cur = expr
     for _ in range(2 * N + 1):
@@ -309,7 +306,7 @@ def verify_matching_coeffs(dim: int, order: int) -> bool:
 
 def falling_factorial_sum_a(m: RationalLike, order: int, L: int) -> bool:
     """sum_{i=L}^{2N} C(N-m, i) (-1)^i C(i, L) = (-1)^L C(N-m, L) C(m+N, 2N-L)."""
-    m = _frac(m)
+    m = _as_fraction(m)
     N = order
     if not (0 <= L <= 2 * N):
         raise ValueError("L out of range")
@@ -344,8 +341,8 @@ def verify_triple_binomial(m: int, n: int, r: RationalLike, s: RationalLike) -> 
     """sum_k C(m-r+s, k) C(n+r-s, n-k) C(r+k, m+n) = C(r, m) C(s, n)."""
     if m < 0 or n < 0:
         raise ValueError("m, n must be non-negative integers")
-    r = _frac(r)
-    s = _frac(s)
+    r = _as_fraction(r)
+    s = _as_fraction(s)
     lhs = Frac(0)
     for k in range(n + 1):
         lhs += binomial(m - r + s, k) * binomial(n + r - s, n - k) * binomial(r + k, m + n)
@@ -401,7 +398,7 @@ def series_kernel_constant_from_matching(dim: int, order: int, L: int, j: int, k
 
 def bessel_ratio_coeff_scaled(q: RationalLike, i: int) -> SymScalar:
     """Coefficient of r^(2i) in 2^q * J_q(r)/r^q:  (-1)^i / (i! 4^i Gamma(q+i+1))."""
-    q = _frac(q)
+    q = _as_fraction(q)
     if i < 0:
         raise ValueError("series index must be >= 0")
     coef = Frac((-1) ** i, math.factorial(i) * 4**i)
@@ -410,7 +407,7 @@ def bessel_ratio_coeff_scaled(q: RationalLike, i: int) -> SymScalar:
 
 def bessel_ratio_float(q: RationalLike, r: float, terms: int = 30) -> float:
     """Float value of J_q(r)/r^q from the power series."""
-    q = _frac(q)
+    q = _as_fraction(q)
     scale = 2.0 ** (-float(q))
     total = 0.0
     for i in range(terms):
@@ -424,7 +421,7 @@ def bessel_zero_scaled(q: RationalLike, dim: int) -> SymScalar:
     Requires q - n/2 to be a non-negative integer so the scaled value stays
     rational in the ring.
     """
-    q = _frac(q)
+    q = _as_fraction(q)
     shift = q - Frac(dim, 2)
     if shift.denominator != 1 or shift < 0:
         raise ValueError("q must exceed n/2 by a non-negative integer")
@@ -556,7 +553,7 @@ class FormalCoefficientVector:
         return FormalCoefficientVector(out)
 
     def scale(self, c: RationalLike) -> "FormalCoefficientVector":
-        f = _frac(c)
+        f = _as_fraction(c)
         return FormalCoefficientVector({j: s * f for j, s in self.entries.items()})
 
     def contract(self, layer_values: Sequence[complex]) -> complex:

@@ -19,6 +19,7 @@ from .exact import riesz_multiplier
 from .polyalg import (
     HarmonicComponent,
     MultiPoly,
+    ParseError,
     harmonic_decompose,
     poly_from_text,
     sphere_mean,
@@ -116,22 +117,29 @@ def multiplier_eval(kernel: KernelSpec, xi: Sequence[float]) -> complex:
 
 
 def parse_kernel_spec(text: str) -> KernelSpec:
-    """Kernel file format: a `dim n` line, then the polynomial text format."""
+    """Kernel file format: a `dim n` line, then the polynomial text format.
+
+    A fault in one line raises ParseError with that line's number in text;
+    a fault of the kernel as a whole raises KernelError.
+    """
     dim = None
-    poly_lines = []
-    for raw in text.splitlines():
+    lines = text.splitlines()
+    for n, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
+        if not line.lower().startswith("dim"):
             continue
-        if line.lower().startswith("dim"):
-            if dim is not None:
-                raise KernelError("duplicate dim line")
+        if dim is not None:
+            raise ParseError(n, "duplicate dim line")
+        try:
             dim = int(line.split()[1])
-            continue
-        poly_lines.append(line)
+        except (IndexError, ValueError):
+            dim = 0
+        if dim < 2:
+            raise ParseError(n, f"expected `dim n` with an integer n >= 2, got {line!r}")
+        lines[n - 1] = ""  # blanked, so the term parser keeps the file's line numbers
     if dim is None:
         raise KernelError("missing `dim n` line")
-    w = poly_from_text("\n".join(poly_lines), nvars=dim)
+    w = poly_from_text("\n".join(lines), nvars=dim)
     return kernel_from_polynomial(dim, w)
 
 

@@ -19,17 +19,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import SymScalar, gamma_half_integer
+from .exact import SymScalar, _as_fraction, gamma_half_integer
 
 Monomial = tuple[int, ...]
 
 
-def _as_coef(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficients must be rational, got {type(c).__name__}")
+class ParseError(ValueError):
+    """Malformed input text; `line` is the 1-based number of the line at fault."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(message)
+        self.line = line
 
 
 class MultiPoly:
@@ -52,7 +52,7 @@ class MultiPoly:
                     raise ValueError(f"exponent vector {mono} has wrong length")
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in {mono}")
-                c = _as_coef(coef)
+                c = _as_fraction(coef)
                 if c != 0:
                     clean[tuple(mono)] = c
         self.terms = clean
@@ -65,7 +65,7 @@ class MultiPoly:
 
     @staticmethod
     def constant(nvars: int, c) -> "MultiPoly":
-        return MultiPoly(nvars, {(0,) * nvars: _as_coef(c)})
+        return MultiPoly(nvars, {(0,) * nvars: _as_fraction(c)})
 
     @staticmethod
     def variable(nvars: int, i: int) -> "MultiPoly":
@@ -74,7 +74,7 @@ class MultiPoly:
 
     @staticmethod
     def monomial(nvars: int, expo: Sequence[int], c=1) -> "MultiPoly":
-        return MultiPoly(nvars, {tuple(expo): _as_coef(c)})
+        return MultiPoly(nvars, {tuple(expo): _as_fraction(c)})
 
     @staticmethod
     def radius2(nvars: int) -> "MultiPoly":
@@ -165,7 +165,7 @@ class MultiPoly:
             res = MultiPoly(self.nvars)
             res.terms = out
             return res
-        c = _as_coef(other)
+        c = _as_fraction(other)
         if c == 0:
             return MultiPoly.zero(self.nvars)
         res = MultiPoly(self.nvars)
@@ -229,7 +229,7 @@ class MultiPoly:
             v = coef
             for x, e in zip(point, mono):
                 if e:
-                    v *= _as_coef(x) ** e
+                    v *= _as_fraction(x) ** e
             total += v
         return total
 
@@ -410,20 +410,26 @@ def poly_to_text(p: MultiPoly) -> str:
 
 
 def poly_from_text(text: str, nvars: int | None = None) -> MultiPoly:
-    """Parse the one-term-per-line format; '#' comments and blanks ignored."""
+    """Parse the one-term-per-line format; '#' comments and blanks ignored.
+
+    A malformed term raises ParseError with the number of its line in text.
+    """
     terms: dict[Monomial, Fraction] = {}
     seen_nvars = nvars
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
-        coef = Fraction(fields[0])
-        expo = tuple(int(f) for f in fields[1:])
+        try:
+            coef = Fraction(fields[0])
+            expo = tuple(int(f) for f in fields[1:])
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(n, f"expected `num[/den] e1 ... en` with den != 0, got {line!r}") from None
         if seen_nvars is None:
             seen_nvars = len(expo)
-        if len(expo) != seen_nvars:
-            raise ValueError(f"inconsistent variable count on line: {raw!r}")
+        if len(expo) != seen_nvars or min(expo, default=0) < 0:
+            raise ParseError(n, f"expected {seen_nvars} non-negative exponents, got {line!r}")
         terms[expo] = terms.get(expo, Fraction(0)) + coef
     if seen_nvars is None:
         raise ValueError("no polynomial terms found")

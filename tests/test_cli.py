@@ -5,6 +5,7 @@ import pytest
 
 from czkit import identities
 from czkit.cli import main
+from czkit.experiments import exp_counterexample_growth
 
 RIESZ3 = """dim 2
 1 3 0
@@ -89,3 +90,59 @@ def test_identities_verb_streams_records(monkeypatch, capsys):
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["exp", "nonsense"])
+
+
+# (file text or None for a missing file, the line at fault or None)
+MALFORMED = [
+    ("dim 2\n1/0 1 2\n", 2),
+    ("dim two\n1 1 0\n", 1),
+    ("dim 2\nx 1 0\n", 2),
+    ("dim 2\n1 1\n", 2),
+    ("dim 2\n1 0 0\n", None),  # nonzero sphere mean
+    ("dim 2\n1 2 0\n-1 0 2\n", None),  # even kernel
+    (None, None),
+    ("1 1 0\n", None),  # no dim line
+    ("dim 2\n# again\ndim 2\n1 1 0\n", 3),
+    ("", None),
+]
+
+
+@pytest.mark.parametrize("text,line", MALFORMED)
+def test_check_reports_malformed_kernel_file(tmp_path, capsys, text, line):
+    path = str(tmp_path / "missing.kern") if text is None else write(tmp_path, "bad.kern", text)
+    assert main(["check", path]) == 2
+    out, err = capsys.readouterr()
+    prefix = f"czkit: {path}: " if line is None else f"czkit: {path}:{line}: "
+    assert out == "" and err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["llogl-modular", "--mesh", "0.5", "--cells", "7", "--kernel", "beurling"],
+        ["counterexample-growth", "--window", "7"],
+        ["llogl-modular", "--mesh", "0.5"],
+        ["llogl-modular", "--cells", "7"],
+        ["llogl-modular", "--kernel", "beurling"],
+        ["beurling-composition", "--kernel", "hilbert"],
+        ["counterexample-growth", "--mesh", "0.5"],
+        ["pointwise-ratios", "--cells", "7"],
+        ["pointwise-ratios", "--mesh", "0"],
+        ["beurling-composition", "--mesh", "-0.5"],
+        ["counterexample-growth", "--cells", "0"],
+    ],
+)
+def test_exp_rejects_bad_options(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["exp", *argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_exp_cells_sets_window_cells(tmp_path, capsys):
+    assert main(["exp", "counterexample-growth", "--cells", "256", "--out", str(tmp_path)]) == 0
+    want = exp_counterexample_growth(cells=256)
+    want.to_csv(str(tmp_path / "want.csv"))
+    got = (tmp_path / "counterexample-growth.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()

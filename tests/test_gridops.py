@@ -9,26 +9,23 @@ from czkit.gridops import (
     GridFunction,
     TruncationGrid,
     beurling_maximal,
-    beurling_sq_truncated,
     beurling_transform_grid,
     beurling_truncated,
     hardy_littlewood,
     hardy_littlewood_all_centers,
     hilbert_breakpoints,
     hilbert_maximal,
-    hilbert_transform,
     hilbert_transform_many,
     hilbert_truncated,
     hilbert_truncated_many,
     iterated_m2,
     m_delta,
     m_llogl,
-    m_sharp,
     orlicz_llogl_average,
     _interval_averages_max,
     _kernel_b,
     _kernel_b2,
-    _window_1d,
+    _window,
 )
 from czkit.experiments import HILBERT_SAMPLES, _transform_grid, hilbert_test_suite
 
@@ -74,7 +71,7 @@ def test_maximal_monotone_in_radius_grid_refinement():
     vc = np.max(np.abs(hilbert_truncated_many(f, x, coarse.eps)))
     vf = np.max(np.abs(hilbert_truncated_many(f, x, fine.eps)))
     assert vc <= vf + 1e-15
-    assert vf <= hilbert_maximal(f, x, fine) + 1e-15
+    assert vf <= hilbert_maximal(f, x) + 1e-15
 
 
 def test_maximal_zero_function():
@@ -99,13 +96,11 @@ def test_breakpoints_are_edge_distances():
 
 def test_pv_transform_closed_form():
     f = step01(1.0 / 256)
-    for x in (2.3, -0.7, 0.43):
-        want = -math.log(abs(x) / abs(x - 1.0))  # kernel 1/(y-x) convention
-        assert abs(hilbert_transform(f, x) - want) < 1e-12
+    xs = np.array([2.3, -0.7, 0.43])
+    want = -np.log(np.abs(xs) / np.abs(xs - 1.0))  # kernel 1/(y-x) convention
+    assert np.max(np.abs(hilbert_transform_many(f, xs) - want)) < 1e-12
     with pytest.raises(ValueError):
-        hilbert_transform(f, 0.5)  # a cell edge
-    many = hilbert_transform_many(f, np.array([2.3, -0.7]))
-    assert abs(many[0] - hilbert_transform(f, 2.3)) < 1e-14
+        hilbert_transform_many(f, np.array([2.3, 0.5]))  # a cell edge
 
 
 # ------------------------------------------------------------------ maximal
@@ -116,7 +111,6 @@ def test_hardy_littlewood_examples():
     assert abs(hardy_littlewood(f, 2.0) - 0.5) < 1e-12
     const = GridFunction(0.0, 0.25, np.full(64, 3.0))
     assert abs(hardy_littlewood(const, 8.0) - 3.0) < 1e-12
-    assert m_sharp(const, 8.0) == 0.0
 
 
 def dense_interval_averages_max(edges, cellvals, x):
@@ -179,7 +173,7 @@ def test_interval_maximal_matches_dense_oracle():
 
 def test_interval_maximal_matches_dense_oracle_on_pinned_window():
     for _, f in hilbert_test_suite(1.0 / 128):
-        edges, vals = _window_1d(_transform_grid(f, 48.0, 3072), 0.0, 0.0, 3074)
+        (edges,), vals = _window(_transform_grid(f, 48.0, 3072), (0.0,), 0.0, 3074)
         assert len(edges) == 3073
         with np.errstate(all="raise"):
             inner = hardy_littlewood_all_centers(edges, vals)
@@ -239,7 +233,14 @@ def test_hardy_littlewood_2d():
     assert abs(v - 0.25) < 1e-12
     const2 = GridFunction((0.0, 0.0), 0.5, np.full((16, 16), 2.0))
     assert abs(hardy_littlewood(const2, (4.2, 4.2)) - 2.0) < 1e-12
-    assert m_sharp(const2, (4.2, 4.2)) == 0.0
+
+
+def test_window_cap_shrinks_padding_first():
+    # a cap of exactly the support's cells drops the padding on every axis
+    for f, x in ((step01(1.0 / 8), 0.31), (GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8), (0.31, 0.77))):
+        assert hardy_littlewood(f, x, pad=1.0, max_cells=8) == hardy_littlewood(f, x, pad=0.0)
+        with pytest.raises(ValueError, match="window cap too small"):
+            hardy_littlewood(f, x, pad=1.0, max_cells=7)
 
 
 def test_orlicz_average_examples():
@@ -256,6 +257,10 @@ def test_orlicz_average_examples():
         prev = cur
     sq = GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 4)
     assert abs(orlicz_llogl_average(sq, ((0.0, 1.0), (0.0, 1.0))) - 1.0) < 1e-9
+    with pytest.raises(ValueError, match="grid aligned"):
+        orlicz_llogl_average(one, (0.03, 1.03))
+    with pytest.raises(ValueError, match="grid aligned"):
+        orlicz_llogl_average(sq, ((0.03, 1.03), (0.0, 1.0)))
 
 
 def test_llogl_maximal_vs_iterated_bracket():
@@ -305,7 +310,7 @@ def test_cotlar_control_stability():
 def test_beurling_radial_cancellation():
     disk = GridFunction.disk(1.0, 1.0 / 32)
     assert abs(beurling_truncated(disk, 0j, 0.5)) < 1e-6
-    assert abs(beurling_sq_truncated(disk, 0j, 0.5)) < 2e-3  # quadrature only
+    assert abs(beurling_truncated(disk, 0j, 0.5, kernel="b2")) < 2e-3  # quadrature only
     assert abs(beurling_truncated(disk, 0j, 1.5)) < 1e-9  # empty intersection
     with pytest.raises(ValueError):
         beurling_truncated(disk, 0j, 1e-6)
@@ -325,7 +330,7 @@ def test_beurling_iterated_kernel_closed_form():
     # -pi (2 conj(z)/z^3 - 3/z^4); verified against exact contour integration
     disk = GridFunction.disk(1.0, 1.0 / 32)
     for z in (2.0 + 0j, 1.5 + 1.2j):
-        got = beurling_sq_truncated(disk, z, 1.0 / 16)
+        got = beurling_truncated(disk, z, 1.0 / 16, kernel="b2")
         want = -math.pi * (2 * np.conj(z) / z**3 - 3 / z**4)
         assert abs(got - want) < 6e-3 * abs(want) + 1e-4
 
@@ -427,9 +432,9 @@ def test_beurling_truncations_match_scan_oracle():
                     got = beurling_maximal(f, z, radii, kernel=kernel)
                     want = scan_beurling_maximal(f, z, radii, kernel=kernel)
                     assert abs(got - want) <= 1e-12 * want
-                    one = beurling_truncated if kernel == "b" else beurling_sq_truncated
                     for eps in radii.eps[radii.eps >= f.h / 2][::7]:
-                        assert abs(one(f, z, eps) - scan_beurling_sum(f, z, eps, kern)) <= 1e-12 * want
+                        got = beurling_truncated(f, z, eps, kernel=kernel)
+                        assert abs(got - scan_beurling_sum(f, z, eps, kern)) <= 1e-12 * want
             assert beurling_maximal(f, 0j, TruncationGrid(np.array([f.h / 4]))) == 0.0
 
 
@@ -448,6 +453,10 @@ def test_beurling_maximal_far_field():
     bm = beurling_maximal(disk, 3.0 + 0j)
     assert bm >= math.pi / 9 * 0.97
     assert beurling_maximal(disk, 3.0 + 0j, kernel="b2") > 0
+    with pytest.raises(ValueError, match="unknown kernel"):
+        beurling_maximal(disk, 3.0 + 0j, kernel="b3")
+    with pytest.raises(ValueError, match="unknown kernel"):
+        beurling_truncated(disk, 3.0 + 0j, 0.5, kernel="B")
 
 
 # -------------------------------------------------------------- grid plumbing
@@ -464,21 +473,3 @@ def test_grid_function_basics():
         GridFunction(0.0, -1.0, np.ones(3))
     with pytest.raises(ValueError):
         TruncationGrid(np.array([0.5, 0.5]))
-
-
-def test_csv_roundtrip(tmp_path):
-    f = GridFunction(0.0, 0.5, np.array([1.0, -2.0, 3.0]))
-    path = tmp_path / "f.csv"
-    with open(path, "w") as fh:
-        for c, v in zip(f.centers(), f.values):
-            fh.write(f"{c},{v}\n")
-    g = GridFunction.from_csv(str(path))
-    assert np.allclose(g.values, f.values) and abs(g.h - 0.5) < 1e-12
-    path2 = tmp_path / "f2.csv"
-    with open(path2, "w") as fh:
-        fh.write("# comment\n")
-        for i in range(3):
-            for j in range(3):
-                fh.write(f"{0.25 + 0.5 * i},{0.25 + 0.5 * j},{float(i * 3 + j)}\n")
-    g2 = GridFunction.from_csv(str(path2))
-    assert g2.dim == 2 and g2.values[2, 1] == 7.0
