@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 from .exact import (
     Rational,
     SymScalar,
-    SymSum,
     binomial,
     fundamental_normalization,
     gamma_half_integer,
@@ -54,7 +53,6 @@ from .gridops import (
 __all__ = [
     "Rational",
     "SymScalar",
-    "SymSum",
     "binomial",
     "gamma_half_integer",
     "riesz_multiplier",

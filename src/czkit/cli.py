@@ -55,7 +55,11 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 def _cmd_exp(args: argparse.Namespace) -> int:
     options = EXP_OPTIONS[args.name].items()
     kwargs = {key: getattr(args, opt) for opt, key in options if getattr(args, opt) is not None}
-    result = EXPERIMENTS[args.name](**kwargs)
+    try:
+        result = EXPERIMENTS[args.name](**kwargs)
+    except ValueError as exc:
+        print(f"czkit: exp {args.name}: {exc}", file=sys.stderr)
+        return 2
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{result.name}.csv")
     result.to_csv(path)

@@ -4,9 +4,10 @@ Every constant in the rest of the package -- Riesz multiplier constants,
 fundamental-solution normalizations, the coefficients of the Bessel-type
 power series -- is a rational number times an integer power of sqrt(pi)
 times a power of i.  This module provides that number type (``SymScalar``),
-finite formal sums of such numbers over distinct bases (``SymSum``), the
-Gamma function at positive half-integers, and the generalized binomial
-coefficient.
+the Gamma function at positive half-integers, and the generalized binomial
+coefficient.  Sums are formed only on one basis: every sum the identity
+verifiers build shares the sqrt(pi) power and the i power of its terms, and
+adding across bases raises ``ValueError``.
 
 Floats appear only at the explicit ``to_complex``/``to_float`` boundary;
 all other operations are exact.
@@ -102,8 +103,8 @@ class SymScalar:
         return SymScalar(-self.q, self.h, self.k)
 
     def __add__(self, other: "SymScalar") -> "SymScalar":
-        # Defined only on a shared basis (or with a zero side); use SymSum
-        # for general mixed-basis sums.
+        # Defined only on a shared basis (or with a zero side): every sum the
+        # package forms stays on one basis, so a mixed one is a bug upstream.
         if not isinstance(other, SymScalar):
             return NotImplemented
         if self.q == 0:
@@ -112,8 +113,7 @@ class SymScalar:
             return self
         if (self.h, self.k) != (other.h, other.k):
             raise ValueError(
-                f"mixed-basis addition: ({self.h},{self.k}) vs ({other.h},{other.k}); "
-                "use SymSum"
+                f"mixed-basis addition: ({self.h},{self.k}) vs ({other.h},{other.k})"
             )
         return SymScalar(self.q + other.q, self.h, self.k)
 
@@ -129,9 +129,6 @@ class SymScalar:
         for _ in range(n):
             out = out * self
         return out
-
-    def to_sum(self) -> "SymSum":
-        return SymSum.from_scalar(self)
 
     def to_complex(self) -> complex:
         if self.q == 0:
@@ -153,107 +150,6 @@ class SymScalar:
         if self.k:
             parts.append(f"i^{self.k}")
         return "SymScalar(" + " * ".join(parts) + ")"
-
-
-class SymSum:
-    """Finite formal sum over distinct (h, k) bases with rational coefficients.
-
-    Canonical form: no zero coefficients stored.  Equality is componentwise.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        self.terms: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (h, k), coef in terms.items():
-                s = SymScalar(_as_fraction(coef), h, k)  # canonicalizes the basis
-                if s.q != 0:
-                    cur = self.terms.get((s.h, s.k), Fraction(0)) + s.q
-                    if cur == 0:
-                        self.terms.pop((s.h, s.k), None)
-                    else:
-                        self.terms[(s.h, s.k)] = cur
-
-    @staticmethod
-    def from_scalar(s: SymScalar) -> "SymSum":
-        if s.q == 0:
-            return SymSum()
-        return SymSum({(s.h, s.k): s.q})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SymSum | SymScalar") -> "SymSum":
-        if isinstance(other, SymScalar):
-            other = other.to_sum()
-        out = dict(self.terms)
-        for basis, coef in other.terms.items():
-            c = out.get(basis, Fraction(0)) + coef
-            if c == 0:
-                out.pop(basis, None)
-            else:
-                out[basis] = c
-        res = SymSum()
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SymSum":
-        res = SymSum()
-        res.terms = {b: -c for b, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "SymSum | SymScalar") -> "SymSum":
-        if isinstance(other, SymScalar):
-            other = other.to_sum()
-        return self + (-other)
-
-    def __mul__(self, other: "SymScalar | RationalLike") -> "SymSum":
-        res = SymSum()
-        if isinstance(other, SymScalar):
-            if other.q == 0:
-                return res
-            for (h, k), c in self.terms.items():
-                s = SymScalar(c * other.q, h + other.h, k + other.k)
-                res.terms[(s.h, s.k)] = s.q
-            return res
-        f = _as_fraction(other)
-        if f == 0:
-            return res
-        res.terms = {b: c * f for b, c in self.terms.items()}
-        return res
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SymScalar):
-            other = other.to_sum()
-        if not isinstance(other, SymSum):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def as_scalar(self) -> SymScalar:
-        """Collapse to a SymScalar; requires at most one stored basis."""
-        if not self.terms:
-            return SymScalar.zero()
-        if len(self.terms) > 1:
-            raise ValueError(f"sum spans {len(self.terms)} bases, not scalar: {self!r}")
-        (h, k), c = next(iter(self.terms.items()))
-        return SymScalar(c, h, k)
-
-    def to_complex(self) -> complex:
-        return sum(
-            (float(c) * math.pi ** (h / 2.0) * _I_POWERS[k] for (h, k), c in self.terms.items()),
-            0j,
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "SymSum(0)"
-        bits = [repr(SymScalar(c, h, k)) for (h, k), c in sorted(self.terms.items())]
-        return "SymSum[" + " + ".join(bits) + "]"
 
 
 @functools.lru_cache(maxsize=4096, typed=True)

@@ -293,16 +293,26 @@ HILBERT_SAMPLES = np.array([-3.31, -1.73, -0.467, 0.309, 0.771, 1.613, 2.843, 6.
 ADVERSARIAL_WINDOWS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
+def _whole_cells(length: float, mesh: float) -> int:
+    """The number of mesh cells in length, refused unless it is whole."""
+    cells = round(length / mesh)
+    if cells < 1 or abs(cells * mesh - length) > 1e-9 * length:
+        raise ValueError(f"mesh {mesh!r} does not divide {length!r} into whole cells")
+    return cells
+
+
 def hilbert_test_suite(mesh: float) -> list[tuple[str, GridFunction]]:
-    """The pinned 1D suite: indicator, three-level step, hat."""
+    """The pinned 1D suite: indicator, three-level step, hat.  1 must be a
+    whole multiple of the mesh."""
+    unit = _whole_cells(1.0, mesh)
     f1 = GridFunction.indicator_1d(0.0, 1.0, mesh)
-    n3 = int(3 / mesh)
+    n3 = 3 * unit
     v = np.zeros(n3)
     v[: n3 // 3] = 1.0
     v[n3 // 3 : 2 * n3 // 3] = -0.5
     v[2 * n3 // 3 :] = 0.25
     f2 = GridFunction(-1.0, mesh, v)
-    f3 = GridFunction.sample_1d(lambda y: np.maximum(0.0, 1.0 - np.abs(y)), -1.0, 1.0, int(2 / mesh))
+    f3 = GridFunction.sample_1d(lambda y: np.maximum(0.0, 1.0 - np.abs(y)), -1.0, 1.0, 2 * unit)
     return [("step", f1), ("threestep", f2), ("hat", f3)]
 
 
@@ -396,11 +406,12 @@ COMPOSITION_SAMPLES = [
 
 
 def step_field(mesh: float, seed: int = 5, base: float = 1.0 / 8) -> GridFunction:
-    """Random three-level field on 1/8 blocks, refinable by subdivision."""
+    """Random three-level field on 1/8 blocks, refinable by subdivision.
+    The block side must be a whole multiple of the mesh."""
     rng = np.random.default_rng(seed)
     nb = int(2.0 / base)
     coarse = rng.choice([0.0, 1.0, -0.5], size=(nb, nb), p=[0.5, 0.3, 0.2])
-    rep = int(round(base / mesh))
+    rep = _whole_cells(base, mesh)
     vals = np.repeat(np.repeat(coarse, rep, axis=0), rep, axis=1)
     return GridFunction((-1.0, -1.0), mesh, vals)
 

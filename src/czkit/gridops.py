@@ -1,17 +1,20 @@
 """Grid-function operator laboratory.
 
 Test functions are piecewise-constant on uniform 1D or 2D grids.  On that
-class the truncated Hilbert transform has an exact closed form (the log
-antiderivative per cell), and its supremum over all truncation radii is
-attained at a cell-edge distance, so the maximal Hilbert transform is
-computed exactly, not scanned.  The planar (Beurling-type) truncations use
-a midpoint rule with 16 x 16 sub-points on the cells crossing the
-truncation circle.  That rule is not exact: at a one-mesh radius on the
-composition fields, its relative gap to a 256 x 256 rule was measured at
-up to about 1e-5 for the kernel b and up to 0.51 for the iterated kernel
-b2 (disk at mesh 1/16).  Maximal functions take suprema over grid-aligned
-intervals or squares inside an explicit evaluation window, so both sides
-of any inequality tested here range over the same cube family.
+class the truncated Hilbert transform has an exact closed form: with the
+odd part o(t) = f(x+t) - f(x-t), the truncation is int_eps^inf o(t) dt/t,
+and o is constant between consecutive cell-edge distances |e - x|, where
+it is the suffix sum of the edge jumps f(e-) - f(e+).  Its supremum over
+all truncation radii is attained at an edge distance, so the maximal
+Hilbert transform is computed exactly, not scanned.  The planar
+(Beurling-type) truncations use a midpoint rule with 16 x 16 sub-points on
+the cells crossing the truncation circle.  That rule is not exact: at a
+one-mesh radius on the composition fields, its relative gap to a 256 x 256
+rule was measured at up to about 1e-5 for the kernel b and up to 0.51 for
+the iterated kernel b2 (disk at mesh 1/16).  Maximal functions take suprema
+over grid-aligned intervals or squares inside an explicit evaluation
+window, so both sides of any inequality tested here range over the same
+cube family.
 
 In 1D the largest average over windows [a, b] containing x is the steepest
 slope between a prefix-sum point left of x and one right of it: the bridge
@@ -171,110 +174,78 @@ class TruncationGrid:
 # ---------------------------------------------------------------------------
 
 
-class _HilbertSide:
-    """One side's cells, as disjoint distance intervals (near, far) with values.
+def _edge_jumps(f: GridFunction) -> np.ndarray:
+    """f(e-) - f(e+) at every cell edge e of f, in edge order."""
+    return -np.diff(f.values, prepend=0, append=0)
 
-    The contribution of a cell to the truncated integral at radius eps is
-    value * (log far - log max(near, eps)) when eps < far, else zero, with
-    an overall minus sign on the left side.
+
+def _truncation_profile(fs: Sequence[GridFunction], x: float) -> tuple[np.ndarray, ...]:
+    """The truncations at x of the summed pieces fs, from their edge jumps.
+
+    T(eps) = int_eps^inf o(t) dt/t with the odd part o(t) = f(x+t) - f(x-t).
+    Returns the positive distances d = |e - x| of all cell edges e, sorted;
+    o[i], the odd part on (d[i-1], d[i]) (d[-1] = 0); and T[i] = T(d[i]).
+    o is constant between consecutive distances and is the suffix sum of
+    the jumps f(e-) - f(e+) beyond them, so T is one more suffix sum of
+    o * log(d[i+1] / d[i]).  With no positive distance, T is the single
+    value 0.
     """
-
-    __slots__ = ("near", "far", "val", "suffix")
-
-    def __init__(self, near: np.ndarray, far: np.ndarray, val: np.ndarray, sign: float):
-        order = np.argsort(near)
-        self.near = near[order]
-        self.far = far[order]
-        self.val = sign * val[order]
-        with np.errstate(divide="ignore"):
-            full = self.val * (np.log(self.far) - np.log(self.near))
-        full[self.near == 0] = 0.0  # straddling cell is never fully outside
-        self.suffix = np.concatenate([np.cumsum(full[::-1])[::-1], [0.0 * full.sum()]])
-
-    def query(self, eps: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.near, eps, side="left")
-        out = self.suffix[idx]
-        prev = idx - 1
-        mask = (prev >= 0) & (self.far[np.clip(prev, 0, None)] > eps)
-        pv = np.clip(prev, 0, None)
-        out = out + np.where(mask, self.val[pv] * (np.log(self.far[pv]) - np.log(eps)), 0.0)
-        return out
-
-
-def _hilbert_sides(f: GridFunction, x: float) -> list[_HilbertSide]:
-    if f.dim != 1:
+    if any(g.dim != 1 for g in fs):
         raise ValueError("Hilbert machinery is one-dimensional")
-    e = f.edges()
-    v = f.values
-    nz = v != 0
-    dl = e[:-1] - x
-    dr = e[1:] - x
-    sides = []
-    right = nz & (dr > 0)
-    if right.any():
-        sides.append(
-            _HilbertSide(np.maximum(dl[right], 0.0), dr[right], v[right].astype(complex) if np.iscomplexobj(v) else v[right].astype(float), +1.0)
-        )
-    left = nz & (dl < 0)
-    if left.any():
-        sides.append(
-            _HilbertSide(np.maximum(-dr[left], 0.0), -dl[left], v[left].astype(complex) if np.iscomplexobj(v) else v[left].astype(float), -1.0)
-        )
-    return sides
+    d = np.concatenate([np.abs(g.edges() - x) for g in fs])
+    jump = np.concatenate([_edge_jumps(g) for g in fs])
+    order = np.argsort(d)
+    keep = d[order] > 0
+    d, jump = d[order][keep], jump[order][keep]
+    o = np.cumsum(jump[::-1])[::-1]
+    gain = o[1:] * np.log1p(np.diff(d) / d[:-1])
+    return d, o, np.cumsum(np.append(gain, 0.0)[::-1])[::-1]
 
 
 def hilbert_truncated_many(f: GridFunction, x: float, eps: np.ndarray) -> np.ndarray:
     """Exact truncated Hilbert transform at every radius in eps.
 
     Integrates f(y)/(y - x) over {|y - x| > eps}; no quadrature error for
-    piecewise-constant f (cells are split exactly at x +- eps).
+    piecewise-constant f.  Between consecutive edge distances the
+    truncation is T(d) + o * log(d / eps), with d the next distance out.
     """
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0):
         raise ValueError("truncation radii must be positive")
-    total = np.zeros(eps.shape, dtype=complex if np.iscomplexobj(f.values) else float)
-    for side in _hilbert_sides(f, x):
-        total = total + side.query(eps)
-    return total
+    d, o, t = _truncation_profile([f], x)
+    k = np.searchsorted(d, eps, side="right")
+    i = np.minimum(k, len(d) - 1)
+    return np.where(k < len(d), t[i] + o[i] * np.log(d[i] / eps), 0.0)
 
 
 def hilbert_truncated(f: GridFunction, x: float, eps: float) -> float | complex:
-    val = hilbert_truncated_many(f, x, np.array([float(eps)]))[0]
-    return complex(val) if np.iscomplexobj(val) else float(val)
-
-
-def hilbert_breakpoints(f: GridFunction, x: float) -> np.ndarray:
-    """Positive cell-edge distances from x; the truncation is log-monotone
-    between consecutive ones, so its extrema live here."""
-    d = np.unique(np.abs(f.edges() - x))
-    return d[d > 0]
+    return hilbert_truncated_many(f, x, np.array([float(eps)]))[0].item()
 
 
 def hilbert_maximal(f: GridFunction | Sequence[GridFunction], x: float) -> float:
     """sup over eps > 0 of |truncated transform| at x, exactly.
 
     Accepts a single grid function or a list sharing the point x (their
-    truncations add).  The supremum over all radii of the piecewise
-    log-linear truncation is attained at a cell-edge distance.
+    truncations add).  Between consecutive edge distances the truncation
+    is A + B log eps, whose modulus is largest at an end point, so the sup
+    is the largest |T| at a positive edge distance.
     """
     fs = [f] if isinstance(f, GridFunction) else list(f)
-    bps = [hilbert_breakpoints(g, x) for g in fs]
-    cand = np.unique(np.concatenate([b for b in bps if len(b)] or [np.array([1.0])]))
-    total = np.zeros(len(cand), dtype=complex)
-    for g in fs:
-        total = total + hilbert_truncated_many(g, x, cand).astype(complex)
-    return float(np.max(np.abs(total)))
+    return float(np.max(np.abs(_truncation_profile(fs, x)[2])))
 
 
 def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
-    """Vectorized principal-value transform at many non-edge points."""
+    """Vectorized principal-value transform at many non-edge points.
+
+    Summation by parts turns the cell sum of v (log|far| - log|near|) into
+    sum over edges of log|e - x| (f(e-) - f(e+)): one log table, one product.
+    """
     xs = np.asarray(xs, dtype=float)
-    e = f.edges()
-    d = np.abs(e[None, :] - xs[:, None])
-    if np.min(d) < 1e-13 * max(1.0, float(np.max(np.abs(xs)))):
+    table = np.abs(f.edges()[None, :] - xs[:, None])
+    if np.min(table) < 1e-13 * max(1.0, float(np.max(np.abs(xs)))):
         raise ValueError("principal value undefined at a cell edge")
-    logs = np.log(d)
-    return (logs[:, 1:] - logs[:, :-1]) @ np.real(f.values)
+    np.log(table, out=table)
+    return table @ _edge_jumps(f)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from typing import Callable, Iterator, Sequence
 from .exact import (
     RationalLike,
     SymScalar,
-    SymSum,
     _as_fraction,
     binomial,
     fundamental_normalization,
@@ -80,15 +79,11 @@ class RadialExpr:
         if s.is_zero():
             return
         key = (a, e)
-        cur = self.terms.get(key)
-        if cur is None:
-            self.terms[key] = s
+        tot = self.terms.get(key, SymScalar.zero()) + s
+        if tot.is_zero():
+            del self.terms[key]
         else:
-            tot = (cur.to_sum() + s).as_scalar()
-            if tot.is_zero():
-                del self.terms[key]
-            else:
-                self.terms[key] = tot
+            self.terms[key] = tot
 
     def __add__(self, other: "RadialExpr") -> "RadialExpr":
         out = RadialExpr(dict(self.terms))
@@ -135,11 +130,11 @@ class RadialExpr:
 
     def value_at_one(self) -> SymScalar:
         """Evaluate at r = 1 (log terms vanish)."""
-        acc = SymSum()
+        acc = SymScalar.zero()
         for (a, e), s in self.terms.items():
             if e == 0:
                 acc = acc + s
-        return acc.as_scalar()
+        return acc
 
     def __repr__(self) -> str:
         bits = []
@@ -269,7 +264,7 @@ def matching_coeffs_taylor(dim: int, order: int, alpha: RationalLike = 0) -> dic
         cur = cur.t_derivative()
     out: dict[int, SymScalar] = {}
     for L in range(N + 1, 2 * N + 1):
-        acc = SymSum()
+        acc = SymScalar.zero()
         for i in range(L, 2 * N + 1):
             term = (
                 derivs[i]
@@ -277,7 +272,7 @@ def matching_coeffs_taylor(dim: int, order: int, alpha: RationalLike = 0) -> dic
                 * (binomial(Frac(i), L) / math.factorial(i))
             )
             acc = acc + term
-        out[L] = acc.as_scalar()
+        out[L] = acc
     return out
 
 
@@ -446,14 +441,14 @@ def verify_series_constants(dim: int, order: int) -> bool:
     n, N = dim, order
     half = Frac(n, 2)
     for j in range(N):
-        acc = SymSum()
+        acc = SymScalar.zero()
         for L in range(N + 1 + j, 2 * N + 1):
             k = L - N - j - 1
             c = series_kernel_constant(n, N, L, j, k)
             if c != series_kernel_constant_from_matching(n, N, L, j, k):
                 return False
             acc = acc + c * bessel_zero_scaled(half + L - N + j, n)
-        if acc != series_leading_constant_scaled(n, j).to_sum():
+        if acc != series_leading_constant_scaled(n, j):
             return False
     return True
 
@@ -547,7 +542,7 @@ class FormalCoefficientVector:
         keys = set(self.entries) | set(other.entries)
         out: dict[int, SymScalar] = {}
         for j in keys:
-            s = (self.component(j).to_sum() + other.component(j)).as_scalar()
+            s = self.component(j) + other.component(j)
             if not s.is_zero():
                 out[j] = s
         return FormalCoefficientVector(out)
@@ -576,7 +571,7 @@ def power_series_coeffs_scaled(dim: int, order: int, p: int) -> FormalCoefficien
     half = Frac(n, 2)
     out: dict[int, SymScalar] = {}
     for j in range(N):
-        acc = SymSum()
+        acc = SymScalar.zero()
         for s in range(j + 1, N + 1):
             for k in range(0, s - j):
                 i = p + 1 - s + k
@@ -585,9 +580,8 @@ def power_series_coeffs_scaled(dim: int, order: int, p: int) -> FormalCoefficien
                 gamma_term = gamma_half_integer(half + p + s + 1)
                 coef = Frac((-1) ** i, math.factorial(i) * 2 ** (2 * p + 1 + k))
                 acc = acc + series_kernel_constant(n, N, N + s, j, k) * coef / gamma_term
-        val = acc.as_scalar()
-        if not val.is_zero():
-            out[j] = val
+        if not acc.is_zero():
+            out[j] = acc
     return FormalCoefficientVector(out)
 
 
@@ -610,7 +604,7 @@ def power_series_closed_scaled(dim: int, p: int) -> FormalCoefficientVector:
     )
     out: dict[int, SymScalar] = {}
     for j in range(p + 1):
-        inner = SymSum()
+        inner = SymScalar.zero()
         for i in range(p - j + 1):
             term = (
                 gamma_half_integer(half + p - i + Frac(1, 2))
@@ -623,7 +617,7 @@ def power_series_closed_scaled(dim: int, p: int) -> FormalCoefficientVector:
             * Frac((-1) ** j)
             * gamma_half_integer(j + Frac(1, 2))
             / gamma_half_integer(half + j + Frac(1, 2))
-            * inner.as_scalar()
+            * inner
         )
         if not val.is_zero():
             out[j] = val

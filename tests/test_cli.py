@@ -116,6 +116,14 @@ def test_check_reports_malformed_kernel_file(tmp_path, capsys, text, line):
     assert out == "" and err.startswith(prefix) and err.count("\n") == 1
 
 
+# meshes the experiment itself refuses: they do not tile its fields
+UNTILED_MESHES = [
+    ["beurling-composition", "--mesh", "0.3"],
+    ["beurling-composition", "--mesh", "0.25"],
+    ["pointwise-ratios", "--mesh", "0.3"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -130,13 +138,20 @@ def test_check_reports_malformed_kernel_file(tmp_path, capsys, text, line):
         ["pointwise-ratios", "--mesh", "0"],
         ["beurling-composition", "--mesh", "-0.5"],
         ["counterexample-growth", "--cells", "0"],
+        *UNTILED_MESHES,
     ],
 )
 def test_exp_rejects_bad_options(tmp_path, capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(["exp", *argv, "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    run = ["exp", *argv, "--out", str(tmp_path)]
+    if argv in UNTILED_MESHES:
+        assert main(run) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"czkit: exp {argv[0]}: mesh {argv[2]} ") and err.count("\n") == 1
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(run)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
 
 

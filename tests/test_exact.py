@@ -7,7 +7,6 @@ import pytest
 
 from czkit.exact import (
     SymScalar,
-    SymSum,
     binomial,
     fundamental_normalization,
     gamma_half_integer,
@@ -70,8 +69,6 @@ def test_scalar_addition_rules():
     assert a + SymScalar.zero() == a
     with pytest.raises(ValueError):
         a + SymScalar(F(1), 1, 1)
-    s = a.to_sum() + SymScalar(F(1), 1, 1)
-    assert s == SymSum({(2, 1): F(1, 2), (1, 1): F(1)})
 
 
 def test_scalar_canonical_zero_and_i_square_folding():
@@ -112,14 +109,11 @@ def test_float_bridge():
     assert abs(SymScalar(F(1, 2), -2, 0).to_float() - 1 / (2 * math.pi)) < 1e-16
     with pytest.raises(ValueError):
         SymScalar(F(1), 0, 1).to_float()
-    s = SymSum({(0, 0): F(1), (2, 0): F(1)})
-    assert abs(s.to_complex() - (1 + math.pi)) < 1e-14
 
 
 def test_sum_canonicalization_and_zero():
-    s = SymScalar(F(1), 1, 1).to_sum() - SymScalar(F(1), 1, 1)
-    assert s.is_zero()
-    assert (s + SymScalar.zero()).as_scalar() == SymScalar.zero()
-    mixed = SymScalar(F(1)).to_sum() + SymScalar(F(1), 1, 0)
+    s = SymScalar(F(1), 1, 1) - SymScalar(F(1), 1, 1)
+    assert s.is_zero() and s == SymScalar.zero()
+    assert s + SymScalar.zero() == SymScalar.zero()
     with pytest.raises(ValueError):
-        mixed.as_scalar()
+        SymScalar(F(1)) + SymScalar(F(1), 1, 0)

@@ -13,7 +13,6 @@ from czkit.gridops import (
     beurling_truncated,
     hardy_littlewood,
     hardy_littlewood_all_centers,
-    hilbert_breakpoints,
     hilbert_maximal,
     hilbert_transform_many,
     hilbert_truncated,
@@ -27,7 +26,7 @@ from czkit.gridops import (
     _kernel_b2,
     _window,
 )
-from czkit.experiments import HILBERT_SAMPLES, _transform_grid, hilbert_test_suite
+from czkit.experiments import HILBERT_SAMPLES, _transform_grid, far_window_pieces, hilbert_test_suite
 
 
 def step01(h=1.0 / 64):
@@ -88,10 +87,74 @@ def test_maximal_multi_piece_additivity():
     assert abs(hilbert_maximal([left, right], x) - hilbert_maximal(both, x)) < 1e-12
 
 
-def test_breakpoints_are_edge_distances():
-    f = step01(0.25)
-    bp = hilbert_breakpoints(f, 2.0)
-    assert np.allclose(bp, [1.0, 1.25, 1.5, 1.75, 2.0])
+def cell_truncations(fs, x, eps):
+    """Oracle: every cell's own share of the truncation at each radius,
+    value * (log far - log max(near, eps)) for eps < far, with near and far
+    the cell's distances from x on its side and a minus sign on the left."""
+    eps = np.asarray(eps, dtype=float)[:, None]
+    total = 0
+    for g in fs:
+        lo, hi = g.edges()[:-1] - x, g.edges()[1:] - x
+        for sign, near, far in ((1.0, np.maximum(lo, 0.0), hi), (-1.0, np.maximum(-hi, 0.0), -lo)):
+            out = far > eps
+            share = np.log(np.where(out, far, 1.0)) - np.log(np.where(out, np.maximum(near, eps), 1.0))
+            total = total + sign * (share * g.values).sum(axis=1)
+    return total
+
+
+def random_pieces(rng, complex_values):
+    """Two or three random pieces on one mesh; the first two share an edge."""
+    h = 1.0 / rng.choice([4, 8, 64])
+    a = rng.integers(-40, 0)
+    sizes = rng.integers(1, 30, size=rng.integers(2, 4))
+    starts = [a, a + sizes[0], a + sizes[0] + sizes[1] + rng.integers(0, 9)]
+    pieces = []
+    for start, n in zip(starts, sizes):
+        v = rng.normal(size=n)
+        if complex_values:
+            v = v + 1j * rng.normal(size=n)
+        pieces.append(GridFunction(start * h, h, v))
+    return pieces, h
+
+
+def test_edge_jump_truncations_match_cell_oracle():
+    rng = np.random.default_rng(2024)
+    for trial in range(120):
+        pieces, h = random_pieces(rng, complex_values=trial % 2 == 1)
+        lo, hi = pieces[0].origin[0], max(g.support_box()[0][1] for g in pieces)
+        x = h * rng.integers(round(lo / h) - 4, round(hi / h) + 4)  # a lattice edge
+        if trial % 3:
+            x += h * rng.uniform(0.05, 0.95)  # inside a cell
+        d = np.concatenate([np.abs(g.edges() - x) for g in pieces])
+        d = d[d > 0]
+        inner = rng.uniform(d.min(), d.max(), 20)
+        eps = np.concatenate([[d.min() / 7, d.min() / 2], np.sort(d), inner, [2 * d.max()]])
+        for g in pieces:
+            want = cell_truncations([g], x, eps)
+            got = hilbert_truncated_many(g, x, eps)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        want = np.max(np.abs(cell_truncations(pieces, x, np.unique(d))))
+        assert abs(hilbert_maximal(pieces, x) - want) <= 1e-12 * want
+        if trial % 3:
+            xs = x + h * np.array([0.0, -1.0, 2.0, 37.0])
+            got = hilbert_transform_many(pieces[0], xs)
+            logs = np.log(np.abs(pieces[0].edges()[None, :] - xs[:, None]))
+            want = (logs[:, 1:] - logs[:, :-1]) @ pieces[0].values
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_maximal_far_window_matches_high_precision_values():
+    # sup of |T| at the far-window configuration, in 50-digit arithmetic
+    # on the float-sampled pieces
+    want = {
+        10.0: 0.13884257665961305886,
+        100.0: 0.033464518146015666975,
+        1000.0: 0.0055995542340508568909,
+        10000.0: 0.00078951672360710825692,
+    }
+    for x, value in want.items():
+        got = hilbert_maximal(far_window_pieces(x, 1024), x)
+        assert abs(got - value) <= 1e-13 * value
 
 
 def test_pv_transform_closed_form():

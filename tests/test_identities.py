@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from czkit import identities
-from czkit.exact import SymScalar, SymSum, binomial, fundamental_normalization, gamma_half_integer
+from czkit.exact import SymScalar, binomial, fundamental_normalization, gamma_half_integer
 from czkit.identities import (
     _radial_sum_lhs,
     BesselArg,
@@ -209,7 +209,7 @@ def _radial_sum_direct(n, N, p, j, i):
     """The s-sum term by term, each term from its own binomials and Gamma."""
     half = F(n, 2)
     m = p + 1 - i
-    lhs = SymSum()
+    lhs = SymScalar.zero()
     for s in range(N - m + 1):
         num = F((-1) ** s) * binomial(half + N + m + s - 1, N - j) * binomial(half + j + m + s - 1, s)
         den = (m + s + half - F(1, 2)) * math.factorial(N - m - s)
