@@ -362,6 +362,8 @@ def certify_nonvanishing(
     n = f.nvars
     if n < 2:
         raise ValueError("the sign certifier needs n >= 2, where the sphere is connected")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
     b = _Bounds(f)
     cert = SphereCertificate(lipschitz_bound=b.lip, rounding_bound=b.value)
     pos = neg = None  # the evaluated points with the largest and the smallest certified value

@@ -21,6 +21,9 @@ EXP_OPTIONS = {
     "beurling-composition": {"mesh": "mesh_src"},
 }
 
+# the least value of each integer option, per command
+COUNT_FLOORS = {"check": {"depth": 0}, "identities": {"n_max": 2, "N_max": 1}}
+
 
 def _cmd_check(args: argparse.Namespace) -> int:
     path = args.kernelfile
@@ -106,6 +109,10 @@ def main(argv: list[str] | None = None) -> int:
     p_ver.set_defaults(fn=lambda a: (print(f"czkit {__version__}"), 0)[1])
 
     args = parser.parse_args(argv)
+    for opt, least in COUNT_FLOORS.get(args.command, {}).items():
+        value = getattr(args, opt)
+        if value < least:
+            sub.choices[args.command].error(f"--{opt.replace('_', '-')} must be at least {least}, got {value}")
     if args.command == "exp":
         for opt in ("mesh", "cells", "kernel"):
             value = getattr(args, opt)

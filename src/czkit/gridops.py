@@ -6,7 +6,8 @@ odd part o(t) = f(x+t) - f(x-t), the truncation is int_eps^inf o(t) dt/t,
 and o is constant between consecutive cell-edge distances |e - x|, where
 it is the suffix sum of the edge jumps f(e-) - f(e+).  Its supremum over
 all truncation radii is attained at an edge distance, so the maximal
-Hilbert transform is computed exactly, not scanned.  The planar
+Hilbert transform is computed exactly, not scanned; at a point where f
+jumps it is infinite.  The planar
 (Beurling-type) truncations use a midpoint rule with 16 x 16 sub-points on
 the cells crossing the truncation circle.  That rule is not exact: at a
 one-mesh radius on the composition fields, its relative gap to a 256 x 256
@@ -23,6 +24,12 @@ between the lower convex hull on the left and the upper hull on the right
 Dinkelbach step on a K-edge window; every cell center at once costs
 O(K log K) time and memory through hull trees with binary lifting.  No
 K x K table is built.
+
+The L log L maximal function is the same engine under a bisection.  A
+cube's Luxemburg average of |f| is at most lam exactly when its average of
+Phi(|f|/lam) is at most 1, so M_{L log L} f(x) = min{lam : M(Phi(|f|/lam))(x)
+<= 1} over the same cube family (C. Perez, J. Funct. Anal. 128, 1995, for
+M_{L log L} ~ M^2).
 
 In 2D every radius of a truncation scan comes from one pass: one sort of
 the cells by distance, a suffix sum for the cells outside each circle, and
@@ -188,18 +195,19 @@ def _truncation_profile(fs: Sequence[GridFunction], x: float) -> tuple[np.ndarra
     o is constant between consecutive distances and is the suffix sum of
     the jumps f(e-) - f(e+) beyond them, so T is one more suffix sum of
     o * log(d[i+1] / d[i]).  With no positive distance, T is the single
-    value 0.
+    value 0.  The last array holds the jumps of the edges at x itself.
     """
     if any(g.dim != 1 for g in fs):
         raise ValueError("Hilbert machinery is one-dimensional")
     d = np.concatenate([np.abs(g.edges() - x) for g in fs])
     jump = np.concatenate([_edge_jumps(g) for g in fs])
     order = np.argsort(d)
-    keep = d[order] > 0
-    d, jump = d[order][keep], jump[order][keep]
+    d, jump = d[order], jump[order]
+    z = int(np.searchsorted(d, 0.0, side="right"))
+    at_x, d, jump = jump[:z], d[z:], jump[z:]
     o = np.cumsum(jump[::-1])[::-1]
     gain = o[1:] * np.log1p(np.diff(d) / d[:-1])
-    return d, o, np.cumsum(np.append(gain, 0.0)[::-1])[::-1]
+    return d, o, np.cumsum(np.append(gain, 0.0)[::-1])[::-1], at_x
 
 
 def hilbert_truncated_many(f: GridFunction, x: float, eps: np.ndarray) -> np.ndarray:
@@ -212,7 +220,7 @@ def hilbert_truncated_many(f: GridFunction, x: float, eps: np.ndarray) -> np.nda
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0):
         raise ValueError("truncation radii must be positive")
-    d, o, t = _truncation_profile([f], x)
+    d, o, t, _ = _truncation_profile([f], x)
     k = np.searchsorted(d, eps, side="right")
     i = np.minimum(k, len(d) - 1)
     return np.where(k < len(d), t[i] + o[i] * np.log(d[i] / eps), 0.0)
@@ -228,10 +236,16 @@ def hilbert_maximal(f: GridFunction | Sequence[GridFunction], x: float) -> float
     Accepts a single grid function or a list sharing the point x (their
     truncations add).  Between consecutive edge distances the truncation
     is A + B log eps, whose modulus is largest at an end point, so the sup
-    is the largest |T| at a positive edge distance.
+    is the largest |T| at a positive edge distance.  At an x where the
+    summed pieces jump, T grows like |jump| log(1/eps) and the sup is inf;
+    pieces whose jumps at x cancel (equal values across a shared edge), up
+    to rounding in their sum, stay finite.
     """
     fs = [f] if isinstance(f, GridFunction) else list(f)
-    return float(np.max(np.abs(_truncation_profile(fs, x)[2])))
+    _, _, t, at_x = _truncation_profile(fs, x)
+    if abs(at_x.sum()) > 1e-12 * np.abs(at_x).sum():
+        return math.inf
+    return float(np.max(np.abs(t)))
 
 
 def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
@@ -454,7 +468,7 @@ def m_delta(f: GridFunction, x, delta: float, pad: float = 1.0, max_cells: int =
     """M(|f|^delta)^(1/delta) for 0 < delta <= 1."""
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
-    g = GridFunction(f.origin if f.dim == 2 else f.origin[0], f.h, np.abs(f.values) ** delta)
+    g = GridFunction(f.origin, f.h, np.abs(f.values) ** delta)
     return hardy_littlewood(g, x, pad, max_cells) ** (1.0 / delta)
 
 
@@ -480,42 +494,28 @@ def phi_llogl(t: np.ndarray) -> np.ndarray:
     return t * (1.0 + np.log(np.maximum(t, 1.0)))
 
 
-def _luxemburg_many(
-    flat_vals: np.ndarray,
-    seg_id: np.ndarray,
-    seg_weight: np.ndarray,
-    n_seg: int,
-    iters: int = 60,
-) -> np.ndarray:
-    """Simultaneous bisection for the Luxemburg averages of many segments.
-
-    flat_vals holds |f| on the cells of every segment (concatenated),
-    seg_weight the normalized cell measure h/|Q| per entry.  The average
-    for a segment is the infimal lam with sum w * Phi(v/lam) <= 1; Phi is
-    the L log L Young function, monotone, so bisection converges globally.
-    """
-    vmax = np.zeros(n_seg)
-    np.maximum.at(vmax, seg_id, flat_vals)
-    hi = 4.0 * np.maximum(vmax, 1e-300)  # Phi(v/hi) <= v/hi <= 1/4 pointwise
-    lo = np.zeros(n_seg)
-    live = vmax > 0
-    for _ in range(iters):
-        mid = np.where(live, 0.5 * (lo + hi), 0.0)
-        midv = np.where(mid > 0, mid, 1.0)
-        contrib = seg_weight * phi_llogl(flat_vals / midv[seg_id])
-        tot = np.zeros(n_seg)
-        np.add.at(tot, seg_id, contrib)
-        too_small = tot > 1.0
-        lo = np.where(live & too_small, mid, lo)
-        hi = np.where(live & ~too_small, mid, hi)
-    return np.where(live, hi, 0.0)
+def _luxemburg(avg, vmax: float) -> float:
+    """Smallest lam with avg(lam) <= 1, for avg(lam) a Phi-average of
+    values of at most vmax divided by lam.  avg does not increase with lam
+    and avg(4 vmax) <= Phi(1/4) <= 1, so 60 halvings of (0, 4 vmax] reach
+    float resolution.  0 when vmax is 0."""
+    if vmax <= 0:
+        return 0.0
+    lo, hi = 0.0, 4.0 * vmax
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if avg(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def orlicz_llogl_average(f: GridFunction, q) -> float:
     """Luxemburg L log L average of f over a grid-aligned cube q.
 
     1D: q = (a, b); 2D: q = ((x0, x1), (y0, y1)) with equal side lengths.
-    The infimal lambda is found by bisection to relative accuracy ~1e-10.
+    The infimal lambda is found by bisection to float resolution.
     """
     bounds = []
     for org, (a, b) in zip(f.origin, [q] if f.dim == 1 else q):
@@ -529,32 +529,20 @@ def orlicz_llogl_average(f: GridFunction, q) -> float:
         bounds.append((i0, i1))
     if len({i1 - i0 for i0, i1 in bounds}) > 1:
         raise ValueError("cube must be square")
-    cells = _padded_window(f.values, bounds).ravel()
-    m = len(cells)
-    if m == 0:
-        return 0.0
-    seg = np.zeros(m, dtype=int)
-    w = np.full(m, 1.0 / m)
-    return float(_luxemburg_many(cells, seg, w, 1)[0])
+    cells = _padded_window(f.values, bounds)
+    return _luxemburg(lambda lam: phi_llogl(cells / lam).mean(), float(cells.max(initial=0.0)))
 
 
 def m_llogl(f: GridFunction, x, pad: float = 1.0, max_cells: int = 512) -> float:
-    """sup over grid-aligned cubes containing x of the L log L average."""
-    if f.dim != 1:
-        raise ValueError("maximal Orlicz average implemented for dim 1")
-    xx = float(x) if np.isscalar(x) else float(x[0])
-    (edges,), vals = _window(f, (xx,), pad, max_cells)
-    tol = 1e-12 * max(1.0, abs(xx))
-    lefts = np.nonzero(edges <= xx + tol)[0]
-    rights = np.nonzero(edges >= xx - tol)[0]
-    segs = [(a, b) for a in lefts for b in rights if b > a]
-    if not segs:
-        return 0.0
-    sizes = np.array([b - a for a, b in segs])
-    seg_id = np.repeat(np.arange(len(segs)), sizes)
-    flat = np.concatenate([vals[a:b] for a, b in segs])
-    weight = np.repeat(1.0 / sizes, sizes)
-    return float(np.max(_luxemburg_many(flat, seg_id, weight, len(segs))))
+    """sup over grid-aligned cubes containing x of the L log L average: the
+    smallest lam with M(Phi(|f|/lam))(x) <= 1, on the window and cube family
+    of `hardy_littlewood`."""
+    a = np.abs(f.values)
+
+    def avg(lam: float) -> float:
+        return hardy_littlewood(GridFunction(f.origin, f.h, phi_llogl(a / lam)), x, pad, max_cells)
+
+    return _luxemburg(avg, float(a.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,8 @@ def test_tangential_zero_at_rational_point_is_exact():
         assert certify_nonvanishing(MultiPoly.zero(n)).stop_reason == "exact-zero"
     with pytest.raises(ValueError):
         certify_nonvanishing(MultiPoly.constant(1, 1))
+    with pytest.raises(ValueError, match="max_depth must be at least 0"):
+        certify_nonvanishing(q * q, max_depth=-1)
 
 
 def _strata(rng):

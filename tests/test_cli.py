@@ -161,3 +161,20 @@ def test_exp_cells_sets_window_cells(tmp_path, capsys):
     want.to_csv(str(tmp_path / "want.csv"))
     got = (tmp_path / "counterexample-growth.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check", "KERNEL", "--depth", "-3"], "--depth must be at least 0, got -3"),
+        (["identities", "--n-max", "1"], "--n-max must be at least 2, got 1"),
+        (["identities", "--N-max", "0"], "--N-max must be at least 1, got 0"),
+    ],
+)
+def test_out_of_range_counts_rejected(tmp_path, capsys, argv, message):
+    argv = [write(tmp_path, "k.kern", RIESZ3) if a == "KERNEL" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {message}" in err

@@ -21,6 +21,7 @@ from czkit.gridops import (
     m_delta,
     m_llogl,
     orlicz_llogl_average,
+    phi_llogl,
     _interval_averages_max,
     _kernel_b,
     _kernel_b2,
@@ -119,6 +120,7 @@ def random_pieces(rng, complex_values):
 
 def test_edge_jump_truncations_match_cell_oracle():
     rng = np.random.default_rng(2024)
+    jumps = 0  # x on an edge where the summed pieces jump: the sup is inf
     for trial in range(120):
         pieces, h = random_pieces(rng, complex_values=trial % 2 == 1)
         lo, hi = pieces[0].origin[0], max(g.support_box()[0][1] for g in pieces)
@@ -134,13 +136,29 @@ def test_edge_jump_truncations_match_cell_oracle():
             got = hilbert_truncated_many(g, x, eps)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         want = np.max(np.abs(cell_truncations(pieces, x, np.unique(d))))
-        assert abs(hilbert_maximal(pieces, x) - want) <= 1e-12 * want
+        jump = sum(g.value_at(x - h / 2) - g.value_at(x + h / 2) for g in pieces)
+        if trial % 3 == 0 and jump != 0:
+            jumps += 1
+            assert hilbert_maximal(pieces, x) == math.inf
+        else:
+            assert abs(hilbert_maximal(pieces, x) - want) <= 1e-12 * want
         if trial % 3:
             xs = x + h * np.array([0.0, -1.0, 2.0, 37.0])
             got = hilbert_transform_many(pieces[0], xs)
             logs = np.log(np.abs(pieces[0].edges()[None, :] - xs[:, None]))
             want = (logs[:, 1:] - logs[:, :-1]) @ pieces[0].values
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert jumps == 31
+
+
+def test_maximal_infinite_at_a_jump_finite_across_a_shared_edge():
+    h = 1.0 / 64
+    assert hilbert_maximal(step01(h), 0.0) == math.inf
+    assert hilbert_maximal(step01(h), 1.0) == math.inf
+    left, right = GridFunction(0.0, h, np.full(16, 0.7)), GridFunction(16 * h, h, np.full(16, 0.7))
+    both = GridFunction(0.0, h, np.full(32, 0.7))
+    got = hilbert_maximal([left, right], 16 * h)
+    assert math.isfinite(got) and abs(got - hilbert_maximal(both, 16 * h)) <= 1e-12 * got
 
 
 def test_maximal_far_window_matches_high_precision_values():
@@ -343,6 +361,53 @@ def test_llogl_maximal_vs_iterated_bracket():
                 ratios.append(ml / m2)
     assert ratios
     assert max(ratios) <= 8.0 and min(ratios) >= 1.0 / 8.0
+
+
+def segment_llogl_oracle(f, x, pad=1.0, max_cells=512):
+    """Oracle: every window interval [edges[a], edges[b]] that contains x,
+    each with its own 60-step Luxemburg bisection on (0, 4 max |f| over the
+    interval], over one dense (interval x cell) table of |f|."""
+    (edges,), vals = _window(f, (x,), pad, max_cells)
+    tol = 1e-12 * max(1.0, abs(x))
+    a, b = np.meshgrid(np.nonzero(edges <= x + tol)[0], np.nonzero(edges >= x - tol)[0], indexing="ij")
+    a, b = a[b > a], b[b > a]
+    k = np.arange(len(vals))
+    cells = np.where((k >= a[:, None]) & (k < b[:, None]), vals, 0.0)
+    vmax = cells.max(axis=1)
+    lo, hi = np.zeros(len(a)), 4.0 * np.maximum(vmax, 1e-300)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        too_small = phi_llogl(cells / mid[:, None]).sum(axis=1) / (b - a) > 1.0
+        lo, hi = np.where(too_small, mid, lo), np.where(too_small, hi, mid)
+    return float(np.max(np.where(vmax > 0, hi, 0.0)))
+
+
+def test_m_llogl_matches_segment_oracle():
+    rng = np.random.default_rng(7)
+    for trial in range(100):
+        h = 1.0 / rng.choice([1, 4, 8])
+        n = int(rng.integers(1, 13))
+        vals = rng.normal(size=n) * rng.choice([0.0, 1.0], size=n, p=[0.3, 0.7])
+        if trial == 0:
+            vals = np.zeros(n)
+        f = GridFunction(h * rng.integers(-5, 5), h, vals)
+        x = f.origin[0] + h * rng.integers(-4, n + 5)  # a lattice edge
+        if trial % 2:
+            x += h * rng.uniform(0.05, 0.95)  # inside a cell
+        pad = float(rng.choice([0.0, 0.5, 1.0]))
+        want = segment_llogl_oracle(f, x, pad, 40)
+        assert abs(m_llogl(f, x, pad, 40) - want) <= 1e-12 * want
+        assert (want == 0) == (trial == 0 or not vals.any())
+
+
+def test_m_llogl_indicator_closed_form():
+    # a cube of density t has L log L average 1/Phi^-1(1/t), largest where
+    # t is: so Phi(1 / M_{L log L} chi) * M chi = 1
+    cases = [(step01(1.0 / 8), x) for x in (0.31, 0.5, 1.0, 2.0, -0.7)]
+    cases += [(GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8), x) for x in ((0.31, 0.77), (2.0, 0.5), (1.6, -0.9))]
+    for chi, x in cases:
+        got = phi_llogl(1.0 / m_llogl(chi, x)) * hardy_littlewood(chi, x)
+        assert abs(got - 1.0) <= 1e-12
 
 
 def test_cotlar_control_stability():
