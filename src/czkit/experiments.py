@@ -166,18 +166,11 @@ def exp_counterexample_growth(
     def one(x: float):
         hstar = hilbert_maximal(far_window_pieces(x, cells), x)
         a, b = far_field_lower_terms(x)
-        return (
-            x,
-            hstar,
-            x * hstar / math.log(x),
-            a,
-            b,
-            b <= 1.0 / x + 1e-12,
-        )
+        return (x, hstar, x * hstar / math.log(x), a, b, b <= 1.0 / x + 1e-12)
 
     rows = [one(float(x)) for x in x_values]
     ratios = [r[2] for r in rows]
-    res = ExperimentResult(
+    return ExperimentResult(
         "counterexample-growth",
         ["x", "hstar", "ratio_x_hstar_over_logx", "left_term", "right_term", "right_le_inv_x"],
         rows,
@@ -191,7 +184,6 @@ def exp_counterexample_growth(
             and max(ratios) <= GROWTH_RATIO_BRACKET[1],
         },
     )
-    return res
 
 
 def weak11_profile(
@@ -234,7 +226,7 @@ def exp_weak11_failure(
         rows.append((lam, measure, lam * measure, area, lam * area))
     lm = [r[2] for r in rows]
     la = [r[4] for r in rows]
-    res = ExperimentResult(
+    return ExperimentResult(
         "weak11-failure",
         ["lam", "measure", "lam_measure", "beurling_area", "beurling_lam_area"],
         rows,
@@ -246,7 +238,6 @@ def exp_weak11_failure(
             "beurling_bounded": max(la) / min(la) <= 1.25,
         },
     )
-    return res
 
 
 def exp_llogl_modular(
@@ -259,9 +250,8 @@ def exp_llogl_modular(
     x_max = 30.0 * math.log(1.0 / t_min) / t_min
     off = 1.0 / 3333.0
     pos = np.geomspace(0.011, x_max, int(per_decade * math.log10(x_max / 0.011)) + 1) + off
-    neg = -pos
     core = np.linspace(-3.0, 4.0, 141) + off
-    xs = np.unique(np.concatenate([neg, core, pos]))
+    xs = np.unique(np.concatenate([-pos, core, pos]))
     prof = np.array([hilbert_maximal(full_window_pieces(float(x)), float(x)) for x in xs])
     mid = 0.5 * (xs[1:] + xs[:-1])
     edges = np.concatenate([[xs[0] - (xs[1] - xs[0]) / 2], mid, [xs[-1] + (xs[-1] - xs[-2]) / 2]])
@@ -306,21 +296,15 @@ def hilbert_test_suite(mesh: float) -> list[tuple[str, GridFunction]]:
     whole multiple of the mesh."""
     unit = _whole_cells(1.0, mesh)
     f1 = GridFunction.indicator_1d(0.0, 1.0, mesh)
-    n3 = 3 * unit
-    v = np.zeros(n3)
-    v[: n3 // 3] = 1.0
-    v[n3 // 3 : 2 * n3 // 3] = -0.5
-    v[2 * n3 // 3 :] = 0.25
-    f2 = GridFunction(-1.0, mesh, v)
+    f2 = GridFunction(-1.0, mesh, np.repeat([1.0, -0.5, 0.25], unit))
     f3 = GridFunction.sample_1d(lambda y: np.maximum(0.0, 1.0 - np.abs(y)), -1.0, 1.0, 2 * unit)
     return [("step", f1), ("threestep", f2), ("hat", f3)]
 
 
 def _transform_grid(f: GridFunction, half_width: float, cells: int) -> GridFunction:
     gh = 2.0 * half_width / cells
-    org = -half_width + 0.37 * gh  # offset keeps centers off the source lattice
-    cts = org + gh * (np.arange(cells) + 0.5)
-    return GridFunction(org, gh, hilbert_transform_many(f, cts))
+    org = -half_width + 0.37 * gh  # centers off the source edges, spaced on a lattice of f.h / s
+    return GridFunction(org, gh, hilbert_transform_many(f, org + gh * (np.arange(cells) + 0.5)))
 
 
 def exp_pointwise_ratios(
@@ -336,17 +320,15 @@ def exp_pointwise_ratios(
         mesh = 1.0 / 128 if mesh is None else mesh
         suite = f_suite if f_suite is not None else hilbert_test_suite(mesh)
         rows = []
-        sup_m = sup_m2 = 0.0
         cells = 3072
         for name, f in suite:
             g = _transform_grid(f, 48.0, cells)
-            for x in HILBERT_SAMPLES:
-                hstar = hilbert_maximal(f, float(x))
-                m1 = hardy_littlewood(g, float(x), pad=0.0)
-                m2 = iterated_m2(g, float(x), pad=0.0, max_cells=cells + 2)
-                rows.append((name, float(x), hstar, m1, m2, hstar / m1, hstar / m2))
-                sup_m = max(sup_m, hstar / m1)
-                sup_m2 = max(sup_m2, hstar / m2)
+            m2s = iterated_m2(g, HILBERT_SAMPLES, pad=0.0, max_cells=cells + 2)
+            for x, m2 in zip(HILBERT_SAMPLES.tolist(), m2s.tolist()):
+                hstar = hilbert_maximal(f, x)
+                m1 = hardy_littlewood(g, x, pad=0.0)
+                rows.append((name, x, hstar, m1, m2, hstar / m1, hstar / m2))
+        sup_m, sup_m2 = (max((r[j] for r in rows), default=0.0) for j in (5, 6))
         adv = []
         for w in ADVERSARIAL_WINDOWS:
             gw = GridFunction.sample_1d(transform_closed_form, -w, w, 2048)
@@ -377,17 +359,15 @@ def exp_pointwise_ratios(
         zs = [0.13 + 0.07j, 0.52 + 0.31j, -0.41 + 0.76j, 0.93 + 0.21j, 1.21 - 0.33j,
               -1.62 + 0.48j, 2.31 + 1.12j, -3.1 - 2.2j, 0.02 - 0.89j]
         rows = []
-        sup = 0.0
         for z in zs:
             bstar = beurling_maximal(disk, z, grid)
             mbf = hardy_littlewood(bg, (z.real, z.imag), pad=0.0, max_cells=sz + 2)
             rows.append(("disk", z.real, z.imag, bstar, mbf, bstar / mbf))
-            sup = max(sup, bstar / mbf)
         return ExperimentResult(
             "pointwise-ratios-beurling",
             ["function", "re_z", "im_z", "bstar", "m_of_transform", "ratio"],
             rows,
-            {"sup_ratio": sup, "frozen_sup": BEURLING_M_SUP},
+            {"sup_ratio": max(r[5] for r in rows), "frozen_sup": BEURLING_M_SUP},
         )
     raise ValueError(f"unknown kernel {kernel!r}")
 

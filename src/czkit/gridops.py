@@ -33,12 +33,14 @@ M_{L log L} ~ M^2).
 
 In 2D every radius of a truncation scan comes from one pass: one sort of
 the cells by distance, a suffix sum for the cells outside each circle, and
-the ring cells of all radii subdivided together in vectorised blocks.  On
-a target grid whose mesh is an integer multiple of the source mesh, the
-transform is a lattice convolution: one FFT correlation with a table that
-holds the kernel in the far field and a subdivided stencil within 4
-meshes (after the precorrected FFT of Phillips & White, IEEE TCAD 16,
-1997).
+the ring cells of all radii subdivided together in vectorised blocks.
+
+A transform sampled on targets commensurate with the source grid is a
+lattice correlation in 1D as in 2D: one FFT correlation with a table over
+the lattice of target-source offsets (after the precorrected FFT of
+Phillips & White, IEEE TCAD 16, 1997).  In 1D the table is log|offset|
+against the edge jumps, with no quadrature error; in 2D it holds the
+kernel in the far field and a subdivided stencil within 4 meshes.
 """
 from __future__ import annotations
 
@@ -95,16 +97,10 @@ class GridFunction:
         return self.values.sum() * self.h**self.dim
 
     def value_at(self, point) -> complex | float:
-        if self.dim == 1:
-            x = float(point) if np.isscalar(point) else float(point[0])
-            i = int(math.floor((x - self.origin[0]) / self.h))
-            if 0 <= i < len(self.values):
-                return self.values[i]
-            return 0.0
-        i = int(math.floor((point[0] - self.origin[0]) / self.h))
-        j = int(math.floor((point[1] - self.origin[1]) / self.h))
-        if 0 <= i < self.values.shape[0] and 0 <= j < self.values.shape[1]:
-            return self.values[i, j]
+        pos = zip(np.ravel(point), self.origin, strict=True)  # one coordinate per axis
+        idx = [math.floor((float(p) - o) / self.h) for p, o in pos]
+        if all(0 <= i < n for i, n in zip(idx, self.values.shape)):
+            return self.values[tuple(idx)]
         return 0.0
 
     # --------------------------------------------------------- constructors
@@ -249,17 +245,35 @@ def hilbert_maximal(f: GridFunction | Sequence[GridFunction], x: float) -> float
 
 
 def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
-    """Vectorized principal-value transform at many non-edge points.
+    """Principal-value transform at many non-edge points, exactly.
 
-    Summation by parts turns the cell sum of v (log|far| - log|near|) into
-    sum over edges of log|e - x| (f(e-) - f(e+)): one log table, one product.
+    Summation by parts gives H(x) = sum over edges e of log|x - e| (f(e-) - f(e+)).
+    With the targets on one lattice xs[0] + m f.h / s, s <= 64 (to 1e-9
+    relative), every target-edge offset lies on it too, and the sum is one
+    rfft correlation of the edge jumps, zero-stuffed every s steps, with a
+    log table over the lattice range: O((span s / f.h + s K) log), K edges.
     """
-    xs = np.asarray(xs, dtype=float)
-    table = np.abs(f.edges()[None, :] - xs[:, None])
-    if np.min(table) < 1e-13 * max(1.0, float(np.max(np.abs(xs)))):
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    edges, jumps = f.edges(), _edge_jumps(f)
+    near = edges[np.clip(np.rint((xs - edges[0]) / f.h), 0, len(edges) - 1).astype(np.intp)]
+    if np.min(np.abs(xs - near)) < 1e-13 * max(1.0, float(np.max(np.abs(xs)))):
         raise ValueError("principal value undefined at a cell edge")
-    np.log(table, out=table)
-    return table @ _edge_jumps(f)
+    for s in range(1, 65):
+        t = (xs - xs[0]) * (s / f.h)
+        m = np.rint(t).astype(np.intp)
+        if np.max(np.abs(t - m)) <= 1e-9 * max(1.0, float(np.max(np.abs(t)))):
+            break
+    else:
+        raise ValueError(f"targets lie on no lattice of step {f.h!r}/s, s <= 64, of the source mesh {f.h!r}")
+    n = s * (len(edges) - 1)
+    w = (xs[0] - edges[0]) + (f.h / s) * np.arange(m.min() - n, m.max() + 1)
+    # a zero offset pairs no target with an edge (tested above): keep it finite
+    table = np.log(np.abs(w), out=np.zeros_like(w), where=w != 0)
+    u = np.zeros((2, n + 1))
+    u[:, ::s] = jumps.real, jumps.imag
+    size = 1 << (len(w) - 1).bit_length()  # at least len(w): no read wraps
+    conv = np.fft.irfft(np.fft.rfft(u, size) * np.fft.rfft(table, size), size)[:, m - m.min() + n]
+    return conv[0] + 1j * conv[1] if np.iscomplexobj(jumps) else conv[0]
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +486,20 @@ def m_delta(f: GridFunction, x, delta: float, pad: float = 1.0, max_cells: int =
     return hardy_littlewood(g, x, pad, max_cells) ** (1.0 / delta)
 
 
-def iterated_m2(f: GridFunction, x, pad: float = 1.0, max_cells: int = 2048) -> float:
-    """M(Mf): the inner pass is sampled at the window's cell centers."""
+def iterated_m2(f: GridFunction, x, pad: float = 1.0, max_cells: int = 2048) -> float | np.ndarray:
+    """M(Mf): the inner pass is sampled at the window's cell centers.  x is
+    one point (a float returns) or a 1D array of points (an array of one
+    value each returns); points whose windows coincide share one inner pass."""
     if f.dim != 1:
         raise ValueError("iterated maximal function implemented for dim 1")
-    xx = float(x) if np.isscalar(x) else float(x[0])
-    (edges,), vals = _window(f, (xx,), pad, max_cells)
-    inner = hardy_littlewood_all_centers(edges, vals)
-    g = GridFunction(edges[0], f.h, inner)
-    return _interval_averages_max(g.edges(), inner, xx)
+    inner, out = {}, []
+    for xx in np.atleast_1d(np.asarray(x, dtype=float)).tolist():
+        (edges,), vals = _window(f, (xx,), pad, max_cells)
+        key = (edges[0], len(edges))
+        if key not in inner:
+            inner[key] = hardy_littlewood_all_centers(edges, vals)
+        out.append(_interval_averages_max(edges[0] + f.h * np.arange(len(edges)), inner[key], xx))
+    return out[0] if np.ndim(x) == 0 else np.array(out)
 
 
 # ---------------------------------------------------------------------------

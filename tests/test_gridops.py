@@ -27,7 +27,15 @@ from czkit.gridops import (
     _kernel_b2,
     _window,
 )
-from czkit.experiments import HILBERT_SAMPLES, _transform_grid, far_window_pieces, hilbert_test_suite
+from czkit import gridops
+from czkit.experiments import (
+    ADVERSARIAL_WINDOWS,
+    HILBERT_SAMPLES,
+    _transform_grid,
+    far_window_pieces,
+    hilbert_test_suite,
+    transform_closed_form,
+)
 
 
 def step01(h=1.0 / 64):
@@ -184,6 +192,37 @@ def test_pv_transform_closed_form():
         hilbert_transform_many(f, np.array([2.3, 0.5]))  # a cell edge
 
 
+def dense_transform_many(f, xs):
+    """Oracle: sum over edges of log|x - e| (f(e-) - f(e+)) as one dense
+    (targets x edges) log table."""
+    table = np.log(np.abs(f.edges()[None, :] - np.asarray(xs, dtype=float)[:, None]))
+    return table @ -np.diff(f.values, prepend=0, append=0)
+
+
+def test_lattice_transform_matches_dense_oracle():
+    cases = []
+    for mesh in (1.0 / 128, 1.0 / 256, 1.0 / 100, 0.2):
+        cases += [(f, _transform_grid(f, 48.0, 3072).centers()) for _, f in hilbert_test_suite(mesh)]
+    for w in ADVERSARIAL_WINDOWS:
+        gw = GridFunction.sample_1d(transform_closed_form, -w, w, 2048)
+        cases.append((gw, _transform_grid(gw, 4.0 * w, 2048).centers()))
+    rng = np.random.default_rng(9)
+    h = 1.0 / 64
+    cx = GridFunction(-0.25, h, rng.normal(size=40) + 1j * rng.normal(size=40))
+    cases.append((cx, -0.25 + h * (0.3 + np.arange(-90, 270) / 3.0)))  # s = 3
+    # the lattice of step 1/16 from -10 runs through every edge of f, so
+    # some lattice offsets are exactly 0 without pairing a target with an edge
+    cases.append((step01(1.0 / 8), np.array([-10.0, 12.0625])))
+    for f, xs in cases:
+        got, want = hilbert_transform_many(f, xs), dense_transform_many(f, xs)
+        assert got.dtype == want.dtype and np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="cell edge"):
+        hilbert_transform_many(step01(1.0 / 8), np.array([-10.0, 0.625]))
+    with pytest.raises(ValueError, match="source mesh"):
+        hilbert_transform_many(step01(1.0 / 8), np.array([0.1, 0.1 + math.sqrt(2.0) / 8]))
+
+
 # ------------------------------------------------------------------ maximal
 
 
@@ -264,6 +303,24 @@ def test_interval_maximal_matches_dense_oracle_on_pinned_window():
                 assert_rel_close(got, dense_interval_averages_max(edges, vals, float(x)))
                 got = _interval_averages_max(edges, inner, float(x))
                 assert_rel_close(got, dense_interval_averages_max(edges, inner, float(x)))
+
+
+def test_iterated_m2_array_form_matches_scalar_calls(monkeypatch):
+    rng = np.random.default_rng(5)
+    f = GridFunction(-0.5, 1.0 / 16, rng.uniform(-1.0, 2.0, 24))  # support [-0.5, 1]
+    xs = np.array([-0.47, 1.0 / 3.0, 0.99, 0.5, -3.2, 2.7, 5.0])  # four inside, three outside
+    passes = []
+    engine = gridops.hardy_littlewood_all_centers
+    monkeypatch.setattr(
+        gridops, "hardy_littlewood_all_centers", lambda e, v: passes.append(1) or engine(e, v)
+    )
+    for pad in (0.0, 0.5, 1.0):
+        want = [iterated_m2(f, float(x), pad) for x in xs]
+        assert all(type(v) is float for v in want)
+        passes.clear()
+        assert iterated_m2(f, xs, pad).tolist() == want
+        windows = {tuple(_window(f, (float(x),), pad, 2048)[0][0][[0, -1]]) for x in xs}
+        assert len(passes) == len(windows) == 4
 
 
 def test_maximal_sublinearity_randomized():
@@ -415,11 +472,7 @@ def test_cotlar_control_stability():
 
     def sup_ratio(mesh):
         f = step01(mesh)
-        cells = 1024
-        gh = 96.0 / cells
-        org = -48.0 + 0.37 * gh
-        cts = org + gh * (np.arange(cells) + 0.5)
-        g = GridFunction(org, gh, hilbert_transform_many(f, cts))
+        g = _transform_grid(f, 48.0, 1024)
         worst = 0.0
         for x in np.array([-2.31, -0.47, 0.309, 1.613, 5.37]) + 1 / 3333:
             num = hilbert_maximal(f, float(x))
