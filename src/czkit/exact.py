@@ -9,6 +9,11 @@ coefficient.  Sums are formed only on one basis: every sum the identity
 verifiers build shares the sqrt(pi) power and the i power of its terms, and
 adding across bases raises ``ValueError``.
 
+Every sparse sum in the package -- the terms of a ``MultiPoly``, the radial
+expressions and the series coefficient vectors of ``identities`` -- is a
+plain dict built by ``_collect``, the one place that drops cancelled terms,
+so no such dict holds a zero coefficient and dict equality is exact equality.
+
 Floats appear only at the explicit ``to_complex``/``to_float`` boundary;
 all other operations are exact.
 """
@@ -18,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Any, Hashable, Iterable, Union
 
 Rational = Fraction
 
@@ -33,6 +38,16 @@ def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _collect(pairs: Iterable[tuple[Hashable, Any]]) -> dict:
+    """Sum the (key, coefficient) pairs per key and drop the keys that cancel."""
+    out: dict = {}
+    for key, c in pairs:
+        if key in out:
+            c = out[key] + c
+        out[key] = c
+    return {key: c for key, c in out.items() if c}
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,9 @@ class SymScalar:
 
     def is_zero(self) -> bool:
         return self.q == 0
+
+    def __bool__(self) -> bool:
+        return self.q != 0
 
     def is_real(self) -> bool:
         return self.k == 0 or self.q == 0

@@ -32,6 +32,7 @@ import numpy as np
 from .gridops import (
     GridFunction,
     TruncationGrid,
+    _whole_cells,
     beurling_maximal,
     beurling_transform_grid,
     hardy_littlewood,
@@ -281,14 +282,6 @@ def exp_llogl_modular(
 
 HILBERT_SAMPLES = np.array([-3.31, -1.73, -0.467, 0.309, 0.771, 1.613, 2.843, 6.337, 15.71]) + 1.0 / 3333
 ADVERSARIAL_WINDOWS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
-
-def _whole_cells(length: float, mesh: float) -> int:
-    """The number of mesh cells in length, refused unless it is whole."""
-    cells = round(length / mesh)
-    if cells < 1 or abs(cells * mesh - length) > 1e-9 * length:
-        raise ValueError(f"mesh {mesh!r} does not divide {length!r} into whole cells")
-    return cells
 
 
 def hilbert_test_suite(mesh: float) -> list[tuple[str, GridFunction]]:

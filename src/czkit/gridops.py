@@ -55,6 +55,15 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
+def _whole_cells(length: float, mesh: float) -> int:
+    """The number of mesh cells in length, refused unless it is a positive
+    whole number."""
+    cells = round(length / mesh)
+    if cells < 1 or abs(cells * mesh - length) > 1e-9 * length:
+        raise ValueError(f"mesh {mesh!r} does not divide {length!r} into whole cells")
+    return cells
+
+
 class GridFunction:
     """Piecewise-constant compactly supported function on a uniform grid.
 
@@ -108,10 +117,7 @@ class GridFunction:
     @staticmethod
     def indicator_1d(a: float, b: float, h: float) -> "GridFunction":
         """Indicator of [a, b) on a grid whose edges include a and b."""
-        cells = max(1, int(round((b - a) / h)))
-        if abs(a + cells * h - b) > 1e-9 * max(1.0, abs(b - a)):
-            raise ValueError("interval length must be a multiple of the mesh")
-        return GridFunction(a, h, np.ones(cells))
+        return GridFunction(a, h, np.ones(_whole_cells(b - a, h)))
 
     @staticmethod
     def sample_1d(fn, lo: float, hi: float, cells: int) -> "GridFunction":
@@ -142,9 +148,8 @@ class GridFunction:
 
     @staticmethod
     def box_2d(x0: float, x1: float, y0: float, y1: float, h: float) -> "GridFunction":
-        nx = max(1, int(round((x1 - x0) / h)))
-        ny = max(1, int(round((y1 - y0) / h)))
-        return GridFunction((x0, y0), h, np.ones((nx, ny)))
+        """Indicator of [x0, x1) x [y0, y1); each side a whole number of meshes."""
+        return GridFunction((x0, y0), h, np.ones((_whole_cells(x1 - x0, h), _whole_cells(y1 - y0, h))))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,12 @@ Fourier transform:
 Every verifier compares two independently computed exact quantities; no
 floating point enters except through the explicit float bridges.
 
+Two sparse forms are plain dicts summed by ``exact._collect``, the one place
+that drops cancelled terms, so dict equality is exact equality: a radial
+expression sum s r^a (log r)^e is {(a, e): s} with rational s in units of
+c = ``fundamental_normalization(n)``, and a series coefficient is the map
+j -> coefficient of layer 2j+1.
+
 Scaling convention: quantities built from the Bessel-type series carry a
 factor 2^(n/2), which is irrational for odd n.  All such values are
 handled in 2^(n/2)-scaled form (and named ``*_scaled``), which keeps them
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -39,6 +45,7 @@ from .exact import (
     RationalLike,
     SymScalar,
     _as_fraction,
+    _collect,
     binomial,
     fundamental_normalization,
     gamma_half_integer,
@@ -50,98 +57,26 @@ Frac = Fraction
 
 
 # --------------------------------------------------------------------------
-# Radial expressions  sum of  s * r^a * (log r)^e,  e in {0, 1}
+# Radial expressions  {(a, e): s}  for  sum of  s * r^a * (log r)^e,  e in {0, 1}
 # --------------------------------------------------------------------------
 
 
-class RadialExpr:
-    """Finite formal sum of terms s * r^a * (log r)^e with exact coefficients.
+def radial_laplacian(terms: dict[tuple[Fraction, int], Fraction], dim: int) -> dict:
+    """Laplacian of a radial function in dimension n: r^a -> a(a+n-2) r^(a-2),
+    and r^a log r -> a(a+n-2) r^(a-2) log r + (2a+n-2) r^(a-2)."""
+    return _collect(
+        pair
+        for (a, e), s in terms.items()
+        for pair in (((a - 2, e), s * a * (a + dim - 2)), ((a - 2, 0), s * e * (2 * a + dim - 2)))
+    )
 
-    Closed under the radial Laplacian in dimension n and under d/dt when the
-    variable is read as t instead of r (used for Taylor data at t = 1).
-    """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[Fraction, int], SymScalar] | None = None):
-        self.terms: dict[tuple[Fraction, int], SymScalar] = {}
-        if terms:
-            for (a, e), s in terms.items():
-                if e not in (0, 1):
-                    raise ValueError("log exponent must be 0 or 1")
-                if not s.is_zero():
-                    key = (_as_fraction(a), e)
-                    if key in self.terms:
-                        raise ValueError("duplicate term")
-                    self.terms[key] = s
-
-    def _accum(self, a: Fraction, e: int, s: SymScalar) -> None:
-        if s.is_zero():
-            return
-        key = (a, e)
-        tot = self.terms.get(key, SymScalar.zero()) + s
-        if tot.is_zero():
-            del self.terms[key]
-        else:
-            self.terms[key] = tot
-
-    def __add__(self, other: "RadialExpr") -> "RadialExpr":
-        out = RadialExpr(dict(self.terms))
-        for (a, e), s in other.terms.items():
-            out._accum(a, e, s)
-        return out
-
-    def scale(self, s: SymScalar) -> "RadialExpr":
-        out = RadialExpr()
-        if s.is_zero():
-            return out
-        for (a, e), c in self.terms.items():
-            out.terms[(a, e)] = c * s
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RadialExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def radial_laplacian(self, dim: int) -> "RadialExpr":
-        """Laplacian of a radial function: r^a -> a(a+n-2) r^(a-2), and
-        r^a log r -> a(a+n-2) r^(a-2) log r + (2a+n-2) r^(a-2)."""
-        out = RadialExpr()
-        for (a, e), s in self.terms.items():
-            lead = a * (a + dim - 2)
-            out._accum(a - 2, e, s * lead)
-            if e == 1:
-                out._accum(a - 2, 0, s * (2 * a + dim - 2))
-        return out
-
-    def t_derivative(self) -> "RadialExpr":
-        """d/dt with the variable read as t: t^a -> a t^(a-1), and
-        t^a log t -> a t^(a-1) log t + t^(a-1)."""
-        out = RadialExpr()
-        for (a, e), s in self.terms.items():
-            out._accum(a - 1, e, s * a)
-            if e == 1:
-                out._accum(a - 1, 0, s)
-        return out
-
-    def value_at_one(self) -> SymScalar:
-        """Evaluate at r = 1 (log terms vanish)."""
-        acc = SymScalar.zero()
-        for (a, e), s in self.terms.items():
-            if e == 0:
-                acc = acc + s
-        return acc
-
-    def __repr__(self) -> str:
-        bits = []
-        for (a, e), s in sorted(self.terms.items()):
-            log = " log r" if e else ""
-            bits.append(f"({s!r}) r^{a}{log}")
-        return "RadialExpr[" + " + ".join(bits) + "]" if bits else "RadialExpr[0]"
+def t_derivative(terms: dict[tuple[Fraction, int], Fraction]) -> dict:
+    """d/dt with the variable read as t: t^a -> a t^(a-1), and
+    t^a log t -> a t^(a-1) log t + t^(a-1)."""
+    return _collect(
+        pair for (a, e), s in terms.items() for pair in (((a - 1, e), s * a), ((a - 1, 0), s * e))
+    )
 
 
 # --------------------------------------------------------------------------
@@ -194,28 +129,24 @@ def fundamental_coeff_product_form(dim: int, order: int) -> Fraction:
 
 def fundamental_solution(
     dim: int, order: int, alpha_override: RationalLike | None = None
-) -> RadialExpr:
-    """The radial solution as a RadialExpr in r (log r^2 = 2 log r)."""
+) -> dict[tuple[Fraction, int], Fraction]:
+    """The radial solution in r, as terms {(a, e): s} in units of c
+    (log r^2 = 2 log r)."""
     alpha, beta = fundamental_coeffs(dim, order)
     if alpha is None:
         alpha = _as_fraction(alpha_override) if alpha_override is not None else Frac(0)
     elif alpha_override is not None:
         raise ValueError("alpha is determined in this regime")
-    c = fundamental_normalization(dim)
     a = Frac(2 * order + 1 - dim)
-    expr = RadialExpr()
-    expr._accum(a, 0, c * alpha)
-    expr._accum(a, 1, c * (2 * beta))
-    return expr
+    return _collect((((a, 0), alpha), ((a, 1), 2 * beta)))
 
 
 def radial_laplacian_check(dim: int, order: int) -> bool:
     """Apply the radial Laplacian `order` times; expect c * r^(1-n) exactly."""
     expr = fundamental_solution(dim, order)
     for _ in range(order):
-        expr = expr.radial_laplacian(dim)
-    want = RadialExpr({(Frac(1 - dim), 0): fundamental_normalization(dim)})
-    return expr == want
+        expr = radial_laplacian(expr, dim)
+    return expr == {(Frac(1 - dim), 0): Frac(1)}
 
 
 # --------------------------------------------------------------------------
@@ -235,44 +166,31 @@ def matching_coeff_closed(dim: int, order: int, L: int) -> SymScalar:
     return c * (Frac((-1) ** (L + N)) * num / den)
 
 
-def _solution_in_t(dim: int, order: int, alpha_free: Fraction) -> RadialExpr:
-    """E as a function of t = r^2:  c * t^(N-m) * (alpha + beta log t)."""
-    alpha, beta = fundamental_coeffs(dim, order)
-    if alpha is None:
-        alpha = alpha_free
-    c = fundamental_normalization(dim)
-    a = Frac(order) - Frac(dim - 1, 2)
-    expr = RadialExpr()
-    expr._accum(a, 0, c * alpha)
-    expr._accum(a, 1, c * beta)
-    return expr
-
-
 def matching_coeffs_taylor(dim: int, order: int, alpha: RationalLike = 0) -> dict[int, SymScalar]:
     """Matching coefficients from the Taylor data of E(t) at t = 1.
 
-    A_L = sum_{i=L}^{2N} E^(i)(1)/i! * (-1)^(i-L) * C(i, L).  Only the
-    range L >= N+1 is returned; there the value is independent of the free
-    power coefficient in the log regime.
+    E is ``fundamental_solution`` read in t = r^2, where r^a (log r)^e =
+    t^(a/2) (log t)^e / 2^e; ``alpha`` is its power coefficient where that
+    is free.  A_L = sum_{i=L}^{2N} E^(i)(1)/i! * (-1)^(i-L) * C(i, L).  Only
+    the range L >= N+1 is returned; there the value is independent of the
+    free power coefficient in the log regime.
     """
     N = order
-    expr = _solution_in_t(dim, order, _as_fraction(alpha))
-    derivs: list[SymScalar] = []
-    cur = expr
+    expr = fundamental_solution(dim, order)
+    if any(e for _, e in expr):  # the log regime: the power coefficient is free
+        expr = fundamental_solution(dim, order, alpha)
+    cur = {(a / 2, e): s / 2**e for (a, e), s in expr.items()}
+    derivs: list[Fraction] = []
     for _ in range(2 * N + 1):
-        derivs.append(cur.value_at_one())
-        cur = cur.t_derivative()
+        derivs.append(sum(s for (_, e), s in cur.items() if not e))  # value at t = 1
+        cur = t_derivative(cur)
+    c = fundamental_normalization(dim)
     out: dict[int, SymScalar] = {}
     for L in range(N + 1, 2 * N + 1):
-        acc = SymScalar.zero()
+        acc = Frac(0)
         for i in range(L, 2 * N + 1):
-            term = (
-                derivs[i]
-                * Frac((-1) ** (i - L))
-                * (binomial(Frac(i), L) / math.factorial(i))
-            )
-            acc = acc + term
-        out[L] = acc
+            acc += derivs[i] * (-1) ** (i - L) * (binomial(Frac(i), L) / math.factorial(i))
+        out[L] = c * acc
     return out
 
 
@@ -518,49 +436,9 @@ def verify_radial_sum_identity(dim: int, order: int, p: int, j: int, i: int) -> 
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class FormalCoefficientVector:
-    """A value linear in the formal layer symbols: map j -> coefficient.
-
-    Canonical (no zero entries); equality is componentwise and exact.
-    """
-
-    entries: dict[int, SymScalar] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.entries = {j: s for j, s in self.entries.items() if not s.is_zero()}
-
-    def component(self, j: int) -> SymScalar:
-        return self.entries.get(j, SymScalar.zero())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormalCoefficientVector):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __add__(self, other: "FormalCoefficientVector") -> "FormalCoefficientVector":
-        keys = set(self.entries) | set(other.entries)
-        out: dict[int, SymScalar] = {}
-        for j in keys:
-            s = self.component(j) + other.component(j)
-            if not s.is_zero():
-                out[j] = s
-        return FormalCoefficientVector(out)
-
-    def scale(self, c: RationalLike) -> "FormalCoefficientVector":
-        f = _as_fraction(c)
-        return FormalCoefficientVector({j: s * f for j, s in self.entries.items()})
-
-    def contract(self, layer_values: Sequence[complex]) -> complex:
-        """Evaluate against concrete layer values P_{2j+1}(xi0)."""
-        total = 0j
-        for j, s in self.entries.items():
-            total += s.to_complex() * layer_values[j]
-        return total
-
-
-def power_series_coeffs_scaled(dim: int, order: int, p: int) -> FormalCoefficientVector:
-    """Coefficient of r^(2p+1), as a linear functional of the kernel layers.
+def power_series_coeffs_scaled(dim: int, order: int, p: int) -> dict[int, SymScalar]:
+    """Coefficient of r^(2p+1), as a linear functional of the kernel layers:
+    the map j -> coefficient of layer 2j+1, with no zero entries.
 
     Built directly from the kernel constants and the series coefficients;
     valid for every p >= 0 at truncation order N.  Scaled by 2^(n/2).
@@ -569,24 +447,23 @@ def power_series_coeffs_scaled(dim: int, order: int, p: int) -> FormalCoefficien
     if p < 0:
         raise ValueError("p must be >= 0")
     half = Frac(n, 2)
-    out: dict[int, SymScalar] = {}
-    for j in range(N):
-        acc = SymScalar.zero()
-        for s in range(j + 1, N + 1):
-            for k in range(0, s - j):
-                i = p + 1 - s + k
-                if i < 0:
-                    continue
-                gamma_term = gamma_half_integer(half + p + s + 1)
-                coef = Frac((-1) ** i, math.factorial(i) * 2 ** (2 * p + 1 + k))
-                acc = acc + series_kernel_constant(n, N, N + s, j, k) * coef / gamma_term
-        if not acc.is_zero():
-            out[j] = acc
-    return FormalCoefficientVector(out)
+    return _collect(
+        (
+            j,
+            series_kernel_constant(n, N, N + s, j, k)
+            * Frac((-1) ** i, math.factorial(i) * 2 ** (2 * p + 1 + k))
+            / gamma_half_integer(half + p + s + 1),
+        )
+        for j in range(N)
+        for s in range(j + 1, N + 1)
+        for k in range(0, s - j)
+        if (i := p + 1 - s + k) >= 0
+    )
 
 
-def power_series_closed_scaled(dim: int, p: int) -> FormalCoefficientVector:
-    """The stabilized closed form of the same coefficient (truncation-free).
+def power_series_closed_scaled(dim: int, p: int) -> dict[int, SymScalar]:
+    """The stabilized closed form of the same coefficient (truncation-free),
+    in the same j -> coefficient form.
 
     Valid whenever p <= N-1 at the truncation order used; the expression
     does not involve N.  Scaled by 2^(n/2).
@@ -602,26 +479,20 @@ def power_series_closed_scaled(dim: int, p: int) -> FormalCoefficientVector:
         * SymScalar(Frac(n - 1, 2 ** (2 * p + 1)), n, 0)
         / (gamma_half_integer(half + Frac(1, 2)) * gamma_half_integer(p + Frac(3, 2)))
     )
-    out: dict[int, SymScalar] = {}
+    pairs = []
     for j in range(p + 1):
-        inner = SymScalar.zero()
-        for i in range(p - j + 1):
-            term = (
+        inner = sum(
+            (
                 gamma_half_integer(half + p - i + Frac(1, 2))
                 * Frac((-1) ** i, math.factorial(i) * math.factorial(p - i - j))
                 / gamma_half_integer(half + p - i + j + 1)
-            )
-            inner = inner + term
-        val = (
-            pref
-            * Frac((-1) ** j)
-            * gamma_half_integer(j + Frac(1, 2))
-            / gamma_half_integer(half + j + Frac(1, 2))
-            * inner
+                for i in range(p - j + 1)
+            ),
+            SymScalar.zero(),
         )
-        if not val.is_zero():
-            out[j] = val
-    return FormalCoefficientVector(out)
+        outer = pref * Frac((-1) ** j) * gamma_half_integer(j + Frac(1, 2))
+        pairs.append((j, outer / gamma_half_integer(half + j + Frac(1, 2)) * inner))
+    return _collect(pairs)
 
 
 def verify_series_stabilization(dim: int, p: int, extra_orders: int = 3) -> bool:
@@ -657,9 +528,7 @@ def verify_coeff_decay(
     values: list[float] = []
     for p in range(p_max + 1):
         vec = power_series_coeffs_scaled(n, N, p)
-        values.append(
-            sum(abs(vec.component(j).to_complex()) * sup_norms[j] for j in range(N))
-        )
+        values.append(sum(abs(s.to_complex()) * sup_norms[j] for j, s in vec.items()))
     norm_prefix = [sum(sup_norms[: j + 1]) for j in range(N)]
 
     fit_c = None

@@ -13,13 +13,16 @@ lexicographic division are needed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add, sub
 from typing import Sequence
 
 import numpy as np
 
-from .exact import SymScalar, _as_fraction, gamma_half_integer
+from .exact import SymScalar, _as_fraction, _collect, gamma_half_integer
 
 Monomial = tuple[int, ...]
 
@@ -45,17 +48,13 @@ class MultiPoly:
         if nvars < 1:
             raise ValueError("need at least one variable")
         self.nvars = nvars
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coef in terms.items():
-                if len(mono) != nvars:
-                    raise ValueError(f"exponent vector {mono} has wrong length")
-                if any(e < 0 for e in mono):
-                    raise ValueError(f"negative exponent in {mono}")
-                c = _as_fraction(coef)
-                if c != 0:
-                    clean[tuple(mono)] = c
-        self.terms = clean
+        terms = terms or {}
+        for mono in terms:
+            if len(mono) != nvars:
+                raise ValueError(f"exponent vector {mono} has wrong length")
+            if any(e < 0 for e in mono):
+                raise ValueError(f"negative exponent in {mono}")
+        self.terms = _collect((tuple(m), _as_fraction(c)) for m, c in terms.items())
 
     # ---------------------------------------------------------- constructors
 
@@ -129,23 +128,25 @@ class MultiPoly:
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            c = out.get(mono, Fraction(0)) + coef
-            if c == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = c
-        res = MultiPoly(self.nvars)
-        res.terms = out
+    def _arity(self, seq: Sequence, what: str) -> tuple:
+        seq = tuple(seq)
+        if len(seq) != self.nvars:
+            raise ValueError(f"{what} has {len(seq)} entries, expected {self.nvars}")
+        return seq
+
+    def _with(self, pairs) -> "MultiPoly":
+        """A polynomial in the same variables: the (monomial, coefficient)
+        pairs summed by ``_collect``, which drops what cancels."""
+        res = object.__new__(MultiPoly)
+        res.nvars, res.terms = self.nvars, _collect(pairs)
         return res
 
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        self._check(other)
+        return self._with(chain(self.terms.items(), other.terms.items()))
+
     def __neg__(self) -> "MultiPoly":
-        res = MultiPoly(self.nvars)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return self._with((m, -c) for m, c in self.terms.items())
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -153,77 +154,36 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check(other)
-            out: dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = tuple(a + b for a, b in zip(m1, m2))
-                    c = out.get(mono, Fraction(0)) + c1 * c2
-                    if c == 0:
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = c
-            res = MultiPoly(self.nvars)
-            res.terms = out
-            return res
+            return self._with(
+                (tuple(map(add, m1, m2)), c1 * c2)
+                for m1, c1 in self.terms.items()
+                for m2, c2 in other.terms.items()
+            )
         c = _as_fraction(other)
-        if c == 0:
-            return MultiPoly.zero(self.nvars)
-        res = MultiPoly(self.nvars)
-        res.terms = {m: v * c for m, v in self.terms.items()}
-        return res
+        return self._with((m, v * c) for m, v in self.terms.items())
 
     __rmul__ = __mul__
 
     # -------------------------------------------------------------- calculus
 
     def partial(self, i: int) -> "MultiPoly":
-        out: dict[Monomial, Fraction] = {}
-        for mono, coef in self.terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            new = list(mono)
-            new[i] = e - 1
-            key = tuple(new)
-            c = out.get(key, Fraction(0)) + coef * e
-            if c == 0:
-                out.pop(key, None)
-            else:
-                out[key] = c
-        res = MultiPoly(self.nvars)
-        res.terms = out
-        return res
+        alpha = [0] * self.nvars
+        alpha[i] = 1
+        return self.differentiate(alpha)
 
     def differentiate(self, alpha: Sequence[int]) -> "MultiPoly":
-        """Mixed partial d^alpha, computed termwise."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, coef in self.terms.items():
-            c = coef
-            new = list(mono)
-            ok = True
-            for i, a in enumerate(alpha):
-                e = mono[i]
-                if e < a:
-                    ok = False
-                    break
-                for t in range(a):
-                    c *= e - t
-                new[i] = e - a
-            if not ok or c == 0:
-                continue
-            key = tuple(new)
-            acc = out.get(key, Fraction(0)) + c
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        res = MultiPoly(self.nvars)
-        res.terms = out
-        return res
+        """Mixed partial d^alpha, computed termwise: x^m -> perm(m, alpha) x^(m - alpha)."""
+        alpha = self._arity(alpha, "multi-index")
+        return self._with(
+            (tuple(map(sub, mono, alpha)), coef * k)
+            for mono, coef in self.terms.items()
+            if (k := math.prod(map(math.perm, mono, alpha)))
+        )
 
     # ------------------------------------------------------------ evaluation
 
     def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
+        point = self._arity(point, "point")
         total = Fraction(0)
         for mono, coef in self.terms.items():
             v = coef
@@ -259,19 +219,17 @@ class MultiPoly:
 
 
 def laplacian(p: MultiPoly) -> MultiPoly:
-    out = MultiPoly.zero(p.nvars)
-    for i in range(p.nvars):
-        out = out + p.partial(i).partial(i)
-    return out
+    return apply_diffop(MultiPoly.radius2(p.nvars), p)
 
 
 def apply_diffop(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """P(d) applied to Q: each monomial of P becomes the mixed partial."""
     p._check(q)
-    out = MultiPoly.zero(p.nvars)
-    for mono, coef in p.terms.items():
-        out = out + q.differentiate(mono) * coef
-    return out
+    return q._with(
+        (mono, coef * c)
+        for alpha, coef in p.terms.items()
+        for mono, c in q.differentiate(alpha).terms.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -414,7 +372,7 @@ def poly_from_text(text: str, nvars: int | None = None) -> MultiPoly:
 
     A malformed term raises ParseError with the number of its line in text.
     """
-    terms: dict[Monomial, Fraction] = {}
+    terms: list[tuple[Monomial, Fraction]] = []
     seen_nvars = nvars
     for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -430,7 +388,7 @@ def poly_from_text(text: str, nvars: int | None = None) -> MultiPoly:
             seen_nvars = len(expo)
         if len(expo) != seen_nvars or min(expo, default=0) < 0:
             raise ParseError(n, f"expected {seen_nvars} non-negative exponents, got {line!r}")
-        terms[expo] = terms.get(expo, Fraction(0)) + coef
+        terms.append((expo, coef))
     if seen_nvars is None:
         raise ValueError("no polynomial terms found")
-    return MultiPoly(seen_nvars, terms)
+    return MultiPoly(seen_nvars, _collect(terms))

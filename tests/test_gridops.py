@@ -654,3 +654,11 @@ def test_grid_function_basics():
         GridFunction(0.0, -1.0, np.ones(3))
     with pytest.raises(ValueError):
         TruncationGrid(np.array([0.5, 0.5]))
+
+
+def test_box_2d_refuses_empty_or_unaligned_sides():
+    box = GridFunction.box_2d(0.0, 0.5, -1.0, 1.0, 0.25)
+    assert box.values.shape == (2, 8) and box.origin == (0.0, -1.0)
+    for sides in ((0.0, 0.3, 0.0, 1.0), (0.0, -1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.5, 0.5)):
+        with pytest.raises(ValueError):
+            GridFunction.box_2d(*sides, 0.25)

@@ -211,3 +211,13 @@ def test_text_format_roundtrip():
     assert parsed == MultiPoly(2, {(2, 0): F(1, 2), (0, 2): F(-1, 2)})
     with pytest.raises(ValueError):
         poly_from_text("1 1 0\n1 1 0 0\n")
+
+
+def test_point_and_multi_index_must_match_the_variable_count():
+    p = x(2, 0) * x(2, 1)
+    assert p.eval_exact((2, 3)) == 6
+    for bad in ((2,), (2, 3, 5)):
+        with pytest.raises(ValueError):
+            p.eval_exact(bad)
+    with pytest.raises(ValueError):
+        p.differentiate((0, 1, 1))
