@@ -5,9 +5,13 @@ fundamental-solution normalizations, the coefficients of the Bessel-type
 power series -- is a rational number times an integer power of sqrt(pi)
 times a power of i.  This module provides that number type (``SymScalar``),
 the Gamma function at positive half-integers, and the generalized binomial
-coefficient.  Sums are formed only on one basis: every sum the identity
-verifiers build shares the sqrt(pi) power and the i power of its terms, and
-adding across bases raises ``ValueError``.
+coefficient.  Every Gamma value is read from one memoised factorial table:
+``gamma_product`` evaluates a closed form -- a product of Gamma values at
+positive integers and half-integers, times a rational -- as one integer
+ratio and one sqrt(pi) power, reduced once, and ``gamma_half_integer`` is
+its one-factor case.  Sums are formed only on one basis: every sum the
+identity verifiers build shares the sqrt(pi) power and the i power of its
+terms, and adding across bases raises ``ValueError``.
 
 Every sparse sum in the package -- the terms of a ``MultiPoly``, the radial
 expressions and the series coefficient vectors of ``identities`` -- is a
@@ -171,6 +175,44 @@ class SymScalar:
 
 
 @functools.lru_cache(maxsize=4096, typed=True)
+def _gamma_entry(t: RationalLike) -> tuple[int, int, int]:
+    """The factorial table: Gamma(t/2) for a doubled argument t >= 1 as
+    (p, q, h) with Gamma(t/2) = p/q * sqrt(pi)**h, that is (t/2 - 1)! for
+    even t and (2m)!/(4^m m!) * sqrt(pi) for t = 2m + 1."""
+    t = _as_fraction(t)
+    if t <= 0 or t.denominator != 1:
+        raise ValueError(f"Gamma argument must be a positive half-integer, got {t / 2}")
+    t = t.numerator
+    if t % 2 == 0:
+        return math.factorial(t // 2 - 1), 1, 0
+    m = t // 2
+    return math.factorial(2 * m), 4**m * math.factorial(m), 1
+
+
+def gamma_product(
+    up: Iterable[RationalLike], down: Iterable[RationalLike] = (), q: RationalLike = 1, h: int = 0, k: int = 0
+) -> SymScalar:
+    """q * sqrt(pi)**h * i**k * prod Gamma(t/2) over up / prod Gamma(t/2) over down.
+
+    Arguments are doubled, so a positive integer or half-integer a is the
+    integer t = 2a, and a factorial k! = Gamma(k+1) is t = 2k + 2.  Each
+    factor is read from the factorial table as a ratio of factorials times
+    a power of sqrt(pi); the product is kept as one integer numerator, one
+    integer denominator and one sqrt(pi) exponent, and reduced once at the
+    end.  A zero, negative or non-half-integer argument raises ValueError.
+    """
+    q = _as_fraction(q)
+    num, den = q.numerator, q.denominator
+    for t in up:
+        a, b, s = _gamma_entry(t)
+        num, den, h = num * a, den * b, h + s
+    for t in down:
+        a, b, s = _gamma_entry(t)
+        num, den, h = num * b, den * a, h - s
+    return SymScalar(Fraction(num, den), h, k)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
 def gamma_half_integer(a: RationalLike) -> SymScalar:
     """Gamma(a) for a a positive integer or half-integer, exactly.
 
@@ -179,28 +221,18 @@ def gamma_half_integer(a: RationalLike) -> SymScalar:
     like those of ``binomial`` (a SymScalar is frozen); the cache is typed so
     that a float argument is still rejected rather than matched to an int.
     """
-    a = _as_fraction(a)
-    if a <= 0:
-        raise ValueError(f"Gamma argument must be positive, got {a}")
-    twice = 2 * a
-    if twice.denominator != 1:
-        raise ValueError(f"Gamma argument must be a half-integer, got {a}")
-    if a.denominator == 1:
-        return SymScalar(Fraction(math.factorial(a.numerator - 1)))
-    # a = m + 1/2 with m >= 0:  Gamma(m + 1/2) = (2m)! / (4^m m!) * sqrt(pi)
-    m = (a.numerator - 1) // 2
-    q = Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
-    return SymScalar(q, 1, 0)
+    return gamma_product((2 * _as_fraction(a),))
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=4096, typed=True)
 def binomial(a: RationalLike, m: int) -> Fraction:
     """Generalized binomial coefficient C(a, m) = a(a-1)...(a-m+1)/m!.
 
     Works for any rational a and non-negative integer m; C(a, 0) = 1, and
     C(a, m) = 0 when a is a non-negative integer smaller than m.  Results
     are memoised: the identity verifiers ask for few distinct (a, m) many
-    times over, and a Fraction is immutable, so sharing it is safe.
+    times over, and a Fraction is immutable, so sharing it is safe.  The
+    cache is typed, so that a float is rejected whatever ran before.
     """
     if m < 0:
         raise ValueError("lower index must be non-negative")
@@ -225,8 +257,7 @@ def riesz_multiplier(degree: int, dim: int) -> SymScalar:
         raise ValueError("degree must be >= 1")
     if dim < 2:
         raise ValueError("dimension must be >= 2")
-    ratio = gamma_half_integer(Fraction(degree, 2)) / gamma_half_integer(Fraction(dim + degree, 2))
-    return SymScalar(ratio.q, ratio.h + dim, (ratio.k - degree) % 4)
+    return gamma_product((degree,), (dim + degree,), 1, dim, -degree)
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -237,6 +268,4 @@ def fundamental_normalization(dim: int) -> SymScalar:
     """
     if dim < 2:
         raise ValueError("dimension must be >= 2")
-    num = gamma_half_integer(Fraction(dim - 1, 2))
-    half = SymScalar(Fraction(1, 2), -dim, 0)  # 1 / (2 pi^(n/2))
-    return num * half / gamma_half_integer(Fraction(1, 2))
+    return gamma_product((dim - 1,), (1,), Fraction(1, 2), -dim)

@@ -19,7 +19,12 @@ Fourier transform:
     triple-binomial identity) used to collapse those expressions.
 
 Every verifier compares two independently computed exact quantities; no
-floating point enters except through the explicit float bridges.
+floating point enters except through the explicit float bridges.  The
+closed forms are evaluated by ``exact.gamma_product`` on one factorial
+table, each as one integer ratio and one sqrt(pi) power reduced once: every
+binomial C(x, k) with positive Gamma arguments is Gamma(x+1) / (k!
+Gamma(x-k+1)), and Gamma arguments are passed doubled (t for Gamma(t/2), so
+k! is 2k+2).  Left sides keep their own recurrences and sums.
 
 Two sparse forms are plain dicts summed by ``exact._collect``, the one place
 that drops cancelled terms, so dict equality is exact equality: a radial
@@ -49,7 +54,7 @@ from .exact import (
     binomial,
     fundamental_normalization,
     gamma_half_integer,
-    riesz_multiplier,
+    gamma_product,
 )
 from .polyalg import MultiPoly, laplacian
 
@@ -100,20 +105,10 @@ def fundamental_coeffs(dim: int, order: int) -> tuple[Fraction | None, Fraction]
         alpha = 1 / (binomial(N - m, N) * math.factorial(2 * N))
         return alpha, Frac(0)
     mi = int(m)
-    if 2 * N + 1 - n < 0:
-        alpha = (
-            Frac((-1) ** N)
-            * math.factorial(mi - N - 1)
-            * math.factorial(N - 1)
-            / (2 * math.factorial(mi - 1) * math.factorial(2 * N - 1))
-        )
-        return alpha, Frac(0)
-    beta = (
-        Frac((-1) ** (mi + 1))
-        * math.factorial(N - 1)
-        / (2 * math.factorial(mi - 1) * math.factorial(N - mi) * math.factorial(2 * N - 1))
-    )
-    return None, beta
+    if 2 * N + 1 - n < 0:  # alpha = (-1)^N (mi-N-1)! (N-1)! / (2 (mi-1)! (2N-1)!)
+        return gamma_product((2 * (mi - N), 2 * N), (2 * mi, 4 * N), Frac((-1) ** N, 2)).q, Frac(0)
+    # beta = (-1)^(mi+1) (N-1)! / (2 (mi-1)! (N-mi)! (2N-1)!)
+    return None, gamma_product((2 * N,), (2 * mi, 2 * (N - mi) + 2, 4 * N), Frac((-1) ** (mi + 1), 2)).q
 
 
 def fundamental_coeff_product_form(dim: int, order: int) -> Fraction:
@@ -155,15 +150,22 @@ def radial_laplacian_check(dim: int, order: int) -> bool:
 
 
 def matching_coeff_closed(dim: int, order: int, L: int) -> SymScalar:
-    """Closed form of the degree-L matching coefficient, N+1 <= L <= 2N."""
+    """Closed form of the degree-L matching coefficient, N+1 <= L <= 2N:
+
+        c (-1)^(L+N) C(L+m-N-1, L-N) C(N+m, 2N-L) / ((2N)! C(L, N)),
+
+    with m = (n-1)/2 and c = Gamma(m) / (2 sqrt(pi)^n Gamma(1/2)) =
+    ``fundamental_normalization(n)``; (L-N)! and Gamma(m) cancel.
+    """
     n, N = dim, order
     if not (N + 1 <= L <= 2 * N):
         raise ValueError("L out of range")
-    m = Frac(n - 1, 2)
-    num = binomial(L + m - N - 1, L - N) * binomial(N + m, 2 * N - L)
-    den = math.factorial(2 * N) * binomial(Frac(L), N)
-    c = fundamental_normalization(dim)
-    return c * (Frac((-1) ** (L + N)) * num / den)
+    return gamma_product(
+        (2 * (L - N) + n - 1, 2 * N + n + 1, 2 * N + 2),
+        (4 * N - 2 * L + 2, 2 * (L - N) + n + 1, 4 * N + 2, 2 * L + 2, 1),
+        Frac((-1) ** (L + N), 2),
+        -n,
+    )
 
 
 def matching_coeffs_taylor(dim: int, order: int, alpha: RationalLike = 0) -> dict[int, SymScalar]:
@@ -171,14 +173,17 @@ def matching_coeffs_taylor(dim: int, order: int, alpha: RationalLike = 0) -> dic
 
     E is ``fundamental_solution`` read in t = r^2, where r^a (log r)^e =
     t^(a/2) (log t)^e / 2^e; ``alpha`` is its power coefficient where that
-    is free.  A_L = sum_{i=L}^{2N} E^(i)(1)/i! * (-1)^(i-L) * C(i, L).  Only
-    the range L >= N+1 is returned; there the value is independent of the
-    free power coefficient in the log regime.
+    is free, and a non-zero ``alpha`` elsewhere raises ``ValueError``.
+    A_L = sum_{i=L}^{2N} E^(i)(1)/i! * (-1)^(i-L) * C(i, L).  Only the range
+    L >= N+1 is returned; there the value is independent of the free power
+    coefficient in the log regime.
     """
     N = order
     expr = fundamental_solution(dim, order)
     if any(e for _, e in expr):  # the log regime: the power coefficient is free
         expr = fundamental_solution(dim, order, alpha)
+    elif alpha:
+        raise ValueError("alpha is determined in this regime")
     cur = {(a / 2, e): s / 2**e for (a, e), s in expr.items()}
     derivs: list[Fraction] = []
     for _ in range(2 * N + 1):
@@ -223,10 +228,13 @@ def falling_factorial_sum_a(m: RationalLike, order: int, L: int) -> bool:
     N = order
     if not (0 <= L <= 2 * N):
         raise ValueError("L out of range")
+    x = N - m
     lhs = Frac(0)
     for i in range(L, 2 * N + 1):
-        lhs += binomial(N - m, i) * (-1) ** i * binomial(Frac(i), L)
-    rhs = Frac((-1) ** L) * binomial(N - m, L) * binomial(m + N, 2 * N - L)
+        lhs += binomial(x, i) * (-1) ** i * binomial(Frac(i), L)
+    # Both stay off the factorial table: N-m may be <= 0, and for small L the
+    # Gamma form of C(m+N, 2N-L) would need Gamma(m+L-N+1) at m+L-N+1 <= 0.
+    rhs = (-1) ** L * binomial(x, L) * binomial(m + N, 2 * N - L)
     return lhs == rhs
 
 
@@ -244,10 +252,9 @@ def falling_factorial_sum_b(m: int, order: int, L: int) -> bool:
     lhs = Frac(0)
     for i in range(L, 2 * N + 1):
         lhs += Frac(math.factorial(i - N + m - 1), math.factorial(i)) * binomial(Frac(i), L)
-    rhs = Frac(math.factorial(L - N + m - 1), math.factorial(L)) * binomial(
-        Frac(N + m), 2 * N - L
-    )
-    return lhs == rhs
+    # (L-N+m-1)!/L! * Gamma(N+m+1) / ((2N-L)! Gamma(L-N+m+1))
+    rhs = gamma_product((2 * (L - N + m), 2 * (N + m) + 2), (2 * L + 2, 4 * N - 2 * L + 2, 2 * (L - N + m) + 2))
+    return lhs == rhs.q
 
 
 def verify_triple_binomial(m: int, n: int, r: RationalLike, s: RationalLike) -> bool:
@@ -270,52 +277,53 @@ def verify_triple_binomial(m: int, n: int, r: RationalLike, s: RationalLike) -> 
 
 
 def series_kernel_constant(dim: int, order: int, L: int, j: int, k: int) -> SymScalar:
-    """The constant attached to layer j, power k in the truncated-kernel series.
+    """The constant attached to layer j, power k in the truncated-kernel series:
+
+        i c R (-1)^k 2^k (N-j)! (n-1) C(L-1+h, N-j) C(h+j+L-N-1, k) C(N+h-1/2, N)
+          / ((2N-L)! (L-N-j-1-k)! (L-N+h-1/2) C(N-1/2, N)),
+
+    with h = n/2, c = ``fundamental_normalization(n)`` and R =
+    ``riesz_multiplier(2j+1, n)``, so that i c R = (-1)^j Gamma((n-1)/2)
+    Gamma(j+1/2) / (2 Gamma(1/2) Gamma(h+j+1/2)).  The factors (N-j)!, N!,
+    Gamma(1/2) and Gamma(h+j+L-N) cancel.
 
     Defined for N+1 <= L <= 2N, 0 <= j <= L-N-1, 0 <= k <= L-N-j-1.
     """
     n, N = dim, order
     if not (N + 1 <= L <= 2 * N and 0 <= j <= L - N - 1 and 0 <= k <= L - N - j - 1):
         raise ValueError("index out of range")
-    half = Frac(n, 2)
-    num = (
-        Frac(2**k * math.factorial(N - j) * (n - 1))
-        * binomial(L - 1 + half, N - j)
-        * binomial(half + j + L - N - 1, k)
-        * binomial(N + half - Frac(1, 2), N)
+    return gamma_product(
+        (n + 2 * L, 2 * N + n + 1, 2 * (L - N) + n - 1, n - 1, 2 * j + 1),
+        (2 * k + 2, n + 2 * (j + L - N - k), n + 1, 4 * N - 2 * L + 2, 2 * (L - N - j - k),
+         2 * N + 1, 2 * (L - N) + n + 1, n + 2 * j + 1),
+        Frac((-1) ** (j + k) * 2**k * (n - 1), 2),
     )
-    den = (
-        Frac(math.factorial(2 * N - L) * math.factorial(L - N - j - 1 - k))
-        * (L - N + half - Frac(1, 2))
-        * binomial(N - Frac(1, 2), N)
-    )
-    base = fundamental_normalization(n) * riesz_multiplier(2 * j + 1, n)
-    return SymScalar.imag_unit() * base * (Frac((-1) ** k) * num / den)
 
 
 def series_kernel_constant_from_matching(dim: int, order: int, L: int, j: int, k: int) -> SymScalar:
-    """Same constant via the matching coefficient A_L (independent route)."""
+    """Same constant via the matching coefficient A_L (independent route):
+
+        i A_L R (-1)^(L+k+N) 2^(2N+1+k) L! (N-j)! C(L-1+h, N-j) C(h+j+L-N-1, k)
+          / (L-N-j-1-k)!,
+
+    with i R = (-1)^j sqrt(pi)^n Gamma(j+1/2) / Gamma(h+j+1/2); the factors
+    (N-j)! and Gamma(h+j+L-N) cancel.
+    """
     n, N = dim, order
-    half = Frac(n, 2)
     a_l = matching_coeff_closed(n, N, L)
-    factor = (
-        Frac((-1) ** (L + k + N))
-        * Frac(2 ** (2 * N + 1) * math.factorial(L) * math.factorial(N - j))
-        / math.factorial(L - N - j - 1 - k)
-        * binomial(L - 1 + half, N - j)
-        * Frac(2**k)
-        * binomial(half + j + L - N - 1, k)
+    return gamma_product(
+        (2 * L + 2, n + 2 * L, 2 * j + 1),
+        (2 * (L - N - j - k), 2 * k + 2, n + 2 * (j + L - N - k), n + 2 * j + 1),
+        a_l.q * ((-1) ** (L + k + N + j) * 2 ** (2 * N + 1 + k)),
+        a_l.h + n,
     )
-    return SymScalar.imag_unit() * a_l * riesz_multiplier(2 * j + 1, n) * factor
 
 
 def bessel_ratio_coeff_scaled(q: RationalLike, i: int) -> SymScalar:
     """Coefficient of r^(2i) in 2^q * J_q(r)/r^q:  (-1)^i / (i! 4^i Gamma(q+i+1))."""
-    q = _as_fraction(q)
     if i < 0:
         raise ValueError("series index must be >= 0")
-    coef = Frac((-1) ** i, math.factorial(i) * 4**i)
-    return SymScalar(coef) / gamma_half_integer(q + i + 1)
+    return gamma_product((), (2 * i + 2, 2 * (q + i + 1)), Frac((-1) ** i, 4**i))
 
 
 def bessel_ratio_float(q: RationalLike, r: float, terms: int = 30) -> float:
@@ -338,14 +346,13 @@ def bessel_zero_scaled(q: RationalLike, dim: int) -> SymScalar:
     shift = q - Frac(dim, 2)
     if shift.denominator != 1 or shift < 0:
         raise ValueError("q must exceed n/2 by a non-negative integer")
-    return SymScalar(Frac(1, 2 ** int(shift))) / gamma_half_integer(q + 1)
+    return gamma_product((), (dim + 2 * int(shift) + 2,), Frac(1, 2 ** int(shift)))
 
 
 def series_leading_constant_scaled(dim: int, j: int) -> SymScalar:
     """Closed form of the leading series constant, scaled by 2^(n/2):
     (-1)^j / (4^j (2j+1) Gamma(n/2 + 2j + 1))."""
-    coef = Frac((-1) ** j, 4**j * (2 * j + 1))
-    return SymScalar(coef) / gamma_half_integer(Frac(dim, 2) + 2 * j + 1)
+    return gamma_product((), (dim + 4 * j + 2,), Frac((-1) ** j, 4**j * (2 * j + 1)))
 
 
 def verify_series_constants(dim: int, order: int) -> bool:
@@ -381,18 +388,31 @@ def _radial_sum_lhs(dim: int, order: int, p: int, j: int, i: int) -> SymScalar:
     n, N = dim, order
     if not (N - 1 >= p >= j + i >= 0 and j >= 0 and i >= 0):
         raise ValueError("index constraints violated")
-    half = Frac(n, 2)
     m = p + 1 - i
-    t0 = SymScalar(
-        binomial(half + N + m - 1, N - j) / ((m + half - Frac(1, 2)) * math.factorial(N - m))
-    ) / gamma_half_integer(half + 2 * m + i)
     # Horner from the last term down: num/den <- 1 + r_s * num/den, r_s = -a/b.
     num = den = 1
     for s in range(N - m - 1, -1, -1):
         a = (n + 2 * N + 2 * m + 2 * s) * (N - m - s) * (n + 2 * m + 2 * s - 1)
         b = (s + 1) * (n + 2 * m + 2 * s + 1) * (n + 4 * m + 2 * i + 2 * s)
         num, den = b * den - a * num, b * den
-    return t0 * Frac(num, den)
+    # t_0 = Gamma(h+N+m) Gamma(m+h-1/2) / ((N-j)! Gamma(h+m+j) Gamma(m+h+1/2) (N-m)! Gamma(h+2m+i))
+    return gamma_product(
+        (n + 2 * (N + m), n + 2 * m - 1),
+        (2 * (N - j) + 2, n + 2 * (m + j), n + 2 * m + 1, 2 * (N - m) + 2, n + 4 * m + 2 * i),
+        Frac(num, den),
+    )
+
+
+def _radial_sum_rhs(dim: int, order: int, p: int, j: int, i: int) -> SymScalar:
+    """The closed form of ``verify_radial_sum_identity``: with m = p+1-i and h = n/2,
+
+        (N-m-i)! (m+i-j)! / (N-j)! C(N-1/2, N-m-i) C(h+2m+i-1, m+i-j)
+          Gamma(m+h-1/2) / (Gamma(h+2m+i) Gamma(N+h+1/2)),
+
+    in which (N-m-i)!, (m+i-j)! and Gamma(h+2m+i) cancel.
+    """
+    n, N, m = dim, order, p + 1 - i
+    return gamma_product((2 * N + 1, n + 2 * m - 1), (2 * (N - j) + 2, 2 * (m + i) + 1, n + 2 * (m + j), 2 * N + n + 1))
 
 
 def verify_radial_sum_identity(dim: int, order: int, p: int, j: int, i: int) -> bool:
@@ -413,22 +433,9 @@ def verify_radial_sum_identity(dim: int, order: int, p: int, j: int, i: int) -> 
     i >= 0 and m >= 1.  So the sum
     is t_0 times one rational, built in Horner form from O(N) integer
     products and reduced once; every term shares the sqrt(pi) basis of t_0.
-    The right side is the independent closed form.
+    The right side is the independent closed form ``_radial_sum_rhs``.
     """
-    n, N = dim, order
-    lhs = _radial_sum_lhs(n, N, p, j, i)
-    half = Frac(n, 2)
-    m = p + 1 - i
-    rhs = (
-        SymScalar(
-            Frac(math.factorial(N - m - i) * math.factorial(m + i - j), math.factorial(N - j))
-            * binomial(N - Frac(1, 2), N - m - i)
-            * binomial(half + 2 * m + i - 1, m + i - j)
-        )
-        * gamma_half_integer(m + half - Frac(1, 2))
-        / (gamma_half_integer(half + 2 * m + i) * gamma_half_integer(N + half + Frac(1, 2)))
-    )
-    return lhs == rhs
+    return _radial_sum_lhs(dim, order, p, j, i) == _radial_sum_rhs(dim, order, p, j, i)
 
 
 # --------------------------------------------------------------------------
@@ -463,36 +470,32 @@ def power_series_coeffs_scaled(dim: int, order: int, p: int) -> dict[int, SymSca
 
 def power_series_closed_scaled(dim: int, p: int) -> dict[int, SymScalar]:
     """The stabilized closed form of the same coefficient (truncation-free),
-    in the same j -> coefficient form.
+    in the same j -> coefficient form:
+
+        c Gamma(1/2) (n-1) sqrt(pi)^n / (2^(2p+1) Gamma(h+1/2) Gamma(p+3/2))
+          (-1)^j Gamma(j+1/2) / Gamma(h+j+1/2)
+          sum_{i=0}^{p-j} (-1)^i Gamma(h+p-i+1/2) / (i! (p-i-j)! Gamma(h+p-i+j+1)),
+
+    with h = n/2 and c = Gamma((n-1)/2) / (2 sqrt(pi)^n Gamma(1/2)).  The
+    (n-1) factor is forced by the p = 0 case, where the coefficient must
+    reduce to the leading series constant.
 
     Valid whenever p <= N-1 at the truncation order used; the expression
     does not involve N.  Scaled by 2^(n/2).
     """
     n = dim
-    half = Frac(n, 2)
-    c = fundamental_normalization(n)
-    # The (n-1) factor is forced by the p = 0 case, where the coefficient
-    # must reduce to the leading series constant.
-    pref = (
-        c
-        * gamma_half_integer(Frac(1, 2))
-        * SymScalar(Frac(n - 1, 2 ** (2 * p + 1)), n, 0)
-        / (gamma_half_integer(half + Frac(1, 2)) * gamma_half_integer(p + Frac(3, 2)))
-    )
-    pairs = []
-    for j in range(p + 1):
-        inner = sum(
-            (
-                gamma_half_integer(half + p - i + Frac(1, 2))
-                * Frac((-1) ** i, math.factorial(i) * math.factorial(p - i - j))
-                / gamma_half_integer(half + p - i + j + 1)
-                for i in range(p - j + 1)
+    return _collect(
+        (
+            j,
+            gamma_product(
+                (n - 1, 2 * j + 1, n + 2 * (p - i) + 1),
+                (n + 1, 2 * p + 3, n + 2 * j + 1, 2 * i + 2, 2 * (p - i - j) + 2, n + 2 * (p - i + j) + 2),
+                Frac((-1) ** (i + j) * (n - 1), 2 ** (2 * p + 2)),
             ),
-            SymScalar.zero(),
         )
-        outer = pref * Frac((-1) ** j) * gamma_half_integer(j + Frac(1, 2))
-        pairs.append((j, outer / gamma_half_integer(half + j + Frac(1, 2)) * inner))
-    return _collect(pairs)
+        for j in range(p + 1)
+        for i in range(p - j + 1)
+    )
 
 
 def verify_series_stabilization(dim: int, p: int, extra_orders: int = 3) -> bool:

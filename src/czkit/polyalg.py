@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import SymScalar, _as_fraction, _collect, gamma_half_integer
+from .exact import SymScalar, _as_fraction, _collect, gamma_product
 
 Monomial = tuple[int, ...]
 
@@ -326,12 +326,7 @@ def sphere_monomial_integral(alpha: Sequence[int], dim: int) -> SymScalar:
         raise ValueError("negative exponent")
     if any(a % 2 for a in alpha):
         return SymScalar.zero()
-    total = sum(alpha)
-    num = gamma_half_integer(Fraction(dim, 2))
-    for a in alpha:
-        num = num * gamma_half_integer(Fraction(a + 1, 2))
-    denom = gamma_half_integer(Fraction(dim + total, 2)) * SymScalar(Fraction(1), dim, 0)
-    out = num / denom
+    out = gamma_product((dim, *(a + 1 for a in alpha)), (dim + sum(alpha),), 1, -dim)
     if out.h != 0 or out.k != 0:
         raise AssertionError("sphere integral did not reduce to a rational")
     return out

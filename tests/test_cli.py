@@ -1,5 +1,6 @@
 """Command-line interface."""
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +86,17 @@ def test_identities_verb_streams_records(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("PASS radial-laplacian [n=2 N=1]\n")
     assert "identities verified" not in out
+
+
+def test_identities_verb_reports_a_wrong_closed_form(monkeypatch, capsys):
+    exact_form = identities.matching_coeff_closed
+    monkeypatch.setattr(
+        identities, "matching_coeff_closed", lambda *a: exact_form(*a) * Fraction(10**9 + 1, 10**9)
+    )
+    rc = main(["identities", "--n-max", "3", "--N-max", "3"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL matching-coeffs [n=2 N=1]" in out.splitlines()
 
 
 def test_unknown_experiment_rejected():

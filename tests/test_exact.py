@@ -10,6 +10,7 @@ from czkit.exact import (
     binomial,
     fundamental_normalization,
     gamma_half_integer,
+    gamma_product,
     riesz_multiplier,
 )
 
@@ -40,6 +41,47 @@ def test_binomial_values():
     assert binomial(5, 2) == 10
     assert binomial(2, 5) == 0
     assert binomial(F(7, 3), 0) == 1
+
+
+def test_binomial_cache_is_typed():
+    # an int call first must not let the equal float through the cache
+    assert binomial(5, 2) == 10
+    with pytest.raises(TypeError):
+        binomial(5.0, 2)
+
+
+def _gamma_by_recurrence(twice):
+    """Gamma(twice/2) from Gamma(1) = 1 or Gamma(1/2) = sqrt(pi) and Gamma(a+1) = a Gamma(a)."""
+    value = SymScalar(F(1), twice % 2)
+    for t in range(2 - twice % 2, twice, 2):
+        value = value * F(t, 2)
+    return value
+
+
+def test_gamma_product_on_the_factorial_table():
+    for t in range(1, 81):
+        assert gamma_product((t,)) == gamma_half_integer(F(t, 2)) == _gamma_by_recurrence(t)
+        assert gamma_product((), (t,), 3, 1, 1) == SymScalar(F(3), 1, 1) / _gamma_by_recurrence(t)
+    # C(x, k) = Gamma(x+1) / (k! Gamma(x-k+1)) wherever both Gamma arguments are positive
+    for twice_x in range(-1, 81):
+        for k in range(41):
+            if twice_x - 2 * k + 2 > 0:
+                want = SymScalar(binomial(F(twice_x, 2), k))
+                assert gamma_product((twice_x + 2,), (2 * k + 2, twice_x - 2 * k + 2)) == want
+    for bad in (0, -1, -4, F(1, 3), F(5, 2)):
+        with pytest.raises(ValueError):
+            gamma_product((bad,))
+        with pytest.raises(ValueError):
+            gamma_product((2,), (bad,))
+
+
+def test_multiplier_and_normalization_match_the_gamma_chains():
+    g = gamma_half_integer
+    for n in range(2, 10):
+        assert fundamental_normalization(n) == g(F(n - 1, 2)) * SymScalar(F(1, 2), -n) / g(F(1, 2))
+        for d in range(1, 13):
+            ratio = g(F(d, 2)) / g(F(n + d, 2))
+            assert riesz_multiplier(d, n) == SymScalar(ratio.q, ratio.h + n, ratio.k - d)
 
 
 def test_binomial_pascal_rule_randomized():

@@ -6,9 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from czkit import identities
-from czkit.exact import SymScalar, binomial, fundamental_normalization, gamma_half_integer
+from czkit.exact import SymScalar, binomial, fundamental_normalization, gamma_half_integer, riesz_multiplier
 from czkit.identities import (
     _radial_sum_lhs,
+    _radial_sum_rhs,
     BesselArg,
     RadialPowerArg,
     bessel_ratio_coeff_scaled,
@@ -120,6 +121,15 @@ def test_matching_coeffs_log_regime_free_coefficient_cancels():
     a = matching_coeffs_taylor(3, 2, 0)
     b = matching_coeffs_taylor(3, 2, F(355, 113))
     assert a == b
+
+
+def test_matching_coeffs_taylor_refuses_alpha_where_it_is_determined():
+    # even n and odd n with 2N+1 < n fix the power coefficient, as in
+    # fundamental_solution(..., alpha_override=...)
+    assert matching_coeffs_taylor(2, 1, 0) == matching_coeffs_taylor(2, 1)
+    for dim, order in ((2, 1), (4, 3), (7, 2)):
+        with pytest.raises(ValueError):
+            matching_coeffs_taylor(dim, order, 5)
 
 
 def test_falling_factorial_sums():
@@ -312,3 +322,145 @@ def test_radial_diffop_requires_homogeneous_operator():
     mixed = MultiPoly.variable(2, 0) + MultiPoly.monomial(2, (2, 0))
     with pytest.raises(ValueError):
         radial_diffop_expand(mixed, RadialPowerArg(2))
+
+
+# The closed forms as chains of Fraction and SymScalar products over
+# exact.binomial, one step and one gcd at a time: oracles for the
+# factorial-table forms.
+
+
+def _matching_chain(n, N, L):
+    m = F(n - 1, 2)
+    num = binomial(L + m - N - 1, L - N) * binomial(N + m, 2 * N - L)
+    den = math.factorial(2 * N) * binomial(F(L), N)
+    return fundamental_normalization(n) * (F((-1) ** (L + N)) * num / den)
+
+
+def _series_constant_chain(n, N, L, j, k):
+    half = F(n, 2)
+    num = (
+        F(2**k * math.factorial(N - j) * (n - 1))
+        * binomial(L - 1 + half, N - j)
+        * binomial(half + j + L - N - 1, k)
+        * binomial(N + half - F(1, 2), N)
+    )
+    den = (
+        F(math.factorial(2 * N - L) * math.factorial(L - N - j - 1 - k))
+        * (L - N + half - F(1, 2))
+        * binomial(N - F(1, 2), N)
+    )
+    base = fundamental_normalization(n) * riesz_multiplier(2 * j + 1, n)
+    return SymScalar.imag_unit() * base * (F((-1) ** k) * num / den)
+
+
+def _series_constant_from_matching_chain(n, N, L, j, k):
+    half = F(n, 2)
+    factor = (
+        F((-1) ** (L + k + N))
+        * F(2 ** (2 * N + 1) * math.factorial(L) * math.factorial(N - j))
+        / math.factorial(L - N - j - 1 - k)
+        * binomial(L - 1 + half, N - j)
+        * F(2**k)
+        * binomial(half + j + L - N - 1, k)
+    )
+    return SymScalar.imag_unit() * _matching_chain(n, N, L) * riesz_multiplier(2 * j + 1, n) * factor
+
+
+def _radial_sum_rhs_chain(n, N, p, j, i):
+    half = F(n, 2)
+    m = p + 1 - i
+    rational = (
+        F(math.factorial(N - m - i) * math.factorial(m + i - j), math.factorial(N - j))
+        * binomial(N - F(1, 2), N - m - i)
+        * binomial(half + 2 * m + i - 1, m + i - j)
+    )
+    return (
+        SymScalar(rational)
+        * gamma_half_integer(m + half - F(1, 2))
+        / (gamma_half_integer(half + 2 * m + i) * gamma_half_integer(N + half + F(1, 2)))
+    )
+
+
+def _power_series_closed_chain(n, p):
+    half = F(n, 2)
+    pref = (
+        fundamental_normalization(n)
+        * gamma_half_integer(F(1, 2))
+        * SymScalar(F(n - 1, 2 ** (2 * p + 1)), n, 0)
+        / (gamma_half_integer(half + F(1, 2)) * gamma_half_integer(p + F(3, 2)))
+    )
+    out = {}
+    for j in range(p + 1):
+        inner = SymScalar.zero()
+        for i in range(p - j + 1):
+            coef = F((-1) ** i, math.factorial(i) * math.factorial(p - i - j))
+            inner = inner + gamma_half_integer(half + p - i + F(1, 2)) * coef / gamma_half_integer(half + p - i + j + 1)
+        outer = pref * F((-1) ** j) * gamma_half_integer(j + F(1, 2))
+        value = outer / gamma_half_integer(half + j + F(1, 2)) * inner
+        if value:
+            out[j] = value
+    return out
+
+
+def _fundamental_coeffs_chain(n, N):
+    """The two odd-dimension cases."""
+    mi = (n - 1) // 2
+    fact = math.factorial
+    if 2 * N + 1 - n < 0:
+        alpha = F((-1) ** N) * fact(mi - N - 1) * fact(N - 1) / (2 * fact(mi - 1) * fact(2 * N - 1))
+        return alpha, F(0)
+    return None, F((-1) ** (mi + 1)) * fact(N - 1) / (2 * fact(mi - 1) * fact(N - mi) * fact(2 * N - 1))
+
+
+def test_closed_forms_match_the_fraction_chains():
+    for n in range(2, 7):
+        half = F(n, 2)
+        for N in range(1, 9):
+            if n % 2:
+                assert fundamental_coeffs(n, N) == _fundamental_coeffs_chain(n, N)
+            for L in range(N + 1, 2 * N + 1):
+                assert matching_coeff_closed(n, N, L) == _matching_chain(n, N, L)
+                for j in range(L - N):
+                    for k in range(L - N - j):
+                        assert series_kernel_constant(n, N, L, j, k) == _series_constant_chain(n, N, L, j, k)
+                        want = _series_constant_from_matching_chain(n, N, L, j, k)
+                        assert series_kernel_constant_from_matching(n, N, L, j, k) == want
+            for p in range(N):
+                for i in range(p + 1):
+                    for j in range(p - i + 1):
+                        assert _radial_sum_rhs(n, N, p, j, i) == _radial_sum_rhs_chain(n, N, p, j, i)
+        for p in range(8):
+            assert power_series_closed_scaled(n, p) == _power_series_closed_chain(n, p)
+        for j in range(8):
+            want = SymScalar(F((-1) ** j, 4**j * (2 * j + 1))) / gamma_half_integer(half + 2 * j + 1)
+            assert series_leading_constant_scaled(n, j) == want
+            assert bessel_zero_scaled(half + j, n) == SymScalar(F(1, 2**j)) / gamma_half_integer(half + j + 1)
+    for twice_q in range(-1, 20):
+        q = F(twice_q, 2)
+        for i in range(8):
+            want = SymScalar(F((-1) ** i, math.factorial(i) * 4**i)) / gamma_half_integer(q + i + 1)
+            assert bessel_ratio_coeff_scaled(q, i) == want
+
+
+def _off_by_one_part_in_a_billion(value):
+    scale = F(10**9 + 1, 10**9)
+    if isinstance(value, dict):
+        return {key: v * scale for key, v in value.items()}
+    return value * scale
+
+
+@pytest.mark.parametrize(
+    "right_side, verifier, args",
+    [
+        ("matching_coeff_closed", verify_matching_coeffs, (3, 2)),
+        ("series_kernel_constant", verify_series_constants, (4, 3)),
+        ("series_leading_constant_scaled", verify_series_constants, (4, 3)),
+        ("_radial_sum_rhs", verify_radial_sum_identity, (3, 4, 2, 1, 1)),
+        ("power_series_closed_scaled", verify_series_stabilization, (3, 2)),
+    ],
+)
+def test_verifiers_fail_on_a_perturbed_right_side(monkeypatch, right_side, verifier, args):
+    assert verifier(*args)
+    exact_form = getattr(identities, right_side)
+    monkeypatch.setattr(identities, right_side, lambda *a: _off_by_one_part_in_a_billion(exact_form(*a)))
+    assert not verifier(*args)
