@@ -229,13 +229,18 @@ def falling_factorial_sum_a(m: RationalLike, order: int, L: int) -> bool:
     if not (0 <= L <= 2 * N):
         raise ValueError("L out of range")
     x = N - m
-    lhs = Frac(0)
+    p, q = x.numerator, x.denominator
+    # C(x, i) = num / (q^i i!) with num = p (p - q) ... (p - (i-1) q), raised
+    # by C(x, i+1) = C(x, i) (x - i) / (i + 1); lhs is s / (q^i i!) at each i
+    num = math.prod(p - t * q for t in range(L))
+    s = 0
     for i in range(L, 2 * N + 1):
-        lhs += binomial(x, i) * (-1) ** i * binomial(Frac(i), L)
+        s = s * q * i + (-1) ** i * math.comb(i, L) * num
+        num *= p - i * q
     # Both stay off the factorial table: N-m may be <= 0, and for small L the
     # Gamma form of C(m+N, 2N-L) would need Gamma(m+L-N+1) at m+L-N+1 <= 0.
     rhs = (-1) ** L * binomial(x, L) * binomial(m + N, 2 * N - L)
-    return lhs == rhs
+    return s * rhs.denominator == rhs.numerator * q ** (2 * N) * math.factorial(2 * N)
 
 
 def falling_factorial_sum_b(m: int, order: int, L: int) -> bool:

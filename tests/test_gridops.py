@@ -30,6 +30,7 @@ from czkit.gridops import (
 from czkit import gridops
 from czkit.experiments import (
     ADVERSARIAL_WINDOWS,
+    COMPOSITION_SAMPLES,
     HILBERT_SAMPLES,
     _transform_grid,
     far_window_pieces,
@@ -608,7 +609,7 @@ def test_beurling_truncations_match_scan_oracle():
     with np.errstate(all="raise"):
         for f in _planar_fields():
             centre = complex(f.centers(0)[3], f.centers(1)[2])
-            for z in (centre, centre + 0.013 - 0.021j, 2.7 + 0.4j):
+            for z in (centre, centre + 0.013 - 0.021j, 0.3 + 0.2j, 2.7 + 0.4j):
                 for kernel, kern in (("b", _kernel_b), ("b2", _kernel_b2)):
                     got = beurling_maximal(f, z, radii, kernel=kernel)
                     want = scan_beurling_maximal(f, z, radii, kernel=kernel)
@@ -617,6 +618,48 @@ def test_beurling_truncations_match_scan_oracle():
                         got = beurling_truncated(f, z, eps, kernel=kernel)
                         assert abs(got - scan_beurling_sum(f, z, eps, kern)) <= 1e-12 * want
             assert beurling_maximal(f, 0j, TruncationGrid(np.array([f.h / 4]))) == 0.0
+        # inside the disk, b2: the sup sits at a small radius whose ring bound
+        # dwarfs |total|, so the pruning must keep that radius
+        disk, eps = GridFunction.disk(0.5, 1.0 / 8), radii.eps[1:]
+        total, bound, ring = gridops._beurling_truncations(disk, 0.3 + 0.2j, eps, (_kernel_b2, 2.0))
+        k = np.argmax(np.abs(total + ring(np.arange(len(eps)))))
+        assert eps[k] < 0.1 and bound[k] > 5 * abs(total[k])
+
+
+def test_beurling_ring_bound_holds_at_every_radius():
+    # a lone cell puts the bound near its worst case: one ring cell and no outside part
+    lone = GridFunction((0.0, 0.0), 1.0 / 8, np.array([[1.0]]))
+    radii = np.concatenate([[1.0 / 16, 0.07], np.geomspace(0.1, 3.0, 90)])
+    with np.errstate(all="raise"):
+        for f in _planar_fields() + [lone]:
+            centre = complex(f.centers(0)[0], f.centers(1)[0])
+            eps = radii[radii >= f.h / 2]
+            for z in (centre, centre - 0.163 + 0.051j, centre + 0.0625 - 0.3j, 2.7 + 0.4j):
+                for kernel in ("b", "b2"):
+                    kern = gridops._planar_kernel(kernel)
+                    total, bound, ring = gridops._beurling_truncations(f, z, eps, kern)
+                    got = np.abs(total + ring(np.arange(len(eps))))
+                    # the bound `beurling_maximal` prunes with
+                    assert np.all(got <= (np.abs(total) + bound) * (1.0 + 1e-12))
+
+
+def test_beurling_maximal_subdivides_few_ring_cells(monkeypatch):
+    # the numerator field of `exp_beurling_composition` at mesh 1/32, first sample
+    bg = beurling_transform_grid(GridFunction.disk(1.0, 1.0 / 32), (-6.0 - 0.11 / 16,) * 2, 1.0 / 16, (192, 192))
+    z, radii = COMPOSITION_SAMPLES[0], TruncationGrid.geometric(1.0 / 8, 40.0, 24)
+    pairs = []
+    masked = gridops._masked_kernel
+    monkeypatch.setattr(
+        gridops, "_masked_kernel", lambda k, w, keep: pairs.append(len(w) * (w.ndim == 2)) or masked(k, w, keep)
+    )
+    with np.errstate(all="raise"):
+        got = beurling_maximal(bg, z, radii)
+        pruned = sum(pairs)
+        pairs.clear()
+        total, _, ring = gridops._beurling_truncations(bg, z, radii.eps, (_kernel_b, 1.0))
+        full = np.abs(total + ring(np.arange(len(radii.eps))))
+    assert abs(got - np.max(full)) <= 1e-12 * got
+    assert 0 < pruned <= 0.25 * sum(pairs)
 
 
 def test_beurling_transform_grid_rejects_bad_targets():

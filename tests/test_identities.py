@@ -140,6 +140,9 @@ def test_falling_factorial_sums():
             assert falling_factorial_sum_a(F(3, 2), order, L)
     # single-term boundary L = 2N
     assert falling_factorial_sum_a(F(5, 2), 3, 6)
+    # a polynomial identity in m: other denominators and signs hold too
+    for m in (F(1, 3), F(-7, 5), 4, 0):
+        assert all(falling_factorial_sum_a(m, 4, L) for L in range(9))
     assert falling_factorial_sum_b(1, 2, 4)
     assert falling_factorial_sum_b(2, 2, 3)
     with pytest.raises(ValueError):
