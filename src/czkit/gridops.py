@@ -36,13 +36,21 @@ scan its outside-cell sum, as a suffix sum, and a bound on its ring term,
 as a prefix sum of |f|: a sub-point outside the circle has |K| < c/eps^2.
 The maximal function subdivides the ring cells only of the radii whose
 bound still reaches the largest |T| found; the others cannot hold the sup.
+The same move prunes the square sides of the 2D Hardy-Littlewood maximal
+function: the rectangle enclosing every candidate square of one side
+bounds all their averages, read from the integral image in one lookup,
+and only the sides whose bound beats the best average found are scanned.
 
 A transform sampled on targets commensurate with the source grid is a
 lattice correlation in 1D as in 2D: one FFT correlation with a table over
 the lattice of target-source offsets (after the precorrected FFT of
 Phillips & White, IEEE TCAD 16, 1997).  In 1D the table is log|offset|
 against the edge jumps, with no quadrature error; in 2D it holds the
-kernel in the far field and a subdivided stencil within 4 meshes.
+kernel in the far field and a subdivided stencil within 4 meshes.  Both
+run through `_lattice_correlate`: real FFTs of the real and imaginary
+parts at the smallest 2-3-5-7-smooth length that no kept output wraps
+at (Frigo & Johnson, Proc. IEEE 93, 2005, on real-input and
+mixed-radix transforms).
 """
 from __future__ import annotations
 
@@ -255,8 +263,9 @@ def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
     Summation by parts gives H(x) = sum over edges e of log|x - e| (f(e-) - f(e+)).
     With the targets on one lattice xs[0] + m f.h / s, s <= 64 (to 1e-9
     relative), every target-edge offset lies on it too, and the sum is one
-    rfft correlation of the edge jumps, zero-stuffed every s steps, with a
-    log table over the lattice range: O((span s / f.h + s K) log), K edges.
+    real-FFT correlation (`_lattice_correlate`) of the edge jumps,
+    zero-stuffed every s steps, with a log table over the lattice range:
+    O((span s / f.h + s K) log), K edges.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     edges, jumps = f.edges(), _edge_jumps(f)
@@ -274,11 +283,52 @@ def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
     w = (xs[0] - edges[0]) + (f.h / s) * np.arange(m.min() - n, m.max() + 1)
     # a zero offset pairs no target with an edge (tested above): keep it finite
     table = np.log(np.abs(w), out=np.zeros_like(w), where=w != 0)
-    u = np.zeros((2, n + 1))
-    u[:, ::s] = jumps.real, jumps.imag
-    size = 1 << (len(w) - 1).bit_length()  # at least len(w): no read wraps
-    conv = np.fft.irfft(np.fft.rfft(u, size) * np.fft.rfft(table, size), size)[:, m - m.min() + n]
-    return conv[0] + 1j * conv[1] if np.iscomplexobj(jumps) else conv[0]
+    u = np.zeros(n + 1, dtype=jumps.dtype)
+    u[::s] = jumps
+    return _lattice_correlate(u, table, (m - m.min() + n,))
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 2-3-5-7-smooth length >= n.  numpy's FFT takes other
+    lengths, such as 446 = 2 * 223, up to three times as long."""
+    while True:
+        k = n
+        for p in (2, 3, 5, 7):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
+def _lattice_correlate(src: np.ndarray, table: np.ndarray, keep: tuple) -> np.ndarray:
+    """The sums out[j] = sum_k src[k] table[j - k] at the outputs j = keep.
+
+    keep holds an index array or slice per axis, selecting outputs with
+    len(src) - 1 <= j < len(table) on that axis: every term of those is in
+    range, and none wraps in a circular convolution at any length of at
+    least len(table).  Each axis runs at the smallest 2-3-5-7-smooth such
+    length.  The real and imaginary parts go through real FFTs, one table
+    part at a time, and combine as (a + ib)(c + id) = ac - bd + i(ad + bc).
+    """
+    size = [_fast_len(n) for n in table.shape]
+    axes = list(range(table.ndim))
+
+    def spectrum(a: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(a, size, axes)
+
+    a = spectrum(src.real)
+    b = spectrum(src.imag) if np.iscomplexobj(src) else None
+    c = spectrum(table.real)
+    re, im = a * c, (None if b is None else b * c)
+    if np.iscomplexobj(table):
+        del c
+        d = spectrum(table.imag)
+        if b is not None:
+            re -= b * d
+        im = a * d if im is None else im + a * d
+    out = np.fft.irfftn(re, size, axes)[keep]
+    return out if im is None else out + 1j * np.fft.irfftn(im, size, axes)[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +420,16 @@ def _interval_averages_max(edges: np.ndarray, cellvals: np.ndarray, x: float) ->
     return max(_max_slope(csum, edges, lo, hi) for lo, hi in splits)
 
 
+def _checked_point(f: GridFunction, x, pad: float) -> tuple[float, ...]:
+    """x as f.dim finite coordinates, with pad refused unless finite and >= 0."""
+    pt = np.ravel(x)
+    if np.iscomplexobj(pt) or pt.size != f.dim or not np.isfinite(pt.astype(float)).all():
+        raise ValueError(f"point {x!r} is not {f.dim} finite real coordinate(s)")
+    if not (math.isfinite(pad) and pad >= 0):
+        raise ValueError(f"pad {pad!r} is not a finite non-negative number")
+    return tuple(pt.astype(float).tolist())
+
+
 def hardy_littlewood(
     f: GridFunction, x, pad: float = 1.0, max_cells: int = 8192
 ) -> float:
@@ -377,36 +437,72 @@ def hardy_littlewood(
 
     The cube family is every interval (square) with edges on the grid
     lattice inside the evaluation window: the support of f and the point x,
-    padded by `pad` times their joint extent.
+    padded by `pad` times their joint extent.  A point of other than f.dim
+    coordinates, a non-finite point and a negative or non-finite pad raise
+    ValueError.
     """
+    x = _checked_point(f, x, pad)
     if f.dim == 1:
-        xx = float(x) if np.isscalar(x) else float(x[0])
-        (edges,), vals = _window(f, (xx,), pad, max_cells)
-        return _interval_averages_max(edges, vals, xx)
+        (edges,), vals = _window(f, x, pad, max_cells)
+        return _interval_averages_max(edges, vals, x[0])
     return _hl_2d(f, x, pad, max_cells)
 
 
 def _hl_2d(f: GridFunction, x, pad: float, max_cells: int) -> float:
+    """Largest average over the window's squares containing x, exactly.
+
+    `_side_bounds` bounds every side's averages in one vectorised pass over
+    the integral image.  The sides are visited in decreasing bound, and the
+    scan stops at the first bound that does not exceed the best average
+    found.  Cost: O(K^2) for a K-cell window, plus (s + 1)^2 box sums per
+    visited side, in place of O(K^3) for all sides.
+    """
     (ex, ey), vals = _window(f, x, pad, max_cells)
-    nx, ny = vals.shape
-    ii = np.zeros((nx + 1, ny + 1))
+    ii = np.zeros((vals.shape[0] + 1, vals.shape[1] + 1))
     ii[1:, 1:] = np.cumsum(np.cumsum(vals, axis=0), axis=1)
-    tol = 1e-12
-    px = (x[0] - ex[0]) / f.h
-    py = (x[1] - ey[0]) / f.h
+    *corners, bound = _side_bounds(ii, (x[0] - ex[0]) / f.h, (x[1] - ey[0]) / f.h)
     best = 0.0
-    for s in range(1, max(nx, ny) + 1):
-        ix_lo = max(0, int(math.ceil(px - s - tol)))
-        ix_hi = min(nx - s, int(math.floor(px + tol)))
-        iy_lo = max(0, int(math.ceil(py - s - tol)))
-        iy_hi = min(ny - s, int(math.floor(py + tol)))
-        if ix_lo > ix_hi or iy_lo > iy_hi:
-            continue
-        lo_x, hi_x = slice(ix_lo, ix_hi + 1), slice(ix_lo + s, ix_hi + s + 1)
-        lo_y, hi_y = slice(iy_lo, iy_hi + 1), slice(iy_lo + s, iy_hi + s + 1)
-        mass = ii[hi_x, hi_y] - ii[lo_x, hi_y] - ii[hi_x, lo_y] + ii[lo_x, lo_y]
-        best = max(best, float(mass.max()) / (s * s))  # cell areas cancel
+    for k in np.argsort(-bound, kind="stable"):
+        if bound[k] <= best:
+            break
+        best = max(best, _square_max(ii, *(int(a[k]) for a in corners)))
     return best
+
+
+def _side_bounds(ii: np.ndarray, px: float, py: float) -> tuple[np.ndarray, ...]:
+    """The sides s of the squares of the integral image ii that contain the
+    point (px, py), in cells; the ranges [x0, x1] x [y0, y1] of their lower
+    corners; and a bound on each side's `_square_max`.
+
+    Every such square lies inside the rectangle [x0, x1 + s] x [y0, y1 + s],
+    so that rectangle's mass over s^2 bounds their averages, as the image
+    sums non-negative cells.
+    """
+    nx, ny = ii.shape[0] - 1, ii.shape[1] - 1
+    tol = 1e-12
+    s = np.arange(1, max(nx, ny) + 1)
+    x0 = np.maximum(0, np.ceil(px - s - tol)).astype(np.intp)
+    x1 = np.minimum(nx - s, math.floor(px + tol))
+    y0 = np.maximum(0, np.ceil(py - s - tol)).astype(np.intp)
+    y1 = np.minimum(ny - s, math.floor(py + tol))
+    live = (x0 <= x1) & (y0 <= y1)
+    s, x0, x1, y0, y1 = s[live], x0[live], x1[live], y0[live], y1[live]
+    # An image entry sums non-negative terms in sequence, so it is off by at
+    # most (nx + ny) u T, T the total mass and u = 2^-53; a four-term box sum
+    # by 4 (nx + ny) u T + 3 u T.  The slack covers that twice, once for the
+    # square and once for its rectangle, plus the rounding of the bound.
+    slack = 1e-15 * (nx + ny + 2) * ii[-1, -1]
+    bound = (ii[x1 + s, y1 + s] - ii[x0, y1 + s] - ii[x1 + s, y0] + ii[x0, y0] + slack) / (s * s)
+    return s, x0, x1, y0, y1, bound
+
+
+def _square_max(ii: np.ndarray, s: int, x0: int, x1: int, y0: int, y1: int) -> float:
+    """Largest average over the side-s squares of the integral image ii
+    whose lower corners lie in [x0, x1] x [y0, y1]."""
+    lo_x, hi_x = slice(x0, x1 + 1), slice(x0 + s, x1 + s + 1)
+    lo_y, hi_y = slice(y0, y1 + 1), slice(y0 + s, y1 + s + 1)
+    mass = ii[hi_x, hi_y] - ii[lo_x, hi_y] - ii[hi_x, lo_y] + ii[lo_x, lo_y]
+    return float(mass.max()) / (s * s)  # cell areas cancel
 
 
 def hardy_littlewood_all_centers(
@@ -499,6 +595,7 @@ def iterated_m2(f: GridFunction, x, pad: float = 1.0, max_cells: int = 2048) -> 
         raise ValueError("iterated maximal function implemented for dim 1")
     inner, out = {}, []
     for xx in np.atleast_1d(np.asarray(x, dtype=float)).tolist():
+        (xx,) = _checked_point(f, xx, pad)
         (edges,), vals = _window(f, (xx,), pad, max_cells)
         key = (edges[0], len(edges))
         if key not in inner:
@@ -561,6 +658,7 @@ def m_llogl(f: GridFunction, x, pad: float = 1.0, max_cells: int = 512) -> float
     """sup over grid-aligned cubes containing x of the L log L average: the
     smallest lam with M(Phi(|f|/lam))(x) <= 1, on the window and cube family
     of `hardy_littlewood`."""
+    x = _checked_point(f, x, pad)
     a = np.abs(f.values)
 
     def avg(lam: float) -> float:
@@ -712,10 +810,11 @@ def beurling_transform_grid(
     offset, except that offsets closer than 4 source meshes hold the cell
     integral on 8 x 8 sub-points, and the offset 0 holds 0, since the
     centered cell drops out of the principal value by quarter-turn
-    symmetry.  numpy.fft convolves the values with the table at the
-    table's own size and every r-th output is kept; the kept outputs never
-    wrap.  Cost: O(M log M) for the M = (n1 + r(s1 - 1)) (n2 + r(s2 - 1))
-    table entries, with n the source and s the target shape.
+    symmetry.  `_lattice_correlate` convolves the values with the table
+    and keeps every r-th output, none of which wraps.  Cost: five real FFTs
+    (six for complex values) of the M = (n1 + r(s1 - 1)) (n2 + r(s2 - 1))
+    table entries, each axis padded to a 2-3-5-7-smooth length, with n the
+    source and s the target shape: O(M log M).
     """
     if f.dim != 2:
         raise ValueError("planar transform needs a 2D grid function")
@@ -735,10 +834,14 @@ def beurling_transform_grid(
     )
     w = c0 + f.h * (m1[:, None] + 1j * m2[None, :])
     near = np.abs(w) < 4.0 * f.h
-    table = _masked_kernel(_kernel_b, w, ~near) * (f.h * f.h)
     wn = w[near]
+    w[near] = 1.0  # a finite stand-in, overwritten by the stencil below
+    table = _kernel_b(w)
+    del w  # no offset grid is held through the transforms
+    table *= f.h * f.h
     ws = wn[:, None] + _sub_offsets(f.h, _NEAR_SUBDIV)
     stencil = _masked_kernel(_kernel_b, ws, np.abs(ws) > f.h * 1e-9).sum(axis=1)
     table[near] = np.where(np.abs(wn) < f.h * 1e-9, 0.0, stencil * (f.h / _NEAR_SUBDIV) ** 2)
-    conv = np.fft.ifft2(np.fft.fft2(f.values, s=table.shape) * np.fft.fft2(table))
-    return GridFunction(origin, h, conv[n1 - 1 :: r, n2 - 1 :: r])
+    del near
+    keep = (slice(n1 - 1, n1 - 1 + r * s1, r), slice(n2 - 1, n2 - 1 + r * s2, r))
+    return GridFunction(origin, h, _lattice_correlate(f.values, table, keep))

@@ -382,6 +382,114 @@ def test_window_cap_shrinks_padding_first():
             hardy_littlewood(f, x, pad=1.0, max_cells=7)
 
 
+def all_sides_hl_2d(f, x, pad, max_cells):
+    """Oracle: the unpruned scan of every square side, with the number of
+    candidate squares it evaluates."""
+    (ex, ey), vals = _window(f, x, pad, max_cells)
+    nx, ny = vals.shape
+    ii = np.zeros((nx + 1, ny + 1))
+    ii[1:, 1:] = np.cumsum(np.cumsum(vals, axis=0), axis=1)
+    tol = 1e-12
+    px = (x[0] - ex[0]) / f.h
+    py = (x[1] - ey[0]) / f.h
+    best, squares = 0.0, 0
+    for s in range(1, max(nx, ny) + 1):
+        ix_lo = max(0, int(math.ceil(px - s - tol)))
+        ix_hi = min(nx - s, int(math.floor(px + tol)))
+        iy_lo = max(0, int(math.ceil(py - s - tol)))
+        iy_hi = min(ny - s, int(math.floor(py + tol)))
+        if ix_lo > ix_hi or iy_lo > iy_hi:
+            continue
+        lo_x, hi_x = slice(ix_lo, ix_hi + 1), slice(ix_lo + s, ix_hi + s + 1)
+        lo_y, hi_y = slice(iy_lo, iy_hi + 1), slice(iy_lo + s, iy_hi + s + 1)
+        mass = ii[hi_x, hi_y] - ii[lo_x, hi_y] - ii[hi_x, lo_y] + ii[lo_x, lo_y]
+        best = max(best, float(mass.max()) / (s * s))
+        squares += mass.size
+    return best, squares
+
+
+def test_hl_2d_matches_all_sides_oracle():
+    rng = np.random.default_rng(13)
+    h = 1.0 / 8
+    fields = [GridFunction((0.0, 0.0), h, np.zeros((6, 9)))]
+    for shape in ((5, 5), (7, 12), (16, 3), (11, 11)):
+        fields.append(GridFunction((-0.5, 0.25), h, rng.uniform(0.0, 2.0, shape)))
+        fields.append(GridFunction((0.375, -1.0), h, rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+        sparse = np.abs(rng.standard_cauchy(shape)) * (rng.uniform(size=shape) < 0.3)
+        fields.append(GridFunction((-0.25, -0.25), h, sparse))
+    for f in fields:
+        (x0, x1), (y0, y1) = f.support_box()
+        points = [
+            (rng.uniform(x0, x1), rng.uniform(y0, y1)),  # inside the support
+            (x1 + 0.61, y0 - 0.27),  # outside it
+            (x0 + 2 * h, y0 + 3 * h),  # a cell corner
+            (x0 + h, rng.uniform(y0, y1)),  # a cell edge
+        ]
+        for x in points:
+            for pad in (0.0, 0.5, 1.0):
+                assert hardy_littlewood(f, x, pad) == all_sides_hl_2d(f, x, pad, 8192)[0]
+        # a cap a few cells over the support's gives up most of the padding
+        cap = max(f.values.shape) + 3
+        assert hardy_littlewood(f, points[0], 1.0, cap) == all_sides_hl_2d(f, points[0], 1.0, cap)[0]
+    assert hardy_littlewood(fields[0], (0.3, 0.4)) == 0.0
+
+
+def test_hl_2d_side_bound_holds_at_every_side():
+    # sparse cells of mixed magnitude: a square whose rectangle adds no mass
+    # is read through other image corners, so rounding alone separates them
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(8, 40))
+        mag = 10.0 ** rng.integers(-3, 3, (n, n))
+        vals = np.where(rng.uniform(size=(n, n)) < 0.5, rng.uniform(size=(n, n)) * mag, 0.0)
+        ii = np.zeros((n + 1, n + 1))
+        ii[1:, 1:] = np.cumsum(np.cumsum(vals, axis=0), axis=1)
+        *corners, bound = gridops._side_bounds(ii, *rng.uniform(0.0, n, 2))
+        for k in range(len(bound)):
+            assert gridops._square_max(ii, *(int(a[k]) for a in corners)) <= bound[k]
+
+
+def test_hl_2d_evaluates_few_squares(monkeypatch):
+    # the denominator's M of `exp_beurling_composition` at mesh 1/32, first sample
+    disk, z = GridFunction.disk(1.0, 1.0 / 32), COMPOSITION_SAMPLES[0]
+    evaluated = []
+    square_max = gridops._square_max
+
+    def counted(ii, s, x0, x1, y0, y1):
+        evaluated.append((x1 - x0 + 1) * (y1 - y0 + 1))
+        return square_max(ii, s, x0, x1, y0, y1)
+
+    monkeypatch.setattr(gridops, "_square_max", counted)
+    got = hardy_littlewood(disk, (z.real, z.imag), pad=1.0, max_cells=2048)
+    want, squares = all_sides_hl_2d(disk, (z.real, z.imag), 1.0, 2048)
+    assert got == want
+    assert 0 < sum(evaluated) <= 0.25 * squares
+
+
+def test_maximal_functions_refuse_bad_points_and_pads():
+    line, plane = GridFunction.indicator_1d(0.0, 1.0, 0.25), GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 0.25)
+    assert abs(hardy_littlewood(line, 3.0, pad=0.4) - 1.0 / 3.0) < 1e-12
+    calls = [
+        lambda f, x, pad: hardy_littlewood(f, x, pad),
+        lambda f, x, pad: m_delta(f, x, 0.5, pad),
+        lambda f, x, pad: m_llogl(f, x, pad),
+    ]
+    for call in calls:
+        for f, ok, wrong in ((line, 3.0, (0.5, 0.5)), (plane, (0.5, 0.5), (0.5, 0.5, 99.0))):
+            for x in (wrong, np.full(f.dim, math.nan), np.full(f.dim, math.inf), np.full(f.dim, 0.5 + 0.5j)):
+                with pytest.raises(ValueError, match="finite real coordinate"):
+                    call(f, x, 1.0)
+            for pad in (-0.4, math.nan, math.inf):
+                with pytest.raises(ValueError, match="pad"):
+                    call(f, ok, pad)
+    for x, pad in ((math.nan, 1.0), (np.array([0.5, math.inf]), 1.0), (0.5, -0.4)):
+        with pytest.raises(ValueError, match="finite"):
+            iterated_m2(line, x, pad)
+    # an all-zero field answers 0 without a bisection, yet still checks its point
+    with pytest.raises(ValueError, match="finite real coordinate"):
+        m_llogl(GridFunction(0.0, 0.25, np.zeros(4)), math.nan)
+
+
 def test_orlicz_average_examples():
     one = GridFunction.indicator_1d(0.0, 1.0, 1.0 / 4)
     assert abs(orlicz_llogl_average(one, (0.0, 1.0)) - 1.0) < 1e-9
@@ -601,6 +709,42 @@ def test_beurling_transform_grid_matches_direct_oracle():
                     want = direct_beurling_transform_grid(f, origin, h, shape)
                     assert got.h == h and got.origin == origin
                     assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+        # 64 source cells, r = 2 and 192 targets correlate over 446 = 2 * 223
+        # offsets, run at 448: a real and a complex field
+        rng = np.random.default_rng(3)
+        for vals in (rng.uniform(-1.0, 1.0, (64, 3)), rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))):
+            f = GridFunction((-1.0, 0.0), 1.0 / 32, vals)
+            origin, h, shape = (-7.0 + 0.37 / 16, -0.11 / 16), 1.0 / 16, (192, 3)
+            assert f.values.shape[0] + 2 * (shape[0] - 1) == 446 and gridops._fast_len(446) == 448
+            got = beurling_transform_grid(f, origin, h, shape)
+            want = direct_beurling_transform_grid(f, origin, h, shape)
+            assert got.values.shape == shape
+            assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_lattice_correlate_fast_length_matches_raw_length():
+    rng = np.random.default_rng(17)
+
+    def draw(shape, cplx):
+        return rng.normal(size=shape) + (1j * rng.normal(size=shape) if cplx else 0.0)
+
+    for src_cplx in (False, True):
+        for table_cplx in (False, True):
+            # 1D: 223 is prime, index-array outputs
+            src, table = draw(40, src_cplx), draw(223, table_cplx)
+            keep = (np.array([39, 40, 100, 222]),)
+            raw = np.fft.ifft(np.fft.fft(src, 223) * np.fft.fft(table))[keep]
+            got = gridops._lattice_correlate(src, table, keep)
+            assert np.iscomplexobj(got) == (src_cplx or table_cplx)
+            assert np.max(np.abs(got - raw)) <= 1e-13 * np.max(np.abs(raw))
+            # 2D: 446 = 2 * 223 and 97 prime, strided outputs up to the last
+            src, table = draw((64, 5), src_cplx), draw((446, 97), table_cplx)
+            keep = (slice(63, 446, 2), slice(4, 97, 3))
+            raw = np.fft.ifft2(np.fft.fft2(src, table.shape) * np.fft.fft2(table))[keep]
+            got = gridops._lattice_correlate(src, table, keep)
+            assert got.shape == raw.shape == (192, 31)
+            assert np.max(np.abs(got - raw)) <= 1e-13 * np.max(np.abs(raw))
+    assert [gridops._fast_len(n) for n in (1, 7, 11, 97, 223, 446, 12413)] == [1, 7, 12, 98, 224, 448, 12500]
 
 
 def test_beurling_truncations_match_scan_oracle():
