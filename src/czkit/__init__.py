@@ -17,7 +17,6 @@ Three layers:
 __version__ = "0.1.0"
 
 from .exact import (
-    Rational,
     SymScalar,
     binomial,
     fundamental_normalization,
@@ -51,7 +50,6 @@ from .gridops import (
 )
 
 __all__ = [
-    "Rational",
     "SymScalar",
     "binomial",
     "gamma_half_integer",

@@ -449,11 +449,7 @@ def quotient_sum(kernel: KernelSpec) -> tuple[MultiPoly | None, list[MultiPoly],
     return f, quotients, unit, None
 
 
-def check_maximal_control(
-    kernel: KernelSpec,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> CheckReport:
+def check_maximal_control(kernel: KernelSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> CheckReport:
     """Run the divisibility-plus-nonvanishing check for an odd kernel."""
     if kernel.parity != "odd":
         raise KernelError(f"check requires an odd kernel, got parity {kernel.parity!r}")
@@ -468,7 +464,7 @@ def check_maximal_control(
             divisibility_ok=False,
             failed_degree=failed,
         )
-    cert = certify_nonvanishing(f, max_depth, cell_budget)
+    cert = certify_nonvanishing(f, max_depth)
     return CheckReport(
         **vars(cert),
         dim=kernel.dim,

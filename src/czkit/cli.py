@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -12,13 +13,13 @@ from .identities import run_identity_suite
 from .kernels import KernelError, load_kernel_spec
 from .polyalg import ParseError
 
-# the options of `exp` that each experiment takes, and the keyword each sets
+# the options of `exp` that each experiment takes, each its keyword of the same name
 EXP_OPTIONS = {
-    "counterexample-growth": {"cells": "cells"},
-    "weak11-failure": {},
-    "llogl-modular": {},
-    "pointwise-ratios": {"kernel": "kernel", "mesh": "mesh"},
-    "beurling-composition": {"mesh": "mesh_src"},
+    "counterexample-growth": ("cells",),
+    "weak11-failure": (),
+    "llogl-modular": (),
+    "pointwise-ratios": ("kernel", "mesh"),
+    "beurling-composition": ("mesh",),
 }
 
 # the least value of each integer option, per command
@@ -56,16 +57,15 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 
 
 def _cmd_exp(args: argparse.Namespace) -> int:
-    options = EXP_OPTIONS[args.name].items()
-    kwargs = {key: getattr(args, opt) for opt, key in options if getattr(args, opt) is not None}
+    kwargs = {opt: getattr(args, opt) for opt in EXP_OPTIONS[args.name] if getattr(args, opt) is not None}
     try:
+        os.makedirs(args.out, exist_ok=True)  # before the run, so a bad --out costs no run
         result = EXPERIMENTS[args.name](**kwargs)
-    except ValueError as exc:
+        path = os.path.join(args.out, f"{result.name}.csv")
+        result.to_csv(path)
+    except (OSError, ValueError) as exc:
         print(f"czkit: exp {args.name}: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"{result.name}.csv")
-    result.to_csv(path)
     print(result.summary_text())
     print(f"rows written to {path}")
     ok = all(bool(v) for k, v in result.summary.items() if isinstance(v, bool))
@@ -120,8 +120,8 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             if opt not in EXP_OPTIONS[args.name]:
                 p_exp.error(f"{args.name} does not take --{opt}")
-            if opt != "kernel" and not value > 0:
-                p_exp.error(f"--{opt} must be positive, got {value}")
+            if opt != "kernel" and not 0 < value < math.inf:
+                p_exp.error(f"--{opt} must be positive and finite, got {value}")
     return args.fn(args)
 
 

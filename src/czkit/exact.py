@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Hashable, Iterable, Union
 
-Rational = Fraction
-
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 RationalLike = Union[int, Fraction]
@@ -141,16 +139,6 @@ class SymScalar:
 
     def __sub__(self, other: "SymScalar") -> "SymScalar":
         return self + (-other)
-
-    def __pow__(self, n: int) -> "SymScalar":
-        if not isinstance(n, int):
-            raise TypeError("integer powers only")
-        if n < 0:
-            return SymScalar.one() / (self ** (-n))
-        out = SymScalar.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def to_complex(self) -> complex:
         if self.q == 0:

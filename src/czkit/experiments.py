@@ -1,7 +1,8 @@
 """Scripted numerical experiments over the grid-operator laboratory.
 
-Each experiment reproduces a model phenomenon at desk scale and emits a
-deterministic table (CSV) plus a summary of fitted statistics:
+Each experiment reproduces a model phenomenon at desk scale, at one pinned
+configuration, and emits a deterministic table (CSV) plus a summary of
+fitted statistics:
 
 * counterexample-growth: for f the unit-interval indicator, the maximal
   transform of its Hilbert transform decays like log(x)/x, far slower than
@@ -18,14 +19,18 @@ deterministic table (CSV) plus a summary of fitted statistics:
   maximal plus the maximal function stays bounded and refinement-stable.
 
 Reference statistics quoted in the summaries ("frozen" constants) were
-fitted once on the pinned default configuration and are asserted by the
-regression tests with 20% slack.
+fitted once at that configuration and are asserted by the regression tests
+with 20% slack.  So its evaluation points, levels, sample points, fields
+and quadrature settings are module constants: at a second configuration
+no frozen constant would apply.  An experiment takes exactly its command
+line options: the window cells of counterexample-growth, the kernel and
+mesh of pointwise-ratios, and the source mesh of beurling-composition.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -104,19 +109,22 @@ def far_window_pieces(x: float, cells: int = 1024) -> list[GridFunction]:
     return pieces
 
 
-def full_window_pieces(x: float, cells_core: int = 1024, cells_far: int = 512) -> list[GridFunction]:
-    """Sampled transform around x plus the fixed source core [-4, 5]."""
+def full_window_pieces(x: float) -> list[GridFunction]:
+    """Sampled transform around x plus the fixed source core [-4, 5]: 1024
+    cells on the core, 512 on each far piece."""
     r = 4.0 * (abs(x) + 2.0) + 8.0
     lo, hi = min(x - r, -5.0), max(x + r, 6.0)
-    pieces = [GridFunction.sample_1d(transform_closed_form, -4.0, 5.0, cells_core)]
+    pieces = [GridFunction.sample_1d(transform_closed_form, -4.0, 5.0, 1024)]
     if lo < -4.0 - 1e-9:
-        pieces.append(GridFunction.sample_1d(transform_closed_form, lo, -4.0, cells_far))
+        pieces.append(GridFunction.sample_1d(transform_closed_form, lo, -4.0, 512))
     if hi > 5.0 + 1e-9:
-        pieces.append(GridFunction.sample_1d(transform_closed_form, 5.0, hi, cells_far))
+        pieces.append(GridFunction.sample_1d(transform_closed_form, 5.0, hi, 512))
     return pieces
 
 
-def _adaptive_simpson(fn, a: float, b: float, tol: float = 1e-10, depth: int = 48) -> float:
+def _adaptive_simpson(fn, a: float, b: float) -> float:
+    """Adaptive Simpson rule to an absolute tolerance of 1e-10, at most 48
+    halvings deep."""
     fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
 
     def rec(a, b, fa, fm, fb, whole, tol, depth):
@@ -132,7 +140,7 @@ def _adaptive_simpson(fn, a: float, b: float, tol: float = 1e-10, depth: int = 4
         )
 
     whole = (b - a) / 6 * (fa + 4 * fm + fb)
-    return rec(a, b, fa, fm, fb, whole, tol, depth)
+    return rec(a, b, fa, fm, fb, whole, 1e-10, 48)
 
 
 def far_field_lower_terms(x: float) -> tuple[float, float]:
@@ -148,6 +156,13 @@ def far_field_lower_terms(x: float) -> tuple[float, float]:
     return a, b
 
 
+# The pinned evaluation points of counterexample-growth, levels of
+# weak11-failure and levels of llogl-modular, each in decreasing order of
+# the level
+GROWTH_X = (10.0, 100.0, 1000.0, 10000.0)
+WEAK11_LAM = (1e-2, 1e-3, 1e-4)
+LLOGL_T = (1.0, 0.1, 0.01, 1e-3)
+
 # Frozen statistics of the pinned configuration (mesh 1024, window factor 2).
 GROWTH_RATIO_BRACKET = (0.48, 1.03)  # x H*(Hf)(x)/log x over x in 10..1e4, 20% slack
 WEAK11_GROWTH_MIN = 2.0  # lam*measure growth from lam=1e-2 to 1e-4
@@ -157,19 +172,15 @@ BEURLING_M_SUP = 0.38  # sup B*f / M(Bf) on the pinned suite
 COMPOSITION_SUP = {"disk": 12.0, "steps": 3.4}  # per-field composition ratios
 
 
-def exp_counterexample_growth(
-    x_values: Sequence[float] = (10.0, 100.0, 1000.0, 10000.0), cells: int = 1024
-) -> ExperimentResult:
-    """Tabulate the log-growth of the composed maximal transform."""
-    if any(not (math.e < x <= 1e5) for x in x_values):
-        raise ValueError("evaluation points must lie in (e, 1e5]")
+def exp_counterexample_growth(cells: int = 1024) -> ExperimentResult:
+    """Tabulate the log-growth of the composed maximal transform at GROWTH_X."""
 
     def one(x: float):
         hstar = hilbert_maximal(far_window_pieces(x, cells), x)
         a, b = far_field_lower_terms(x)
         return (x, hstar, x * hstar / math.log(x), a, b, b <= 1.0 / x + 1e-12)
 
-    rows = [one(float(x)) for x in x_values]
+    rows = [one(x) for x in GROWTH_X]
     ratios = [r[2] for r in rows]
     return ExperimentResult(
         "counterexample-growth",
@@ -187,31 +198,26 @@ def exp_counterexample_growth(
     )
 
 
-def weak11_profile(
-    x_max: float, per_decade: int = 16, cells: int = 512
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Far-window maximal profile on log-spaced points of [m, x_max]."""
+def weak11_profile(x_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Far-window maximal profile on 16 log-spaced points per decade of
+    [m, x_max], each window piece on 512 cells."""
     lo = M_CUT * 1.05
-    xs = np.geomspace(lo, x_max, int(per_decade * math.log10(x_max / lo)) + 1)
-    prof = np.array([hilbert_maximal(far_window_pieces(float(x), cells), float(x)) for x in xs])
+    xs = np.geomspace(lo, x_max, int(16 * math.log10(x_max / lo)) + 1)
+    prof = np.array([hilbert_maximal(far_window_pieces(float(x), 512), float(x)) for x in xs])
     inner = np.sqrt(xs[1:] * xs[:-1])
     edges = np.concatenate([[M_CUT], inner, [x_max]])
     return xs, prof, np.diff(edges)
 
 
-def exp_weak11_failure(
-    lam_values: Sequence[float] = (1e-2, 1e-3, 1e-4),
-    cells: int = 512,
-    disk_mesh: float = 1.0 / 16,
-) -> ExperimentResult:
-    """Level-set scan of the composed maximal transform, with the bounded
-    planar counterpart."""
-    lam_values = sorted((float(v) for v in lam_values), reverse=True)
-    lam_min = lam_values[-1]
+def exp_weak11_failure() -> ExperimentResult:
+    """Level-set scan of the composed maximal transform at the levels
+    WEAK11_LAM, with the bounded planar counterpart on the unit disk at
+    mesh 1/16."""
+    lam_min = WEAK11_LAM[-1]
     x_max = 40.0 * math.log(1.0 / lam_min) / lam_min
-    _, prof, widths = weak11_profile(x_max, cells=cells)
+    _, prof, widths = weak11_profile(x_max)
 
-    disk = GridFunction.disk(1.0, disk_mesh)
+    disk = GridFunction.disk(1.0, 1.0 / 16)
     grid = TruncationGrid.default_for(disk, per_decade=24)
     r_max = 1.5 * math.sqrt(4.0 / lam_min)
     radii = np.geomspace(1.3, r_max, 60)
@@ -220,7 +226,7 @@ def exp_weak11_failure(
     r_edges = np.concatenate([[1.0], r_inner, [r_max * 1.1]])
 
     rows = []
-    for lam in lam_values:
+    for lam in WEAK11_LAM:
         measure = float(widths[prof > lam].sum())
         mask = bprof > lam
         area = float(np.sum(math.pi * (r_edges[1:][mask] ** 2 - r_edges[:-1][mask] ** 2)))
@@ -241,16 +247,14 @@ def exp_weak11_failure(
     )
 
 
-def exp_llogl_modular(
-    t_values: Sequence[float] = (1.0, 0.1, 0.01, 1e-3), per_decade: int = 20
-) -> ExperimentResult:
+def exp_llogl_modular() -> ExperimentResult:
     """Distribution of the composed maximal transform against the modular
-    integral Phi(1/t) with Phi(t) = t log(e + t)."""
-    t_values = sorted((float(t) for t in t_values), reverse=True)
-    t_min = t_values[-1]
+    integral Phi(1/t) with Phi(t) = t log(e + t), at the levels LLOGL_T, on
+    20 log-spaced points per decade."""
+    t_min = LLOGL_T[-1]
     x_max = 30.0 * math.log(1.0 / t_min) / t_min
     off = 1.0 / 3333.0
-    pos = np.geomspace(0.011, x_max, int(per_decade * math.log10(x_max / 0.011)) + 1) + off
+    pos = np.geomspace(0.011, x_max, int(20 * math.log10(x_max / 0.011)) + 1) + off
     core = np.linspace(-3.0, 4.0, 141) + off
     xs = np.unique(np.concatenate([-pos, core, pos]))
     prof = np.array([hilbert_maximal(full_window_pieces(float(x)), float(x)) for x in xs])
@@ -258,7 +262,7 @@ def exp_llogl_modular(
     edges = np.concatenate([[xs[0] - (xs[1] - xs[0]) / 2], mid, [xs[-1] + (xs[-1] - xs[-2]) / 2]])
     widths = np.diff(edges)
     rows = []
-    for t in t_values:
+    for t in LLOGL_T:
         lhs = float(widths[prof > t].sum())
         rhs = (1.0 / t) * math.log(math.e + 1.0 / t)
         rows.append((t, lhs, rhs, lhs / rhs))
@@ -300,21 +304,32 @@ def _transform_grid(f: GridFunction, half_width: float, cells: int) -> GridFunct
     return GridFunction(org, gh, hilbert_transform_many(f, org + gh * (np.arange(cells) + 0.5)))
 
 
-def exp_pointwise_ratios(
-    kernel: str = "hilbert",
-    mesh: float | None = None,
-    f_suite: list[tuple[str, GridFunction]] | None = None,
-) -> ExperimentResult:
+def _transform_grid_2d(f: GridFunction) -> GridFunction:
+    """Beurling transform of f on the square [-6, 6)^2 at twice the mesh
+    of f, its origin shifted by -0.11 target meshes on each axis.
+
+    Known defect: the targets then sit 0.28 source meshes off a source
+    center on each axis, where the 8 x 8 near stencil of
+    `beurling_transform_grid` puts a sub-point about 0.05 meshes from the
+    singularity.  On the unit disk B(chi_D) reads about -6.19i everywhere
+    inside it, where the principal value is 0, at source meshes 1/16 and
+    1/32 alike.  Exact tables in `beurling_transform_grid` would remove it.
+    """
+    h = 2.0 * f.h
+    sz = int(12.0 / h)
+    return beurling_transform_grid(f, (-6.0 - 0.11 * h, -6.0 - 0.11 * h), h, (sz, sz))
+
+
+def exp_pointwise_ratios(kernel: str = "hilbert", mesh: float | None = None) -> ExperimentResult:
     """Per-sample control ratios plus the adversarial window sweep.
 
     Default meshes: 1/128 on the line, 1/16 in the plane.
     """
     if kernel == "hilbert":
         mesh = 1.0 / 128 if mesh is None else mesh
-        suite = f_suite if f_suite is not None else hilbert_test_suite(mesh)
         rows = []
         cells = 3072
-        for name, f in suite:
+        for name, f in hilbert_test_suite(mesh):
             g = _transform_grid(f, 48.0, cells)
             m2s = iterated_m2(g, HILBERT_SAMPLES, pad=0.0, max_cells=cells + 2)
             for x, m2 in zip(HILBERT_SAMPLES.tolist(), m2s.tolist()):
@@ -343,18 +358,15 @@ def exp_pointwise_ratios(
             },
         )
     if kernel == "beurling":
-        src_mesh = 1.0 / 16 if mesh is None else mesh
-        disk = GridFunction.disk(1.0, src_mesh)
-        tgt = 2.0 * src_mesh
-        sz = int(12.0 / tgt)
-        bg = beurling_transform_grid(disk, (-6.0 - 0.11 * tgt, -6.0 - 0.11 * tgt), tgt, (sz, sz))
+        disk = GridFunction.disk(1.0, 1.0 / 16 if mesh is None else mesh)
+        bg = _transform_grid_2d(disk)
         grid = TruncationGrid.default_for(disk, per_decade=24)
         zs = [0.13 + 0.07j, 0.52 + 0.31j, -0.41 + 0.76j, 0.93 + 0.21j, 1.21 - 0.33j,
               -1.62 + 0.48j, 2.31 + 1.12j, -3.1 - 2.2j, 0.02 - 0.89j]
         rows = []
         for z in zs:
             bstar = beurling_maximal(disk, z, grid)
-            mbf = hardy_littlewood(bg, (z.real, z.imag), pad=0.0, max_cells=sz + 2)
+            mbf = hardy_littlewood(bg, (z.real, z.imag), pad=0.0, max_cells=len(bg.values) + 2)
             rows.append(("disk", z.real, z.imag, bstar, mbf, bstar / mbf))
         return ExperimentResult(
             "pointwise-ratios-beurling",
@@ -378,43 +390,37 @@ COMPOSITION_SAMPLES = [
 ]
 
 
-def step_field(mesh: float, seed: int = 5, base: float = 1.0 / 8) -> GridFunction:
-    """Random three-level field on 1/8 blocks, refinable by subdivision.
-    The block side must be a whole multiple of the mesh."""
-    rng = np.random.default_rng(seed)
-    nb = int(2.0 / base)
-    coarse = rng.choice([0.0, 1.0, -0.5], size=(nb, nb), p=[0.5, 0.3, 0.2])
-    rep = _whole_cells(base, mesh)
+def step_field(mesh: float) -> GridFunction:
+    """Random three-level field on the 1/8 blocks of [-1, 1)^2 (seed 5),
+    refinable by subdivision.  The block side must be a whole multiple of
+    the mesh."""
+    rng = np.random.default_rng(5)
+    coarse = rng.choice([0.0, 1.0, -0.5], size=(16, 16), p=[0.5, 0.3, 0.2])
+    rep = _whole_cells(1.0 / 8, mesh)
     vals = np.repeat(np.repeat(coarse, rep, axis=0), rep, axis=1)
     return GridFunction((-1.0, -1.0), mesh, vals)
 
 
-def exp_beurling_composition(
-    sample_points: Sequence[complex] | None = None,
-    mesh_src: float = 1.0 / 16,
-    mesh_tgt: float | None = None,
-) -> ExperimentResult:
-    """Ratio of B*(Bf) to the iterated-kernel maximal plus Mf, per sample.
+def exp_beurling_composition(mesh: float = 1.0 / 16) -> ExperimentResult:
+    """Ratio of B*(Bf) to the iterated-kernel maximal plus Mf, at each of
+    COMPOSITION_SAMPLES, for the unit disk and the step field at the
+    source mesh `mesh`.
 
-    The truncation scan families are pinned (mesh-independent), so a grid
-    refinement changes only quadrature, not the scanned radii.  The target
-    mesh defaults to 2 * mesh_src, the pairing the CLI uses at every mesh;
-    at a fixed 1/8 a fine source grid would put the targets 0.06 source
-    meshes from source centers, where the near-cell quadrature degenerates.
+    Bf is sampled by `_transform_grid_2d`, at twice the source mesh: a
+    fixed target mesh over a fine source grid would put the targets close
+    to source centers, 0.06 source meshes at 1/8 over 1/32, where the
+    near-cell quadrature degenerates.  The truncation radii are pinned
+    (mesh-independent), so a refinement changes only quadrature, not the
+    scanned radii.
     """
-    if mesh_tgt is None:
-        mesh_tgt = 2.0 * mesh_src
-    zs = list(sample_points) if sample_points is not None else COMPOSITION_SAMPLES
     eps_f = TruncationGrid.geometric(1.0 / 16, 16.0, 24)
     eps_b = TruncationGrid.geometric(1.0 / 8, 40.0, 24)
     rows = []
     sups: dict[str, float] = {}
-    for name, f in (("disk", GridFunction.disk(1.0, mesh_src)), ("steps", step_field(mesh_src))):
-        sz = int(12.0 / mesh_tgt)
-        org = (-6.0 - 0.11 * mesh_tgt, -6.0 - 0.11 * mesh_tgt)
-        bg = beurling_transform_grid(f, org, mesh_tgt, (sz, sz))
+    for name, f in (("disk", GridFunction.disk(1.0, mesh)), ("steps", step_field(mesh))):
+        bg = _transform_grid_2d(f)
         sup = 0.0
-        for z in zs:
+        for z in COMPOSITION_SAMPLES:
             num = beurling_maximal(bg, z, eps_b, kernel="b")
             den = beurling_maximal(f, z, eps_f, kernel="b2") + hardy_littlewood(
                 f, (z.real, z.imag), pad=1.0, max_cells=2048

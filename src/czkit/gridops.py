@@ -88,8 +88,8 @@ class GridFunction:
             raise ValueError("values must be a 1D or 2D array")
         self.dim = values.ndim
         self.h = float(h)
-        if self.h <= 0:
-            raise ValueError("mesh must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"mesh {self.h!r} is not positive and finite")
         if self.dim == 1:
             self.origin = (float(origin),) if np.isscalar(origin) else (float(origin[0]),)
         else:
@@ -137,21 +137,20 @@ class GridFunction:
         return GridFunction(lo, h, np.asarray(fn(xs), dtype=float))
 
     @staticmethod
-    def disk(radius: float, h: float, center=(0.0, 0.0)) -> "GridFunction":
-        """Indicator of a disk; a rim cell holds the share of its 16 x 16
-        sub-points inside the circle."""
+    def disk(radius: float, h: float) -> "GridFunction":
+        """Indicator of the disk of the given radius about 0; a rim cell
+        holds the share of its 16 x 16 sub-points inside the circle."""
         half = math.ceil(radius / h) + 1
         n = 2 * half
-        origin = (center[0] - half * h, center[1] - half * h)
+        origin = (-half * h, -half * h)
         xs = origin[0] + h * (np.arange(n) + 0.5)
-        ys = origin[1] + h * (np.arange(n) + 0.5)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        d = np.hypot(gx - center[0], gy - center[1])
+        gx, gy = np.meshgrid(xs, xs, indexing="ij")
+        d = np.hypot(gx, gy)
         vals = np.zeros((n, n))
         rim = np.abs(d - radius) <= h  # cells possibly cut by the circle
         vals[d < radius - h] = 1.0
         sub = (gx[rim] + 1j * gy[rim])[:, None] + _sub_offsets(h, 16)
-        vals[rim] = (np.abs(sub - complex(*center)) < radius).mean(axis=1)
+        vals[rim] = (np.abs(sub) < radius).mean(axis=1)
         return GridFunction(origin, h, vals)
 
     @staticmethod

@@ -85,7 +85,7 @@ def kernel_from_polynomial(dim: int, w: MultiPoly) -> KernelSpec:
         raise KernelError("zero polynomial")
     if not w.is_homogeneous():
         raise KernelError("numerator must be homogeneous")
-    mean = sphere_mean(w, dim)
+    mean = sphere_mean(w)
     if mean != 0:
         raise KernelError(f"nonzero sphere mean: {mean}")
     comps = []

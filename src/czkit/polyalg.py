@@ -332,22 +332,21 @@ def sphere_monomial_integral(alpha: Sequence[int], dim: int) -> SymScalar:
     return out
 
 
-def sphere_mean(p: MultiPoly, dim: int | None = None) -> Fraction:
-    """Exact mean of a polynomial over the unit sphere."""
-    n = dim if dim is not None else p.nvars
+def sphere_mean(p: MultiPoly) -> Fraction:
+    """Exact mean of a polynomial over the unit sphere of R^p.nvars."""
     total = Fraction(0)
     for mono, coef in p.terms.items():
-        total += coef * sphere_monomial_integral(mono, n).q
+        total += coef * sphere_monomial_integral(mono, p.nvars).q
     return total
 
 
-def sup_norm_on_sphere(p: MultiPoly, samples: int = 4096, seed: int = 7) -> float:
-    """Estimate of sup |P| on the unit sphere by dense random sampling."""
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((samples, p.nvars))
+def sup_norm_on_sphere(p: MultiPoly) -> float:
+    """Estimate of sup |P| on the unit sphere from 4096 seeded random points."""
+    rng = np.random.default_rng(7)
+    pts = rng.standard_normal((4096, p.nvars))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     ev = p.float_evaluator()
-    return float(np.max(np.abs(ev(pts)))) if samples else 0.0
+    return float(np.max(np.abs(ev(pts))))
 
 
 # ------------------------------------------------------------- text format

@@ -7,10 +7,15 @@ import math
 import time
 from fractions import Fraction as F
 
+import numpy as np
 
 from czkit.admissibility import check_maximal_control
 from czkit.exact import SymScalar, gamma_half_integer, riesz_multiplier
 from czkit.experiments import (
+    GROWTH_X,
+    LLOGL_T,
+    WEAK11_LAM,
+    _transform_grid_2d,
     exp_beurling_composition,
     exp_counterexample_growth,
     exp_llogl_modular,
@@ -47,13 +52,14 @@ def model_kernel(n, lam: F):
 
 def test_criterion_1_exact_identity_suite():
     start = time.time()
-    results = run_identity_suite(n_max=5, N_max=6, triple_count=200)
+    results = run_identity_suite(n_max=5, N_max=6)
     elapsed = time.time() - start
     failures = [r for r in results if not r.ok]
     ok = not failures and elapsed < 300.0
     _report(1, "exact identity suite n<=5 N<=6, zero tolerance", ok, f"{len(results)} checks in {elapsed:.1f}s")
     assert not failures
     assert elapsed < 300.0
+    assert [r.params for r in results if r.name == "triple-binomial"] == ["200 random tuples"]
 
 
 def test_criterion_2_series_stabilization():
@@ -99,9 +105,12 @@ def test_criterion_4_multiplier_arithmetic():
 
 
 def test_criterion_5_counterexample_reproduction():
-    growth = exp_counterexample_growth(x_values=(10.0, 100.0, 1000.0, 10000.0))
-    weak = exp_weak11_failure(lam_values=(1e-2, 1e-3, 1e-4))
-    modular = exp_llogl_modular(t_values=(1.0, 0.1, 0.01, 1e-3))
+    assert GROWTH_X == (10.0, 100.0, 1000.0, 10000.0)
+    assert WEAK11_LAM == (1e-2, 1e-3, 1e-4)
+    assert LLOGL_T == (1.0, 0.1, 0.01, 1e-3)
+    growth = exp_counterexample_growth()
+    weak = exp_weak11_failure()
+    modular = exp_llogl_modular()
     ok_growth = bool(growth.summary["within_bracket"])
     ok_weak = bool(weak.summary["monotone_growth"]) and weak.summary["growth_ratio"] >= 2.0
     ok_modular = bool(modular.summary["bounded"])
@@ -127,8 +136,11 @@ def test_criterion_6_pointwise_regression():
     bf = exp_pointwise_ratios("beurling", mesh=1.0 / 32)
     ok_b = abs(bf.summary["sup_ratio"] - bc.summary["sup_ratio"]) / bc.summary["sup_ratio"] <= 0.2
 
-    cc = exp_beurling_composition(mesh_src=1.0 / 16, mesh_tgt=1.0 / 8)
-    cf = exp_beurling_composition(mesh_src=1.0 / 32, mesh_tgt=1.0 / 16)
+    # the target mesh is twice the source mesh: 1/8 over 1/16, 1/16 over 1/32
+    for src, tgt in ((1.0 / 16, 1.0 / 8), (1.0 / 32, 1.0 / 16)):
+        assert _transform_grid_2d(GridFunction((0.0, 0.0), src, np.ones((1, 1)))).h == tgt
+    cc = exp_beurling_composition(mesh=1.0 / 16)
+    cf = exp_beurling_composition(mesh=1.0 / 32)
     drifts = [
         abs(cf.summary[f"sup_{k}"] - cc.summary[f"sup_{k}"]) / cc.summary[f"sup_{k}"]
         for k in ("disk", "steps")

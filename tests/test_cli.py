@@ -1,12 +1,13 @@
 """Command-line interface."""
+import inspect
 import os
 from fractions import Fraction
 
 import pytest
 
 from czkit import identities
-from czkit.cli import main
-from czkit.experiments import exp_counterexample_growth
+from czkit.cli import EXP_OPTIONS, main
+from czkit.experiments import EXPERIMENTS, exp_counterexample_growth
 
 RIESZ3 = """dim 2
 1 3 0
@@ -151,6 +152,8 @@ UNTILED_MESHES = [
         ["beurling-composition", "--mesh", "-0.5"],
         ["counterexample-growth", "--cells", "0"],
         *UNTILED_MESHES,
+        ["pointwise-ratios", "--kernel", "beurling", "--mesh", "inf"],
+        ["beurling-composition", "--mesh", "nan"],
     ],
 )
 def test_exp_rejects_bad_options(tmp_path, capsys, argv):
@@ -165,6 +168,27 @@ def test_exp_rejects_bad_options(tmp_path, capsys, argv):
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+def test_exp_options_are_the_experiment_parameters():
+    assert set(EXP_OPTIONS) == set(EXPERIMENTS)
+    for name, fn in EXPERIMENTS.items():
+        assert set(EXP_OPTIONS[name]) == set(inspect.signature(fn).parameters), name
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_exp_refuses_an_unusable_out_before_the_run(tmp_path, monkeypatch, capsys, under):
+    def never(**kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(EXPERIMENTS, "counterexample-growth", never)
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    out = blocker / "sub" if under else blocker
+    assert main(["exp", "counterexample-growth", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("czkit: exp counterexample-growth: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["taken"] and blocker.read_text() == "a file\n"
 
 
 def test_exp_cells_sets_window_cells(tmp_path, capsys):

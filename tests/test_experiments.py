@@ -4,6 +4,7 @@ import math
 import numpy as np
 
 from czkit.experiments import (
+    GROWTH_X,
     ExperimentResult,
     exp_counterexample_growth,
     exp_llogl_modular,
@@ -34,7 +35,8 @@ def test_far_window_pieces_cover_one_doubling():
 
 
 def test_counterexample_growth_summary():
-    res = exp_counterexample_growth(x_values=(10.0, 100.0, 1000.0, 10000.0))
+    assert GROWTH_X == (10.0, 100.0, 1000.0, 10000.0)
+    res = exp_counterexample_growth()
     assert res.summary["within_bracket"]
     assert res.summary["ratio_span"] < 3.0
     # the right-hand window term is below 1/x at every row
@@ -60,7 +62,7 @@ def test_weak11_failure_summary():
 
 
 def test_weak11_level_above_sup_has_zero_measure():
-    xs, prof, widths = weak11_profile(x_max=5000.0, per_decade=8, cells=256)
+    xs, prof, widths = weak11_profile(5000.0)
     lam = float(prof.max()) * 1.5
     assert widths[prof > lam].sum() == 0.0
 
@@ -89,12 +91,13 @@ def test_pointwise_ratios_beurling():
     assert res.summary["sup_ratio"] >= res.summary["frozen_sup"] * 0.8
 
 
-def test_composition_guard_at_center():
+def test_composition_guard_at_center(monkeypatch):
     # radial field, sample at the exact center: numerator and iterated-kernel
     # term are near zero; the floor keeps the ratio finite and small
-    from czkit.experiments import exp_beurling_composition
+    from czkit import experiments
 
-    res = exp_beurling_composition(sample_points=[0j])
+    monkeypatch.setattr(experiments, "COMPOSITION_SAMPLES", [0j])
+    res = experiments.exp_beurling_composition()
     disk_rows = [r for r in res.rows if r[0] == "disk"]
     assert len(disk_rows) == 1
     _, _, _, num, den, ratio = disk_rows[0]
@@ -104,30 +107,22 @@ def test_composition_guard_at_center():
 
 def test_composition_default_target_mesh_is_the_cli_pairing(tmp_path, monkeypatch):
     # a fixed 1/8 target mesh over a 1/32 source grid puts every target
-    # 0.06 source meshes from a source center; the default follows the CLI
+    # 0.06 source meshes from a source center; the target mesh is twice the
+    # source mesh, in the API as through the CLI
     from czkit import experiments
     from czkit.cli import main
 
     monkeypatch.setattr(experiments, "COMPOSITION_SAMPLES", [0.4375 + 0.3125j])
-    api = experiments.exp_beurling_composition(mesh_src=1.0 / 32)
+    api = experiments.exp_beurling_composition(mesh=1.0 / 32)
     api.to_csv(str(tmp_path / "api.csv"))
     assert main(["exp", "beurling-composition", "--mesh", repr(1 / 32), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "api.csv").read_bytes() == (tmp_path / "beurling-composition.csv").read_bytes()
     assert max(row[3] for row in api.rows) < 10.0
 
 
-def test_growth_experiment_rejects_out_of_range_points():
-    import pytest
-
-    with pytest.raises(ValueError):
-        exp_counterexample_growth(x_values=(2.0,))
-    with pytest.raises(ValueError):
-        exp_counterexample_growth(x_values=(2e5,))
-
-
 def test_csv_output_and_determinism(tmp_path):
-    res1 = exp_counterexample_growth(x_values=(10.0, 100.0))
-    res2 = exp_counterexample_growth(x_values=(10.0, 100.0))
+    res1 = exp_counterexample_growth()
+    res2 = exp_counterexample_growth()
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     res1.to_csv(str(p1))
     res2.to_csv(str(p2))

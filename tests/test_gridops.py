@@ -837,8 +837,9 @@ def test_grid_function_basics():
     d = GridFunction.disk(1.0, 1.0 / 16)
     assert abs(d.integral() - math.pi) < 2e-3
     assert d.value_at((0.0, 0.0)) == 1.0 and d.value_at((2.0, 2.0)) == 0.0
-    with pytest.raises(ValueError):
-        GridFunction(0.0, -1.0, np.ones(3))
+    for h in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="not positive and finite"):
+            GridFunction(0.0, h, np.ones(3))
     with pytest.raises(ValueError):
         TruncationGrid(np.array([0.5, 0.5]))
 

@@ -290,7 +290,7 @@ def test_fundamental_solution_shape():
 
 
 def test_suite_driver_all_green():
-    results = run_identity_suite(n_max=3, N_max=3, triple_count=50)
+    results = run_identity_suite(n_max=3, N_max=3)
     assert results and all(r.ok for r in results)
 
 
@@ -307,16 +307,16 @@ def test_suite_progress_streams_before_later_verifiers(monkeypatch):
     monkeypatch.setattr(identities, "verify_series_stabilization", later_verifier)
     monkeypatch.setattr(identities, "verify_radial_sum_identity", later_verifier)
     with pytest.raises(FirstRecord, match="radial-laplacian"):
-        run_identity_suite(n_max=2, N_max=1, triple_count=1, progress=stop)
+        run_identity_suite(n_max=2, N_max=1, progress=stop)
     seen = []
     monkeypatch.undo()
-    results = run_identity_suite(n_max=2, N_max=2, triple_count=5, progress=seen.append)
+    results = run_identity_suite(n_max=2, N_max=2, progress=seen.append)
     assert seen == results
 
 
 def test_suite_ranges_are_configuration():
     # the caps are knobs, not code: one cell beyond the default range
-    results = run_identity_suite(n_max=6, N_max=7, triple_count=10)
+    results = run_identity_suite(n_max=6, N_max=7)
     beyond = [r for r in results if "n=6" in r.params and "N=7" in r.params]
     assert beyond and all(r.ok for r in beyond)
 
