@@ -328,13 +328,12 @@ def exp_pointwise_ratios(kernel: str = "hilbert", mesh: float | None = None) -> 
     if kernel == "hilbert":
         mesh = 1.0 / 128 if mesh is None else mesh
         rows = []
-        cells = 3072
         for name, f in hilbert_test_suite(mesh):
-            g = _transform_grid(f, 48.0, cells)
-            m2s = iterated_m2(g, HILBERT_SAMPLES, pad=0.0, max_cells=cells + 2)
+            g = _transform_grid(f, 48.0, 3072)
+            m2s = iterated_m2(g, HILBERT_SAMPLES)
             for x, m2 in zip(HILBERT_SAMPLES.tolist(), m2s.tolist()):
                 hstar = hilbert_maximal(f, x)
-                m1 = hardy_littlewood(g, x, pad=0.0)
+                m1 = hardy_littlewood(g, x)
                 rows.append((name, x, hstar, m1, m2, hstar / m1, hstar / m2))
         sup_m, sup_m2 = (max((r[j] for r in rows), default=0.0) for j in (5, 6))
         adv = []
@@ -342,7 +341,7 @@ def exp_pointwise_ratios(kernel: str = "hilbert", mesh: float | None = None) -> 
             gw = GridFunction.sample_1d(transform_closed_form, -w, w, 2048)
             x_far = 2.0 * w + 1.0 / 3.0
             hg = _transform_grid(gw, 4.0 * w, 2048)
-            ratio = hilbert_maximal(gw, x_far) / hardy_littlewood(hg, x_far, pad=0.0)
+            ratio = hilbert_maximal(gw, x_far) / hardy_littlewood(hg, x_far)
             adv.append(ratio)
             rows.append(("adversarial", x_far, ratio, w, 0.0, ratio, 0.0))
         return ExperimentResult(
@@ -366,7 +365,7 @@ def exp_pointwise_ratios(kernel: str = "hilbert", mesh: float | None = None) -> 
         rows = []
         for z in zs:
             bstar = beurling_maximal(disk, z, grid)
-            mbf = hardy_littlewood(bg, (z.real, z.imag), pad=0.0, max_cells=len(bg.values) + 2)
+            mbf = hardy_littlewood(bg, (z.real, z.imag))
             rows.append(("disk", z.real, z.imag, bstar, mbf, bstar / mbf))
         return ExperimentResult(
             "pointwise-ratios-beurling",
@@ -422,9 +421,7 @@ def exp_beurling_composition(mesh: float = 1.0 / 16) -> ExperimentResult:
         sup = 0.0
         for z in COMPOSITION_SAMPLES:
             num = beurling_maximal(bg, z, eps_b, kernel="b")
-            den = beurling_maximal(f, z, eps_f, kernel="b2") + hardy_littlewood(
-                f, (z.real, z.imag), pad=1.0, max_cells=2048
-            )
+            den = beurling_maximal(f, z, eps_f, kernel="b2") + hardy_littlewood(f, (z.real, z.imag))
             ratio = num / (den + 1e-12)
             rows.append((name, z.real, z.imag, num, den, ratio))
             sup = max(sup, ratio)

@@ -13,9 +13,9 @@ the cells crossing the truncation circle.  That rule is not exact: at a
 one-mesh radius on the composition fields, its relative gap to a 256 x 256
 rule was measured at up to about 1e-5 for the kernel b and up to 0.51 for
 the iterated kernel b2 (disk at mesh 1/16).  Maximal functions take suprema
-over grid-aligned intervals or squares inside an explicit evaluation
-window, so both sides of any inequality tested here range over the same
-cube family.
+over every grid-aligned interval or square containing x, scanned on the
+aligned hull of the support and x (squared up in 2D), so both sides of any
+inequality tested here range over the same cube family.
 
 In 1D the largest average over windows [a, b] containing x is the steepest
 slope between a prefix-sum point left of x and one right of it: the bridge
@@ -65,6 +65,12 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
+def _positive_finite(name: str, value: float) -> float:
+    if not 0 < float(value) < math.inf:
+        raise ValueError(f"{name} {float(value)!r} is not positive and finite")
+    return float(value)
+
+
 def _whole_cells(length: float, mesh: float) -> int:
     """The number of mesh cells in length, refused unless it is a positive
     whole number."""
@@ -87,9 +93,7 @@ class GridFunction:
         if values.ndim not in (1, 2):
             raise ValueError("values must be a 1D or 2D array")
         self.dim = values.ndim
-        self.h = float(h)
-        if not 0 < self.h < math.inf:
-            raise ValueError(f"mesh {self.h!r} is not positive and finite")
+        self.h = _positive_finite("mesh", h)
         if self.dim == 1:
             self.origin = (float(origin),) if np.isscalar(origin) else (float(origin[0]),)
         else:
@@ -140,6 +144,7 @@ class GridFunction:
     def disk(radius: float, h: float) -> "GridFunction":
         """Indicator of the disk of the given radius about 0; a rim cell
         holds the share of its 16 x 16 sub-points inside the circle."""
+        radius, h = _positive_finite("radius", radius), _positive_finite("mesh", h)
         half = math.ceil(radius / h) + 1
         n = 2 * half
         origin = (-half * h, -half * h)
@@ -350,28 +355,27 @@ def _padded_window(values: np.ndarray, bounds) -> np.ndarray:
     return out
 
 
-def _window(f: GridFunction, x, pad: float, max_cells: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Aligned window covering the support and the point x on every axis,
-    padded by `pad` times their joint extent: the edges per axis and |f|
-    on the window's cells, zero-extended.  An axis longer than max_cells
-    first gives up padding, then the window is refused."""
-    bounds, edges = [], []
-    for axis, ((lo, hi), xa) in enumerate(zip(f.support_box(), x)):
-        org = f.origin[axis]
-        wlo, whi = min(lo, xa), max(hi, xa)
-        width = max(whi - wlo, f.h)
-        wlo -= pad * width
-        whi += pad * width
-        i0 = int(math.floor((wlo - org) / f.h))
-        i1 = int(math.ceil((whi - org) / f.h))
-        if i1 - i0 > max_cells:
-            # shrink the padding before giving up on the cap
-            i0 += (i1 - i0 - max_cells) // 2
-            i1 = i0 + max_cells
-            if org + i0 * f.h > min(lo, xa) or org + i1 * f.h < max(hi, xa):
-                raise ValueError("window cap too small for support plus evaluation point")
-        bounds.append((i0, i1))
-        edges.append(org + f.h * np.arange(i0, i1 + 1))
+_MAX_WINDOW_CELLS = 8192  # per axis; a 2D window at the cap holds 512 MiB of cells
+
+
+def _window(f: GridFunction, x) -> tuple[list[np.ndarray], np.ndarray]:
+    """The aligned hull of supp f and x, squared up in 2D to its longest
+    side L, as edges per axis and |f| on its cells: the smallest window
+    holding the sup over every aligned cube containing x.  An interval
+    clipped to the hull keeps its mass and x and only shortens.  A square
+    of side s <= L slides back in axis by axis, keeping x and its mass; one
+    of side s > L averages at most total/s^2 < total/L^2, the average of
+    the L-square holding the hull.  Over _MAX_WINDOW_CELLS cells per axis raises."""
+    bounds = [
+        (math.floor((min(lo, xa) - org) / f.h), math.ceil((max(hi, xa) - org) / f.h))
+        for (lo, hi), xa, org in zip(f.support_box(), x, f.origin)
+    ]
+    side = max(i1 - i0 for i0, i1 in bounds)
+    if side > _MAX_WINDOW_CELLS:
+        raise ValueError(f"evaluation window of {side} cells per axis exceeds {_MAX_WINDOW_CELLS}")
+    if f.dim == 2:
+        bounds = [(i0, i0 + side) for i0, _ in bounds]
+    edges = [org + f.h * np.arange(i0, i1 + 1) for org, (i0, i1) in zip(f.origin, bounds)]
     return edges, _padded_window(f.values, bounds)
 
 
@@ -419,35 +423,30 @@ def _interval_averages_max(edges: np.ndarray, cellvals: np.ndarray, x: float) ->
     return max(_max_slope(csum, edges, lo, hi) for lo, hi in splits)
 
 
-def _checked_point(f: GridFunction, x, pad: float) -> tuple[float, ...]:
-    """x as f.dim finite coordinates, with pad refused unless finite and >= 0."""
+def _checked_point(f: GridFunction, x) -> tuple[float, ...]:
+    """x as f.dim finite coordinates."""
     pt = np.ravel(x)
     if np.iscomplexobj(pt) or pt.size != f.dim or not np.isfinite(pt.astype(float)).all():
         raise ValueError(f"point {x!r} is not {f.dim} finite real coordinate(s)")
-    if not (math.isfinite(pad) and pad >= 0):
-        raise ValueError(f"pad {pad!r} is not a finite non-negative number")
     return tuple(pt.astype(float).tolist())
 
 
-def hardy_littlewood(
-    f: GridFunction, x, pad: float = 1.0, max_cells: int = 8192
-) -> float:
+def hardy_littlewood(f: GridFunction, x) -> float:
     """Maximal average of |f| over grid-aligned cubes containing x.
 
     The cube family is every interval (square) with edges on the grid
-    lattice inside the evaluation window: the support of f and the point x,
-    padded by `pad` times their joint extent.  A point of other than f.dim
-    coordinates, a non-finite point and a negative or non-finite pad raise
-    ValueError.
+    lattice that contains x, scanned on the hull window of `_window`.  A
+    point of other than f.dim coordinates, a non-finite point and a window
+    of more than 8192 cells per axis raise ValueError.
     """
-    x = _checked_point(f, x, pad)
+    x = _checked_point(f, x)
     if f.dim == 1:
-        (edges,), vals = _window(f, x, pad, max_cells)
+        (edges,), vals = _window(f, x)
         return _interval_averages_max(edges, vals, x[0])
-    return _hl_2d(f, x, pad, max_cells)
+    return _hl_2d(f, x)
 
 
-def _hl_2d(f: GridFunction, x, pad: float, max_cells: int) -> float:
+def _hl_2d(f: GridFunction, x) -> float:
     """Largest average over the window's squares containing x, exactly.
 
     `_side_bounds` bounds every side's averages in one vectorised pass over
@@ -456,7 +455,7 @@ def _hl_2d(f: GridFunction, x, pad: float, max_cells: int) -> float:
     found.  Cost: O(K^2) for a K-cell window, plus (s + 1)^2 box sums per
     visited side, in place of O(K^3) for all sides.
     """
-    (ex, ey), vals = _window(f, x, pad, max_cells)
+    (ex, ey), vals = _window(f, x)
     ii = np.zeros((vals.shape[0] + 1, vals.shape[1] + 1))
     ii[1:, 1:] = np.cumsum(np.cumsum(vals, axis=0), axis=1)
     *corners, bound = _side_bounds(ii, (x[0] - ex[0]) / f.h, (x[1] - ey[0]) / f.h)
@@ -578,24 +577,26 @@ class _HullTree:
         return np.where(key[v] > s, self.up[0][v], v)
 
 
-def m_delta(f: GridFunction, x, delta: float, pad: float = 1.0, max_cells: int = 8192) -> float:
+def m_delta(f: GridFunction, x, delta: float) -> float:
     """M(|f|^delta)^(1/delta) for 0 < delta <= 1."""
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     g = GridFunction(f.origin, f.h, np.abs(f.values) ** delta)
-    return hardy_littlewood(g, x, pad, max_cells) ** (1.0 / delta)
+    return hardy_littlewood(g, x) ** (1.0 / delta)
 
 
-def iterated_m2(f: GridFunction, x, pad: float = 1.0, max_cells: int = 2048) -> float | np.ndarray:
-    """M(Mf): the inner pass is sampled at the window's cell centers.  x is
-    one point (a float returns) or a 1D array of points (an array of one
-    value each returns); points whose windows coincide share one inner pass."""
+def iterated_m2(f: GridFunction, x) -> float | np.ndarray:
+    """M(Mf) on the hull window of `_window`: the inner Mf is sampled at its
+    cell centers, so this iterates Mf restricted to the hull, as
+    `exp_pointwise_ratios` reads M^2(Hf).  x is one point (a float returns)
+    or a 1D array of points (an array of one value each returns); points
+    whose hulls coincide share one inner pass."""
     if f.dim != 1:
         raise ValueError("iterated maximal function implemented for dim 1")
     inner, out = {}, []
     for xx in np.atleast_1d(np.asarray(x, dtype=float)).tolist():
-        (xx,) = _checked_point(f, xx, pad)
-        (edges,), vals = _window(f, (xx,), pad, max_cells)
+        (xx,) = _checked_point(f, xx)
+        (edges,), vals = _window(f, (xx,))
         key = (edges[0], len(edges))
         if key not in inner:
             inner[key] = hardy_littlewood_all_centers(edges, vals)
@@ -653,15 +654,15 @@ def orlicz_llogl_average(f: GridFunction, q) -> float:
     return _luxemburg(lambda lam: phi_llogl(cells / lam).mean(), float(cells.max(initial=0.0)))
 
 
-def m_llogl(f: GridFunction, x, pad: float = 1.0, max_cells: int = 512) -> float:
-    """sup over grid-aligned cubes containing x of the L log L average: the
-    smallest lam with M(Phi(|f|/lam))(x) <= 1, on the window and cube family
-    of `hardy_littlewood`."""
-    x = _checked_point(f, x, pad)
+def m_llogl(f: GridFunction, x) -> float:
+    """sup over every grid-aligned cube containing x of the L log L
+    average: the smallest lam with M(Phi(|f|/lam))(x) <= 1.  Phi(0) = 0,
+    so `hardy_littlewood` scans it on the hull window of f and x."""
+    x = _checked_point(f, x)
     a = np.abs(f.values)
 
     def avg(lam: float) -> float:
-        return hardy_littlewood(GridFunction(f.origin, f.h, phi_llogl(a / lam)), x, pad, max_cells)
+        return hardy_littlewood(GridFunction(f.origin, f.h, phi_llogl(a / lam)), x)
 
     return _luxemburg(avg, float(a.max(initial=0.0)))
 

@@ -292,9 +292,36 @@ def test_interval_maximal_matches_dense_oracle():
                 assert_rel_close(got, dense_interval_averages_max(edges, vals, float(x)))
 
 
+def wide_window(f, x, margin=3):
+    """Oracle window: the aligned hull of supp f and x, widened on every
+    side by margin times its longest side, as edges per axis and |f|."""
+    hull = [
+        (math.floor((min(lo, xa) - o) / f.h), math.ceil((max(hi, xa) - o) / f.h))
+        for (lo, hi), xa, o in zip(f.support_box(), x, f.origin)
+    ]
+    grow = margin * max(i1 - i0 for i0, i1 in hull)
+    bounds = [(i0 - grow, i1 + grow) for i0, i1 in hull]
+    # the hull holds the support, cells 0..n-1 on each axis, so both pads are >= 0
+    vals = np.pad(np.abs(f.values), [(-i0, i1 - n) for (i0, i1), n in zip(bounds, f.values.shape)])
+    return [o + f.h * np.arange(i0, i1 + 1) for o, (i0, i1) in zip(f.origin, bounds)], vals
+
+
+def test_hardy_littlewood_matches_dense_oracle_on_wide_window():
+    # the derived window holds the sup over every interval containing x
+    rng = np.random.default_rng(11)
+    with np.errstate(all="raise"):
+        for n in range(1, 61):
+            h = float(rng.choice([1.0, 0.25, 1.0 / 3.0, 0.1]))
+            f = GridFunction(h * int(rng.integers(-20, 20)), h, random_cells(rng, n, n % 4))
+            lo, hi = f.support_box()[0]
+            for x in (lo, hi, rng.uniform(lo, hi), lo - rng.uniform(0.0, 3.0 * (hi - lo)), hi + 7.3 * h):
+                (edges,), vals = wide_window(f, (x,))
+                assert_rel_close(hardy_littlewood(f, x), dense_interval_averages_max(edges, vals, x), 1e-14)
+
+
 def test_interval_maximal_matches_dense_oracle_on_pinned_window():
     for _, f in hilbert_test_suite(1.0 / 128):
-        (edges,), vals = _window(_transform_grid(f, 48.0, 3072), (0.0,), 0.0, 3074)
+        (edges,), vals = _window(_transform_grid(f, 48.0, 3072), (0.0,))
         assert len(edges) == 3073
         with np.errstate(all="raise"):
             inner = hardy_littlewood_all_centers(edges, vals)
@@ -315,13 +342,12 @@ def test_iterated_m2_array_form_matches_scalar_calls(monkeypatch):
     monkeypatch.setattr(
         gridops, "hardy_littlewood_all_centers", lambda e, v: passes.append(1) or engine(e, v)
     )
-    for pad in (0.0, 0.5, 1.0):
-        want = [iterated_m2(f, float(x), pad) for x in xs]
-        assert all(type(v) is float for v in want)
-        passes.clear()
-        assert iterated_m2(f, xs, pad).tolist() == want
-        windows = {tuple(_window(f, (float(x),), pad, 2048)[0][0][[0, -1]]) for x in xs}
-        assert len(passes) == len(windows) == 4
+    want = [iterated_m2(f, float(x)) for x in xs]
+    assert all(type(v) is float for v in want)
+    passes.clear()
+    assert iterated_m2(f, xs).tolist() == want
+    windows = {tuple(_window(f, (float(x),))[0][0][[0, -1]]) for x in xs}
+    assert len(passes) == len(windows) == 4
 
 
 def test_maximal_sublinearity_randomized():
@@ -374,18 +400,31 @@ def test_hardy_littlewood_2d():
     assert abs(hardy_littlewood(const2, (4.2, 4.2)) - 2.0) < 1e-12
 
 
-def test_window_cap_shrinks_padding_first():
-    # a cap of exactly the support's cells drops the padding on every axis
-    for f, x in ((step01(1.0 / 8), 0.31), (GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8), (0.31, 0.77))):
-        assert hardy_littlewood(f, x, pad=1.0, max_cells=8) == hardy_littlewood(f, x, pad=0.0)
-        with pytest.raises(ValueError, match="window cap too small"):
-            hardy_littlewood(f, x, pad=1.0, max_cells=7)
+def test_hl_2d_squares_reach_past_the_support():
+    # a thin bar: (s - 1/2) (1/8) / s^2 over the sides s in [1/2, 2] is largest at s = 1
+    bar = GridFunction.box_2d(0.0, 1.5, 0.0, 0.125, 1.0 / 8)
+    assert hardy_littlewood(bar, (2.0, 0.06)) == 1.0 / 16
+    # the unit box from two sides away: the square [0, 3] x [-1, 2] averages 1/9
+    box = GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8)
+    assert hardy_littlewood(box, (3.0, 0.5)) == 1.0 / 9
 
 
-def all_sides_hl_2d(f, x, pad, max_cells):
-    """Oracle: the unpruned scan of every square side, with the number of
+def test_window_beyond_the_cap_is_refused():
+    line, plane = step01(1.0 / 8), GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8)
+    assert hardy_littlewood(line, 1000.0) == 1.0 / 1000.0  # 8000 cells: under the cap
+    for call in (hardy_littlewood, iterated_m2, m_llogl, lambda f, x: m_delta(f, x, 0.5)):
+        with pytest.raises(ValueError, match="^evaluation window of 16000 cells per axis exceeds 8192$"):
+            call(line, 2000.0)
+    # refused before any cell of the 2D window is allocated
+    with pytest.raises(ValueError, match="^evaluation window of 16000 cells per axis exceeds 8192$"):
+        hardy_littlewood(plane, (0.5, 2000.0))
+
+
+def all_sides_hl_2d(f, x, window):
+    """Oracle: the unpruned scan of every square side of the window
+    (edges per axis, |f| on its cells) that contains x, with the number of
     candidate squares it evaluates."""
-    (ex, ey), vals = _window(f, x, pad, max_cells)
+    (ex, ey), vals = window
     nx, ny = vals.shape
     ii = np.zeros((nx + 1, ny + 1))
     ii[1:, 1:] = np.cumsum(np.cumsum(vals, axis=0), axis=1)
@@ -426,11 +465,8 @@ def test_hl_2d_matches_all_sides_oracle():
             (x0 + h, rng.uniform(y0, y1)),  # a cell edge
         ]
         for x in points:
-            for pad in (0.0, 0.5, 1.0):
-                assert hardy_littlewood(f, x, pad) == all_sides_hl_2d(f, x, pad, 8192)[0]
-        # a cap a few cells over the support's gives up most of the padding
-        cap = max(f.values.shape) + 3
-        assert hardy_littlewood(f, points[0], 1.0, cap) == all_sides_hl_2d(f, points[0], 1.0, cap)[0]
+            # squares tied in exact arithmetic may differ by one ulp in their sums
+            assert_rel_close(hardy_littlewood(f, x), all_sides_hl_2d(f, x, wide_window(f, x))[0], 1e-14)
     assert hardy_littlewood(fields[0], (0.3, 0.4)) == 0.0
 
 
@@ -450,8 +486,8 @@ def test_hl_2d_side_bound_holds_at_every_side():
 
 
 def test_hl_2d_evaluates_few_squares(monkeypatch):
-    # the denominator's M of `exp_beurling_composition` at mesh 1/32, first sample
-    disk, z = GridFunction.disk(1.0, 1.0 / 32), COMPOSITION_SAMPLES[0]
+    # the denominator's M of `exp_beurling_composition` at mesh 1/32
+    disk = GridFunction.disk(1.0, 1.0 / 32)
     evaluated = []
     square_max = gridops._square_max
 
@@ -460,31 +496,27 @@ def test_hl_2d_evaluates_few_squares(monkeypatch):
         return square_max(ii, s, x0, x1, y0, y1)
 
     monkeypatch.setattr(gridops, "_square_max", counted)
-    got = hardy_littlewood(disk, (z.real, z.imag), pad=1.0, max_cells=2048)
-    want, squares = all_sides_hl_2d(disk, (z.real, z.imag), 1.0, 2048)
-    assert got == want
+    for z in COMPOSITION_SAMPLES[0], COMPOSITION_SAMPLES[7]:
+        x = (z.real, z.imag)
+        evaluated.clear()
+        got = hardy_littlewood(disk, x)
+        want, squares = all_sides_hl_2d(disk, x, _window(disk, x))
+        assert got == want
+    # the far sample: most sides are bounded below the best square found
     assert 0 < sum(evaluated) <= 0.25 * squares
 
 
-def test_maximal_functions_refuse_bad_points_and_pads():
+def test_maximal_functions_refuse_bad_points():
     line, plane = GridFunction.indicator_1d(0.0, 1.0, 0.25), GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 0.25)
-    assert abs(hardy_littlewood(line, 3.0, pad=0.4) - 1.0 / 3.0) < 1e-12
-    calls = [
-        lambda f, x, pad: hardy_littlewood(f, x, pad),
-        lambda f, x, pad: m_delta(f, x, 0.5, pad),
-        lambda f, x, pad: m_llogl(f, x, pad),
-    ]
-    for call in calls:
-        for f, ok, wrong in ((line, 3.0, (0.5, 0.5)), (plane, (0.5, 0.5), (0.5, 0.5, 99.0))):
+    assert abs(hardy_littlewood(line, 3.0) - 1.0 / 3.0) < 1e-12
+    for call in (hardy_littlewood, lambda f, x: m_delta(f, x, 0.5), m_llogl):
+        for f, wrong in ((line, (0.5, 0.5)), (plane, (0.5, 0.5, 99.0))):
             for x in (wrong, np.full(f.dim, math.nan), np.full(f.dim, math.inf), np.full(f.dim, 0.5 + 0.5j)):
                 with pytest.raises(ValueError, match="finite real coordinate"):
-                    call(f, x, 1.0)
-            for pad in (-0.4, math.nan, math.inf):
-                with pytest.raises(ValueError, match="pad"):
-                    call(f, ok, pad)
-    for x, pad in ((math.nan, 1.0), (np.array([0.5, math.inf]), 1.0), (0.5, -0.4)):
+                    call(f, x)
+    for x in (math.nan, np.array([0.5, math.inf])):
         with pytest.raises(ValueError, match="finite"):
-            iterated_m2(line, x, pad)
+            iterated_m2(line, x)
     # an all-zero field answers 0 without a bisection, yet still checks its point
     with pytest.raises(ValueError, match="finite real coordinate"):
         m_llogl(GridFunction(0.0, 0.25, np.zeros(4)), math.nan)
@@ -529,11 +561,13 @@ def test_llogl_maximal_vs_iterated_bracket():
     assert max(ratios) <= 8.0 and min(ratios) >= 1.0 / 8.0
 
 
-def segment_llogl_oracle(f, x, pad=1.0, max_cells=512):
-    """Oracle: every window interval [edges[a], edges[b]] that contains x,
-    each with its own 60-step Luxemburg bisection on (0, 4 max |f| over the
-    interval], over one dense (interval x cell) table of |f|."""
-    (edges,), vals = _window(f, (x,), pad, max_cells)
+def segment_llogl_oracle(f, x):
+    """Oracle: every interval [edges[a], edges[b]] that contains x, on the
+    hull widened by one longest side each way (the table below grows as
+    the cube of the window), each with its own 60-step Luxemburg bisection
+    on (0, 4 max |f| over the interval], over one dense (interval x cell)
+    table of |f|."""
+    (edges,), vals = wide_window(f, (x,), margin=1)
     tol = 1e-12 * max(1.0, abs(x))
     a, b = np.meshgrid(np.nonzero(edges <= x + tol)[0], np.nonzero(edges >= x - tol)[0], indexing="ij")
     a, b = a[b > a], b[b > a]
@@ -560,9 +594,8 @@ def test_m_llogl_matches_segment_oracle():
         x = f.origin[0] + h * rng.integers(-4, n + 5)  # a lattice edge
         if trial % 2:
             x += h * rng.uniform(0.05, 0.95)  # inside a cell
-        pad = float(rng.choice([0.0, 0.5, 1.0]))
-        want = segment_llogl_oracle(f, x, pad, 40)
-        assert abs(m_llogl(f, x, pad, 40) - want) <= 1e-12 * want
+        want = segment_llogl_oracle(f, x)
+        assert abs(m_llogl(f, x) - want) <= 1e-12 * want
         assert (want == 0) == (trial == 0 or not vals.any())
 
 
@@ -585,7 +618,7 @@ def test_cotlar_control_stability():
         worst = 0.0
         for x in np.array([-2.31, -0.47, 0.309, 1.613, 5.37]) + 1 / 3333:
             num = hilbert_maximal(f, float(x))
-            den = m_delta(g, float(x), 0.5, pad=0.0) + hardy_littlewood(f, float(x))
+            den = m_delta(g, float(x), 0.5) + hardy_littlewood(f, float(x))
             worst = max(worst, num / den)
         return worst
 
@@ -840,6 +873,10 @@ def test_grid_function_basics():
     for h in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="not positive and finite"):
             GridFunction(0.0, h, np.ones(3))
+        # refused before the grid is built: no overflow, division or float warning
+        for args, name in (((h, 0.25), "radius"), ((1.0, h), "mesh")):
+            with pytest.raises(ValueError, match=f"^{name} {h!r} is not positive and finite$"):
+                GridFunction.disk(*args)
     with pytest.raises(ValueError):
         TruncationGrid(np.array([0.5, 0.5]))
 
