@@ -20,7 +20,9 @@ where grad_T F is the tangential gradient, H an exact coefficient bound
 on the second derivative of F along any unit-speed great circle, and rho
 an a-priori bound on float rounding (evaluating F and its gradient, and
 computed centers lying off the sphere).  Only undecided cells are split,
-one vectorised level at a time.  The verdicts carry certificates:
+one vectorised level at a time, with points held coordinate-major; the float
+operations are the row-major ones, in order (coordinate sums left to right),
+so rho stands as derived.  The verdicts carry certificates:
 
 * PASS: every cell is decided with one sign; ``certified_min`` is the
   smallest |F(c)| - bound over the decided cells, a lower bound for |F|.
@@ -59,6 +61,7 @@ EPS = 2.0**-53  # unit roundoff of float64
 DEFAULT_MAX_DEPTH = 26
 DEFAULT_CELL_BUDGET = 1_000_000
 _CHUNK = 1 << 14  # cells per vectorised evaluation; keeps peak memory flat
+_CORNERS = 1 << 11  # cell corners per vectorised chord computation, for the same reason
 _EXACT_TRIES = 2  # undecided cells per level tested for an exact rational zero
 _SLACK = 1.0 + 2.0**-40  # relative cover for the handful of roundings in a bound
 
@@ -189,7 +192,8 @@ def _rounding_bound(p: MultiPoly) -> float:
     power and one per product of the n factors; the dot product of m terms
     adds at most m roundings of the sum of |terms|, which is at most the
     coefficient sum.  The factor 2 covers the second-order terms and the
-    growth of the monomials off the unit sphere.
+    growth of the monomials off the unit sphere.  The coordinate-major
+    evaluator does these operations in this order, less exact x^0 = 1 factors.
     """
     return 2.0 * (3 * p.nvars + len(p.terms) + 3) * EPS * float(_coef_sum(p))
 
@@ -251,14 +255,14 @@ class Cells:
         return Cells(np.repeat(self.axis, rep), np.repeat(self.sign, rep), u, self.depth + 1)
 
     def embed(self, u: np.ndarray) -> np.ndarray:
-        """Facet points with coordinates ``u`` (one row per cell) as points of R^n."""
+        """Facet points with coordinates ``u`` (one row per cell) as points of R^n, stored coordinate-major."""
         k, m = u.shape
-        rows = np.arange(k)
+        cols = np.arange(k)
         others = np.array([[j for j in range(m + 1) if j != a] for a in range(m + 1)])
-        v = np.empty((k, m + 1))
-        v[rows, self.axis] = self.sign
-        v[rows[:, None], others[self.axis]] = u
-        return v
+        v = np.empty((m + 1, k))
+        v[self.axis, cols] = self.sign
+        v[others[self.axis], cols[:, None]] = u
+        return v.T
 
 
 def sphere_grid(cells: Cells) -> tuple[np.ndarray, np.ndarray]:
@@ -274,14 +278,17 @@ def sphere_grid(cells: Cells) -> tuple[np.ndarray, np.ndarray]:
     chords and of the normalised points.
     """
     k, m = cells.u.shape
-    centers = _normalize(cells.embed(cells.u))
-    base = _normalize(np.hstack([np.ones((k, 1)), cells.u]))
-    chord = np.zeros(k)
-    for corner in itertools.product((-1.0, 1.0), repeat=m):
-        w = _normalize(np.hstack([np.ones((k, 1)), cells.u + np.array(corner) * cells.half_width]))
-        chord = np.maximum(chord, np.sqrt(np.sum((base - w) ** 2, axis=1)))
-    radii = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord * _SLACK + _center_error(m + 1))) * _SLACK
-    return centers, radii
+    centers = _normalize(cells.embed(cells.u).T)
+    facet = np.concatenate([np.ones((1, k)), np.ascontiguousarray(cells.u.T)])  # axis coordinate first
+    base = _normalize(facet)
+    corners = np.array(list(itertools.product((0.0,), *[(-1.0, 1.0)] * m))).T[:, :, None] * cells.half_width
+    chord2 = 0.0  # sqrt is monotone, so it is taken once, of the largest square
+    step = max(1, _CORNERS // max(k, 1))
+    for i in range(0, 1 << m, step):
+        w = _normalize(facet[:, None, :] + corners[:, i : i + step])
+        chord2 = np.maximum(chord2, ((base[:, None, :] - w) ** 2).sum(0).max(0))
+    radii = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * np.sqrt(chord2) * _SLACK + _center_error(m + 1))) * _SLACK
+    return centers.T, radii
 
 
 def _center_error(n: int) -> float:
@@ -291,7 +298,8 @@ def _center_error(n: int) -> float:
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
-    return v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    """A point, or points stored one row per coordinate, scaled to unit length."""
+    return v / np.sqrt((v * v).sum(0))
 
 
 def _evaluate(cells: Cells, b: _Bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,9 +308,9 @@ def _evaluate(cells: Cells, b: _Bounds) -> tuple[np.ndarray, np.ndarray, np.ndar
     for start in range(0, len(cells), _CHUNK):
         c, r = sphere_grid(cells.take(slice(start, start + _CHUNK)))
         v = b.f(c)
-        g = np.stack([ev(c) for ev in b.partials], axis=1)
-        gt = g - np.sum(c * g, axis=1, keepdims=True) * c
-        slope = np.sqrt(np.sum(gt * gt, axis=1)) + b.grad
+        g = np.array([ev(c) for ev in b.partials])
+        gt = g - (c.T * g).sum(0) * c.T
+        slope = np.sqrt((gt * gt).sum(0)) + b.grad
         bound = (slope * r + 0.5 * b.hess * r * r + b.value) * _SLACK
         vals.append(v)
         gaps.append(np.abs(v) - bound)

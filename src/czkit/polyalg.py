@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from operator import add, sub
 from typing import Sequence
 
@@ -194,16 +194,29 @@ class MultiPoly:
         return total
 
     def float_evaluator(self):
-        """Return a vectorized evaluator: (m, nvars) float array -> (m,) floats."""
+        """Return a vectorized evaluator: (m, nvars) float array -> (m,) floats.
+
+        Coordinate-major, in the float operations and order of a row-major
+        broadcast: each power a term uses is formed once, by ``np.power`` on
+        a same-shape exponent array (a scalar 2 would square, an ulp off).
+        """
         if not self.terms:
             return lambda pts: np.zeros(len(pts))
-        monos = np.array(sorted(self.terms), dtype=np.int64)
-        coefs = np.array([float(self.terms[tuple(m)]) for m in monos])
+        monos = sorted(self.terms)
+        coefs = np.array([float(self.terms[m]) for m in monos])
+        factors = [[(j, e) for j, e in enumerate(m) if e] or [(0, 0)] for m in monos]
+        levels = list(zip_longest(*factors, fillvalue=(0, 0)))  # x_1^0 = 1 pads the short terms
+        pairs = sorted(set(chain(*levels)))
+        var, exp = np.array(pairs).T
+        lead, *rest = np.array([[pairs.index(p) for p in level] for level in levels])
 
         def ev(pts: np.ndarray) -> np.ndarray:
-            pts = np.asarray(pts, dtype=float)
-            powers = pts[:, None, :] ** monos[None, :, :]
-            return powers.prod(axis=2) @ coefs
+            cols = np.asarray(pts, dtype=float).T
+            powers = np.power(cols.take(var, 0), exp[:, None].repeat(cols.shape[1], 1))
+            table = powers.take(lead, 0)
+            for column in rest:
+                table *= powers.take(column, 0)
+            return np.ascontiguousarray(table.T) @ coefs  # row-major: the BLAS sum order depends on layout
 
         return ev
 

@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 from czkit.admissibility import (
+    _SLACK,
     Cells,
     CheckReport,
+    _Bounds,
+    _center_error,
+    _evaluate,
+    _rounding_bound,
     certify_nonvanishing,
     check_maximal_control,
     quotient_sum,
@@ -316,3 +321,122 @@ def test_seeded_sweep_matches_rule_and_pass_is_sound():
                 f = quotient_sum(kernel)[0].float_evaluator()
                 sample = np.abs(f(_sphere_sample(n, 10**5, seed)))
                 assert sample.min() >= rep.certified_min > 0, (n, stratum, lam)
+
+
+def _random_poly(rng, n, max_degree=6, max_terms=12):
+    """A polynomial in n variables of degree at most max_degree, with
+    coefficients of assorted sizes and signs."""
+    terms = {}
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        expo = [0] * n
+        for _ in range(rng.randrange(max_degree + 1)):
+            expo[rng.randrange(n)] += 1
+        terms[tuple(expo)] = F(rng.randrange(-(10**6), 10**6), rng.randrange(1, 10**4))
+    return MultiPoly(n, terms)
+
+
+def test_float_evaluation_stays_within_the_rounding_bound():
+    rng, gen = random.Random(11), np.random.default_rng(11)
+    for n in range(2, 10):
+        for _ in range(8):
+            p = _random_poly(rng, n)
+            x = gen.uniform(-1.0, 1.0, (24, n))
+            x /= np.maximum(1.0, np.linalg.norm(x, axis=1))[:, None]
+            x[::2] /= np.linalg.norm(x[::2], axis=1)[:, None]  # half of them on the sphere
+            bound = F(_rounding_bound(p))
+            for pt, value in zip(x, p.float_evaluator()(x)):
+                exact = p.eval_exact([F(float(t)) for t in pt])
+                assert abs(F(float(value)) - exact) <= bound, (n, p, pt)
+
+
+# The row-major evaluation the coordinate-major code replaced, kept as its
+# oracle: points as (k, n) rows, sums and products over the short last axis.
+# numpy sums a last axis shorter than 8 from left to right, as the
+# coordinate-major code does, and longer ones pairwise, so the two agree
+# bit for bit for n <= 7 and to a few ulps beyond.
+
+
+def _rowmajor_normalize(v):
+    return v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+
+
+def _rowmajor_sphere_grid(cells):
+    k, m = cells.u.shape
+    rows = np.arange(k)
+    others = np.array([[j for j in range(m + 1) if j != a] for a in range(m + 1)])
+    v = np.empty((k, m + 1))
+    v[rows, cells.axis] = cells.sign
+    v[rows[:, None], others[cells.axis]] = cells.u
+    centers = _rowmajor_normalize(v)
+    base = _rowmajor_normalize(np.hstack([np.ones((k, 1)), cells.u]))
+    chord = np.zeros(k)
+    for corner in itertools.product((-1.0, 1.0), repeat=m):
+        w = _rowmajor_normalize(np.hstack([np.ones((k, 1)), cells.u + np.array(corner) * cells.half_width]))
+        chord = np.maximum(chord, np.sqrt(np.sum((base - w) ** 2, axis=1)))
+    radii = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord * _SLACK + _center_error(m + 1))) * _SLACK
+    return centers, radii
+
+
+def _rowmajor_evaluator(p):
+    """Called, as it always was, with C-ordered (k, n) rows."""
+    if not p.terms:
+        return lambda pts: np.zeros(len(pts))
+    monos = np.array(sorted(p.terms), dtype=np.int64)
+    coefs = np.array([float(p.terms[tuple(m)]) for m in monos])
+    return lambda pts: (pts[:, None, :] ** monos[None, :, :]).prod(axis=2) @ coefs
+
+
+def _rowmajor_evaluate(cells, f):
+    b = _Bounds(f)
+    c, r = _rowmajor_sphere_grid(cells)
+    v = _rowmajor_evaluator(f)(c)
+    g = np.stack([_rowmajor_evaluator(f.partial(i))(c) for i in range(f.nvars)], axis=1)
+    gt = g - np.sum(c * g, axis=1, keepdims=True) * c
+    slope = np.sqrt(np.sum(gt * gt, axis=1)) + b.grad
+    bound = (slope * r + 0.5 * b.hess * r * r + b.value) * _SLACK
+    return v, np.abs(v) - bound, c
+
+
+def _random_cells(gen, n, depth, k):
+    """k cells at the given depth on random facets, at random dyadic centers."""
+    j = gen.integers(0, 2**depth, size=(k, n - 1))
+    u = (2 * j + 1 - 2**depth) * 2.0**-depth
+    return Cells(gen.integers(0, n, size=k), gen.choice([1.0, -1.0], size=k), u, depth)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_sphere_grid_matches_the_row_major_oracle(n):
+    gen = np.random.default_rng(n)
+    for depth in range(25):
+        # at 300 cells sphere_grid takes the 2^(n-1) corners in several batches from n = 4 on
+        cells = _random_cells(gen, n, depth, 300 if depth % 6 == 0 else 20)
+        for got, want in zip(sphere_grid(cells), _rowmajor_sphere_grid(cells)):
+            assert got.shape == want.shape
+            if n <= 7:
+                assert np.array_equal(got, want), (n, depth)
+            else:
+                ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+                assert np.all(np.abs(got - want) <= 4 * ulp), (n, depth)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_float_evaluator_matches_the_row_major_oracle(n):
+    rng, gen = random.Random(n), np.random.default_rng(n)
+    for _ in range(20):
+        p = _random_poly(rng, n)
+        ev, oracle = p.float_evaluator(), _rowmajor_evaluator(p)
+        pts = gen.uniform(-1.0, 1.0, (int(gen.integers(1, 400)), n))
+        want = oracle(pts)
+        assert np.array_equal(ev(pts), want), p
+        assert np.array_equal(ev(np.asfortranarray(pts)), want), p
+        assert np.array_equal(ev(pts[:1]), oracle(pts[:1])), p
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cell_evaluation_matches_the_row_major_oracle(n):
+    rng, gen = random.Random(n), np.random.default_rng(n)
+    for depth in (0, 1, 3, 8, 16, 24):
+        f = _random_poly(rng, n)
+        cells = _random_cells(gen, n, depth, 64)
+        for got, want in zip(_evaluate(cells, _Bounds(f)), _rowmajor_evaluate(cells, f)):
+            assert np.array_equal(got, want), (n, depth)

@@ -1,10 +1,13 @@
 """Command-line interface."""
 import inspect
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import czkit
 from czkit import identities
 from czkit.cli import EXP_OPTIONS, main
 from czkit.experiments import EXPERIMENTS, exp_counterexample_growth
@@ -75,6 +78,16 @@ def test_exp_verb(tmp_path, capsys):
 def test_version(capsys):
     assert main(["version"]) == 0
     assert "czkit" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(czkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run(
+        [sys.executable, "-m", "czkit", "version"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert "czkit" in run.stdout
 
 
 def test_identities_verb_streams_records(monkeypatch, capsys):
