@@ -22,10 +22,21 @@ an a-priori bound on float rounding (evaluating F and its gradient, and
 computed centers lying off the sphere).  Only undecided cells are split,
 one vectorised level at a time, with points held coordinate-major; the float
 operations are the row-major ones, in order (coordinate sums left to right),
-so rho stands as derived.  The verdicts carry certificates:
+so rho stands as derived.  A cell is also decided inside an exclusion cap
+(Schichl and Neumaier, SIAM J. Numer. Anal. 42, 2004) about a rational
+sphere point p tested for a zero, F(p) = v != 0.  On great circles from p,
+
+    sign(v) F  >=  |v|  -  G t  +  mu t^2 / 2  -  C3 t^3 / 6,
+
+with G >= |grad_T F(p)|, mu > 0 below sign(v) M on the tangent space (M =
+P Hess F(p) P - (p . grad F(p)) P, P = I - p p^T) and C3 = sum |c| d^3
+over the terms c x^a of F (d = |a|), which bounds the third derivative.
+So |F| >= L = |v| - G R on the cap of radius R = min(3 mu / C3, |v| / 2G,
+3/2): v, G, mu (by exact elimination), C3, R and L are rationals; only the
+test of a cell against a cap is in floats.  The verdicts carry certificates:
 
 * PASS: every cell is decided with one sign; ``certified_min`` is the
-  smallest |F(c)| - bound over the decided cells, a lower bound for |F|.
+  smallest gap, |F(c)| - bound or a cap's L, a lower bound for |F|.
 * FAIL(vanishing): two evaluated points where F > rho and F < -rho (the
   sphere is connected for n >= 2, so F has a zero; the witness is refined
   by bisection along the arc between them), or F = 0 in exact arithmetic
@@ -35,14 +46,17 @@ so rho stands as derived.  The verdicts carry certificates:
   instance at a tangential zero of F at an irrational point.
 
 The cost is set by the zero set and the extrema of |F|: a level holds
-2^(n-1) children of each undecided cell, and near a nondegenerate
-extremum of margin m the tree stops at a depth where H r^2 falls below m,
-about depth 22 for m = 1e-12.
+2^(n-1) children of each undecided cell.  Near a nondegenerate extremum of
+margin m at a rational point (the axis points, for the model kernels) a
+cap decides the cells once they fit inside it, about 4-6 levels down; at
+an irrational one the tree stops where H r^2 falls below m, about depth
+22 for m = 1e-12.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,6 +78,18 @@ _CHUNK = 1 << 14  # cells per vectorised evaluation; keeps peak memory flat
 _CORNERS = 1 << 11  # cell corners per vectorised chord computation, for the same reason
 _EXACT_TRIES = 2  # undecided cells per level tested for an exact rational zero
 _SLACK = 1.0 + 2.0**-40  # relative cover for the handful of roundings in a bound
+
+
+class Cap(NamedTuple):
+    """Every unit vector within angle ``radius`` of ``point`` has sign(F) = sign(F(point)), |F| >= ``lower``."""
+
+    point: tuple[Fraction, ...]
+    radius: Fraction
+    lower: Fraction
+
+    def floats(self) -> tuple[np.ndarray, float, float]:
+        """The point, and floats below the radius and the bound: the nearest ones, moved toward 0."""
+        return np.array(self.point, dtype=float), *(math.nextafter(float(x), 0) for x in self[1:])
 
 
 class TraceRow(NamedTuple):
@@ -91,6 +117,7 @@ class SphereCertificate:
     sign_pair: tuple[tuple[float, ...], tuple[float, ...]] | None = None  # F > rho, F < -rho
     depth_used: int = 0
     grid_points: int = 0  # cell centers evaluated
+    caps: list[Cap] = field(default_factory=list)
     trace: list[TraceRow] = field(default_factory=list)
 
 
@@ -129,6 +156,9 @@ class CheckReport(SphereCertificate):
                 for label, pt in zip(("F > rho at", "F < -rho at"), self.sign_pair):
                     lines.append(f"{label:15s}: ({', '.join(f'{x:.12g}' for x in pt)})")
                 lines.append(f"rounding rho   : {self.rounding_bound:.6g}")
+            for i, cap in enumerate(self.caps):
+                pt = ", ".join(f"{float(x):.12g}" for x in cap.point)
+                lines.append(f"cap {i:<11d}: ({pt}), radius {float(cap.radius):.6g}, |F| >= {float(cap.lower):.6g}")
             lines.append("level      cells  undecided       min |F|   seconds")
             for row in self.trace:
                 lines.append(
@@ -147,6 +177,7 @@ class CheckReport(SphereCertificate):
             "grid_points": self.grid_points,
             "grid_min": repr(self.grid_min),
             "lipschitz_bound": repr(self.lipschitz_bound),
+            "caps": len(self.caps),
         }
         if self.stop_reason is not None:
             pairs["stop_reason"] = self.stop_reason
@@ -161,6 +192,9 @@ class CheckReport(SphereCertificate):
         if self.sign_pair is not None:
             pairs["sign_pair"] = ";".join(",".join(repr(x) for x in pt) for pt in self.sign_pair)
             pairs["rounding_bound"] = repr(self.rounding_bound)
+        for i, cap in enumerate(self.caps):
+            pt = ",".join(repr(float(x)) for x in cap.point)
+            pairs[f"cap_{i}"] = f"point:{pt};radius:{float(cap.radius)!r};lower:{float(cap.lower)!r}"
         for row in self.trace:
             pairs[f"level_{row.depth}"] = (
                 f"cells:{row.cells},undecided:{row.undecided},"
@@ -209,6 +243,13 @@ class _Bounds:
         self.lip = spherical_gradient_bound(f)
         # |d^2/dt^2 F(gamma(t))| <= |Hess F| + |grad F . gamma| on a unit-speed great circle
         self.hess = float(second + first) * (1.0 + 2.0**-50)
+        # for the exact caps: F = sum c x^a / scale with integers c, of degrees up to top; F(-x) = F(x) if even
+        self.scale = math.lcm(*(c.denominator for c in f.terms.values()))
+        self.scaled = [(a, c.numerator * (self.scale // c.denominator)) for a, c in f.terms.items()]
+        self.top, self.even = max(map(sum, f.terms), default=0), all(sum(a) % 2 == 0 for a in f.terms)
+        # the bound of hess for d^3/dt^3 = D^3F[g',g',g'] - 3 D^2F[g,g'] - DF[g']: a term
+        # c x^a of degree d contributes at most |c| (d(d-1)(d-2) + 3d(d-1) + d) = |c| d^3
+        self.third = Fraction(sum(abs(c) * sum(a) ** 3 for a, c in self.scaled), self.scale)
         self.delta = _center_error(n)
         # value at a computed center versus F at the true center
         self.value = _rounding_bound(f) + 2.0 * self.lip * self.delta
@@ -302,9 +343,9 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt((v * v).sum(0))
 
 
-def _evaluate(cells: Cells, b: _Bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F at the cell centers, |F| minus the cell bound, and the centers."""
-    vals, gaps, centers = [], [], []
+def _evaluate(cells: Cells, b: _Bounds) -> tuple[np.ndarray, ...]:
+    """F at the cell centers, |F| minus the cell bound, the centers and the radii."""
+    parts = []
     for start in range(0, len(cells), _CHUNK):
         c, r = sphere_grid(cells.take(slice(start, start + _CHUNK)))
         v = b.f(c)
@@ -312,10 +353,8 @@ def _evaluate(cells: Cells, b: _Bounds) -> tuple[np.ndarray, np.ndarray, np.ndar
         gt = g - (c.T * g).sum(0) * c.T
         slope = np.sqrt((gt * gt).sum(0)) + b.grad
         bound = (slope * r + 0.5 * b.hess * r * r + b.value) * _SLACK
-        vals.append(v)
-        gaps.append(np.abs(v) - bound)
-        centers.append(c)
-    return np.concatenate(vals), np.concatenate(gaps), np.concatenate(centers)
+        parts.append((v, np.abs(v) - bound, c, r))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _rational_point(center: np.ndarray, axis: int, sign: float, depth: int) -> tuple[Fraction, ...]:
@@ -326,13 +365,74 @@ def _rational_point(center: np.ndarray, axis: int, sign: float, depth: int) -> t
     with a small denominator is hit once the cells around it are small
     enough; inverse projection keeps the point exactly on the sphere.
     """
-    den = 1 << max(0, depth - 4)
+    if depth <= 4:  # |x_j| <= |x_axis| on the sphere makes each |x_j| / (1 + |x_axis|) < 0.42: all snap to 0
+        return tuple(Fraction(int(sign) if j == axis else 0) for j in range(len(center)))
+    den = 1 << (depth - 4)
     scale = 1.0 + abs(float(center[axis]))
     t = [Fraction(float(x) / scale).limit_denominator(den) for j, x in enumerate(center) if j != axis]
     s2 = sum((ti * ti for ti in t), Fraction(0))
     pt = [2 * ti / (1 + s2) for ti in t]
     pt.insert(axis, int(sign) * (1 - s2) / (1 + s2))
     return tuple(pt)
+
+
+def _positive_definite(a: list[list[int]]) -> bool:
+    """Whether a symmetric integer matrix is positive definite: the pivots of fraction-free
+    (Bareiss) elimination, its leading principal minors, are all > 0 (Sylvester)."""
+    a, prev = [row[:] for row in a], 1
+    for k, row in enumerate(a):
+        if row[k] <= 0:
+            return False
+        for below in a[k + 1 :]:
+            below[k + 1 :] = [(row[k] * x - below[k] * y) // prev for x, y in zip(below[k + 1 :], row[k + 1 :])]
+        prev = row[k]
+    return True
+
+
+def _exclusion_cap(b: _Bounds, pt: tuple[Fraction, ...], value: Fraction, centers, radii) -> Cap | None:
+    """The cap about pt of the module docstring, F(pt) = value != 0, or None when mu <= 0 or
+    when a float estimate of the cap meets no cell of ``centers``/``radii``.  With pt = a / D
+    and sigma = S D^top (S clears F's coefficients), the work is in integers."""
+    n, s, den = len(pt), 1 if value > 0 else -1, math.lcm(*(x.denominator for x in pt))
+    a = [int(x * den) for x in pt]
+    grad, hess = [0] * n, [[0] * n for _ in range(n)]  # sigma grad F / D and sigma Hess F / D^2
+    for alpha, c in b.scaled:
+        w = c * den ** (b.top - sum(alpha))
+        for i in (i for i in range(n) if alpha[i]):
+            e = [k - (m == i) for m, k in enumerate(alpha)]
+            grad[i] += w * alpha[i] * math.prod(map(pow, a, e))
+            for j in (j for j in range(n) if e[j]):
+                hess[i][j] += w * alpha[i] * e[j] * math.prod(map(pow, a, [k - (m == j) for m, k in enumerate(e)]))
+    r, sigma, d2 = sum(map(operator.mul, a, grad)), b.scale * den**b.top, den * den  # r = sigma pt . grad F
+    ax, eye = np.array(a, dtype=object), np.eye(n, dtype=object)
+    proj = d2 * eye - np.outer(ax, ax)  # D^2 P
+    curv = s * proj @ (d2 * np.array(hess, dtype=object) - r * eye) @ proj  # sigma D^4 s M
+    # the Rayleigh quotients of s M at P e_i bound its least tangential eigenvalue from above
+    rayleigh = min(curv[i, i] / (sigma * d2 * (d2 - x * x)) for i, x in enumerate(a) if x * x < d2)
+    tangent2 = d2 * sum(g * g for g in grad) - r * r  # (sigma |grad_T F|)^2
+    slope = Fraction(math.isqrt(tangent2 << 128) + 1, sigma << 64) if tangent2 else 0  # G >= |grad_T F|
+    reach = min(Fraction(3, 2), abs(value) / (2 * slope)) if slope else Fraction(3, 2)  # 3/2 < pi/2
+    chord = np.sqrt(((centers - np.array(a) / den) ** 2).sum(1))  # shorter than the arc, as the screen needs
+    if rayleigh <= 0.0 or not np.any(chord - radii < min(3.0 * rayleigh / float(b.third), float(reach))):
+        return None
+    for mu in (Fraction(rayleigh * (1.0 - 2.0**-10) / 2**k) for k in range(10)):
+        shifted = mu.denominator * (curv + sigma * d2 * np.outer(ax, ax)) - mu.numerator * sigma * d2 * proj
+        if _positive_definite(shifted.tolist()):  # sigma D^4 (s M - mu P + pt pt^T), times mu's denominator
+            radius = min(3 * mu / b.third, reach)
+            return Cap(pt, radius, abs(value) - slope * radius)
+    return None
+
+
+def _outside_caps(caps, idx: np.ndarray, centers, radii, low: float) -> tuple[np.ndarray, float]:
+    """The cells of idx inside none of ``caps`` (floats: point, radius and bound rounded down),
+    and low lowered to the bound of each cap that holds one: radius + angle to point <= R."""
+    for point, radius, bound in caps:
+        if len(idx) and radii[idx].min() <= radius:
+            chord = np.sqrt(((centers[idx] - point) ** 2).sum(1))  # as in sphere_grid, to the exact center
+            angle = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord * _SLACK + _center_error(len(point)))) * _SLACK
+            inside = (angle + radii[idx]) * _SLACK <= radius
+            idx, low = idx[~inside], min(low, bound) if inside.any() else low
+    return idx, low
 
 
 def _bisect_zero(ev, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -376,7 +476,8 @@ def certify_nonvanishing(
     cert = SphereCertificate(lipschitz_bound=b.lip, rounding_bound=b.value)
     pos = neg = None  # the evaluated points with the largest and the smallest certified value
     certified_min = math.inf
-    tested: set[tuple[Fraction, ...]] = set()
+    tested: set[tuple[Fraction, ...]] = set()  # rational points tried for a zero and a cap
+    covers: list[tuple[np.ndarray, float, float]] = []  # Cap.floats() of each cap
     parents = None  # the undecided cells of the previous level
     for depth in range(max_depth + 1):
         count = 2 * n if parents is None else len(parents) << (n - 1)
@@ -385,7 +486,7 @@ def certify_nonvanishing(
             return cert
         t0 = time.perf_counter()
         cells = Cells.root(n) if parents is None else parents.split()
-        vals, gaps, centers = _evaluate(cells, b)
+        vals, gaps, centers, radii = _evaluate(cells, b)
         absval = np.abs(vals)
         i = int(np.argmin(absval))
         if absval[i] < cert.grid_min:
@@ -409,15 +510,24 @@ def certify_nonvanishing(
             cert.witness = tuple(float(x) for x in w)
             cert.witness_value = float(abs(b.f(w[None])[0]))
         else:
+            undecided, certified_min = _outside_caps(covers, undecided, centers, radii, certified_min)
             for j in undecided[np.argsort(absval[undecided], kind="stable")[:_EXACT_TRIES]]:
                 pt = _rational_point(centers[j], int(cells.axis[j]), float(cells.sign[j]), depth)
                 if pt in tested:
                     continue
                 tested.add(pt)
-                if f.eval_exact(pt) == 0:
+                value = f.eval_exact(pt)
+                if value == 0:
                     cert.verdict, cert.stop_reason = "FAIL(vanishing)", "exact-zero"
                     cert.witness, cert.witness_value = tuple(float(x) for x in pt), 0.0
                     break
+                cap = _exclusion_cap(b, pt, value, centers[undecided], radii[undecided])
+                if cap is not None:
+                    cert.caps += [cap, cap._replace(point=tuple(-x for x in pt))] if b.even else [cap]
+                    tested.add(cert.caps[-1].point)
+                    new = [c.floats() for c in cert.caps[len(covers) :]]
+                    covers += new
+                    undecided, certified_min = _outside_caps(new, undecided, centers, radii, certified_min)
         if cert.stop_reason is None and len(undecided) == 0:
             cert.verdict, cert.stop_reason = "PASS", "certified"
             cert.certified_min = certified_min

@@ -109,12 +109,16 @@ def far_window_pieces(x: float, cells: int = 1024) -> list[GridFunction]:
     return pieces
 
 
-def full_window_pieces(x: float) -> list[GridFunction]:
-    """Sampled transform around x plus the fixed source core [-4, 5]: 1024
-    cells on the core, 512 on each far piece."""
+def full_window_core() -> GridFunction:
+    return GridFunction.sample_1d(transform_closed_form, -4.0, 5.0, 1024)
+
+
+def full_window_pieces(x: float, core: GridFunction) -> list[GridFunction]:
+    """Sampled transform around x: the fixed source core [-4, 5] from
+    `full_window_core`, 1024 cells, and 512 cells on each far piece."""
     r = 4.0 * (abs(x) + 2.0) + 8.0
     lo, hi = min(x - r, -5.0), max(x + r, 6.0)
-    pieces = [GridFunction.sample_1d(transform_closed_form, -4.0, 5.0, 1024)]
+    pieces = [core]
     if lo < -4.0 - 1e-9:
         pieces.append(GridFunction.sample_1d(transform_closed_form, lo, -4.0, 512))
     if hi > 5.0 + 1e-9:
@@ -257,7 +261,8 @@ def exp_llogl_modular() -> ExperimentResult:
     pos = np.geomspace(0.011, x_max, int(20 * math.log10(x_max / 0.011)) + 1) + off
     core = np.linspace(-3.0, 4.0, 141) + off
     xs = np.unique(np.concatenate([-pos, core, pos]))
-    prof = np.array([hilbert_maximal(full_window_pieces(float(x)), float(x)) for x in xs])
+    source = full_window_core()
+    prof = np.array([hilbert_maximal(full_window_pieces(float(x), source), float(x)) for x in xs])
     mid = 0.5 * (xs[1:] + xs[:-1])
     edges = np.concatenate([[xs[0] - (xs[1] - xs[0]) / 2], mid, [xs[-1] + (xs[-1] - xs[-2]) / 2]])
     widths = np.diff(edges)

@@ -194,9 +194,13 @@ class TruncationGrid:
 # ---------------------------------------------------------------------------
 
 
-def _edge_jumps(f: GridFunction) -> np.ndarray:
-    """f(e-) - f(e+) at every cell edge e of f, in edge order."""
-    return -np.diff(f.values, prepend=0, append=0)
+def _edge_jumps(values: np.ndarray) -> np.ndarray:
+    """f(e-) - f(e+) at every cell edge e of the 1D cell values, formed as
+    ``-np.diff(values, prepend=0, append=0)`` forms them, with less overhead."""
+    out = np.empty(len(values) + 1, dtype=values.dtype)
+    out[0], out[-1] = values[0], 0.0 - values[-1]
+    np.subtract(values[1:], values[:-1], out=out[1:-1])
+    return np.negative(out, out=out)
 
 
 def _truncation_profile(fs: Sequence[GridFunction], x: float) -> tuple[np.ndarray, ...]:
@@ -213,14 +217,15 @@ def _truncation_profile(fs: Sequence[GridFunction], x: float) -> tuple[np.ndarra
     if any(g.dim != 1 for g in fs):
         raise ValueError("Hilbert machinery is one-dimensional")
     d = np.concatenate([np.abs(g.edges() - x) for g in fs])
-    jump = np.concatenate([_edge_jumps(g) for g in fs])
+    jump = np.concatenate([_edge_jumps(g.values) for g in fs])
     order = np.argsort(d)
     d, jump = d[order], jump[order]
     z = int(np.searchsorted(d, 0.0, side="right"))
     at_x, d, jump = jump[:z], d[z:], jump[z:]
-    o = np.cumsum(jump[::-1])[::-1]
-    gain = o[1:] * np.log1p(np.diff(d) / d[:-1])
-    return d, o, np.cumsum(np.append(gain, 0.0)[::-1])[::-1], at_x
+    o = jump[::-1].cumsum()[::-1]
+    gain = np.zeros(max(len(d), 1), dtype=o.dtype)  # the last gain, beyond every edge, is 0
+    gain[:-1] = o[1:] * np.log1p((d[1:] - d[:-1]) / d[:-1])
+    return d, o, gain[::-1].cumsum()[::-1], at_x
 
 
 def hilbert_truncated_many(f: GridFunction, x: float, eps: np.ndarray) -> np.ndarray:
@@ -272,7 +277,7 @@ def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
     O((span s / f.h + s K) log), K edges.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    edges, jumps = f.edges(), _edge_jumps(f)
+    edges, jumps = f.edges(), _edge_jumps(f.values)
     near = edges[np.clip(np.rint((xs - edges[0]) / f.h), 0, len(edges) - 1).astype(np.intp)]
     if np.min(np.abs(xs - near)) < 1e-13 * max(1.0, float(np.max(np.abs(xs)))):
         raise ValueError("principal value undefined at a cell edge")
@@ -672,12 +677,15 @@ def m_llogl(f: GridFunction, x) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_b(w: np.ndarray) -> np.ndarray:
-    return 1.0 / (w * w)
+# Each kernel is evaluated where ``keep`` holds and is 0 elsewhere; a dropped w is never divided by.
 
 
-def _kernel_b2(w: np.ndarray) -> np.ndarray:
-    return -2.0 * np.conj(w) / (w * w * w)
+def _kernel_b(w: np.ndarray, keep) -> np.ndarray:
+    return np.divide(1.0, w * w, out=np.zeros_like(w), where=keep)
+
+
+def _kernel_b2(w: np.ndarray, keep) -> np.ndarray:
+    return np.divide(-2.0 * np.conj(w), w * w * w, out=np.zeros_like(w), where=keep)
 
 
 # name -> (kernel, c) with |K(w)| <= c / |w|^2
@@ -704,11 +712,6 @@ def _sub_offsets(h: float, n: int) -> np.ndarray:
     return (ox + 1j * oy).ravel()
 
 
-def _masked_kernel(kern, w: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """kern(w) where keep holds and 0 elsewhere, never evaluating a dropped w."""
-    return np.where(keep, kern(np.where(keep, w, 1.0)), 0.0)
-
-
 def _beurling_truncations(f: GridFunction, z: complex, eps: np.ndarray, kernel: tuple):
     """Integral of f(w) K(w - z) over {|w - z| > e} for the radii e in eps, in two parts.
 
@@ -732,7 +735,7 @@ def _beurling_truncations(f: GridFunction, z: complex, eps: np.ndarray, kernel: 
     half_diag = f.h * math.sqrt(2.0) / 2.0
     outer = np.searchsorted(d, eps + half_diag, side="left")
     inner = np.searchsorted(d, eps - half_diag, side="right")
-    cellsum = vals * _masked_kernel(kern, w, d > 0)
+    cellsum = vals * kern(w, d > 0)
     suffix = np.append(np.cumsum(cellsum[::-1])[::-1], 0.0)
     total = suffix[outer] * (f.h * f.h)
     absum = np.append(0.0, np.cumsum(np.abs(vals)))
@@ -751,7 +754,7 @@ def _beurling_truncations(f: GridFunction, z: complex, eps: np.ndarray, kernel: 
         for b in range(0, len(cell), _RING_BLOCK):
             rb, cb = radius[b : b + _RING_BLOCK], cell[b : b + _RING_BLOCK]
             ws = w[cb, None] + sub
-            part = vals[cb] * _masked_kernel(kern, ws, np.abs(ws) > e[rb, None]).sum(axis=1)
+            part = vals[cb] * kern(ws, np.abs(ws) > e[rb, None]).sum(axis=1)
             acc += np.bincount(rb, part.real, len(sel)) + 1j * np.bincount(rb, part.imag, len(sel))
         return acc * (f.h / _SUBDIV) ** 2
 
@@ -835,12 +838,11 @@ def beurling_transform_grid(
     w = c0 + f.h * (m1[:, None] + 1j * m2[None, :])
     near = np.abs(w) < 4.0 * f.h
     wn = w[near]
-    w[near] = 1.0  # a finite stand-in, overwritten by the stencil below
-    table = _kernel_b(w)
+    table = _kernel_b(w, ~near)  # the near entries are overwritten by the stencil below
     del w  # no offset grid is held through the transforms
     table *= f.h * f.h
     ws = wn[:, None] + _sub_offsets(f.h, _NEAR_SUBDIV)
-    stencil = _masked_kernel(_kernel_b, ws, np.abs(ws) > f.h * 1e-9).sum(axis=1)
+    stencil = _kernel_b(ws, np.abs(ws) > f.h * 1e-9).sum(axis=1)
     table[near] = np.where(np.abs(wn) < f.h * 1e-9, 0.0, stencil * (f.h / _NEAR_SUBDIV) ** 2)
     del near
     keep = (slice(n1 - 1, n1 - 1 + r * s1, r), slice(n2 - 1, n2 - 1 + r * s2, r))

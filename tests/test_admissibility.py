@@ -13,6 +13,8 @@ from czkit.admissibility import (
     _Bounds,
     _center_error,
     _evaluate,
+    _exclusion_cap,
+    _positive_definite,
     _rounding_bound,
     certify_nonvanishing,
     check_maximal_control,
@@ -239,13 +241,19 @@ def test_roadmap_cases_decide_correctly():
 
 
 def test_near_boundary_cost_is_bounded():
-    # the tree stops near depth 22 at margins of 1e-12; a uniform scan of
-    # that resolution would need about 10^20 points at n = 4
+    # margins of 1e-12 at the axis points: the Taylor test alone would refine
+    # to about depth 22 there, but exclusion caps at the axis points decide
+    # every cell that fits inside them a few levels down
     for n, lam in ((3, 1 - F(1, 10**12)), (4, 1 - F(93, 10**13)), (4, F(-1, 3) + F(93, 10**13))):
         rep = check_maximal_control(model_kernel(n, lam))
         assert rep.verdict == "PASS", (n, lam)
-        assert 18 <= rep.depth_used <= 24
-        assert rep.grid_points < 100_000
+        assert rep.depth_used <= 8
+        assert rep.grid_points <= 10_000
+        assert rep.caps
+
+
+def _cap_angle(cap, x):
+    return float(_angle(np.array(cap.point, dtype=float), np.asarray(x, dtype=float)))
 
 
 def test_tangential_zero_at_irrational_point_is_inconclusive():
@@ -256,6 +264,10 @@ def test_tangential_zero_at_irrational_point_is_inconclusive():
     assert cert.verdict == "INCONCLUSIVE" and cert.stop_reason == "depth-cap"
     assert cert.depth_used == 20 and cert.certified_min is None
     assert abs(cert.witness[1] ** 2 - 1 / 3) < 1e-5
+    # the caps at rational points near the zeros (+-sqrt(2/3), +-sqrt(1/3)) stop short of them
+    assert cert.caps
+    zeros = [(a * (2 / 3) ** 0.5, b * (1 / 3) ** 0.5) for a in (1, -1) for b in (1, -1)]
+    assert all(_cap_angle(cap, z) > float(cap.radius) for cap in cert.caps for z in zeros)
     cert = certify_nonvanishing(q * q, cell_budget=200)
     assert cert.verdict == "INCONCLUSIVE" and cert.stop_reason == "cell-budget"
     assert cert.grid_points <= 200
@@ -278,12 +290,108 @@ def test_tangential_zero_at_rational_point_is_exact():
     assert cert.verdict == "FAIL(vanishing)" and cert.stop_reason == "exact-zero"
     assert cert.witness_value == 0.0
     assert np.allclose(np.abs(cert.witness), (0.6, 0.8), atol=0.0, rtol=1e-15)
+    assert all(_cap_angle(cap, z) > float(cap.radius) for cap in cert.caps for z in ((0.6, 0.8), (-0.6, -0.8)))
     for n in (2, 3):
         assert certify_nonvanishing(MultiPoly.zero(n)).stop_reason == "exact-zero"
     with pytest.raises(ValueError):
         certify_nonvanishing(MultiPoly.constant(1, 1))
     with pytest.raises(ValueError, match="max_depth must be at least 0"):
         certify_nonvanishing(q * q, max_depth=-1)
+
+
+def test_model_kernels_near_the_boundary_get_caps_at_the_axis():
+    # the minimum of |F| is at +-e1, where F, grad F and Hess F are exact
+    for n in (2, 3, 4):
+        rep = check_maximal_control(model_kernel(n, 1 - F(93, 10**13)))
+        assert rep.verdict == "PASS" and rep.stop_reason == "certified"
+        f = quotient_sum(model_kernel(n, 1 - F(93, 10**13)))[0]
+        e1 = tuple(F(int(i == 0)) for i in range(n))
+        assert [cap.point for cap in rep.caps] == [e1, tuple(-x for x in e1)]
+        # 3 lambda_min / C3 at e1, the largest radius the certificate allows: 16/64 at n = 2, 1/16 beyond
+        largest = F(3, 4) if n == 2 else F(3, 16)
+        for cap in rep.caps:
+            assert isinstance(cap.radius, F) and isinstance(cap.lower, F)
+            assert cap.lower == abs(f.eval_exact(cap.point)) and largest * F(99, 100) < cap.radius <= largest
+        assert 0 < rep.certified_min <= float(rep.caps[0].lower)
+        kv = rep.format_kv()
+        assert "\ncaps=2\n" in kv and f"\ncap_0=point:{','.join(['1.0'] + ['0.0'] * (n - 1))};radius:" in kv
+        assert "\ncap_1=point:-1.0," in kv
+        assert rep.format_text().count("\ncap ") == 2
+
+
+def _linear(w):
+    n = len(w)
+    return sum((MultiPoly.variable(n, i) * c for i, c in enumerate(w)), MultiPoly.zero(n))
+
+
+def _sphere_point(rng, n):
+    """A rational point of the unit sphere, by inverse stereographic projection."""
+    t = [F(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(n - 1)]
+    s2 = sum(x * x for x in t)
+    return tuple([(1 - s2) / (1 + s2)] + [2 * x / (1 + s2) for x in t])
+
+
+def _tangent(rng, p):
+    w = [F(rng.randrange(-5, 6)) for _ in p]
+    d = sum(a * b for a, b in zip(w, p))
+    return [a - d * b for a, b in zip(w, p)]
+
+
+def test_exclusion_caps_are_sound():
+    # F = v0 + s sum_k a_k (w_k . x)^2 + (w_1 . x)^2 (u . x) + eps (g . x), w_k and g tangent
+    # at the rational point p: |F(p)| = |v0| is a nondegenerate extremum, or one nearby when
+    # eps != 0, with a random cubic term; |F| >= the cap's bound all over the cap
+    # C3 = sum |c| d^3 over the terms c x^a of degree d = |a|
+    cubic = MultiPoly.monomial(2, (3, 0)) - MultiPoly.monomial(2, (0, 2), 2) + MultiPoly.constant(2, 5)
+    assert _Bounds(cubic).third == 27 + 2 * 8
+    rng, gen = random.Random(3), np.random.default_rng(3)
+    made = 0
+    for trial in range(80):
+        n = 2 + trial % 4
+        p = _sphere_point(rng, n)
+        v0 = F(rng.choice((1, -1)), 10 ** rng.randrange(0, 10))
+        f = MultiPoly.constant(n, v0)
+        for _ in range(n - 1):
+            w = _linear(_tangent(rng, p))
+            f = f + w * w * (F(rng.randrange(1, 5)) * (1 if v0 > 0 else -1))
+        w = _linear(_tangent(rng, p))
+        f = f + w * w * _linear([F(rng.randrange(-3, 4)) for _ in p])
+        if trial % 2:
+            f = f + _linear(_tangent(rng, p)) * (abs(v0) / 100)
+        b, pf = _Bounds(f), np.array(p, dtype=float)
+        value = f.eval_exact(p)
+        assert value == v0
+        cap = _exclusion_cap(b, p, value, pf[None], np.zeros(1))
+        if cap is None:
+            continue
+        made += 1
+        assert all(isinstance(x, F) for x in (*cap.point, cap.radius, cap.lower))
+        assert abs(value) / 2 <= cap.lower <= abs(value) and 0 < cap.radius <= F(3, 2)
+        # points on unit-speed great circles from p, out to the cap's radius
+        u = gen.standard_normal((4000, n))
+        u -= (u @ pf)[:, None] * pf
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        t = float(cap.radius) * np.sqrt(gen.uniform(0.0, 1.0, 4000))
+        t[:500] = float(cap.radius)
+        x = np.cos(t)[:, None] * pf + np.sin(t)[:, None] * u
+        signed = f.float_evaluator()(x) * (1 if v0 > 0 else -1)
+        assert signed.min() >= float(cap.lower) - b.value, (trial, f, cap)
+    assert made >= 50
+
+
+def test_positive_definite_is_exact():
+    assert _positive_definite([[2, 1], [1, 2]])
+    assert not _positive_definite([[1, 2], [2, 1]])  # indefinite
+    assert not _positive_definite([[1, 1], [1, 1]])  # singular
+    assert not _positive_definite([[3, 0, 0], [0, -1, 0], [0, 0, 3]])
+    # tridiag(-1, 2, -1) has lambda_min = 2 - sqrt(2) = 0.585786...: A - mu I for mu = m / 10^5
+    a = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    shifted = lambda m: [[10**5 * x - m * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    assert _positive_definite(shifted(58578)) and not _positive_definite(shifted(58579))
+    # a saddle of F on the sphere: no cap, however small
+    f = MultiPoly.constant(3, 1) + MultiPoly.monomial(3, (0, 2, 0)) - MultiPoly.monomial(3, (0, 0, 2))
+    e1 = (F(1), F(0), F(0))
+    assert _exclusion_cap(_Bounds(f), e1, F(1), np.array([[1.0, 0.0, 0.0]]), np.zeros(1)) is None
 
 
 def _strata(rng):

@@ -12,6 +12,7 @@ from czkit.experiments import (
     exp_weak11_failure,
     far_field_lower_terms,
     far_window_pieces,
+    full_window_core,
     full_window_pieces,
     transform_closed_form,
     weak11_profile,
@@ -81,7 +82,7 @@ def test_llogl_modular_summary():
 
 def test_full_window_profile_plateau_inside_support():
     # inside (0,1) the maximal composition reaches the principal-value level
-    val = hilbert_maximal(full_window_pieces(0.5003), 0.5003)
+    val = hilbert_maximal(full_window_pieces(0.5003, full_window_core()), 0.5003)
     assert val > math.pi**2 * 0.9
 
 

@@ -680,14 +680,14 @@ def scan_beurling_sum(f, z, eps, kern):
     d = np.abs(w)
     half_diag = f.h * math.sqrt(2.0) / 2.0
     outer = d >= eps + half_diag
-    total = complex(np.sum(f.values[outer] * kern(w[outer])) * f.h * f.h)
+    total = complex(np.sum(f.values[outer] * kern(w[outer], True)) * f.h * f.h)
     ring = (~outer) & (d > eps - half_diag) & (f.values != 0)
     sub = _subcells(f.h, 16)
     for i, j in np.argwhere(ring):
         wij = w[i, j] + sub
         keep = np.abs(wij) > eps
         if keep.any():
-            total += complex(f.values[i, j] * np.sum(kern(wij[keep])) * (f.h / 16) ** 2)
+            total += complex(f.values[i, j] * np.sum(kern(wij[keep], True)) * (f.h / 16) ** 2)
     return total
 
 
@@ -710,13 +710,13 @@ def direct_beurling_transform_grid(f, origin, h, shape):
     for i, x in enumerate(tx):
         w = src - (x + 1j * ty[None, :].T)
         far = np.abs(w) >= 4.0 * f.h
-        out[i, :] = np.where(far, _kernel_b(np.where(far, w, 1.0)) * f.h * f.h, 0.0) @ vals
+        out[i, :] = np.where(far, _kernel_b(np.where(far, w, 1.0), True) * f.h * f.h, 0.0) @ vals
         for r, c in zip(*np.nonzero(~far)):
             if abs(w[r, c]) < f.h * 1e-9:
                 continue  # self cell: principal value vanishes by symmetry
             ws = w[r, c] + sub
             keep = np.abs(ws) > f.h * 1e-9
-            out[i, r] += vals[c] * np.sum(_kernel_b(ws[keep])) * (f.h / 8) ** 2
+            out[i, r] += vals[c] * np.sum(_kernel_b(ws[keep], True)) * (f.h / 8) ** 2
     return out
 
 
@@ -825,15 +825,17 @@ def test_beurling_maximal_subdivides_few_ring_cells(monkeypatch):
     bg = beurling_transform_grid(GridFunction.disk(1.0, 1.0 / 32), (-6.0 - 0.11 / 16,) * 2, 1.0 / 16, (192, 192))
     z, radii = COMPOSITION_SAMPLES[0], TruncationGrid.geometric(1.0 / 8, 40.0, 24)
     pairs = []
-    masked = gridops._masked_kernel
-    monkeypatch.setattr(
-        gridops, "_masked_kernel", lambda k, w, keep: pairs.append(len(w) * (w.ndim == 2)) or masked(k, w, keep)
-    )
+
+    def counted(w, keep):
+        pairs.append(len(w) * (w.ndim == 2))  # (radius, ring cell) pairs, 256 sub-points each
+        return _kernel_b(w, keep)
+
+    monkeypatch.setitem(gridops._KERNELS, "b", (counted, 1.0))
     with np.errstate(all="raise"):
         got = beurling_maximal(bg, z, radii)
         pruned = sum(pairs)
         pairs.clear()
-        total, _, ring = gridops._beurling_truncations(bg, z, radii.eps, (_kernel_b, 1.0))
+        total, _, ring = gridops._beurling_truncations(bg, z, radii.eps, (counted, 1.0))
         full = np.abs(total + ring(np.arange(len(radii.eps))))
     assert abs(got - np.max(full)) <= 1e-12 * got
     assert 0 < pruned <= 0.25 * sum(pairs)
