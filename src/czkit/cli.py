@@ -1,7 +1,10 @@
-"""Command-line driver: kernel checks, identity suite, experiments."""
+"""Command-line driver: kernel checks, identity suite, experiments.  The
+argparse tree is built once per process, at the first `main` call, so callers
+that run `main` many times in one process (tests, scripts) do not rebuild it."""
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -72,7 +75,8 @@ def _cmd_exp(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="czkit",
         description="Exact admissibility checks and numerical experiments for "
@@ -107,21 +111,25 @@ def main(argv: list[str] | None = None) -> int:
 
     p_ver = sub.add_parser("version", help="print the package version")
     p_ver.set_defaults(fn=lambda a: (print(f"czkit {__version__}"), 0)[1])
+    return parser, sub.choices
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     for opt, least in COUNT_FLOORS.get(args.command, {}).items():
         value = getattr(args, opt)
         if value < least:
-            sub.choices[args.command].error(f"--{opt.replace('_', '-')} must be at least {least}, got {value}")
+            commands[args.command].error(f"--{opt.replace('_', '-')} must be at least {least}, got {value}")
     if args.command == "exp":
         for opt in ("mesh", "cells", "kernel"):
             value = getattr(args, opt)
             if value is None:
                 continue
             if opt not in EXP_OPTIONS[args.name]:
-                p_exp.error(f"{args.name} does not take --{opt}")
+                commands["exp"].error(f"{args.name} does not take --{opt}")
             if opt != "kernel" and not 0 < value < math.inf:
-                p_exp.error(f"--{opt} must be positive and finite, got {value}")
+                commands["exp"].error(f"--{opt} must be positive and finite, got {value}")
     return args.fn(args)
 
 

@@ -54,6 +54,7 @@ mixed-radix transforms).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -194,10 +195,10 @@ class TruncationGrid:
 # ---------------------------------------------------------------------------
 
 
-def _edge_jumps(values: np.ndarray) -> np.ndarray:
-    """f(e-) - f(e+) at every cell edge e of the 1D cell values, formed as
-    ``-np.diff(values, prepend=0, append=0)`` forms them, with less overhead."""
-    out = np.empty(len(values) + 1, dtype=values.dtype)
+def _edge_jumps(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """f(e-) - f(e+) at every cell edge e of the 1D cell values, written into
+    the contiguous out as ``-np.diff(values, prepend=0, append=0)`` forms
+    them (numpy 2.4's in-place negative misreads a strided view)."""
     out[0], out[-1] = values[0], 0.0 - values[-1]
     np.subtract(values[1:], values[:-1], out=out[1:-1])
     return np.negative(out, out=out)
@@ -212,13 +213,21 @@ def _truncation_profile(fs: Sequence[GridFunction], x: float) -> tuple[np.ndarra
     o is constant between consecutive distances and is the suffix sum of
     the jumps f(e-) - f(e+) beyond them, so T is one more suffix sum of
     o * log(d[i+1] / d[i]).  With no positive distance, T is the single
-    value 0.  The last array holds the jumps of the edges at x itself.
+    value 0.  The last array holds the jumps of the edges at x itself.  The
+    distances |origin + h k - x| of all pieces fill one buffer; each piece
+    adds a falling and a rising run, which a stable sort (timsort) merges.
     """
     if any(g.dim != 1 for g in fs):
         raise ValueError("Hilbert machinery is one-dimensional")
-    d = np.concatenate([np.abs(g.edges() - x) for g in fs])
-    jump = np.concatenate([_edge_jumps(g.values) for g in fs])
-    order = np.argsort(d)
+    ends = np.cumsum([len(g.values) + 1 for g in fs]).tolist()
+    d = np.empty(ends[-1])
+    jump = np.empty(ends[-1], dtype=np.result_type(*(g.values for g in fs)))
+    for g, a, b in zip(fs, [0, *ends], ends):  # edges as `GridFunction.edges` forms them
+        np.multiply(g.h, np.arange(b - a), out=d[a:b])
+        d[a:b] += g.origin[0]
+        _edge_jumps(g.values, jump[a:b])
+    np.abs(np.subtract(d, x, out=d), out=d)
+    order = np.argsort(d, kind="stable")
     d, jump = d[order], jump[order]
     z = int(np.searchsorted(d, 0.0, side="right"))
     at_x, d, jump = jump[:z], d[z:], jump[z:]
@@ -277,7 +286,7 @@ def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
     O((span s / f.h + s K) log), K edges.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    edges, jumps = f.edges(), _edge_jumps(f.values)
+    edges = f.edges()
     near = edges[np.clip(np.rint((xs - edges[0]) / f.h), 0, len(edges) - 1).astype(np.intp)]
     if np.min(np.abs(xs - near)) < 1e-13 * max(1.0, float(np.max(np.abs(xs)))):
         raise ValueError("principal value undefined at a cell edge")
@@ -292,8 +301,8 @@ def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
     w = (xs[0] - edges[0]) + (f.h / s) * np.arange(m.min() - n, m.max() + 1)
     # a zero offset pairs no target with an edge (tested above): keep it finite
     table = np.log(np.abs(w), out=np.zeros_like(w), where=w != 0)
-    u = np.zeros(n + 1, dtype=jumps.dtype)
-    u[::s] = jumps
+    u = np.zeros(n + 1, dtype=f.values.dtype)
+    u[::s] = _edge_jumps(f.values, np.empty(len(edges), dtype=u.dtype))
     return _lattice_correlate(u, table, (m - m.min() + n,))
 
 
@@ -555,17 +564,16 @@ class _HullTree:
         x, y = xs.tolist(), ys.tolist()
         parent = [0] * n
         key = [-math.inf] * n
-        stack = [0]
         for i in range(1, n):
-            top = stack[-1]
-            s = (y[i] - y[top]) / (x[i] - x[top])
-            while len(stack) > 1 and key[top] >= s:
-                stack.pop()
-                top = stack[-1]
-                s = (y[i] - y[top]) / (x[i] - x[top])
+            # the hull of 0..i-1 is the parent path from i-1, walked as a stack; the
+            # root's key -inf ends each walk, and top == 0 ends one where s is -inf
+            xi, yi, top = x[i], y[i], i - 1
+            s = (yi - y[top]) / (xi - x[top])
+            while key[top] >= s and top:
+                top = parent[top]
+                s = (yi - y[top]) / (xi - x[top])
             parent[i] = top
             key[i] = s
-            stack.append(i)
         up = [np.array(parent, dtype=np.intp)]
         for _ in range(max(1, (n - 1).bit_length()) - 1):
             up.append(up[-1][up[-1]])
@@ -705,11 +713,14 @@ _NEAR_SUBDIV = 8  # per axis, on source cells within 4 meshes of a target
 _RING_BLOCK = 256
 
 
+@functools.lru_cache(maxsize=16)
 def _sub_offsets(h: float, n: int) -> np.ndarray:
-    """Midpoints of the n x n subcells of a side-h cell centered at 0, as complex."""
+    """Midpoints of the n x n subcells of a side-h cell centered at 0, as complex; read-only."""
     offs = (np.arange(n) + 0.5) / n - 0.5
     ox, oy = np.meshgrid(offs * h, offs * h, indexing="ij")
-    return (ox + 1j * oy).ravel()
+    table = (ox + 1j * oy).ravel()
+    table.flags.writeable = False
+    return table
 
 
 def _beurling_truncations(f: GridFunction, z: complex, eps: np.ndarray, kernel: tuple):

@@ -1,4 +1,5 @@
 """Command-line interface."""
+import argparse
 import inspect
 import os
 import subprocess
@@ -227,3 +228,32 @@ def test_out_of_range_counts_rejected(tmp_path, capsys, argv, message):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and f"error: {message}" in err
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_args", lambda self, *a: parsers.append(self) or parse_args(self, *a)
+    )
+    kernel, out = write(tmp_path, "k.kern", RIESZ3), str(tmp_path / "o")
+    quick = ["identities", "--n-max", "2", "--N-max", "1"]
+    assert main(quick) == 0
+    first = capsys.readouterr().out
+    refused = [
+        (["check", kernel, "--depth", "-1"], "--depth must be at least 0, got -1"),
+        (["exp", "pointwise-ratios", "--mesh", "inf", "--out", out], "--mesh must be positive and finite, got inf"),
+        (["exp", "llogl-modular", "--mesh", "0.5", "--out", out], "llogl-modular does not take --mesh"),
+        (["identities", "--n-max", "3", "--bogus"], "unrecognized arguments: --bogus"),
+    ]
+    for _ in range(3):
+        for argv, message in refused:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and f"error: {message}" in err
+    assert main(quick) == 0
+    assert capsys.readouterr().out == first
+    assert len(parsers) == 2 + 3 * len(refused) and all(p is parsers[0] for p in parsers)
+    assert not os.path.exists(out)

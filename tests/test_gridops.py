@@ -25,6 +25,7 @@ from czkit.gridops import (
     _interval_averages_max,
     _kernel_b,
     _kernel_b2,
+    _HullTree,
     _window,
 )
 from czkit import gridops
@@ -34,6 +35,8 @@ from czkit.experiments import (
     HILBERT_SAMPLES,
     _transform_grid,
     far_window_pieces,
+    full_window_core,
+    full_window_pieces,
     hilbert_test_suite,
     transform_closed_form,
 )
@@ -158,6 +161,25 @@ def test_edge_jump_truncations_match_cell_oracle():
             want = (logs[:, 1:] - logs[:, :-1]) @ pieces[0].values
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert jumps == 31
+
+
+def test_multi_piece_maximal_with_tied_edge_distances():
+    # ties: an edge shared by two pieces, an x midway between edges of
+    # different pieces, and the full window, whose core shares its end edges
+    h = 1.0 / 8
+    rng = np.random.default_rng(5)
+    left, right = GridFunction(0.0, h, rng.normal(size=16)), GridFunction(2.0, h, rng.normal(size=16))
+    right.values[0] = left.values[-1]  # no jump across the shared edge
+    far = GridFunction(3.0, h, rng.normal(size=8))
+    core = full_window_core()
+    cases = [([left, right], x) for x in (1.3, 2.0, 3.5 * h)]
+    cases += [([left, far], 2.5), ([left, far], 2.5 + h / 2), ([left, right, far], 2.0)]
+    cases += [(full_window_pieces(x, core), x) for x in (0.3, 5.0 + 1e-3, -11.7)]
+    for pieces, x in cases:
+        d = np.unique(np.concatenate([np.abs(g.edges() - x) for g in pieces]))
+        want = np.max(np.abs(sum(hilbert_truncated_many(g, x, d[d > 0]) for g in pieces)))
+        for order in (pieces, pieces[::-1]):
+            assert abs(hilbert_maximal(order, x) - want) <= 1e-13 * want
 
 
 def test_maximal_infinite_at_a_jump_finite_across_a_shared_edge():
@@ -290,6 +312,33 @@ def test_interval_maximal_matches_dense_oracle():
             for x in (edges[0], edges[-1], inner, rng.uniform(edges[0], edges[-1]), edges[0] - h, edges[-1] + h):
                 got = _interval_averages_max(edges, vals, float(x))
                 assert_rel_close(got, dense_interval_averages_max(edges, vals, float(x)))
+
+
+def test_hull_tree_matches_brute_force_prefix_hulls():
+    # parent[i] is the smallest a < i of largest slope(a, i): i's left
+    # neighbour on the lower hull of 0..i, collinear points dropped
+    rng = np.random.default_rng(8)
+    hat = dict(hilbert_test_suite(1.0 / 64))["hat"]
+    edges = hat.origin[0] + hat.h * np.arange(-20, len(hat.values) + 21)
+    cells = np.pad(hat.values, 20)  # zero runs: collinear prefix sums
+    point_sets = [(edges, np.concatenate([[0.0], np.cumsum(cells * np.diff(edges))]))]
+    for n in (1, 2, 3, 5, 40, 40, 120):
+        xs = np.cumsum(rng.integers(1, 4, size=n)).astype(float)
+        point_sets.append((xs, rng.integers(-6, 7, size=n).astype(float)))
+    for xs, ys in point_sets:
+        for x, y in ((xs, ys), (-xs[::-1], -ys[::-1])):
+            tree = _HullTree(x, y)
+            parent, key = [0], [-math.inf]
+            for i in range(1, len(x)):
+                slopes = [(y[i] - y[a]) / (x[i] - x[a]) for a in range(i)]
+                parent.append(slopes.index(max(slopes)))
+                key.append(max(slopes))
+            assert tree.up[0].tolist() == parent and tree.key.tolist() == key
+            for lo, hi in zip(tree.up, tree.up[1:]):
+                assert np.array_equal(hi, lo[lo])
+    # overflowed prefix sums give a slope of -inf, which the root's key does not stop
+    tree = _HullTree(np.arange(4.0), np.array([0.0, -1e308, -math.inf, -math.inf]))
+    assert tree.up[0].tolist() == [0, 0, 0, 2]
 
 
 def wide_window(f, x, margin=3):
