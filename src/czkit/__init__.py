@@ -9,8 +9,8 @@ Three layers:
   the divisor/non-vanishing check that decides control of the maximal
   singular integral, and verifiers for the combinatorial identities behind
   the fundamental-solution calculus;
-* a numerical operator lab (``gridops``, ``experiments``) -- truncated and
-  maximal singular integrals, maximal functions, Orlicz averages on grid
+* a numerical operator lab (``gridops``, ``experiments``) -- singular
+  integrals, their maximal truncations and maximal functions on grid
   functions, and the scripted experiments exposed through the ``czkit`` CLI.
 """
 
@@ -32,21 +32,16 @@ from .polyalg import (
     laplacian,
     sphere_monomial_integral,
 )
-from .kernels import KernelSpec, kernel_from_polynomial, load_kernel_spec, multiplier_eval
+from .kernels import KernelSpec, kernel_from_polynomial, load_kernel_spec
 from .admissibility import CheckReport, check_maximal_control, spherical_gradient_bound
 from .identities import run_identity_suite
 from .gridops import (
     GridFunction,
     TruncationGrid,
     beurling_maximal,
-    beurling_truncated,
     hardy_littlewood,
     hilbert_maximal,
-    hilbert_truncated,
     iterated_m2,
-    m_delta,
-    m_llogl,
-    orlicz_llogl_average,
 )
 
 __all__ = [
@@ -65,21 +60,15 @@ __all__ = [
     "KernelSpec",
     "kernel_from_polynomial",
     "load_kernel_spec",
-    "multiplier_eval",
     "CheckReport",
     "check_maximal_control",
     "spherical_gradient_bound",
     "run_identity_suite",
     "GridFunction",
     "TruncationGrid",
-    "hilbert_truncated",
     "hilbert_maximal",
     "hardy_littlewood",
     "iterated_m2",
-    "m_delta",
-    "m_llogl",
-    "orlicz_llogl_average",
-    "beurling_truncated",
     "beurling_maximal",
     "__version__",
 ]

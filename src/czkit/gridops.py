@@ -25,11 +25,9 @@ Dinkelbach step on a K-edge window; every cell center at once costs
 O(K log K) time and memory through hull trees with binary lifting.  No
 K x K table is built.
 
-The L log L maximal function is the same engine under a bisection.  A
-cube's Luxemburg average of |f| is at most lam exactly when its average of
-Phi(|f|/lam) is at most 1, so M_{L log L} f(x) = min{lam : M(Phi(|f|/lam))(x)
-<= 1} over the same cube family (C. Perez, J. Funct. Anal. 128, 1995, for
-M_{L log L} ~ M^2).
+`iterated_m2` runs the same engine twice.  The tests bracket it by the
+L log L maximal function, built on `hardy_littlewood` under a bisection
+(C. Perez, J. Funct. Anal. 128, 1995, for M_{L log L} ~ M^2).
 
 In 2D one sort of the cells by distance gives every radius of a truncation
 scan its outside-cell sum, as a suffix sum, and a bound on its ring term,
@@ -237,26 +235,6 @@ def _truncation_profile(fs: Sequence[GridFunction], x: float) -> tuple[np.ndarra
     return d, o, gain[::-1].cumsum()[::-1], at_x
 
 
-def hilbert_truncated_many(f: GridFunction, x: float, eps: np.ndarray) -> np.ndarray:
-    """Exact truncated Hilbert transform at every radius in eps.
-
-    Integrates f(y)/(y - x) over {|y - x| > eps}; no quadrature error for
-    piecewise-constant f.  Between consecutive edge distances the
-    truncation is T(d) + o * log(d / eps), with d the next distance out.
-    """
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0):
-        raise ValueError("truncation radii must be positive")
-    d, o, t, _ = _truncation_profile([f], x)
-    k = np.searchsorted(d, eps, side="right")
-    i = np.minimum(k, len(d) - 1)
-    return np.where(k < len(d), t[i] + o[i] * np.log(d[i] / eps), 0.0)
-
-
-def hilbert_truncated(f: GridFunction, x: float, eps: float) -> float | complex:
-    return hilbert_truncated_many(f, x, np.array([float(eps)]))[0].item()
-
-
 def hilbert_maximal(f: GridFunction | Sequence[GridFunction], x: float) -> float:
     """sup over eps > 0 of |truncated transform| at x, exactly.
 
@@ -354,21 +332,6 @@ def _lattice_correlate(src: np.ndarray, table: np.ndarray, keep: tuple) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def _padded_window(values: np.ndarray, bounds) -> np.ndarray:
-    """|values[i0:i1]| per axis (i0, i1) as floats, zero where a range
-    leaves the stored extent."""
-    out = np.zeros([i1 - i0 for i0, i1 in bounds])
-    src, dst = [], []
-    for (i0, i1), n in zip(bounds, values.shape):
-        lo, hi = max(i0, 0), min(i1, n)
-        if hi <= lo:
-            return out
-        src.append(slice(lo, hi))
-        dst.append(slice(lo - i0, hi - i0))
-    out[tuple(dst)] = np.abs(values[tuple(src)])
-    return out
-
-
 _MAX_WINDOW_CELLS = 8192  # per axis; a 2D window at the cap holds 512 MiB of cells
 
 
@@ -390,7 +353,8 @@ def _window(f: GridFunction, x) -> tuple[list[np.ndarray], np.ndarray]:
     if f.dim == 2:
         bounds = [(i0, i0 + side) for i0, _ in bounds]
     edges = [org + f.h * np.arange(i0, i1 + 1) for org, (i0, i1) in zip(f.origin, bounds)]
-    return edges, _padded_window(f.values, bounds)
+    # the hull holds the stored extent, cells 0..n-1 on each axis, so both pads are >= 0
+    return edges, np.pad(np.abs(f.values), [(-i0, i1 - n) for (i0, i1), n in zip(bounds, f.values.shape)])
 
 
 def _slope(csum: np.ndarray, edges: np.ndarray, a, b):
@@ -590,14 +554,6 @@ class _HullTree:
         return np.where(key[v] > s, self.up[0][v], v)
 
 
-def m_delta(f: GridFunction, x, delta: float) -> float:
-    """M(|f|^delta)^(1/delta) for 0 < delta <= 1."""
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
-    g = GridFunction(f.origin, f.h, np.abs(f.values) ** delta)
-    return hardy_littlewood(g, x) ** (1.0 / delta)
-
-
 def iterated_m2(f: GridFunction, x) -> float | np.ndarray:
     """M(Mf) on the hull window of `_window`: the inner Mf is sampled at its
     cell centers, so this iterates Mf restricted to the hull, as
@@ -615,69 +571,6 @@ def iterated_m2(f: GridFunction, x) -> float | np.ndarray:
             inner[key] = hardy_littlewood_all_centers(edges, vals)
         out.append(_interval_averages_max(edges[0] + f.h * np.arange(len(edges)), inner[key], xx))
     return out[0] if np.ndim(x) == 0 else np.array(out)
-
-
-# ---------------------------------------------------------------------------
-# Orlicz averages and their maximal function
-# ---------------------------------------------------------------------------
-
-
-def phi_llogl(t: np.ndarray) -> np.ndarray:
-    """Young function t (1 + log+ t)."""
-    t = np.asarray(t, dtype=float)
-    return t * (1.0 + np.log(np.maximum(t, 1.0)))
-
-
-def _luxemburg(avg, vmax: float) -> float:
-    """Smallest lam with avg(lam) <= 1, for avg(lam) a Phi-average of
-    values of at most vmax divided by lam.  avg does not increase with lam
-    and avg(4 vmax) <= Phi(1/4) <= 1, so 60 halvings of (0, 4 vmax] reach
-    float resolution.  0 when vmax is 0."""
-    if vmax <= 0:
-        return 0.0
-    lo, hi = 0.0, 4.0 * vmax
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if avg(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def orlicz_llogl_average(f: GridFunction, q) -> float:
-    """Luxemburg L log L average of f over a grid-aligned cube q.
-
-    1D: q = (a, b); 2D: q = ((x0, x1), (y0, y1)) with equal side lengths.
-    The infimal lambda is found by bisection to float resolution.
-    """
-    bounds = []
-    for org, (a, b) in zip(f.origin, [q] if f.dim == 1 else q):
-        a, b = float(a), float(b)
-        if b <= a:
-            raise ValueError("empty interval")
-        i0 = int(round((a - org) / f.h))
-        i1 = int(round((b - org) / f.h))
-        if abs(org + i0 * f.h - a) > 1e-9 or abs(org + i1 * f.h - b) > 1e-9:
-            raise ValueError("cube must be grid aligned")
-        bounds.append((i0, i1))
-    if len({i1 - i0 for i0, i1 in bounds}) > 1:
-        raise ValueError("cube must be square")
-    cells = _padded_window(f.values, bounds)
-    return _luxemburg(lambda lam: phi_llogl(cells / lam).mean(), float(cells.max(initial=0.0)))
-
-
-def m_llogl(f: GridFunction, x) -> float:
-    """sup over every grid-aligned cube containing x of the L log L
-    average: the smallest lam with M(Phi(|f|/lam))(x) <= 1.  Phi(0) = 0,
-    so `hardy_littlewood` scans it on the hull window of f and x."""
-    x = _checked_point(f, x)
-    a = np.abs(f.values)
-
-    def avg(lam: float) -> float:
-        return hardy_littlewood(GridFunction(f.origin, f.h, phi_llogl(a / lam)), x)
-
-    return _luxemburg(avg, float(a.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -770,18 +663,6 @@ def _beurling_truncations(f: GridFunction, z: complex, eps: np.ndarray, kernel: 
         return acc * (f.h / _SUBDIV) ** 2
 
     return total, bound, ring
-
-
-def beurling_truncated(f: GridFunction, z: complex, eps: float, kernel: str = "b") -> complex:
-    """Integral of f(w) K(w - z) over {|w - z| > eps}, for K(w) = 1/w^2
-    (kernel "b") or the iterated kernel -2 conj(w)/w^3 ("b2").  Midpoint
-    rule, boundary cells subdivided.  Cost: one O(C log C) sort of the C
-    cells plus 256 sub-points per cell the circle may cut."""
-    kern = _planar_kernel(kernel)
-    if eps < f.h / 2:
-        raise ValueError("truncation radius below half a mesh")
-    total, _, ring = _beurling_truncations(f, complex(z), np.array([float(eps)]), kern)
-    return complex(total[0] + ring(np.array([0]))[0])
 
 
 def beurling_maximal(

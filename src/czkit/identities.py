@@ -44,7 +44,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .exact import (
     RationalLike,
@@ -56,7 +56,6 @@ from .exact import (
     gamma_half_integer,
     gamma_product,
 )
-from .polyalg import MultiPoly, laplacian
 
 Frac = Fraction
 
@@ -109,17 +108,6 @@ def fundamental_coeffs(dim: int, order: int) -> tuple[Fraction | None, Fraction]
         return gamma_product((2 * (mi - N), 2 * N), (2 * mi, 4 * N), Frac((-1) ** N, 2)).q, Frac(0)
     # beta = (-1)^(mi+1) (N-1)! / (2 (mi-1)! (N-mi)! (2N-1)!)
     return None, gamma_product((2 * N,), (2 * mi, 2 * (N - mi) + 2, 4 * N), Frac((-1) ** (mi + 1), 2)).q
-
-
-def fundamental_coeff_product_form(dim: int, order: int) -> Fraction:
-    """alpha as the inverse of the defining product (beta = 0 cases only)."""
-    n, N = dim, order
-    prod = Frac(1)
-    for j in range(N):
-        prod *= (2 * N + 1 - n - 2 * j) * (2 * N + 1 - 2 * (j + 1))
-    if prod == 0:
-        raise ValueError("product form degenerates (log case)")
-    return 1 / prod
 
 
 def fundamental_solution(
@@ -324,23 +312,6 @@ def series_kernel_constant_from_matching(dim: int, order: int, L: int, j: int, k
     )
 
 
-def bessel_ratio_coeff_scaled(q: RationalLike, i: int) -> SymScalar:
-    """Coefficient of r^(2i) in 2^q * J_q(r)/r^q:  (-1)^i / (i! 4^i Gamma(q+i+1))."""
-    if i < 0:
-        raise ValueError("series index must be >= 0")
-    return gamma_product((), (2 * i + 2, 2 * (q + i + 1)), Frac((-1) ** i, 4**i))
-
-
-def bessel_ratio_float(q: RationalLike, r: float, terms: int = 30) -> float:
-    """Float value of J_q(r)/r^q from the power series."""
-    q = _as_fraction(q)
-    scale = 2.0 ** (-float(q))
-    total = 0.0
-    for i in range(terms):
-        total += bessel_ratio_coeff_scaled(q, i).to_float() * r ** (2 * i)
-    return scale * total
-
-
 def bessel_zero_scaled(q: RationalLike, dim: int) -> SymScalar:
     """2^(n/2) * (value at r = 0 of J_q(r)/r^q) = 2^(n/2-q)/Gamma(q+1).
 
@@ -511,125 +482,6 @@ def verify_series_stabilization(dim: int, p: int) -> bool:
         if power_series_coeffs_scaled(dim, N, p) != base:
             return False
     return base == power_series_closed_scaled(dim, p)
-
-
-def verify_coeff_decay(
-    dim: int,
-    order: int,
-    sup_norms: Sequence[float],
-    p_max: int | None = None,
-) -> dict[str, float | bool]:
-    """Numeric check of the two decay displays for the series coefficients.
-
-    sup_norms[j] estimates the sup of layer 2j+1 on the sphere.  The first
-    display bounds |a_{2p+1}| by C/(p! 4^p) * sum_{j<=p} norms for p <= N-1;
-    the second bounds the deep-truncation range N <= p by C/4^p times a
-    fixed order-dependent ratio.  C is fitted once at the smallest usable p
-    and reused; the returned margins are min(bound/value) per display
-    (>= 1 means the display holds).
-    """
-    n, N = dim, order
-    if len(sup_norms) < N:
-        raise ValueError("need one sup-norm per layer")
-    if p_max is None:
-        p_max = 2 * N
-    values: list[float] = []
-    for p in range(p_max + 1):
-        vec = power_series_coeffs_scaled(n, N, p)
-        values.append(sum(abs(s.to_complex()) * sup_norms[j] for j, s in vec.items()))
-    norm_prefix = [sum(sup_norms[: j + 1]) for j in range(N)]
-
-    fit_c = None
-    for p in range(N):
-        rhs_unit = norm_prefix[min(p, N - 1)] / (math.factorial(p) * 4**p)
-        if values[p] > 0 and rhs_unit > 0:
-            fit_c = values[p] / rhs_unit
-            break
-    if fit_c is None:
-        return {"C": 0.0, "margin_low": math.inf, "margin_high": math.inf, "ok": True}
-
-    margin_low = math.inf
-    for p in range(N):
-        if values[p] == 0:
-            continue
-        rhs = fit_c * norm_prefix[min(p, N - 1)] / (math.factorial(p) * 4**p)
-        margin_low = min(margin_low, rhs / values[p])
-
-    margin_high = math.inf
-    if N > 1:
-        half = Frac(n, 2)
-        ratio = float(
-            binomial(N + half - Frac(1, 2), N) / binomial(N - Frac(1, 2), N)
-        )
-        for p in range(N, p_max + 1):
-            if values[p] == 0:
-                continue
-            rhs = fit_c * ratio * norm_prefix[N - 1] / 4**p
-            margin_high = min(margin_high, rhs / values[p])
-
-    ok = margin_low >= 1.0 - 1e-12 and margin_high >= 1.0 - 1e-12
-    return {"C": fit_c, "margin_low": margin_low, "margin_high": margin_high, "ok": ok}
-
-
-# --------------------------------------------------------------------------
-# Differential operators applied to radial functions
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RadialPowerArg:
-    """The radial function r^(2k)."""
-
-    k: int
-
-
-@dataclass(frozen=True)
-class BesselArg:
-    """The radial function J_q(r)/r^q."""
-
-    q: Fraction
-
-
-def radial_diffop_expand(op: MultiPoly, f):
-    """Expand L(d) f(r) = sum_nu (1/(2^nu nu!)) lap^nu L * ((1/r) d/dr)^(l-nu) f.
-
-    For f = r^(2k) the rule (1/r d/dr) r^(2a) = 2a r^(2a-2) closes the family
-    and the result is a polynomial, which must agree with direct operator
-    application.  For f = J_q(r)/r^q the rule (1/r d/dr) shifts q up by one
-    with a sign, and the result is a list of (coefficient, polynomial,
-    shifted index) triples.
-    """
-    if op.is_zero():
-        if isinstance(f, RadialPowerArg):
-            return MultiPoly.zero(op.nvars)
-        return []
-    ell = op.homogeneous_degree()
-    pieces: list[tuple[Fraction, MultiPoly, int]] = []  # (1/(2^nu nu!), lap^nu L, nu)
-    cur = op
-    nu = 0
-    while not cur.is_zero():
-        pieces.append((Frac(1, 2**nu * math.factorial(nu)), cur, nu))
-        cur = laplacian(cur)
-        nu += 1
-    if isinstance(f, RadialPowerArg):
-        k = f.k
-        if k < 0:
-            raise ValueError("radial power index must be >= 0")
-        out = MultiPoly.zero(op.nvars)
-        for coef, poly, nu in pieces:
-            j = ell - nu
-            if j > k:
-                continue
-            fac = Frac(2**j * math.factorial(k), math.factorial(k - j))
-            out = out + poly * (coef * fac) * MultiPoly.radius_power(op.nvars, k - j)
-        return out
-    if isinstance(f, BesselArg):
-        out_terms = []
-        for coef, poly, nu in pieces:
-            sign = Frac((-1) ** (ell - nu))
-            out_terms.append((coef * sign, poly, f.q + (ell - nu)))
-        return out_terms
-    raise ValueError(f"radial argument outside the closed family: {f!r}")
 
 
 # --------------------------------------------------------------------------

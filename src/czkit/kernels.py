@@ -5,17 +5,13 @@ numerator: the restriction of the numerator to the unit sphere expands as
 a finite sum of homogeneous harmonic polynomials, and that list (plus the
 dimension) is the whole specification.  Construction enforces the standing
 hypotheses: zero mean on the sphere (checked exactly) and no degree-0
-layer.  The Fourier multiplier is evaluated from the exact per-degree
-Riesz constants.
+layer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .exact import riesz_multiplier
 from .polyalg import (
     HarmonicComponent,
     MultiPoly,
@@ -95,25 +91,6 @@ def kernel_from_polynomial(dim: int, w: MultiPoly) -> KernelSpec:
             raise AssertionError("zero-mean polynomial produced a constant layer")
         comps.append(HarmonicComponent(deg, h))
     return KernelSpec.from_components(dim, comps)
-
-
-def multiplier_eval(kernel: KernelSpec, xi: Sequence[float]) -> complex:
-    """Fourier multiplier of the kernel at a point of the unit sphere.
-
-    xi is normalized internally; the per-degree constants are exact and
-    converted to floats only here.
-    """
-    v = np.asarray(xi, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise KernelError("multiplier is undefined at xi = 0")
-    v = v / norm
-    total = 0j
-    for c in kernel.components:
-        gamma = riesz_multiplier(c.degree, kernel.dim).to_complex()
-        ev = c.poly.float_evaluator()
-        total += gamma * complex(ev(v[None, :])[0])
-    return total
 
 
 def parse_kernel_spec(text: str) -> KernelSpec:

@@ -353,26 +353,7 @@ def sphere_mean(p: MultiPoly) -> Fraction:
     return total
 
 
-def sup_norm_on_sphere(p: MultiPoly) -> float:
-    """Estimate of sup |P| on the unit sphere from 4096 seeded random points."""
-    rng = np.random.default_rng(7)
-    pts = rng.standard_normal((4096, p.nvars))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    ev = p.float_evaluator()
-    return float(np.max(np.abs(ev(pts))))
-
-
 # ------------------------------------------------------------- text format
-
-def poly_to_text(p: MultiPoly) -> str:
-    """One term per line: coefficient as num[/den], then the exponents."""
-    lines = []
-    for mono in sorted(p.terms, key=lambda m: (sum(m), m), reverse=True):
-        c = p.terms[mono]
-        coef = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        lines.append(" ".join([coef] + [str(e) for e in mono]))
-    return "\n".join(lines)
-
 
 def poly_from_text(text: str, nvars: int | None = None) -> MultiPoly:
     """Parse the one-term-per-line format; '#' comments and blanks ignored.

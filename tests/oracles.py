@@ -1,0 +1,146 @@
+"""Reference implementations that the tests check kept code against.
+
+None of these has a caller in the package.  Each is a slow or one-point
+form of something the package computes, or a closed form that a kept
+function must reproduce.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from czkit.exact import RationalLike, SymScalar, _as_fraction, gamma_product, riesz_multiplier
+from czkit.gridops import (
+    GridFunction,
+    _beurling_truncations,
+    _checked_point,
+    _planar_kernel,
+    _truncation_profile,
+    hardy_littlewood,
+)
+from czkit.kernels import KernelError, KernelSpec
+
+Frac = Fraction
+
+
+# ---------------------------------------------------------------- truncations
+
+
+def hilbert_truncated_many(f: GridFunction, x: float, eps: np.ndarray) -> np.ndarray:
+    """Exact truncated Hilbert transform at every radius in eps.
+
+    Integrates f(y)/(y - x) over {|y - x| > eps}; no quadrature error for
+    piecewise-constant f.  Between consecutive edge distances the
+    truncation is T(d) + o * log(d / eps), with d the next distance out.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps <= 0):
+        raise ValueError("truncation radii must be positive")
+    d, o, t, _ = _truncation_profile([f], x)
+    k = np.searchsorted(d, eps, side="right")
+    i = np.minimum(k, len(d) - 1)
+    return np.where(k < len(d), t[i] + o[i] * np.log(d[i] / eps), 0.0)
+
+
+def beurling_truncation(f: GridFunction, z: complex, eps: float, kernel: str = "b") -> complex:
+    """Integral of f(w) K(w - z) over {|w - z| > eps}, for K(w) = 1/w^2
+    (kernel "b") or the iterated kernel -2 conj(w)/w^3 ("b2"): the one
+    radius eps of `_beurling_truncations`, outside part plus ring part."""
+    total, _, ring = _beurling_truncations(f, complex(z), np.array([float(eps)]), _planar_kernel(kernel))
+    return complex(total[0] + ring(np.array([0]))[0])
+
+
+# ------------------------------------------------------ L log L maximal function
+# A cube's Luxemburg average of |f| is at most lam exactly when its average
+# of Phi(|f|/lam) is at most 1, so M_{L log L} f(x) = min{lam :
+# M(Phi(|f|/lam))(x) <= 1} over the cube family of `hardy_littlewood`.
+# M_{L log L} ~ M^2 (C. Perez, J. Funct. Anal. 128, 1995) makes it the
+# bracket of `iterated_m2`.
+
+
+def phi_llogl(t: np.ndarray) -> np.ndarray:
+    """Young function t (1 + log+ t)."""
+    t = np.asarray(t, dtype=float)
+    return t * (1.0 + np.log(np.maximum(t, 1.0)))
+
+
+def _luxemburg(avg, vmax: float) -> float:
+    """Smallest lam with avg(lam) <= 1, for avg(lam) a Phi-average of
+    values of at most vmax divided by lam.  avg does not increase with lam
+    and avg(4 vmax) <= Phi(1/4) <= 1, so 60 halvings of (0, 4 vmax] reach
+    float resolution.  0 when vmax is 0."""
+    if vmax <= 0:
+        return 0.0
+    lo, hi = 0.0, 4.0 * vmax
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if avg(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def m_llogl(f: GridFunction, x) -> float:
+    """sup over every grid-aligned cube containing x of the L log L
+    average: the smallest lam with M(Phi(|f|/lam))(x) <= 1.  Phi(0) = 0,
+    so `hardy_littlewood` scans it on the hull window of f and x."""
+    x = _checked_point(f, x)
+    a = np.abs(f.values)
+
+    def avg(lam: float) -> float:
+        return hardy_littlewood(GridFunction(f.origin, f.h, phi_llogl(a / lam)), x)
+
+    return _luxemburg(avg, float(a.max(initial=0.0)))
+
+
+# ------------------------------------------------------------ exact closed forms
+
+
+def fundamental_coeff_product_form(dim: int, order: int) -> Fraction:
+    """alpha as the inverse of the defining product (beta = 0 cases only)."""
+    n, N = dim, order
+    prod = Frac(1)
+    for j in range(N):
+        prod *= (2 * N + 1 - n - 2 * j) * (2 * N + 1 - 2 * (j + 1))
+    if prod == 0:
+        raise ValueError("product form degenerates (log case)")
+    return 1 / prod
+
+
+def bessel_ratio_coeff_scaled(q: RationalLike, i: int) -> SymScalar:
+    """Coefficient of r^(2i) in 2^q * J_q(r)/r^q:  (-1)^i / (i! 4^i Gamma(q+i+1))."""
+    if i < 0:
+        raise ValueError("series index must be >= 0")
+    return gamma_product((), (2 * i + 2, 2 * (q + i + 1)), Frac((-1) ** i, 4**i))
+
+
+def bessel_ratio_float(q: RationalLike, r: float, terms: int = 30) -> float:
+    """Float value of J_q(r)/r^q from the power series."""
+    q = _as_fraction(q)
+    scale = 2.0 ** (-float(q))
+    total = 0.0
+    for i in range(terms):
+        total += bessel_ratio_coeff_scaled(q, i).to_float() * r ** (2 * i)
+    return scale * total
+
+
+def multiplier_eval(kernel: KernelSpec, xi: Sequence[float]) -> complex:
+    """Fourier multiplier of the kernel at a point of the unit sphere.
+
+    xi is normalized internally; the per-degree constants are exact and
+    converted to floats only here.
+    """
+    v = np.asarray(xi, dtype=float)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        raise KernelError("multiplier is undefined at xi = 0")
+    v = v / norm
+    total = 0j
+    for c in kernel.components:
+        gamma = riesz_multiplier(c.degree, kernel.dim).to_complex()
+        ev = c.poly.float_evaluator()
+        total += gamma * complex(ev(v[None, :])[0])
+    return total

@@ -1,5 +1,5 @@
 """Grid operator laboratory: exact 1D truncations, maximal functions,
-Orlicz averages, planar truncations."""
+planar truncations."""
 import math
 
 import numpy as np
@@ -10,18 +10,11 @@ from czkit.gridops import (
     TruncationGrid,
     beurling_maximal,
     beurling_transform_grid,
-    beurling_truncated,
     hardy_littlewood,
     hardy_littlewood_all_centers,
     hilbert_maximal,
     hilbert_transform_many,
-    hilbert_truncated,
-    hilbert_truncated_many,
     iterated_m2,
-    m_delta,
-    m_llogl,
-    orlicz_llogl_average,
-    phi_llogl,
     _interval_averages_max,
     _kernel_b,
     _kernel_b2,
@@ -40,6 +33,7 @@ from czkit.experiments import (
     hilbert_test_suite,
     transform_closed_form,
 )
+from oracles import beurling_truncation, hilbert_truncated_many, m_llogl, phi_llogl
 
 
 def step01(h=1.0 / 64):
@@ -50,20 +44,20 @@ def step01(h=1.0 / 64):
 
 
 def test_truncated_value_outside_support():
-    assert abs(hilbert_truncated(step01(), 2.0, 0.5) + math.log(2)) < 1e-12
+    assert abs(hilbert_truncated_many(step01(), 2.0, [0.5])[0] + math.log(2)) < 1e-12
 
 
 def test_truncated_symmetry_zeros():
     even = GridFunction.indicator_1d(-1.0, 1.0, 1.0 / 64)
-    assert abs(hilbert_truncated(even, 0.0, 0.25)) < 1e-12
-    assert abs(hilbert_truncated(step01(), 0.5, 0.25)) < 1e-12
+    assert abs(hilbert_truncated_many(even, 0.0, [0.25])[0]) < 1e-12
+    assert abs(hilbert_truncated_many(step01(), 0.5, [0.25])[0]) < 1e-12
 
 
 def test_truncated_grid_refinement_invariance():
     coarse, fine = step01(1.0 / 32), step01(1.0 / 256)
+    eps = [0.05, 0.31, 1.7]
     for x in (1.9, -0.55, 0.31):
-        for eps in (0.05, 0.31, 1.7):
-            assert abs(hilbert_truncated(coarse, x, eps) - hilbert_truncated(fine, x, eps)) < 1e-12
+        assert np.max(np.abs(hilbert_truncated_many(coarse, x, eps) - hilbert_truncated_many(fine, x, eps))) < 1e-12
 
 
 def test_maximal_dominates_each_truncation_and_is_exact():
@@ -402,7 +396,6 @@ def test_iterated_m2_array_form_matches_scalar_calls(monkeypatch):
 def test_maximal_sublinearity_randomized():
     rng = np.random.default_rng(0)
     h = 1.0 / 8
-    delta = 0.5
     for _ in range(5):
         a = GridFunction(0.0, h, rng.uniform(0, 2, 32))
         b = GridFunction(0.0, h, rng.uniform(0, 2, 32))
@@ -411,33 +404,6 @@ def test_maximal_sublinearity_randomized():
             assert hardy_littlewood(s, x) <= hardy_littlewood(a, x) + hardy_littlewood(b, x) + 1e-9
             assert iterated_m2(s, x) <= iterated_m2(a, x) + iterated_m2(b, x) + 1e-9
             assert m_llogl(s, x) <= m_llogl(a, x) + m_llogl(b, x) + 1e-9
-            # the delta-variant is a quasi-norm: constant 2^(1/delta - 1)
-            quasi = 2.0 ** (1.0 / delta - 1.0)
-            assert m_delta(s, x, delta) <= quasi * (m_delta(a, x, delta) + m_delta(b, x, delta)) + 1e-9
-
-
-def test_m_delta_plain_subadditivity_fails():
-    # disjoint indicators: M_delta(f+g) can exceed M_delta(f) + M_delta(g),
-    # so only the quasi-norm inequality is asserted above
-    h = 1.0 / 8
-    f = GridFunction.indicator_1d(0.0, 1.0, h)
-    g = GridFunction.indicator_1d(1.0, 2.0, h)
-    s = GridFunction(0.0, h, np.ones(16))
-    x = 4.0
-    d = 0.5
-    assert m_delta(s, x, d) > m_delta(f, x, d) + m_delta(g, x, d)
-
-
-def test_m_delta_consistency():
-    f = step01(1.0 / 8)
-    # indicator powers are the indicator again: M_delta = M(f)^(1/delta)
-    for d in (0.25, 0.5, 0.75):
-        assert abs(m_delta(f, 2.0, d) - hardy_littlewood(f, 2.0) ** (1.0 / d)) < 1e-12
-    # Jensen: M_delta <= M for delta < 1 wherever |f| <= 1
-    for x in (0.31, 2.0, -1.7):
-        assert m_delta(f, x, 0.5) <= hardy_littlewood(f, x) + 1e-12
-    with pytest.raises(ValueError):
-        m_delta(f, 2.0, 0.0)
 
 
 def test_hardy_littlewood_2d():
@@ -461,7 +427,7 @@ def test_hl_2d_squares_reach_past_the_support():
 def test_window_beyond_the_cap_is_refused():
     line, plane = step01(1.0 / 8), GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8)
     assert hardy_littlewood(line, 1000.0) == 1.0 / 1000.0  # 8000 cells: under the cap
-    for call in (hardy_littlewood, iterated_m2, m_llogl, lambda f, x: m_delta(f, x, 0.5)):
+    for call in (hardy_littlewood, iterated_m2, m_llogl):
         with pytest.raises(ValueError, match="^evaluation window of 16000 cells per axis exceeds 8192$"):
             call(line, 2000.0)
     # refused before any cell of the 2D window is allocated
@@ -558,7 +524,7 @@ def test_hl_2d_evaluates_few_squares(monkeypatch):
 def test_maximal_functions_refuse_bad_points():
     line, plane = GridFunction.indicator_1d(0.0, 1.0, 0.25), GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 0.25)
     assert abs(hardy_littlewood(line, 3.0) - 1.0 / 3.0) < 1e-12
-    for call in (hardy_littlewood, lambda f, x: m_delta(f, x, 0.5), m_llogl):
+    for call in (hardy_littlewood, m_llogl):
         for f, wrong in ((line, (0.5, 0.5)), (plane, (0.5, 0.5, 99.0))):
             for x in (wrong, np.full(f.dim, math.nan), np.full(f.dim, math.inf), np.full(f.dim, 0.5 + 0.5j)):
                 with pytest.raises(ValueError, match="finite real coordinate"):
@@ -569,26 +535,6 @@ def test_maximal_functions_refuse_bad_points():
     # an all-zero field answers 0 without a bisection, yet still checks its point
     with pytest.raises(ValueError, match="finite real coordinate"):
         m_llogl(GridFunction(0.0, 0.25, np.zeros(4)), math.nan)
-
-
-def test_orlicz_average_examples():
-    one = GridFunction.indicator_1d(0.0, 1.0, 1.0 / 4)
-    assert abs(orlicz_llogl_average(one, (0.0, 1.0)) - 1.0) < 1e-9
-    zero = GridFunction(0.0, 1.0, np.zeros(3))
-    assert orlicz_llogl_average(zero, (0.0, 3.0)) == 0.0
-    # monotone in the scale factor
-    prev = 0.0
-    for c in (0.5, 1.0, 2.0, 4.0):
-        g = GridFunction(0.0, 1.0 / 4, np.full(4, c))
-        cur = orlicz_llogl_average(g, (0.0, 1.0))
-        assert cur > prev
-        prev = cur
-    sq = GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 4)
-    assert abs(orlicz_llogl_average(sq, ((0.0, 1.0), (0.0, 1.0))) - 1.0) < 1e-9
-    with pytest.raises(ValueError, match="grid aligned"):
-        orlicz_llogl_average(one, (0.03, 1.03))
-    with pytest.raises(ValueError, match="grid aligned"):
-        orlicz_llogl_average(sq, ((0.03, 1.03), (0.0, 1.0)))
 
 
 def test_llogl_maximal_vs_iterated_bracket():
@@ -664,10 +610,11 @@ def test_cotlar_control_stability():
     def sup_ratio(mesh):
         f = step01(mesh)
         g = _transform_grid(f, 48.0, 1024)
+        root = GridFunction(g.origin, g.h, np.abs(g.values) ** 0.5)  # |g|^delta, delta = 1/2
         worst = 0.0
         for x in np.array([-2.31, -0.47, 0.309, 1.613, 5.37]) + 1 / 3333:
             num = hilbert_maximal(f, float(x))
-            den = m_delta(g, float(x), 0.5) + hardy_littlewood(f, float(x))
+            den = hardy_littlewood(root, float(x)) ** 2.0 + hardy_littlewood(f, float(x))
             worst = max(worst, num / den)
         return worst
 
@@ -681,19 +628,17 @@ def test_cotlar_control_stability():
 
 def test_beurling_radial_cancellation():
     disk = GridFunction.disk(1.0, 1.0 / 32)
-    assert abs(beurling_truncated(disk, 0j, 0.5)) < 1e-6
-    assert abs(beurling_truncated(disk, 0j, 0.5, kernel="b2")) < 2e-3  # quadrature only
-    assert abs(beurling_truncated(disk, 0j, 1.5)) < 1e-9  # empty intersection
-    with pytest.raises(ValueError):
-        beurling_truncated(disk, 0j, 1e-6)
+    assert abs(beurling_truncation(disk, 0j, 0.5)) < 1e-6
+    assert abs(beurling_truncation(disk, 0j, 0.5, kernel="b2")) < 2e-3  # quadrature only
+    assert abs(beurling_truncation(disk, 0j, 1.5)) < 1e-9  # empty intersection
 
 
 def test_beurling_closed_form_outside_disk():
     disk = GridFunction.disk(1.0, 1.0 / 32)
-    got = beurling_truncated(disk, 2.0 + 0j, 1.0 / 16)
+    got = beurling_truncation(disk, 2.0 + 0j, 1.0 / 16)
     assert abs(got - math.pi / 4) < 4e-3  # pi/z^2 at z = 2
     z = 1.5 + 1.2j
-    got2 = beurling_truncated(disk, z, 1.0 / 16)
+    got2 = beurling_truncation(disk, z, 1.0 / 16)
     assert abs(got2 - math.pi / z**2) < 5e-3
 
 
@@ -702,7 +647,7 @@ def test_beurling_iterated_kernel_closed_form():
     # -pi (2 conj(z)/z^3 - 3/z^4); verified against exact contour integration
     disk = GridFunction.disk(1.0, 1.0 / 32)
     for z in (2.0 + 0j, 1.5 + 1.2j):
-        got = beurling_truncated(disk, z, 1.0 / 16, kernel="b2")
+        got = beurling_truncation(disk, z, 1.0 / 16, kernel="b2")
         want = -math.pi * (2 * np.conj(z) / z**3 - 3 / z**4)
         assert abs(got - want) < 6e-3 * abs(want) + 1e-4
 
@@ -841,7 +786,7 @@ def test_beurling_truncations_match_scan_oracle():
                     want = scan_beurling_maximal(f, z, radii, kernel=kernel)
                     assert abs(got - want) <= 1e-12 * want
                     for eps in radii.eps[radii.eps >= f.h / 2][::7]:
-                        got = beurling_truncated(f, z, eps, kernel=kernel)
+                        got = beurling_truncation(f, z, eps, kernel=kernel)
                         assert abs(got - scan_beurling_sum(f, z, eps, kern)) <= 1e-12 * want
             assert beurling_maximal(f, 0j, TruncationGrid(np.array([f.h / 4]))) == 0.0
         # inside the disk, b2: the sup sits at a small radius whose ring bound
@@ -908,7 +853,7 @@ def test_beurling_maximal_far_field():
     with pytest.raises(ValueError, match="unknown kernel"):
         beurling_maximal(disk, 3.0 + 0j, kernel="b3")
     with pytest.raises(ValueError, match="unknown kernel"):
-        beurling_truncated(disk, 3.0 + 0j, 0.5, kernel="B")
+        beurling_maximal(disk, 3.0 + 0j, kernel="B")
 
 
 # -------------------------------------------------------------- grid plumbing

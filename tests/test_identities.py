@@ -1,5 +1,5 @@
 """Exact identity verifiers: fundamental solution, matching coefficients,
-series constants, stabilization, summation identities, radial operators."""
+series constants, stabilization, summation identities."""
 import math
 from fractions import Fraction as F
 
@@ -10,21 +10,15 @@ from czkit.exact import SymScalar, binomial, fundamental_normalization, gamma_ha
 from czkit.identities import (
     _radial_sum_lhs,
     _radial_sum_rhs,
-    BesselArg,
-    RadialPowerArg,
-    bessel_ratio_coeff_scaled,
-    bessel_ratio_float,
     bessel_zero_scaled,
     falling_factorial_sum_a,
     falling_factorial_sum_b,
-    fundamental_coeff_product_form,
     fundamental_coeffs,
     fundamental_solution,
     matching_coeff_closed,
     matching_coeffs_taylor,
     power_series_closed_scaled,
     power_series_coeffs_scaled,
-    radial_diffop_expand,
     radial_laplacian,
     radial_laplacian_check,
     run_identity_suite,
@@ -32,14 +26,14 @@ from czkit.identities import (
     series_kernel_constant_from_matching,
     series_leading_constant_scaled,
     t_derivative,
-    verify_coeff_decay,
     verify_matching_coeffs,
     verify_radial_sum_identity,
     verify_series_constants,
     verify_series_stabilization,
     verify_triple_binomial,
 )
-from czkit.polyalg import MultiPoly, apply_diffop, sup_norm_on_sphere
+from czkit.polyalg import MultiPoly
+from oracles import bessel_ratio_coeff_scaled, bessel_ratio_float, fundamental_coeff_product_form
 
 
 def test_fundamental_coeff_examples():
@@ -208,18 +202,6 @@ def test_power_series_leading_value_matches_constant():
         assert vec == power_series_closed_scaled(n, 0)
 
 
-def test_coeff_decay_bounds():
-    cubic = MultiPoly.monomial(2, (3, 0)) - MultiPoly.monomial(2, (1, 2), 3)
-    norm3 = sup_norm_on_sphere(cubic)
-    res = verify_coeff_decay(2, 2, [0.0, norm3], p_max=6)
-    assert res["ok"]
-    res2 = verify_coeff_decay(2, 2, [1.0, 3 * norm3], p_max=6)
-    assert res2["ok"]
-    # zero kernel: vacuous bounds
-    res3 = verify_coeff_decay(2, 2, [0.0, 0.0], p_max=4)
-    assert res3["ok"]
-
-
 def test_radial_sum_identity_full_range():
     for n in (2, 3, 4, 5):
         for order in (1, 3, 4):
@@ -256,29 +238,6 @@ def test_radial_sum_recurrence_matches_direct_sum():
             _radial_sum_lhs(*bad)
         with pytest.raises(ValueError):
             verify_radial_sum_identity(*bad)
-
-
-def test_radial_diffop_expansion_cross_oracle():
-    n = 3
-    x1 = MultiPoly.variable(n, 0)
-    r2k = MultiPoly.radius_power
-    # single-variable operator on r^2: one term, matches direct application
-    assert radial_diffop_expand(x1, RadialPowerArg(1)) == apply_diffop(x1, r2k(n, 1))
-    # |x|^2 operator picks up the Laplacian term
-    op = MultiPoly.radius2(n)
-    assert radial_diffop_expand(op, RadialPowerArg(1)) == apply_diffop(op, r2k(n, 1))
-    assert radial_diffop_expand(op, RadialPowerArg(3)) == apply_diffop(op, r2k(n, 3))
-    # harmonic operator: single term reproducing the closed form
-    h = MultiPoly.monomial(n, (3, 0, 0)) - MultiPoly.monomial(n, (1, 2, 0), 3)
-    for k in range(0, 6):
-        assert radial_diffop_expand(h, RadialPowerArg(k)) == apply_diffop(h, r2k(n, k))
-    # Bessel-family argument: index shifts with alternating sign
-    out = radial_diffop_expand(x1, BesselArg(F(3, 2)))
-    assert len(out) == 1
-    coef, poly, q = out[0]
-    assert coef == F(-1) and poly == x1 and q == F(5, 2)
-    with pytest.raises(ValueError):
-        radial_diffop_expand(x1, "not a radial argument")
 
 
 def test_fundamental_solution_shape():
@@ -319,12 +278,6 @@ def test_suite_ranges_are_configuration():
     results = run_identity_suite(n_max=6, N_max=7)
     beyond = [r for r in results if "n=6" in r.params and "N=7" in r.params]
     assert beyond and all(r.ok for r in beyond)
-
-
-def test_radial_diffop_requires_homogeneous_operator():
-    mixed = MultiPoly.variable(2, 0) + MultiPoly.monomial(2, (2, 0))
-    with pytest.raises(ValueError):
-        radial_diffop_expand(mixed, RadialPowerArg(2))
 
 
 # The closed forms as chains of Fraction and SymScalar products over

@@ -9,10 +9,10 @@ from czkit.kernels import (
     KernelError,
     KernelSpec,
     kernel_from_polynomial,
-    multiplier_eval,
     parse_kernel_spec,
 )
 from czkit.polyalg import MultiPoly
+from oracles import multiplier_eval
 
 
 def harmonic_cubic(n=2):
