@@ -18,8 +18,8 @@ expressions and the series coefficient vectors of ``identities`` -- is a
 plain dict built by ``_collect``, the one place that drops cancelled terms,
 so no such dict holds a zero coefficient and dict equality is exact equality.
 
-Floats appear only at the explicit ``to_complex``/``to_float`` boundary;
-all other operations are exact.
+Every operation is exact: the package never converts a ``SymScalar`` to a
+float.
 """
 from __future__ import annotations
 
@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Hashable, Iterable, Union
-
-_I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 RationalLike = Union[int, Fraction]
 
@@ -89,18 +87,11 @@ class SymScalar:
     def one() -> "SymScalar":
         return SymScalar(Fraction(1))
 
-    @staticmethod
-    def imag_unit() -> "SymScalar":
-        return SymScalar(Fraction(1), 0, 1)
-
     def is_zero(self) -> bool:
         return self.q == 0
 
     def __bool__(self) -> bool:
         return self.q != 0
-
-    def is_real(self) -> bool:
-        return self.k == 0 or self.q == 0
 
     def __mul__(self, other: "SymScalar | RationalLike") -> "SymScalar":
         if isinstance(other, SymScalar):
@@ -139,17 +130,6 @@ class SymScalar:
 
     def __sub__(self, other: "SymScalar") -> "SymScalar":
         return self + (-other)
-
-    def to_complex(self) -> complex:
-        if self.q == 0:
-            return 0j
-        return float(self.q) * math.pi ** (self.h / 2.0) * _I_POWERS[self.k]
-
-    def to_float(self) -> float:
-        z = self.to_complex()
-        if z.imag != 0.0:
-            raise ValueError(f"{self!r} is not real")
-        return z.real
 
     def __repr__(self) -> str:
         if self.q == 0:

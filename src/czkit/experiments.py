@@ -225,7 +225,7 @@ def exp_weak11_failure() -> ExperimentResult:
     grid = TruncationGrid.default_for(disk, per_decade=24)
     r_max = 1.5 * math.sqrt(4.0 / lam_min)
     radii = np.geomspace(1.3, r_max, 60)
-    bprof = np.array([beurling_maximal(disk, complex(r), grid) for r in radii])
+    bprof = beurling_maximal(disk, radii, grid)
     r_inner = np.sqrt(radii[1:] * radii[:-1])
     r_edges = np.concatenate([[1.0], r_inner, [r_max * 1.1]])
 
@@ -290,6 +290,8 @@ def exp_llogl_modular() -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 HILBERT_SAMPLES = np.array([-3.31, -1.73, -0.467, 0.309, 0.771, 1.613, 2.843, 6.337, 15.71]) + 1.0 / 3333
+BEURLING_SAMPLES = np.array([0.13 + 0.07j, 0.52 + 0.31j, -0.41 + 0.76j, 0.93 + 0.21j, 1.21 - 0.33j,
+                             -1.62 + 0.48j, 2.31 + 1.12j, -3.1 - 2.2j, 0.02 - 0.89j])
 ADVERSARIAL_WINDOWS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
@@ -365,11 +367,8 @@ def exp_pointwise_ratios(kernel: str = "hilbert", mesh: float | None = None) -> 
         disk = GridFunction.disk(1.0, 1.0 / 16 if mesh is None else mesh)
         bg = _transform_grid_2d(disk)
         grid = TruncationGrid.default_for(disk, per_decade=24)
-        zs = [0.13 + 0.07j, 0.52 + 0.31j, -0.41 + 0.76j, 0.93 + 0.21j, 1.21 - 0.33j,
-              -1.62 + 0.48j, 2.31 + 1.12j, -3.1 - 2.2j, 0.02 - 0.89j]
         rows = []
-        for z in zs:
-            bstar = beurling_maximal(disk, z, grid)
+        for z, bstar in zip(BEURLING_SAMPLES.tolist(), beurling_maximal(disk, BEURLING_SAMPLES, grid).tolist()):
             mbf = hardy_littlewood(bg, (z.real, z.imag))
             rows.append(("disk", z.real, z.imag, bstar, mbf, bstar / mbf))
         return ExperimentResult(
@@ -424,9 +423,10 @@ def exp_beurling_composition(mesh: float = 1.0 / 16) -> ExperimentResult:
     for name, f in (("disk", GridFunction.disk(1.0, mesh)), ("steps", step_field(mesh))):
         bg = _transform_grid_2d(f)
         sup = 0.0
-        for z in COMPOSITION_SAMPLES:
-            num = beurling_maximal(bg, z, eps_b, kernel="b")
-            den = beurling_maximal(f, z, eps_f, kernel="b2") + hardy_littlewood(f, (z.real, z.imag))
+        nums = beurling_maximal(bg, COMPOSITION_SAMPLES, eps_b, kernel="b").tolist()
+        b2s = beurling_maximal(f, COMPOSITION_SAMPLES, eps_f, kernel="b2").tolist()
+        for z, num, b2 in zip(COMPOSITION_SAMPLES, nums, b2s):
+            den = b2 + hardy_littlewood(f, (z.real, z.imag))
             ratio = num / (den + 1e-12)
             rows.append((name, z.real, z.imag, num, den, ratio))
             sup = max(sup, ratio)

@@ -34,6 +34,14 @@ scan its outside-cell sum, as a suffix sum, and a bound on its ring term,
 as a prefix sum of |f|: a sub-point outside the circle has |K| < c/eps^2.
 The maximal function subdivides the ring cells only of the radii whose
 bound still reaches the largest |T| found; the others cannot hold the sup.
+It takes one point or an array of points.  A ring cell's sub-point sum
+depends only on the radius and on w = h (m - p), m the cell's integer
+offset from the point and p the point's phase (its position modulo the
+cell lattice), so the points of one call that share a phase share one
+table of (radius index, m) -> sum: each such sum is subdivided once per
+call, at the w of the first point to ask, and read by another point only
+at an equal w.  The table lives for one call; a point whose phase no
+other point of the call has keeps none.
 The same move prunes the square sides of the 2D Hardy-Littlewood maximal
 function: the rectangle enclosing every candidate square of one side
 bounds all their averages, read from the integral image in one lookup,
@@ -54,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -115,16 +124,6 @@ class GridFunction:
             for a in range(self.dim)
         )
 
-    def integral(self) -> complex | float:
-        return self.values.sum() * self.h**self.dim
-
-    def value_at(self, point) -> complex | float:
-        pos = zip(np.ravel(point), self.origin, strict=True)  # one coordinate per axis
-        idx = [math.floor((float(p) - o) / self.h) for p, o in pos]
-        if all(0 <= i < n for i, n in zip(idx, self.values.shape)):
-            return self.values[tuple(idx)]
-        return 0.0
-
     # --------------------------------------------------------- constructors
 
     @staticmethod
@@ -156,11 +155,6 @@ class GridFunction:
         sub = (gx[rim] + 1j * gy[rim])[:, None] + _sub_offsets(h, 16)
         vals[rim] = (np.abs(sub) < radius).mean(axis=1)
         return GridFunction(origin, h, vals)
-
-    @staticmethod
-    def box_2d(x0: float, x1: float, y0: float, y1: float, h: float) -> "GridFunction":
-        """Indicator of [x0, x1) x [y0, y1); each side a whole number of meshes."""
-        return GridFunction((x0, y0), h, np.ones((_whole_cells(x1 - x0, h), _whole_cells(y1 - y0, h))))
 
 
 @dataclass(frozen=True)
@@ -616,7 +610,52 @@ def _sub_offsets(h: float, n: int) -> np.ndarray:
     return table
 
 
-def _beurling_truncations(f: GridFunction, z: complex, eps: np.ndarray, kernel: tuple):
+def _ring_sums(w: np.ndarray, e: np.ndarray, kern, h: float) -> np.ndarray:
+    """Per pair, the sum of K(w + s) over the 16 x 16 sub-points s of a
+    side-h cell with |w + s| > e, in blocks of _RING_BLOCK pairs."""
+    sub, out = _sub_offsets(h, _SUBDIV), np.empty(len(w), dtype=complex)
+    for b in range(0, len(w), _RING_BLOCK):
+        ws = w[b : b + _RING_BLOCK, None] + sub
+        out[b : b + _RING_BLOCK] = kern(ws, np.abs(ws) > e[b : b + _RING_BLOCK, None]).sum(axis=1)
+    return out
+
+
+class _RingTable:
+    """The ring sums of the points of one `beurling_maximal` call on one
+    lattice phase p, by (radius index, m) for w = h (m - p); an entry is
+    read only at the w it was evaluated at.  Keys pack the pair into one
+    int64 and stay sorted, ahead of a sentinel past every key."""
+
+    __slots__ = ("phase", "h", "span", "key", "w", "sum")
+
+    def __init__(self, phase: complex, h: float, span: int):
+        self.phase, self.h, self.span = phase, h, span
+        self.key = np.array([np.iinfo(np.int64).max])
+        self.w = np.array([np.nan], dtype=complex)
+        self.sum = np.zeros(1, dtype=complex)
+
+    def sums(self, radius: np.ndarray, w: np.ndarray, evaluate) -> np.ndarray:
+        """The sums of the pairs (radius index, w); evaluate(idx) computes
+        those of the pairs idx that the table does not hold."""
+        m = np.rint(w / self.h + self.phase) + (self.span // 2) * (1 + 1j)
+        key = (radius * self.span + m.real.astype(np.int64)) * self.span + m.imag.astype(np.int64)
+        pos = np.searchsorted(self.key, key)
+        known = self.key[pos] == key
+        hit = known & (self.w[pos] == w)
+        out = np.empty(len(w), dtype=complex)
+        out[hit] = self.sum[pos[hit]]
+        miss = np.flatnonzero(~hit)
+        out[miss] = evaluate(miss)
+        new = miss[~known[miss]]
+        new = new[np.argsort(key[new])]
+        at = pos[new]
+        self.key = np.insert(self.key, at, key[new])
+        self.w = np.insert(self.w, at, w[new])
+        self.sum = np.insert(self.sum, at, out[new])
+        return out
+
+
+def _beurling_truncations(f: GridFunction, z: complex, eps: np.ndarray, kernel: tuple, table):
     """Integral of f(w) K(w - z) over {|w - z| > e} for the radii e in eps, in two parts.
 
     Midpoint rule on the cells fully outside the circle, 16 x 16 sub-points
@@ -625,12 +664,11 @@ def _beurling_truncations(f: GridFunction, z: complex, eps: np.ndarray, kernel: 
     sum and a `bound` on the ring part: a counted sub-point has |w| > e, so
     |K(w)| < c / e^2 (c = 1 for b, 2 for b2) and |ring(e)| <= c (h/e)^2
     times the sum of |f| over the ring cells, one prefix-sum difference.
-    `ring(sel)` subdivides the ring cells of the radii eps[sel] only.
-    Cost: O(C log C + E log C) for E radii, plus 256 sub-points per
-    (radius, ring cell) pair asked of `ring`.
+    `ring(sel)` subdivides the ring cells of the radii eps[sel] only; it
+    reads and fills `table`, a `_RingTable` of z's lattice phase, or keeps
+    nothing for None.  Cost: O(C log C + E log C) for E radii, plus 256
+    sub-points per (radius, ring cell) pair that `ring` evaluates.
     """
-    if f.dim != 2:
-        raise ValueError("planar truncation needs a 2D grid function")
     kern, c = kernel
     w = ((f.centers(0)[:, None] - z.real) + 1j * (f.centers(1)[None, :] - z.imag)).ravel()
     d = np.abs(w)
@@ -653,45 +691,75 @@ def _beurling_truncations(f: GridFunction, z: complex, eps: np.ndarray, kernel: 
         cell = np.arange(counts.sum()) + np.repeat(inner[sel] - np.cumsum(counts) + counts, counts)
         live = vals[cell] != 0
         radius, cell = radius[live], cell[live]
-        e, sub = eps[sel], _sub_offsets(f.h, _SUBDIV)
+        if not len(cell):  # no ring cell of these radii holds mass
+            return np.zeros(len(sel), dtype=complex)
+
+        def evaluate(k):
+            return _ring_sums(w[cell[k]], eps[sel[radius[k]]], kern, f.h)
+
+        sums = evaluate(slice(None)) if table is None else table.sums(sel[radius], w[cell], evaluate)
+        part = vals[cell] * sums
+        # one partial sum per block of _RING_BLOCK pairs fixes the order of the additions
         acc = np.zeros(len(sel), dtype=complex)
         for b in range(0, len(cell), _RING_BLOCK):
-            rb, cb = radius[b : b + _RING_BLOCK], cell[b : b + _RING_BLOCK]
-            ws = w[cb, None] + sub
-            part = vals[cb] * kern(ws, np.abs(ws) > e[rb, None]).sum(axis=1)
-            acc += np.bincount(rb, part.real, len(sel)) + 1j * np.bincount(rb, part.imag, len(sel))
+            rb, pb = radius[b : b + _RING_BLOCK], part[b : b + _RING_BLOCK]
+            acc += np.bincount(rb, pb.real, len(sel)) + 1j * np.bincount(rb, pb.imag, len(sel))
         return acc * (f.h / _SUBDIV) ** 2
 
     return total, bound, ring
 
 
 def beurling_maximal(
-    f: GridFunction, z: complex, grid: TruncationGrid | None = None, kernel: str = "b"
-) -> float:
+    f: GridFunction, z, grid: TruncationGrid | None = None, kernel: str = "b"
+) -> float | np.ndarray:
     """Scan sup over the radii of the truncation grid; a lower bound.
 
-    One sorted pass of `_beurling_truncations` gives every radius of at
-    least half a mesh an upper bound U = |total| + bound on its |T|, in
+    z is one point (a float returns) or a 1D array of points (an array of
+    one value each returns); a non-finite point raises ValueError.  Per
+    point, one sorted pass of `_beurling_truncations` gives every radius of
+    at least half a mesh an upper bound U = |total| + bound on its |T|, in
     O(log C) per radius for C cells.  The radii of largest U and of largest
     |total| are evaluated first; then only the radii whose U reaches the
     best |T| so far get their ring cells subdivided, together in one
     vectorised pass.  The result is the sup over every radius, up to the
-    rounding of the ring sums.
+    rounding of the ring sums.  Points with one phase, their offset from
+    the first cell center modulo the mesh to 2^-32 meshes, share one
+    `_RingTable` for the call.
     """
+    if f.dim != 2:
+        raise ValueError("planar truncation needs a 2D grid function")
     if grid is None:
         grid = TruncationGrid.default_for(f)
     kern = _planar_kernel(kernel)
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise ValueError(f"points must be one number or a 1D array, not an array of shape {zs.shape}")
+    zs = zs.ravel()
+    bad = zs[~np.isfinite(zs)]
+    if bad.size:
+        raise ValueError(f"point {complex(bad[0])!r} is not finite")
     eps = grid.eps[grid.eps >= f.h / 2]
-    if len(eps) == 0:
-        return 0.0
-    total, bound, ring = _beurling_truncations(f, complex(z), eps, kern)
-    upper = (np.abs(total) + bound) * (1.0 + 1e-12)  # the factor covers rounding
-    first = np.zeros(len(eps), dtype=bool)
-    first[[np.argmax(upper), np.argmax(np.abs(total))]] = True
-    top = np.flatnonzero(first)
-    best = np.max(np.abs(total[top] + ring(top)))
-    rest = np.flatnonzero((upper >= best) & ~first)
-    return float(max(best, np.max(np.abs(total[rest] + ring(rest)), initial=0.0)))
+    out = np.zeros(len(zs))
+    if len(eps):
+        rel = zs - complex(*f.origin) - f.h * (0.5 + 0.5j)  # from the first cell center
+        ticks = np.rint(np.stack([rel.real, rel.imag]) % f.h / f.h * 2**32) % 2**32
+        phases = ((ticks[0] + 1j * ticks[1]) / 2**32).tolist()
+        span = 2 * math.ceil(eps[-1] / f.h) + 7  # ring cell offsets lie within span // 2 meshes
+        tables = {
+            p: _RingTable(p, f.h, span)
+            for p, n in Counter(phases).items()
+            if n > 1 and len(eps) * span**2 < 2**63  # the packed keys fit an int64
+        }
+        for k, zk in enumerate(zs.tolist()):
+            total, bound, ring = _beurling_truncations(f, zk, eps, kern, tables.get(phases[k]))
+            upper = (np.abs(total) + bound) * (1.0 + 1e-12)  # the factor covers rounding
+            first = np.zeros(len(eps), dtype=bool)
+            first[[np.argmax(upper), np.argmax(np.abs(total))]] = True
+            top = np.flatnonzero(first)
+            best = np.max(np.abs(total[top] + ring(top)))
+            rest = np.flatnonzero((upper >= best) & ~first)
+            out[k] = max(best, np.max(np.abs(total[rest] + ring(rest)), initial=0.0))
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def beurling_transform_grid(

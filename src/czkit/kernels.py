@@ -60,13 +60,6 @@ class KernelSpec:
     def degrees(self) -> list[int]:
         return [c.degree for c in self.components]
 
-    def omega(self) -> MultiPoly:
-        """Sum of the components; equals the kernel numerator on |x| = 1."""
-        out = MultiPoly.zero(self.dim)
-        for c in self.components:
-            out = out + c.poly
-        return out
-
 
 def kernel_from_polynomial(dim: int, w: MultiPoly) -> KernelSpec:
     """Build a KernelSpec from a homogeneous numerator polynomial W.

@@ -1,11 +1,13 @@
 """Reference implementations that the tests check kept code against.
 
 None of these has a caller in the package.  Each is a slow or one-point
-form of something the package computes, or a closed form that a kept
-function must reproduce.
+form of something the package computes, a closed form that a kept
+function must reproduce, or a small helper (a cell lookup, a box, a float
+value of a `SymScalar`) that only the tests use.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,11 +20,66 @@ from czkit.gridops import (
     _checked_point,
     _planar_kernel,
     _truncation_profile,
+    _whole_cells,
     hardy_littlewood,
 )
 from czkit.kernels import KernelError, KernelSpec
+from czkit.polyalg import MultiPoly
 
 Frac = Fraction
+
+
+# ------------------------------------------------------------- value helpers
+
+
+def value_at(f: GridFunction, point) -> complex | float:
+    """f at a point: the value of the cell holding it, 0 outside the stored extent."""
+    pos = zip(np.ravel(point), f.origin, strict=True)  # one coordinate per axis
+    idx = [math.floor((float(p) - o) / f.h) for p, o in pos]
+    if all(0 <= i < n for i, n in zip(idx, f.values.shape)):
+        return f.values[tuple(idx)]
+    return 0.0
+
+
+def integral(f: GridFunction) -> complex | float:
+    return f.values.sum() * f.h**f.dim
+
+
+def box_2d(x0: float, x1: float, y0: float, y1: float, h: float) -> GridFunction:
+    """Indicator of [x0, x1) x [y0, y1); each side a whole number of meshes."""
+    return GridFunction((x0, y0), h, np.ones((_whole_cells(x1 - x0, h), _whole_cells(y1 - y0, h))))
+
+
+def omega(kernel: KernelSpec) -> MultiPoly:
+    """Sum of the components; equals the kernel numerator on |x| = 1."""
+    out = MultiPoly.zero(kernel.dim)
+    for c in kernel.components:
+        out = out + c.poly
+    return out
+
+
+def imag_unit() -> SymScalar:
+    return SymScalar(Fraction(1), 0, 1)
+
+
+def is_real(s: SymScalar) -> bool:
+    return s.k == 0 or s.q == 0
+
+
+_I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def to_complex(s: SymScalar) -> complex:
+    if s.q == 0:
+        return 0j
+    return float(s.q) * math.pi ** (s.h / 2.0) * _I_POWERS[s.k]
+
+
+def to_float(s: SymScalar) -> float:
+    z = to_complex(s)
+    if z.imag != 0.0:
+        raise ValueError(f"{s!r} is not real")
+    return z.real
 
 
 # ---------------------------------------------------------------- truncations
@@ -48,7 +105,7 @@ def beurling_truncation(f: GridFunction, z: complex, eps: float, kernel: str = "
     """Integral of f(w) K(w - z) over {|w - z| > eps}, for K(w) = 1/w^2
     (kernel "b") or the iterated kernel -2 conj(w)/w^3 ("b2"): the one
     radius eps of `_beurling_truncations`, outside part plus ring part."""
-    total, _, ring = _beurling_truncations(f, complex(z), np.array([float(eps)]), _planar_kernel(kernel))
+    total, _, ring = _beurling_truncations(f, complex(z), np.array([float(eps)]), _planar_kernel(kernel), None)
     return complex(total[0] + ring(np.array([0]))[0])
 
 
@@ -123,7 +180,7 @@ def bessel_ratio_float(q: RationalLike, r: float, terms: int = 30) -> float:
     scale = 2.0 ** (-float(q))
     total = 0.0
     for i in range(terms):
-        total += bessel_ratio_coeff_scaled(q, i).to_float() * r ** (2 * i)
+        total += to_float(bessel_ratio_coeff_scaled(q, i)) * r ** (2 * i)
     return scale * total
 
 
@@ -140,7 +197,7 @@ def multiplier_eval(kernel: KernelSpec, xi: Sequence[float]) -> complex:
     v = v / norm
     total = 0j
     for c in kernel.components:
-        gamma = riesz_multiplier(c.degree, kernel.dim).to_complex()
+        gamma = to_complex(riesz_multiplier(c.degree, kernel.dim))
         ev = c.poly.float_evaluator()
         total += gamma * complex(ev(v[None, :])[0])
     return total

@@ -26,7 +26,7 @@ from czkit.gridops import GridFunction, hardy_littlewood
 from czkit.identities import run_identity_suite, verify_series_stabilization
 from czkit.kernels import kernel_from_polynomial
 from czkit.polyalg import MultiPoly
-from oracles import bessel_ratio_coeff_scaled, bessel_ratio_float, hilbert_truncated_many
+from oracles import bessel_ratio_coeff_scaled, bessel_ratio_float, hilbert_truncated_many, is_real
 
 
 def _report(num: int, label: str, ok: bool, extra: str = "") -> None:
@@ -94,7 +94,7 @@ def test_criterion_4_multiplier_arithmetic():
         for n in range(2, 9)
     )
     parity_ok = all(
-        riesz_multiplier(j, n).is_real() == (j % 2 == 0) for n in (2, 3, 4) for j in range(1, 13)
+        is_real(riesz_multiplier(j, n)) == (j % 2 == 0) for n in (2, 3, 4) for j in range(1, 13)
     )
     _report(4, "multiplier ratio -1/(n+1) and parity", ratio_ok and parity_ok)
     assert ratio_ok and parity_ok

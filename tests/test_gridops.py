@@ -1,6 +1,7 @@
 """Grid operator laboratory: exact 1D truncations, maximal functions,
 planar truncations."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,16 +25,19 @@ from czkit.gridops import (
 from czkit import gridops
 from czkit.experiments import (
     ADVERSARIAL_WINDOWS,
+    BEURLING_SAMPLES,
     COMPOSITION_SAMPLES,
     HILBERT_SAMPLES,
     _transform_grid,
+    _transform_grid_2d,
     far_window_pieces,
     full_window_core,
     full_window_pieces,
     hilbert_test_suite,
+    step_field,
     transform_closed_form,
 )
-from oracles import beurling_truncation, hilbert_truncated_many, m_llogl, phi_llogl
+from oracles import beurling_truncation, box_2d, hilbert_truncated_many, integral, m_llogl, phi_llogl, value_at
 
 
 def step01(h=1.0 / 64):
@@ -142,7 +146,7 @@ def test_edge_jump_truncations_match_cell_oracle():
             got = hilbert_truncated_many(g, x, eps)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         want = np.max(np.abs(cell_truncations(pieces, x, np.unique(d))))
-        jump = sum(g.value_at(x - h / 2) - g.value_at(x + h / 2) for g in pieces)
+        jump = sum(value_at(g, x - h / 2) - value_at(g, x + h / 2) for g in pieces)
         if trial % 3 == 0 and jump != 0:
             jumps += 1
             assert hilbert_maximal(pieces, x) == math.inf
@@ -407,7 +411,7 @@ def test_maximal_sublinearity_randomized():
 
 
 def test_hardy_littlewood_2d():
-    f = GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8)
+    f = box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8)
     v = hardy_littlewood(f, (2.0, 0.5))
     # best square [0,2]x[-0.5,1.5]: mass 1, area 4
     assert abs(v - 0.25) < 1e-12
@@ -417,15 +421,15 @@ def test_hardy_littlewood_2d():
 
 def test_hl_2d_squares_reach_past_the_support():
     # a thin bar: (s - 1/2) (1/8) / s^2 over the sides s in [1/2, 2] is largest at s = 1
-    bar = GridFunction.box_2d(0.0, 1.5, 0.0, 0.125, 1.0 / 8)
+    bar = box_2d(0.0, 1.5, 0.0, 0.125, 1.0 / 8)
     assert hardy_littlewood(bar, (2.0, 0.06)) == 1.0 / 16
     # the unit box from two sides away: the square [0, 3] x [-1, 2] averages 1/9
-    box = GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8)
+    box = box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8)
     assert hardy_littlewood(box, (3.0, 0.5)) == 1.0 / 9
 
 
 def test_window_beyond_the_cap_is_refused():
-    line, plane = step01(1.0 / 8), GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8)
+    line, plane = step01(1.0 / 8), box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8)
     assert hardy_littlewood(line, 1000.0) == 1.0 / 1000.0  # 8000 cells: under the cap
     for call in (hardy_littlewood, iterated_m2, m_llogl):
         with pytest.raises(ValueError, match="^evaluation window of 16000 cells per axis exceeds 8192$"):
@@ -522,7 +526,7 @@ def test_hl_2d_evaluates_few_squares(monkeypatch):
 
 
 def test_maximal_functions_refuse_bad_points():
-    line, plane = GridFunction.indicator_1d(0.0, 1.0, 0.25), GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 0.25)
+    line, plane = GridFunction.indicator_1d(0.0, 1.0, 0.25), box_2d(0.0, 1.0, 0.0, 1.0, 0.25)
     assert abs(hardy_littlewood(line, 3.0) - 1.0 / 3.0) < 1e-12
     for call in (hardy_littlewood, m_llogl):
         for f, wrong in ((line, (0.5, 0.5)), (plane, (0.5, 0.5, 99.0))):
@@ -598,7 +602,7 @@ def test_m_llogl_indicator_closed_form():
     # a cube of density t has L log L average 1/Phi^-1(1/t), largest where
     # t is: so Phi(1 / M_{L log L} chi) * M chi = 1
     cases = [(step01(1.0 / 8), x) for x in (0.31, 0.5, 1.0, 2.0, -0.7)]
-    cases += [(GridFunction.box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8), x) for x in ((0.31, 0.77), (2.0, 0.5), (1.6, -0.9))]
+    cases += [(box_2d(0.0, 1.0, 0.0, 1.0, 1.0 / 8), x) for x in ((0.31, 0.77), (2.0, 0.5), (1.6, -0.9))]
     for chi, x in cases:
         got = phi_llogl(1.0 / m_llogl(chi, x)) * hardy_littlewood(chi, x)
         assert abs(got - 1.0) <= 1e-12
@@ -792,7 +796,7 @@ def test_beurling_truncations_match_scan_oracle():
         # inside the disk, b2: the sup sits at a small radius whose ring bound
         # dwarfs |total|, so the pruning must keep that radius
         disk, eps = GridFunction.disk(0.5, 1.0 / 8), radii.eps[1:]
-        total, bound, ring = gridops._beurling_truncations(disk, 0.3 + 0.2j, eps, (_kernel_b2, 2.0))
+        total, bound, ring = gridops._beurling_truncations(disk, 0.3 + 0.2j, eps, (_kernel_b2, 2.0), None)
         k = np.argmax(np.abs(total + ring(np.arange(len(eps)))))
         assert eps[k] < 0.1 and bound[k] > 5 * abs(total[k])
 
@@ -808,7 +812,7 @@ def test_beurling_ring_bound_holds_at_every_radius():
             for z in (centre, centre - 0.163 + 0.051j, centre + 0.0625 - 0.3j, 2.7 + 0.4j):
                 for kernel in ("b", "b2"):
                     kern = gridops._planar_kernel(kernel)
-                    total, bound, ring = gridops._beurling_truncations(f, z, eps, kern)
+                    total, bound, ring = gridops._beurling_truncations(f, z, eps, kern, None)
                     got = np.abs(total + ring(np.arange(len(eps))))
                     # the bound `beurling_maximal` prunes with
                     assert np.all(got <= (np.abs(total) + bound) * (1.0 + 1e-12))
@@ -829,10 +833,44 @@ def test_beurling_maximal_subdivides_few_ring_cells(monkeypatch):
         got = beurling_maximal(bg, z, radii)
         pruned = sum(pairs)
         pairs.clear()
-        total, _, ring = gridops._beurling_truncations(bg, z, radii.eps, (counted, 1.0))
+        total, _, ring = gridops._beurling_truncations(bg, z, radii.eps, (counted, 1.0), None)
         full = np.abs(total + ring(np.arange(len(radii.eps))))
     assert abs(got - np.max(full)) <= 1e-12 * got
     assert 0 < pruned <= 0.25 * sum(pairs)
+    # the eight samples share one lattice phase: one call over all of them
+    # subdivides each (radius, ring cell offset) pair once
+    pairs.clear()
+    with np.errstate(all="raise"):
+        scalar = [beurling_maximal(bg, z, radii) for z in COMPOSITION_SAMPLES]
+        alone = sum(pairs)
+        pairs.clear()
+        assert beurling_maximal(bg, COMPOSITION_SAMPLES, radii).tolist() == scalar
+    assert 0 < sum(pairs) <= 0.3 * alone
+
+
+def test_beurling_maximal_array_form_matches_scalar_calls():
+    # the fields and samples of `exp_beurling_composition` (one phase per
+    # field) and of `exp_pointwise_ratios --kernel beurling` (nine phases)
+    radii = TruncationGrid.geometric(1.0 / 16, 16.0, 24)
+    disk = GridFunction.disk(1.0, 1.0 / 16)
+    cases = [(g, COMPOSITION_SAMPLES) for f in (disk, step_field(1.0 / 16)) for g in (f, _transform_grid_2d(f))]
+    with np.errstate(all="raise"):
+        for f, zs in cases + [(disk, BEURLING_SAMPLES)]:
+            for kernel in ("b", "b2"):
+                got = beurling_maximal(f, zs, radii, kernel)
+                assert got.dtype == float and got.tolist() == [beurling_maximal(f, z, radii, kernel) for z in zs]
+        assert type(beurling_maximal(disk, 0.52 + 0.31j, radii)) is float
+        assert beurling_maximal(disk, np.array([], dtype=complex), radii).shape == (0,)
+
+
+def test_beurling_maximal_refuses_non_finite_points():
+    disk = GridFunction.disk(1.0, 1.0 / 8)
+    for bad in (complex(math.nan, 0.0), complex(0.5, math.inf), complex(-math.inf, 0.0)):
+        for z in (bad, np.array([0.5 + 0.5j, bad])):
+            with pytest.raises(ValueError, match=re.escape(f"point {bad!r} is not finite")):
+                beurling_maximal(disk, z)
+    with pytest.raises(ValueError, match="1D array"):
+        beurling_maximal(disk, np.zeros((2, 2)))
 
 
 def test_beurling_transform_grid_rejects_bad_targets():
@@ -861,11 +899,11 @@ def test_beurling_maximal_far_field():
 
 def test_grid_function_basics():
     f = step01(1.0 / 4)
-    assert f.dim == 1 and abs(f.integral() - 1.0) < 1e-12
-    assert f.value_at(0.1) == 1.0 and f.value_at(1.7) == 0.0
+    assert f.dim == 1 and abs(integral(f) - 1.0) < 1e-12
+    assert value_at(f, 0.1) == 1.0 and value_at(f, 1.7) == 0.0
     d = GridFunction.disk(1.0, 1.0 / 16)
-    assert abs(d.integral() - math.pi) < 2e-3
-    assert d.value_at((0.0, 0.0)) == 1.0 and d.value_at((2.0, 2.0)) == 0.0
+    assert abs(integral(d) - math.pi) < 2e-3
+    assert value_at(d, (0.0, 0.0)) == 1.0 and value_at(d, (2.0, 2.0)) == 0.0
     for h in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="not positive and finite"):
             GridFunction(0.0, h, np.ones(3))
@@ -878,8 +916,8 @@ def test_grid_function_basics():
 
 
 def test_box_2d_refuses_empty_or_unaligned_sides():
-    box = GridFunction.box_2d(0.0, 0.5, -1.0, 1.0, 0.25)
+    box = box_2d(0.0, 0.5, -1.0, 1.0, 0.25)
     assert box.values.shape == (2, 8) and box.origin == (0.0, -1.0)
     for sides in ((0.0, 0.3, 0.0, 1.0), (0.0, -1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.5, 0.5)):
         with pytest.raises(ValueError):
-            GridFunction.box_2d(*sides, 0.25)
+            box_2d(*sides, 0.25)

@@ -33,7 +33,7 @@ from czkit.identities import (
     verify_triple_binomial,
 )
 from czkit.polyalg import MultiPoly
-from oracles import bessel_ratio_coeff_scaled, bessel_ratio_float, fundamental_coeff_product_form
+from oracles import bessel_ratio_coeff_scaled, bessel_ratio_float, fundamental_coeff_product_form, imag_unit
 
 
 def test_fundamental_coeff_examples():
@@ -306,7 +306,7 @@ def _series_constant_chain(n, N, L, j, k):
         * binomial(N - F(1, 2), N)
     )
     base = fundamental_normalization(n) * riesz_multiplier(2 * j + 1, n)
-    return SymScalar.imag_unit() * base * (F((-1) ** k) * num / den)
+    return imag_unit() * base * (F((-1) ** k) * num / den)
 
 
 def _series_constant_from_matching_chain(n, N, L, j, k):
@@ -319,7 +319,7 @@ def _series_constant_from_matching_chain(n, N, L, j, k):
         * F(2**k)
         * binomial(half + j + L - N - 1, k)
     )
-    return SymScalar.imag_unit() * _matching_chain(n, N, L) * riesz_multiplier(2 * j + 1, n) * factor
+    return imag_unit() * _matching_chain(n, N, L) * riesz_multiplier(2 * j + 1, n) * factor
 
 
 def _radial_sum_rhs_chain(n, N, p, j, i):

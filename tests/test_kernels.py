@@ -12,7 +12,7 @@ from czkit.kernels import (
     parse_kernel_spec,
 )
 from czkit.polyalg import MultiPoly
-from oracles import multiplier_eval
+from oracles import multiplier_eval, omega
 
 
 def harmonic_cubic(n=2):
@@ -51,10 +51,10 @@ def test_sphere_restriction_reproduces_numerator():
     for n in (2, 3):
         w = model_numerator(n, F(1, 2))
         k = kernel_from_polynomial(n, w)
-        omega = k.omega()
+        on_sphere = omega(k)
         pts = rng.standard_normal((100, n))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        got = omega.float_evaluator()(pts)
+        got = on_sphere.float_evaluator()(pts)
         want = w.float_evaluator()(pts)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -62,13 +62,13 @@ def test_sphere_restriction_reproduces_numerator():
 def test_parity_flag_matches_pointwise_symmetry():
     rng = np.random.default_rng(11)
     k = kernel_from_polynomial(2, model_numerator(2, F(1, 3)))
-    omega = k.omega().float_evaluator()
+    odd = omega(k).float_evaluator()
     pts = rng.standard_normal((100, 2))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    assert np.max(np.abs(omega(pts) + omega(-pts))) < 1e-12
+    assert np.max(np.abs(odd(pts) + odd(-pts))) < 1e-12
     even = kernel_from_polynomial(2, MultiPoly.monomial(2, (2, 0)) - MultiPoly.monomial(2, (0, 2)))
     assert even.parity == "even"
-    ev = even.omega().float_evaluator()
+    ev = omega(even).float_evaluator()
     assert np.max(np.abs(ev(pts) - ev(-pts))) < 1e-12
 
 

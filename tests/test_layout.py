@@ -1,10 +1,13 @@
-"""The package's layout: every module-level name has a program caller.
+"""The package's layout: every module-level name and every public method has
+a program caller.
 
-A module-level function or class of ``src/czkit`` must be referenced, by a
-``Name`` or an ``Attribute`` node, outside its own definition: in module-level
-code of ``src/czkit/*.py``, in a definition that is itself referenced, in
-``bench/*.py`` or in the README's "Library entry points" block.  A name that
-only tests call belongs in ``tests/oracles.py``.  Every name in
+A module-level function or class of ``src/czkit``, and a method of such a
+class whose name does not start with an underscore, must be referenced, by a
+``Name`` or an ``Attribute`` node, outside its own definition: in
+module-level code of ``src/czkit/*.py``, in a definition that is itself
+referenced, in ``bench/*.py`` or in the README's "Library entry points"
+block.  A method counts as referenced by any ``Attribute`` of its name.  A
+name that only tests call belongs in ``tests/oracles.py``.  Every name in
 ``czkit.__all__`` must resolve.
 """
 import ast
@@ -15,6 +18,7 @@ import czkit
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "czkit"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _readme_block():
@@ -23,26 +27,41 @@ def _readme_block():
     return block
 
 
-def _referenced(tree):
-    """The names of every Name and Attribute node in `tree`."""
+def _referenced(*trees):
+    """The names of every Name and Attribute node in `trees`."""
     names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
     return names
 
 
+def _definitions(path, tree):
+    """(where, shown name, name, the names its body references) for each
+    module-level function and class of `tree`, parsed from `path`, and each
+    public method of its classes; a class's own references leave out its
+    public methods."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            public = [m for m in node.body if isinstance(m, FUNCTIONS) and not m.name.startswith("_")]
+            for m in public:
+                yield f"{path.name}:{m.lineno}", f"{node.name}.{m.name}", m.name, _referenced(m) - {m.name}
+            rest = [m for m in node.body if m not in public] + node.bases + node.decorator_list
+            yield f"{path.name}:{node.lineno}", node.name, node.name, _referenced(*rest) - {node.name}
+        elif isinstance(node, FUNCTIONS):
+            yield f"{path.name}:{node.lineno}", node.name, node.name, _referenced(node) - {node.name}
+
+
 def test_every_module_level_definition_has_a_program_caller():
-    definitions = []  # (where, name, the names its body references)
+    definitions = []
     live = set()  # names referenced by code that runs whatever is called
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((f"{path.name}:{node.lineno}", node.name, _referenced(node) - {node.name}))
-            else:
-                live |= _referenced(node)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        definitions += _definitions(path, tree)
+        live |= _referenced(*(n for n in tree.body if not isinstance(n, (ast.ClassDef, *FUNCTIONS))))
     for path in sorted((ROOT / "bench").glob("*.py")):
         live |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
     live |= _referenced(ast.parse(_readme_block()))
@@ -51,11 +70,11 @@ def test_every_module_level_definition_has_a_program_caller():
     grown = True
     while grown:
         grown = False
-        for _, name, refs in definitions:
+        for _, _, name, refs in definitions:
             if name in live and not refs <= live:
                 live |= refs
                 grown = True
-    uncalled = [f"{where} {name}" for where, name, _ in definitions if name not in live]
+    uncalled = [f"{where} {shown}" for where, shown, name, _ in definitions if name not in live]
     assert uncalled == [], "no caller outside the tests: " + ", ".join(uncalled)
     unresolved = [name for name in czkit.__all__ if not hasattr(czkit, name)]
     assert unresolved == [], "unresolved in czkit.__all__: " + ", ".join(unresolved)
