@@ -73,7 +73,7 @@ EPS = 2.0**-53  # unit roundoff of float64
 # from depth 26 on, H r^2 / 2 is of the order of EPS * H, below the
 # rounding bound rho, and a deeper level cannot decide what rho leaves open.
 DEFAULT_MAX_DEPTH = 26
-DEFAULT_CELL_BUDGET = 1_000_000
+CELL_BUDGET = 1_000_000  # cells over all levels of one certification
 _CHUNK = 1 << 14  # cells per vectorised evaluation; keeps peak memory flat
 _CORNERS = 1 << 11  # cell corners per vectorised chord computation, for the same reason
 _EXACT_TRIES = 2  # undecided cells per level tested for an exact rational zero
@@ -456,16 +456,12 @@ def _bisect_zero(ev, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return p if abs(ev(p[None])[0]) <= abs(ev(q[None])[0]) else q
 
 
-def certify_nonvanishing(
-    f: MultiPoly,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> SphereCertificate:
+def certify_nonvanishing(f: MultiPoly, max_depth: int = DEFAULT_MAX_DEPTH) -> SphereCertificate:
     """Decide whether F vanishes on the unit sphere of R^n, n >= 2.
 
     Branch-and-bound over the cube-sphere cover (see the module docstring);
     levels 0..max_depth are evaluated while the total number of cells
-    stays within ``cell_budget``.
+    stays within CELL_BUDGET.
     """
     n = f.nvars
     if n < 2:
@@ -481,7 +477,7 @@ def certify_nonvanishing(
     parents = None  # the undecided cells of the previous level
     for depth in range(max_depth + 1):
         count = 2 * n if parents is None else len(parents) << (n - 1)
-        if cert.grid_points + count > cell_budget:
+        if cert.grid_points + count > CELL_BUDGET:
             cert.stop_reason = "cell-budget"
             return cert
         t0 = time.perf_counter()

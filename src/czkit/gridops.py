@@ -34,14 +34,13 @@ scan its outside-cell sum, as a suffix sum, and a bound on its ring term,
 as a prefix sum of |f|: a sub-point outside the circle has |K| < c/eps^2.
 The maximal function subdivides the ring cells only of the radii whose
 bound still reaches the largest |T| found; the others cannot hold the sup.
-It takes one point or an array of points.  A ring cell's sub-point sum
-depends only on the radius and on w = h (m - p), m the cell's integer
-offset from the point and p the point's phase (its position modulo the
-cell lattice), so the points of one call that share a phase share one
-table of (radius index, m) -> sum: each such sum is subdivided once per
-call, at the w of the first point to ask, and read by another point only
-at an equal w.  The table lives for one call; a point whose phase no
-other point of the call has keeps none.
+It takes one point or an array of points.  A cell lies at w = h (m - p)
+from a point, m its integer offset and p the point's exact phase (its
+position modulo the cell lattice), so the points of one call that share a
+phase share one lattice of offsets, sorted by |w| once, and one sum per
+(radius, ring cell), subdivided once per call.  A point alone on its
+phase, or on one whose points' union box holds more cells than their own
+boxes together, sorts f's own box and keeps no sums.
 The same move prunes the square sides of the 2D Hardy-Littlewood maximal
 function: the rectangle enclosing every candidate square of one side
 bounds all their averages, read from the integral image in one lookup,
@@ -62,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -620,93 +618,100 @@ def _ring_sums(w: np.ndarray, e: np.ndarray, kern, h: float) -> np.ndarray:
     return out
 
 
-class _RingTable:
-    """The ring sums of the points of one `beurling_maximal` call on one
-    lattice phase p, by (radius index, m) for w = h (m - p); an entry is
-    read only at the w it was evaluated at.  Keys pack the pair into one
-    int64 and stay sorted, ahead of a sentinel past every key."""
-
-    __slots__ = ("phase", "h", "span", "key", "w", "sum")
-
-    def __init__(self, phase: complex, h: float, span: int):
-        self.phase, self.h, self.span = phase, h, span
-        self.key = np.array([np.iinfo(np.int64).max])
-        self.w = np.array([np.nan], dtype=complex)
-        self.sum = np.zeros(1, dtype=complex)
-
-    def sums(self, radius: np.ndarray, w: np.ndarray, evaluate) -> np.ndarray:
-        """The sums of the pairs (radius index, w); evaluate(idx) computes
-        those of the pairs idx that the table does not hold."""
-        m = np.rint(w / self.h + self.phase) + (self.span // 2) * (1 + 1j)
-        key = (radius * self.span + m.real.astype(np.int64)) * self.span + m.imag.astype(np.int64)
-        pos = np.searchsorted(self.key, key)
-        known = self.key[pos] == key
-        hit = known & (self.w[pos] == w)
-        out = np.empty(len(w), dtype=complex)
-        out[hit] = self.sum[pos[hit]]
-        miss = np.flatnonzero(~hit)
-        out[miss] = evaluate(miss)
-        new = miss[~known[miss]]
-        new = new[np.argsort(key[new])]
-        at = pos[new]
-        self.key = np.insert(self.key, at, key[new])
-        self.w = np.insert(self.w, at, w[new])
-        self.sum = np.insert(self.sum, at, out[new])
-        return out
+def _phase(f: GridFunction, z: complex) -> tuple[tuple[float, float], tuple[int, int]]:
+    """z's lattice phase p, in (-1, 1) per axis, and its shift n: z = origin
+    + h (n + p + 1/2), so cell (i, j) of f lies at w = h ((i, j) - n - p) from
+    z.  p is frac(z / h) - frac(origin / h + 1/2), so points an exact number of
+    meshes apart get bitwise-equal phases where z / h is exact."""
+    out = []
+    for x, org in ((z.real, f.origin[0]), (z.imag, f.origin[1])):
+        a, b = x / f.h, org / f.h + 0.5
+        out.append(((a - math.floor(a)) - (b - math.floor(b)), math.floor(a) - math.floor(b)))
+    return tuple(zip(*out))
 
 
-def _beurling_truncations(f: GridFunction, z: complex, eps: np.ndarray, kernel: tuple, table):
-    """Integral of f(w) K(w - z) over {|w - z| > e} for the radii e in eps, in two parts.
+def _beurling_truncations(f: GridFunction, p: tuple, shifts: Sequence, eps: np.ndarray, kernel: tuple):
+    """Integral of f(w) K(w - z) over {|w - z| > e} for the radii e in eps, in
+    two parts, at the points z of one lattice phase p with the given shifts
+    (`_phase`), as a function of the index of a point.
 
     Midpoint rule on the cells fully outside the circle, 16 x 16 sub-points
-    on the ring cells it may cut.  One sort of the C cells by center
-    distance gives, at every radius, the outside part `total` as a suffix
-    sum and a `bound` on the ring part: a counted sub-point has |w| > e, so
-    |K(w)| < c / e^2 (c = 1 for b, 2 for b2) and |ring(e)| <= c (h/e)^2
-    times the sum of |f| over the ring cells, one prefix-sum difference.
-    `ring(sel)` subdivides the ring cells of the radii eps[sel] only; it
-    reads and fills `table`, a `_RingTable` of z's lattice phase, or keeps
-    nothing for None.  Cost: O(C log C + E log C) for E radii, plus 256
-    sub-points per (radius, ring cell) pair that `ring` evaluates.
+    on the ring cells it may cut.  The cells lie at w = h (m - p) from the
+    points, m over the union of their boxes; that lattice is sorted by |w|
+    once, with K(w) and the ring ranks [inner, outer) of each radius (cell
+    centers within half a diagonal of the circle).  A point then reads, at
+    every radius, the outside part `total` as a suffix sum and a `bound` on
+    the ring part: a counted sub-point has |w| > e, so |K(w)| < c / e^2
+    (c = 1 for b, 2 for b2) and |ring(e)| <= c (h/e)^2 times the sum of |f|
+    over the ring cells, one prefix-sum difference.  `ring(sel)` subdivides
+    the ring cells of the radii eps[sel] only.  The points share the w bits,
+    so each (radius, ring rank) sum is subdivided once, into a slot of
+    `cache` that holds NaN until then.  One point, or a union box of more
+    cells than the points' own boxes together, sorts f's own box per point
+    and keeps no sums.  Cost: O(C log C + E log C) for C cells and E radii,
+    plus 256 sub-points per (radius, ring cell) pair that `ring` evaluates.
     """
     kern, c = kernel
-    w = ((f.centers(0)[:, None] - z.real) + 1j * (f.centers(1)[None, :] - z.imag)).ravel()
+    lo = [-max(n[a] for n in shifts) for a in (0, 1)]
+    shape = [f.values.shape[a] - min(n[a] for n in shifts) - lo[a] for a in (0, 1)]
+    if shape[0] * shape[1] > len(shifts) * f.values.size:
+        return lambda k: _beurling_truncations(f, p, [shifts[k]], eps, kernel)(0)
+    wx, wy = (f.h * (np.arange(a, a + s) - q) for a, s, q in zip(lo, shape, p))
+    w = (wx[:, None] + 1j * wy[None, :]).ravel()
     d = np.abs(w)
     order = np.argsort(d, kind="stable")
-    w, d, vals = w[order], d[order], f.values.ravel()[order]
+    w, d = w[order], d[order]
+    kw = kern(w, d > 0)
     half_diag = f.h * math.sqrt(2.0) / 2.0
     outer = np.searchsorted(d, eps + half_diag, side="left")
     inner = np.searchsorted(d, eps - half_diag, side="right")
-    cellsum = vals * kern(w, d > 0)
-    suffix = np.append(np.cumsum(cellsum[::-1])[::-1], 0.0)
-    total = suffix[outer] * (f.h * f.h)
-    absum = np.append(0.0, np.cumsum(np.abs(vals)))
-    # the last term bounds the rounding of the prefix sums: 2 n u, u = 2^-53
-    ring_abs = absum[outer] - absum[inner] + 2.3e-16 * len(vals) * absum[outer]
-    bound = c * (f.h / eps) ** 2 * ring_abs
+    cache = None
+    if len(shifts) > 1:  # the sum of radius r at ring rank k has the slot start[r] + k
+        start = np.cumsum(outer - inner) - outer
+        cache = np.full(start[-1] + outer[-1], np.nan, dtype=complex)
 
-    def ring(sel: np.ndarray) -> np.ndarray:
-        counts = outer[sel] - inner[sel]
-        radius = np.repeat(np.arange(len(sel)), counts)
-        cell = np.arange(counts.sum()) + np.repeat(inner[sel] - np.cumsum(counts) + counts, counts)
-        live = vals[cell] != 0
-        radius, cell = radius[live], cell[live]
-        if not len(cell):  # no ring cell of these radii holds mass
-            return np.zeros(len(sel), dtype=complex)
+    def truncations(k: int):
+        box = f.values
+        if cache is not None:  # f's cells sit at the offsets (i, j) - n of the union box
+            i, j, box = -shifts[k][0] - lo[0], -shifts[k][1] - lo[1], np.zeros(shape, dtype=f.values.dtype)
+            box[i : i + f.values.shape[0], j : j + f.values.shape[1]] = f.values
+        vals = box.ravel()[order]
+        suffix, absum = np.zeros(len(vals) + 1, dtype=complex), np.zeros(len(vals) + 1)
+        np.cumsum((vals * kw)[::-1], out=suffix[-2::-1])  # suffix[i]: ranks i and up
+        np.cumsum(np.abs(vals), out=absum[1:])  # absum[i]: ranks below i
+        total = suffix[outer] * (f.h * f.h)
+        # the last term bounds the rounding of the prefix sums: 2 n u, u = 2^-53, n the cell
+        # count of f (the lattice's other cells add exact zeros), so every lattice prunes alike
+        ring_abs = absum[outer] - absum[inner] + 2.3e-16 * f.values.size * absum[outer]
+        bound = c * (f.h / eps) ** 2 * ring_abs
 
-        def evaluate(k):
-            return _ring_sums(w[cell[k]], eps[sel[radius[k]]], kern, f.h)
+        def ring(sel: np.ndarray) -> np.ndarray:
+            counts = outer[sel] - inner[sel]
+            radius = np.repeat(np.arange(len(sel)), counts)
+            cell = np.arange(counts.sum()) + np.repeat(inner[sel] - np.cumsum(counts) + counts, counts)
+            live = vals[cell] != 0
+            radius, cell = radius[live], cell[live]
+            if not len(cell):  # no ring cell of these radii holds mass
+                return np.zeros(len(sel), dtype=complex)
+            r = sel[radius]
+            if cache is None:
+                sums = _ring_sums(w[cell], eps[r], kern, f.h)
+            else:
+                slot = start[r] + cell
+                sums = cache[slot]
+                miss = np.flatnonzero(np.isnan(sums))
+                sums[miss] = cache[slot[miss]] = _ring_sums(w[cell[miss]], eps[r[miss]], kern, f.h)
+            part = vals[cell] * sums
+            # one partial sum per block of _RING_BLOCK pairs fixes the order of the additions
+            acc = np.zeros(len(sel), dtype=complex)
+            for b in range(0, len(cell), _RING_BLOCK):
+                rb, pb = radius[b : b + _RING_BLOCK], part[b : b + _RING_BLOCK]
+                acc += np.bincount(rb, pb.real, len(sel)) + 1j * np.bincount(rb, pb.imag, len(sel))
+            return acc * (f.h / _SUBDIV) ** 2
 
-        sums = evaluate(slice(None)) if table is None else table.sums(sel[radius], w[cell], evaluate)
-        part = vals[cell] * sums
-        # one partial sum per block of _RING_BLOCK pairs fixes the order of the additions
-        acc = np.zeros(len(sel), dtype=complex)
-        for b in range(0, len(cell), _RING_BLOCK):
-            rb, pb = radius[b : b + _RING_BLOCK], part[b : b + _RING_BLOCK]
-            acc += np.bincount(rb, pb.real, len(sel)) + 1j * np.bincount(rb, pb.imag, len(sel))
-        return acc * (f.h / _SUBDIV) ** 2
+        return total, bound, ring
 
-    return total, bound, ring
+    return truncations
 
 
 def beurling_maximal(
@@ -716,15 +721,15 @@ def beurling_maximal(
 
     z is one point (a float returns) or a 1D array of points (an array of
     one value each returns); a non-finite point raises ValueError.  Per
-    point, one sorted pass of `_beurling_truncations` gives every radius of
+    point, the sorted cells of `_beurling_truncations` give every radius of
     at least half a mesh an upper bound U = |total| + bound on its |T|, in
     O(log C) per radius for C cells.  The radii of largest U and of largest
     |total| are evaluated first; then only the radii whose U reaches the
     best |T| so far get their ring cells subdivided, together in one
     vectorised pass.  The result is the sup over every radius, up to the
-    rounding of the ring sums.  Points with one phase, their offset from
-    the first cell center modulo the mesh to 2^-32 meshes, share one
-    `_RingTable` for the call.
+    rounding of the ring sums.  The points of one exact lattice phase
+    (`_phase`) go through `_beurling_truncations` together; each point's
+    value is the one a call for it alone gives, bit for bit.
     """
     if f.dim != 2:
         raise ValueError("planar truncation needs a 2D grid function")
@@ -740,18 +745,15 @@ def beurling_maximal(
         raise ValueError(f"point {complex(bad[0])!r} is not finite")
     eps = grid.eps[grid.eps >= f.h / 2]
     out = np.zeros(len(zs))
-    if len(eps):
-        rel = zs - complex(*f.origin) - f.h * (0.5 + 0.5j)  # from the first cell center
-        ticks = np.rint(np.stack([rel.real, rel.imag]) % f.h / f.h * 2**32) % 2**32
-        phases = ((ticks[0] + 1j * ticks[1]) / 2**32).tolist()
-        span = 2 * math.ceil(eps[-1] / f.h) + 7  # ring cell offsets lie within span // 2 meshes
-        tables = {
-            p: _RingTable(p, f.h, span)
-            for p, n in Counter(phases).items()
-            if n > 1 and len(eps) * span**2 < 2**63  # the packed keys fit an int64
-        }
-        for k, zk in enumerate(zs.tolist()):
-            total, bound, ring = _beurling_truncations(f, zk, eps, kern, tables.get(phases[k]))
+    phases: dict[tuple[float, float], list] = {}
+    for k, zk in enumerate(zs.tolist() if len(eps) else []):
+        p, n = _phase(f, zk)
+        phases.setdefault(p, []).append((k, n))
+    for p, members in phases.items():
+        ks, shifts = zip(*members)
+        truncations = _beurling_truncations(f, p, shifts, eps, kern)
+        for i, k in enumerate(ks):
+            total, bound, ring = truncations(i)
             upper = (np.abs(total) + bound) * (1.0 + 1e-12)  # the factor covers rounding
             first = np.zeros(len(eps), dtype=bool)
             first[[np.argmax(upper), np.argmax(np.abs(total))]] = True

@@ -18,6 +18,7 @@ from czkit.gridops import (
     GridFunction,
     _beurling_truncations,
     _checked_point,
+    _phase,
     _planar_kernel,
     _truncation_profile,
     _whole_cells,
@@ -105,8 +106,15 @@ def beurling_truncation(f: GridFunction, z: complex, eps: float, kernel: str = "
     """Integral of f(w) K(w - z) over {|w - z| > eps}, for K(w) = 1/w^2
     (kernel "b") or the iterated kernel -2 conj(w)/w^3 ("b2"): the one
     radius eps of `_beurling_truncations`, outside part plus ring part."""
-    total, _, ring = _beurling_truncations(f, complex(z), np.array([float(eps)]), _planar_kernel(kernel), None)
+    total, _, ring = beurling_parts(f, z, np.array([float(eps)]), _planar_kernel(kernel))
     return complex(total[0] + ring(np.array([0]))[0])
+
+
+def beurling_parts(f: GridFunction, z: complex, eps: np.ndarray, kernel: tuple):
+    """`_beurling_truncations` at the one point z: the outside parts, the
+    ring bounds and the ring function."""
+    p, n = _phase(f, complex(z))
+    return _beurling_truncations(f, p, [n], eps, kernel)(0)
 
 
 # ------------------------------------------------------ L log L maximal function

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from czkit import admissibility
 from czkit.admissibility import (
     _SLACK,
     Cells,
@@ -256,7 +257,7 @@ def _cap_angle(cap, x):
     return float(_angle(np.array(cap.point, dtype=float), np.asarray(x, dtype=float)))
 
 
-def test_tangential_zero_at_irrational_point_is_inconclusive():
+def test_tangential_zero_at_irrational_point_is_inconclusive(monkeypatch):
     # (x1^2 - 2 x2^2)^2 >= 0 touches 0 at x2^2 = 1/3: no sign change and no
     # rational zero, so neither certificate exists
     q = MultiPoly.monomial(2, (2, 0)) - MultiPoly.monomial(2, (0, 2), 2)
@@ -268,7 +269,8 @@ def test_tangential_zero_at_irrational_point_is_inconclusive():
     assert cert.caps
     zeros = [(a * (2 / 3) ** 0.5, b * (1 / 3) ** 0.5) for a in (1, -1) for b in (1, -1)]
     assert all(_cap_angle(cap, z) > float(cap.radius) for cap in cert.caps for z in zeros)
-    cert = certify_nonvanishing(q * q, cell_budget=200)
+    monkeypatch.setattr(admissibility, "CELL_BUDGET", 200)
+    cert = certify_nonvanishing(q * q)
     assert cert.verdict == "INCONCLUSIVE" and cert.stop_reason == "cell-budget"
     assert cert.grid_points <= 200
     # (3 x2 - 3 x1 / 4)^2 touches 0 at (4, 1) / sqrt(17), the center of a

@@ -2,10 +2,14 @@
 import math
 
 import numpy as np
+import pytest
 
 from czkit.experiments import (
+    COMPOSITION_SUP,
     GROWTH_X,
+    POINTWISE_M2_SUP,
     ExperimentResult,
+    exp_beurling_composition,
     exp_counterexample_growth,
     exp_llogl_modular,
     exp_pointwise_ratios,
@@ -90,6 +94,22 @@ def test_pointwise_ratios_beurling():
     res = exp_pointwise_ratios("beurling")
     assert res.summary["sup_ratio"] <= res.summary["frozen_sup"] * 1.2
     assert res.summary["sup_ratio"] >= res.summary["frozen_sup"] * 0.8
+
+
+# the meshes of the benchmark's composition-* and pointwise-hilbert-* ops
+@pytest.mark.parametrize("mesh", [1.0 / 16, 1.0 / 32])
+def test_beurling_composition_holds_its_frozen_sups(mesh):
+    res = exp_beurling_composition(mesh)
+    for name, frozen in COMPOSITION_SUP.items():
+        assert res.summary[f"frozen_sup_{name}"] == frozen
+        assert 0.8 * frozen <= res.summary[f"sup_{name}"] <= 1.2 * frozen
+
+
+@pytest.mark.parametrize("mesh", [1.0 / 128, 1.0 / 256])
+def test_pointwise_ratios_hilbert_holds_its_frozen_sup(mesh):
+    res = exp_pointwise_ratios("hilbert", mesh)
+    assert res.summary["frozen_sup_m2"] == POINTWISE_M2_SUP
+    assert 0.8 * POINTWISE_M2_SUP <= res.summary["sup_ratio_m2"] <= 1.2 * POINTWISE_M2_SUP
 
 
 def test_composition_guard_at_center(monkeypatch):

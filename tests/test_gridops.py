@@ -37,7 +37,16 @@ from czkit.experiments import (
     step_field,
     transform_closed_form,
 )
-from oracles import beurling_truncation, box_2d, hilbert_truncated_many, integral, m_llogl, phi_llogl, value_at
+from oracles import (
+    beurling_parts,
+    beurling_truncation,
+    box_2d,
+    hilbert_truncated_many,
+    integral,
+    m_llogl,
+    phi_llogl,
+    value_at,
+)
 
 
 def step01(h=1.0 / 64):
@@ -796,7 +805,7 @@ def test_beurling_truncations_match_scan_oracle():
         # inside the disk, b2: the sup sits at a small radius whose ring bound
         # dwarfs |total|, so the pruning must keep that radius
         disk, eps = GridFunction.disk(0.5, 1.0 / 8), radii.eps[1:]
-        total, bound, ring = gridops._beurling_truncations(disk, 0.3 + 0.2j, eps, (_kernel_b2, 2.0), None)
+        total, bound, ring = beurling_parts(disk, 0.3 + 0.2j, eps, (_kernel_b2, 2.0))
         k = np.argmax(np.abs(total + ring(np.arange(len(eps)))))
         assert eps[k] < 0.1 and bound[k] > 5 * abs(total[k])
 
@@ -812,7 +821,7 @@ def test_beurling_ring_bound_holds_at_every_radius():
             for z in (centre, centre - 0.163 + 0.051j, centre + 0.0625 - 0.3j, 2.7 + 0.4j):
                 for kernel in ("b", "b2"):
                     kern = gridops._planar_kernel(kernel)
-                    total, bound, ring = gridops._beurling_truncations(f, z, eps, kern, None)
+                    total, bound, ring = beurling_parts(f, z, eps, kern)
                     got = np.abs(total + ring(np.arange(len(eps))))
                     # the bound `beurling_maximal` prunes with
                     assert np.all(got <= (np.abs(total) + bound) * (1.0 + 1e-12))
@@ -833,7 +842,7 @@ def test_beurling_maximal_subdivides_few_ring_cells(monkeypatch):
         got = beurling_maximal(bg, z, radii)
         pruned = sum(pairs)
         pairs.clear()
-        total, _, ring = gridops._beurling_truncations(bg, z, radii.eps, (counted, 1.0), None)
+        total, _, ring = beurling_parts(bg, z, radii.eps, (counted, 1.0))
         full = np.abs(total + ring(np.arange(len(radii.eps))))
     assert abs(got - np.max(full)) <= 1e-12 * got
     assert 0 < pruned <= 0.25 * sum(pairs)
@@ -861,6 +870,54 @@ def test_beurling_maximal_array_form_matches_scalar_calls():
                 assert got.dtype == float and got.tolist() == [beurling_maximal(f, z, radii, kernel) for z in zs]
         assert type(beurling_maximal(disk, 0.52 + 0.31j, radii)) is float
         assert beurling_maximal(disk, np.array([], dtype=complex), radii).shape == (0,)
+
+
+def test_beurling_maximal_phase_groups_match_lone_points(monkeypatch):
+    # the shift count of every `_beurling_truncations` call: one per phase,
+    # then one per point where the phase's union box is too sparse to share
+    calls, truncations = [], gridops._beurling_truncations
+
+    def spy(f, p, shifts, eps, kernel):
+        calls.append(len(shifts))
+        return truncations(f, p, shifts, eps, kernel)
+
+    monkeypatch.setattr(gridops, "_beurling_truncations", spy)
+    radii = TruncationGrid.geometric(1.0 / 16, 4.0, 12)
+    rng = np.random.default_rng(7)
+    field = GridFunction((-0.625, -0.5), 1.0 / 8, rng.choice([0.0, 1.0, -0.5], size=(10, 8)))
+    tenth = GridFunction((-0.5, -0.3), 0.1, rng.normal(size=(8, 6)))
+    cases = [
+        # one phase, 1 and 2 meshes apart: an 11 x 10 union box, 110 <= 3 x 80 cells
+        (field, [0.3125 + 0.1875j, 0.4375 + 0.1875j, 0.3125 + 0.4375j], [3]),
+        # one phase, 8 meshes apart on each axis: 18 x 16 > 2 x 80 cells, each point alone
+        (field, [0.3125 + 0.1875j, 1.3125 + 1.1875j], [2, 1, 1]),
+        # cell centres, where one cell sits at w = 0, at negative coordinates
+        (field, [-0.5625 - 0.4375j, -0.3125 - 0.1875j, 0.1875 - 0.4375j], [3]),
+        # mesh 0.1: z / h is inexact, so points a whole number of meshes apart
+        # mostly get phases that differ in the last bits and go alone; where
+        # the rounding happens to agree they share a lattice, at the same values
+        (tenth, [0.17 + 0.04j + (0.1 + 0.1j) * k for k in range(3)], [1, 1, 1]),
+        (tenth, [0.23 + 0.11j + 0.1 * k for k in range(3)], [3]),
+    ]
+    with np.errstate(all="raise"):
+        for f, zs, groups in cases:
+            for kernel in ("b", "b2"):
+                calls.clear()
+                got = beurling_maximal(f, np.array(zs), radii, kernel)
+                assert calls == groups
+                assert got.tolist() == [beurling_maximal(f, z, radii, kernel) for z in zs]
+                for z, value in zip(zs, got.tolist()):
+                    want = scan_beurling_maximal(f, z, radii, kernel)
+                    assert abs(value - want) <= 1e-12 * want
+            if groups[0] == len(zs):
+                # a shared lattice gives each point the outside parts and ring
+                # bounds of its own box, bit for bit, so pruning matches too
+                eps, kern = radii.eps[radii.eps >= f.h / 2], gridops._planar_kernel("b2")
+                (p, _), *_ = phases = [gridops._phase(f, z) for z in zs]
+                shared = truncations(f, p, [n for _, n in phases], eps, kern)
+                for k, z in enumerate(zs):
+                    (total, bound, _), (alone, alone_bound, _) = shared(k), beurling_parts(f, z, eps, kern)
+                    assert total.tolist() == alone.tolist() and bound.tolist() == alone_bound.tolist()
 
 
 def test_beurling_maximal_refuses_non_finite_points():
