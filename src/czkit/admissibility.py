@@ -8,11 +8,16 @@ multiplier-weighted sum of the quotients must not vanish anywhere on the
 unit sphere.
 
 Divisibility is decided by exact polynomial division.  The quotient sum F
-has (after factoring out one shared unit) real rational coefficients, and
-its sign on the sphere is decided by branch-and-bound over a cube-sphere
-cover: the 2n facets of the cube [-1, 1]^n, each split by a 2^(n-1)-ary
-tree of boxes and projected radially onto the sphere.  A cell with center
-c and angular radius r keeps the sign of F(c) when
+has (after factoring out one shared unit) real rational coefficients.  If its
+terms have degrees 0 and 2 only, F = a + x^T B x equals x^T M x on the sphere,
+M = aI + B, so F has no zero there iff M is definite (Sylvester; Horn and
+Johnson, Matrix Analysis, 7.2), which fraction-free symmetric elimination
+decides in integers: PASS with a rational t > 0 such that +-M - tI is definite
+(|F| >= t), FAIL with an exact zero or u, v with u^T M u < 0 < v^T M v.
+Otherwise the sign of F on the sphere is decided by branch-and-bound over a
+cube-sphere cover: the 2n facets of the cube [-1, 1]^n, each split by a
+2^(n-1)-ary tree of boxes and projected radially onto the sphere.  A cell
+with center c and angular radius r keeps the sign of F(c) when
 
     |F(c)|  >  |grad_T F(c)| * r  +  H * r^2 / 2  +  rho,
 
@@ -107,14 +112,14 @@ class SphereCertificate:
     """The sign certifier's verdict on F over the unit sphere, with its evidence."""
 
     verdict: str = "INCONCLUSIVE"
-    stop_reason: str | None = None  # certified, sign-change, exact-zero, depth-cap or cell-budget
+    stop_reason: str | None = None  # exact (quadratic F); certified, sign-change, exact-zero, depth-cap or cell-budget
     lipschitz_bound: float = 0.0
     rounding_bound: float = 0.0  # rho for a value: |F(c)| beyond it has a certain sign
     grid_min: float = math.inf  # smallest |F| at an evaluated cell center
     certified_min: float | None = None
     witness: tuple[float, ...] | None = None
     witness_value: float | None = None
-    sign_pair: tuple[tuple[float, ...], tuple[float, ...]] | None = None  # F > rho, F < -rho
+    sign_pair: tuple[tuple[float, ...], tuple[float, ...]] | None = None  # F > rho, F < -rho (rho = 0 if exact)
     depth_used: int = 0
     grid_points: int = 0  # cell centers evaluated
     caps: list[Cap] = field(default_factory=list)
@@ -142,9 +147,10 @@ class CheckReport(SphereCertificate):
         ]
         if self.divisibility_ok:
             lines.append(f"stop reason    : {self.stop_reason}")
-            lines.append(f"gradient bound : {self.lipschitz_bound:.6g}")
-            lines.append(f"tree depth     : {self.depth_used} ({self.grid_points} cells)")
-            lines.append(f"min |F| seen   : {self.grid_min:.6g}")
+            if self.trace:  # the tree ran
+                lines.append(f"gradient bound : {self.lipschitz_bound:.6g}")
+                lines.append(f"tree depth     : {self.depth_used} ({self.grid_points} cells)")
+                lines.append(f"min |F| seen   : {self.grid_min:.6g}")
             if self.certified_min is not None:
                 lines.append(f"certified min  : {self.certified_min:.6g}")
             if self.witness is not None:
@@ -159,7 +165,8 @@ class CheckReport(SphereCertificate):
             for i, cap in enumerate(self.caps):
                 pt = ", ".join(f"{float(x):.12g}" for x in cap.point)
                 lines.append(f"cap {i:<11d}: ({pt}), radius {float(cap.radius):.6g}, |F| >= {float(cap.lower):.6g}")
-            lines.append("level      cells  undecided       min |F|   seconds")
+            if self.trace:
+                lines.append("level      cells  undecided       min |F|   seconds")
             for row in self.trace:
                 lines.append(
                     f"{row.depth:5d} {row.cells:10d} {row.undecided:10d} "
@@ -175,8 +182,7 @@ class CheckReport(SphereCertificate):
             "divisibility_ok": int(self.divisibility_ok),
             "grid_depth": self.depth_used,
             "grid_points": self.grid_points,
-            "grid_min": repr(self.grid_min),
-            "lipschitz_bound": repr(self.lipschitz_bound),
+            **({"grid_min": repr(self.grid_min), "lipschitz_bound": repr(self.lipschitz_bound)} if self.trace else {}),
             "caps": len(self.caps),
         }
         if self.stop_reason is not None:
@@ -535,6 +541,57 @@ def certify_nonvanishing(f: MultiPoly, max_depth: int = DEFAULT_MAX_DEPTH) -> Sp
     return cert
 
 
+def _form(s: list[list[int]], x: list[int], y: list[int]) -> int:  # x^T S y
+    return sum(xi * sum(map(operator.mul, row, y)) for xi, row in zip(x, s))
+
+
+def _sign_or_witness(s: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Symmetric fraction-free elimination on the integer S: (+-1, []) when each pivot, x^T S x at one of n
+    S-orthogonal x, has that sign (S is definite), else (0, [x]), x^T S x = 0, or (0, [u, v]), u^T S u < 0 < v^T S v."""
+    rest, seen = [[int(i == j) for j in range(len(s))] for i in range(len(s))], {}
+    while rest:
+        p = rest.pop()
+        pp, cs = _form(s, p, p), [_form(s, x, p) for x in rest]
+        if pp == 0:
+            return 0, [p]
+        seen[pp > 0] = p
+        if len(seen) == 2:
+            return 0, [seen[False], seen[True]]
+        for k, c in enumerate(cs):  # (p^T S p) x - (x^T S p) p is S-orthogonal to p; over its gcd, signed like x
+            y = [pp * a - c * b for a, b in zip(rest[k], p)]
+            rest[k] = [a // math.gcd(*y) * (1 if pp > 0 else -1) for a in y]
+    return (1 if True in seen else -1), []
+
+
+def _quadratic_certificate(f: MultiPoly) -> SphereCertificate:
+    """Decide F = a + x^T B x on the unit sphere exactly by the sign of S = 2 lcm (aI + B); see the module docstring."""
+    n, scale, a = f.nvars, math.lcm(*(c.denominator for c in f.terms.values())), f.terms.get((0,) * f.nvars, 0)
+    s = [[int((f.terms.get(tuple((k == i) + (k == j) for k in range(n)), 0) + a * (i == j)) * scale * (1 + (i == j)))
+          for j in range(n)] for i in range(n)]  # x_i x_j has the coefficient M_ij (1 + (i != j)) in F on the sphere
+    sign, found = _sign_or_witness(s)
+    if sign:  # halve t below the least eigenvalue l of sign S; l >= 1 / trace^(n-1) (det >= 1): n bits per trace bit
+        t = Fraction(min(sign * s[i][i] for i in range(n)) * (1.0 - 2.0**-44))  # min diag >= least eigenvalue
+        for _ in range(n * abs(sum(s[i][i] for i in range(n))).bit_length() + 2):
+            if _positive_definite([[t.denominator * sign * x - t.numerator * (i == j) for j, x in enumerate(row)]
+                                   for i, row in enumerate(s)]):
+                return SphereCertificate(verdict="PASS", stop_reason="exact",
+                                         certified_min=math.nextafter(float(t / (2 * scale)), 0))
+            t /= 2
+        raise AssertionError("the elimination read an indefinite S as definite")
+    if len(found) == 1:  # an exact zero
+        return SphereCertificate(verdict="FAIL(vanishing)", stop_reason="exact", witness_value=0.0,
+                                 witness=tuple(_normalize(np.array(found[0], dtype=float)).tolist()))
+    neg, pos, cross = _form(s, found[0], found[0]), _form(s, found[1], found[1]), _form(s, *found)  # found = [u, v]
+    if not neg < 0 < pos:
+        raise AssertionError("the sign pair of S does not change sign")
+    root = math.sqrt(cross * cross - neg * pos)  # neg + 2 cross t + pos t^2 = 0 along u + t v, t > 0: no cancellation
+    u, v = np.array(found, dtype=float)
+    w = _normalize(u + (-neg / (cross + root) if cross > 0 else (root - cross) / pos) * v)
+    return SphereCertificate(verdict="FAIL(vanishing)", stop_reason="exact", witness=tuple(w.tolist()),
+                             witness_value=float(abs(f.float_evaluator()(w[None])[0])),
+                             sign_pair=(tuple(_normalize(v).tolist()), tuple(_normalize(u).tolist())))
+
+
 def quotient_sum(kernel: KernelSpec) -> tuple[MultiPoly | None, list[MultiPoly], SymScalar, int | None]:
     """Divide every layer by the lowest one and form the weighted sum.
 
@@ -564,7 +621,9 @@ def quotient_sum(kernel: KernelSpec) -> tuple[MultiPoly | None, list[MultiPoly],
 
 
 def check_maximal_control(kernel: KernelSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> CheckReport:
-    """Run the divisibility-plus-nonvanishing check for an odd kernel."""
+    """Run the divisibility-plus-nonvanishing check for an odd kernel, exactly for a quadratic F."""
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
     if kernel.parity != "odd":
         raise KernelError(f"check requires an odd kernel, got parity {kernel.parity!r}")
     f, quotients, unit, failed = quotient_sum(kernel)
@@ -578,7 +637,7 @@ def check_maximal_control(kernel: KernelSpec, max_depth: int = DEFAULT_MAX_DEPTH
             divisibility_ok=False,
             failed_degree=failed,
         )
-    cert = certify_nonvanishing(f, max_depth)
+    cert = _quadratic_certificate(f) if f.total_degree() <= 2 else certify_nonvanishing(f, max_depth)
     return CheckReport(
         **vars(cert),
         dim=kernel.dim,

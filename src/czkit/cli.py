@@ -90,7 +90,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--depth",
         type=int,
         default=DEFAULT_MAX_DEPTH,
-        help="maximum depth of the cube-sphere tree; each level halves the cell side",
+        help="maximum depth of the cube-sphere tree, run only when deg F >= 4; each level halves the cell side",
     )
     p_check.add_argument("--kv", action="store_true", help="also print a key=value block")
     p_check.add_argument("--allow-fail", action="store_true", help="exit 0 on a decisive FAIL verdict")

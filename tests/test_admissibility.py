@@ -2,6 +2,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from czkit import admissibility
 from czkit.admissibility import (
     _SLACK,
+    DEFAULT_MAX_DEPTH,
     Cells,
     CheckReport,
     _Bounds,
@@ -16,14 +18,16 @@ from czkit.admissibility import (
     _evaluate,
     _exclusion_cap,
     _positive_definite,
+    _quadratic_certificate,
     _rounding_bound,
+    _sign_or_witness,
     certify_nonvanishing,
     check_maximal_control,
     quotient_sum,
     sphere_grid,
     spherical_gradient_bound,
 )
-from czkit.kernels import kernel_from_polynomial
+from czkit.kernels import kernel_from_polynomial, parse_kernel_spec
 from czkit.polyalg import MultiPoly
 
 
@@ -38,36 +42,70 @@ def model_kernel(n, lam: F):
     return kernel_from_polynomial(n, w)
 
 
+def tree_report(kernel, max_depth=DEFAULT_MAX_DEPTH):
+    """The report of the sign certifier on the kernel's quotient sum F, as `check_maximal_control`
+    gives it when F has a term of degree 4 or more."""
+    f, quotients, unit, _ = quotient_sum(kernel)
+    cert = certify_nonvanishing(f, max_depth)
+    return CheckReport(**vars(cert), dim=kernel.dim, divisor=kernel.components[0], quotients=quotients,
+                       divisibility_ok=True, unit=unit)
+
+
+def quadratic_form(f, x):
+    """x^T M x for F = a + x^T B x and M = aI + B, exactly at the float point x."""
+    x = [F(t) for t in x]
+    return f.eval_exact(x) + f.terms.get((0,) * len(x), 0) * (sum(t * t for t in x) - 1)
+
+
+def assert_exact_sign_pair(rep, f):
+    plus, minus = rep.sign_pair
+    assert quadratic_form(f, minus) < 0 < quadratic_form(f, plus)
+    assert rep.witness_value < 1e-10 and abs(np.linalg.norm(rep.witness) - 1.0) < 1e-15
+
+
 def test_degenerate_model_fails_with_axis_witness():
+    # the tree tests the facet center e1 for an exact zero; the exact path finds e1 as a null vector of M
     for n in (2, 3):
-        rep = check_maximal_control(model_kernel(n, F(1)))
-        assert rep.verdict == "FAIL(vanishing)"
-        assert abs(abs(rep.witness[0]) - 1.0) < 1e-12
-        assert all(abs(c) < 1e-12 for c in rep.witness[1:])
-        assert rep.witness_value < 1e-10
+        kernel = model_kernel(n, F(1))
+        for rep, reason in ((tree_report(kernel), "exact-zero"), (check_maximal_control(kernel), "exact")):
+            assert rep.verdict == "FAIL(vanishing)" and rep.stop_reason == reason
+            assert abs(abs(rep.witness[0]) - 1.0) < 1e-12
+            assert all(abs(c) < 1e-12 for c in rep.witness[1:])
+            assert rep.witness_value == 0.0
 
 
 def test_half_strength_model_passes_with_certificate():
     for n in (2, 3):
-        rep = check_maximal_control(model_kernel(n, F(1, 2)))
-        assert rep.verdict == "PASS"
+        rep = tree_report(model_kernel(n, F(1, 2)))
+        assert rep.verdict == "PASS" and rep.stop_reason == "certified"
         assert rep.certified_min > 0
         assert rep.depth_used <= 14
+        # exactly: min |F| = |F(e1)| = 2 - 2 lam at n = 2, 1/2 at n = 3, without a tree
+        rep = check_maximal_control(model_kernel(n, F(1, 2)))
+        assert rep.verdict == "PASS" and rep.stop_reason == "exact" and rep.depth_used == 0
+        least = 1.0 if n == 2 else 0.5
+        assert least * (1 - 1e-12) < rep.certified_min <= least
 
 
 def test_single_layer_kernel_passes_trivially():
-    rep = check_maximal_control(kernel_from_polynomial(2, harmonic_cubic()))
-    assert rep.verdict == "PASS"
-    assert rep.quotients[0] == MultiPoly.constant(2, 1)
-    assert abs(rep.certified_min - 2.0 / 3.0) < 1e-12  # |gamma_3| rational part
+    for rep in (check_maximal_control(kernel_from_polynomial(2, harmonic_cubic())),
+                tree_report(kernel_from_polynomial(2, harmonic_cubic()))):
+        assert rep.verdict == "PASS"
+        assert rep.quotients[0] == MultiPoly.constant(2, 1)
+        assert abs(rep.certified_min - 2.0 / 3.0) < 1e-12  # |gamma_3| rational part
 
 
 def test_mirrored_model_vanishes_on_diagonals():
-    # the quotient sum 1 + (x1^2 - 3 x2^2) has zeros at x2^2 = 1/2 (n = 2),
-    # which the dyadic angle grid hits exactly
-    rep = check_maximal_control(model_kernel(2, F(-1)))
-    assert rep.verdict == "FAIL(vanishing)"
+    # the quotient sum 1 + (x1^2 - 3 x2^2) has zeros at x2^2 = 1/2 (n = 2): the tree sees F change sign
+    # between the facet centers and bisects, the exact path solves along the arc from e1 to e2
+    rep = tree_report(model_kernel(2, F(-1)))
+    assert rep.verdict == "FAIL(vanishing)" and rep.stop_reason == "sign-change"
     assert abs(abs(rep.witness[0]) - 2 ** -0.5) < 1e-12
+    assert rep.witness_value < 1e-10
+    rep = check_maximal_control(model_kernel(2, F(-1)))
+    assert rep.verdict == "FAIL(vanishing)" and rep.stop_reason == "exact"
+    assert rep.sign_pair == ((0.0, 1.0), (1.0, 0.0))
+    assert np.allclose(np.abs(rep.witness), 2**-0.5, rtol=0.0, atol=1e-15)
     assert rep.witness_value < 1e-10
 
 
@@ -75,7 +113,7 @@ def test_weak_mirrored_model_fails_with_sign_change():
     # at lam = -1/2 the sum -3 + 4 x2^2 vanishes at x2^2 = 3/4, off every
     # dyadic point; F(0, 1) = 1 and F(1, 0) = -3 certify the zero
     for depth in (6, 12):
-        rep = check_maximal_control(model_kernel(2, F(-1, 2)), max_depth=depth)
+        rep = tree_report(model_kernel(2, F(-1, 2)), max_depth=depth)
         assert rep.verdict == "FAIL(vanishing)"
         assert rep.stop_reason == "sign-change"
         f = quotient_sum(model_kernel(2, F(-1, 2)))[0].float_evaluator()
@@ -87,6 +125,15 @@ def test_weak_mirrored_model_fails_with_sign_change():
         assert rep.certified_min is None
     assert "F < -rho at" in rep.format_text()
     assert "sign_pair=" in rep.format_kv()
+    # exactly: e2 and e1 are the sign pair, and the witness solves -3 + 4 x2^2 = 0 in closed form
+    f = quotient_sum(model_kernel(2, F(-1, 2)))[0]
+    rep = check_maximal_control(model_kernel(2, F(-1, 2)), max_depth=6)
+    assert rep.verdict == "FAIL(vanishing)" and rep.stop_reason == "exact"
+    assert rep.sign_pair == ((0.0, 1.0), (1.0, 0.0)) and rep.rounding_bound == 0.0
+    assert_exact_sign_pair(rep, f)
+    assert abs(rep.witness[1] ** 2 - 0.75) < 1e-15 and rep.certified_min is None
+    assert "F < -rho at" in rep.format_text() and "level " not in rep.format_text()
+    assert "sign_pair=0.0,1.0;1.0,0.0\n" in rep.format_kv()
 
 
 def test_verdicts_stable_under_grid_deepening():
@@ -96,8 +143,13 @@ def test_verdicts_stable_under_grid_deepening():
             if lam == 0
             else model_kernel(2, lam)
         )
-        verdicts = {check_maximal_control(k, max_depth=d).verdict for d in (6, 12)}
+        verdicts = {tree_report(k, max_depth=d).verdict for d in (6, 12)}
         assert verdicts == {expected}
+        # the exact path does not read the depth
+        reports = [check_maximal_control(k, max_depth=d) for d in (0, 6, 12)]
+        assert {(rep.verdict, rep.stop_reason, rep.certified_min, rep.witness) for rep in reports} == {
+            (expected, "exact", reports[0].certified_min, reports[0].witness)
+        }
 
 
 def test_higher_degree_divisor_family():
@@ -159,6 +211,7 @@ def test_verdict_invariant_under_kernel_scaling():
     ) * F(-7, 5)
     scaled = kernel_from_polynomial(2, w)
     assert check_maximal_control(base).verdict == check_maximal_control(scaled).verdict == "PASS"
+    assert tree_report(base).verdict == tree_report(scaled).verdict == "PASS"
 
 
 def test_even_kernel_rejected():
@@ -209,12 +262,13 @@ def test_cube_sphere_cover_radius_and_axis_centers():
 
 
 def test_report_rendering():
-    rep = check_maximal_control(model_kernel(2, F(1, 2)))
+    rep = tree_report(model_kernel(2, F(1, 2)))
     text = rep.format_text()
     assert "PASS" in text and "certified" in text
     assert "stop reason    : certified" in text
     kv = rep.format_kv()
     assert "verdict=PASS" in kv and "stop_reason=certified" in kv
+    assert f"\ngrid_min={rep.grid_min!r}\nlipschitz_bound={rep.lipschitz_bound!r}\ncaps=" in kv
     assert isinstance(rep, CheckReport)
     # one trace row per tree level, shown in both renderings
     assert [row.depth for row in rep.trace] == list(range(rep.depth_used + 1))
@@ -225,20 +279,38 @@ def test_report_rendering():
         assert f"level_{row.depth}=cells:{row.cells},undecided:{row.undecided}," in kv
     lines = text.splitlines()
     assert len(lines) - lines.index("level      cells  undecided       min |F|   seconds") - 1 == len(rep.trace)
+    # no tree ran: no tree lines and no level table, the tree's kv counts read 0
+    rep = check_maximal_control(model_kernel(2, F(1, 2)))
+    assert rep.trace == [] and rep.depth_used == 0
+    assert rep.format_text().splitlines()[4:] == ["stop reason    : exact", f"certified min  : {rep.certified_min:.6g}"]
+    kv = rep.format_kv()
+    assert "verdict=PASS" in kv and "stop_reason=exact" in kv and "level_" not in kv
+    assert "grid_min=" not in kv and "lipschitz_bound=" not in kv
+    for key in ("grid_depth=0", "grid_points=0", "caps=0"):
+        assert f"\n{key}\n" in kv
 
 
 def test_roadmap_cases_decide_correctly():
     # n = 2: F = -2 + lam (2 x1^2 - 6 x2^2), max over the circle -2 + 2 lam
-    rep = check_maximal_control(model_kernel(2, 1 - F(5, 10**12)))
+    rep = tree_report(model_kernel(2, 1 - F(5, 10**12)))
     assert rep.verdict == "PASS" and rep.stop_reason == "certified"
     assert 0 < rep.certified_min <= 1e-11
-    rep = check_maximal_control(model_kernel(2, 1 - F(1, 10**6)))
+    rep = tree_report(model_kernel(2, 1 - F(1, 10**6)))
     assert rep.verdict == "PASS" and 0 < rep.certified_min <= 2e-6
     for n in (3, 4):
-        rep = check_maximal_control(model_kernel(n, F(-1, 2)))
+        rep = tree_report(model_kernel(n, F(-1, 2)))
         assert rep.verdict == "FAIL(vanishing)" and rep.stop_reason == "sign-change"
         assert rep.witness_value < 1e-10
         assert rep.grid_points == 2 * n  # the facet centers already change sign
+    # exactly: the certified minimum is min |F| = 2 - 2 lam, up to the 2^-44 shrink of its estimate
+    for lam, least in ((1 - F(5, 10**12), 1e-11), (1 - F(1, 10**6), 2e-6)):
+        rep = check_maximal_control(model_kernel(2, lam))
+        assert rep.verdict == "PASS" and rep.stop_reason == "exact" and rep.grid_points == 0
+        assert least * (1 - 1e-12) < rep.certified_min <= least
+    for n in (3, 4):
+        rep = check_maximal_control(model_kernel(n, F(-1, 2)))
+        assert rep.verdict == "FAIL(vanishing)" and rep.stop_reason == "exact" and rep.grid_points == 0
+        assert_exact_sign_pair(rep, quotient_sum(model_kernel(n, F(-1, 2)))[0])
 
 
 def test_near_boundary_cost_is_bounded():
@@ -246,11 +318,16 @@ def test_near_boundary_cost_is_bounded():
     # to about depth 22 there, but exclusion caps at the axis points decide
     # every cell that fits inside them a few levels down
     for n, lam in ((3, 1 - F(1, 10**12)), (4, 1 - F(93, 10**13)), (4, F(-1, 3) + F(93, 10**13))):
-        rep = check_maximal_control(model_kernel(n, lam))
+        rep = tree_report(model_kernel(n, lam))
         assert rep.verdict == "PASS", (n, lam)
         assert rep.depth_used <= 8
         assert rep.grid_points <= 10_000
         assert rep.caps
+        # exactly: M is diagonal, and min |F| is its least diagonal entry in absolute value
+        rep, f = check_maximal_control(model_kernel(n, lam)), quotient_sum(model_kernel(n, lam))[0]
+        least = min(abs(f.eval_exact(tuple(F(int(i == j)) for j in range(n)))) for i in range(n))
+        assert rep.verdict == "PASS" and rep.stop_reason == "exact" and not rep.caps and rep.grid_points == 0
+        assert float(least) * (1 - 1e-12) < rep.certified_min <= float(least)
 
 
 def _cap_angle(cap, x):
@@ -304,7 +381,7 @@ def test_tangential_zero_at_rational_point_is_exact():
 def test_model_kernels_near_the_boundary_get_caps_at_the_axis():
     # the minimum of |F| is at +-e1, where F, grad F and Hess F are exact
     for n in (2, 3, 4):
-        rep = check_maximal_control(model_kernel(n, 1 - F(93, 10**13)))
+        rep = tree_report(model_kernel(n, 1 - F(93, 10**13)))
         assert rep.verdict == "PASS" and rep.stop_reason == "certified"
         f = quotient_sum(model_kernel(n, 1 - F(93, 10**13)))[0]
         e1 = tuple(F(int(i == 0)) for i in range(n))
@@ -319,6 +396,11 @@ def test_model_kernels_near_the_boundary_get_caps_at_the_axis():
         assert "\ncaps=2\n" in kv and f"\ncap_0=point:{','.join(['1.0'] + ['0.0'] * (n - 1))};radius:" in kv
         assert "\ncap_1=point:-1.0," in kv
         assert rep.format_text().count("\ncap ") == 2
+        # exactly: no caps, and the certified minimum is |F(e1)| = min |F|
+        rep = check_maximal_control(model_kernel(n, 1 - F(93, 10**13)))
+        assert rep.verdict == "PASS" and rep.stop_reason == "exact" and rep.caps == []
+        assert float(abs(f.eval_exact(e1))) * (1 - 1e-12) < rep.certified_min <= float(abs(f.eval_exact(e1)))
+        assert "\ncaps=0\n" in rep.format_kv() and "\ncap " not in rep.format_text()
 
 
 def _linear(w):
@@ -424,13 +506,164 @@ def test_seeded_sweep_matches_rule_and_pass_is_sound():
     for seed, n in itertools.product(range(3), (2, 3, 4)):
         for stratum, lam in _strata(rng).items():
             kernel = model_kernel(n, lam)
-            rep = check_maximal_control(kernel)
-            assert rep.verdict == _truth(lam), (n, stratum, lam, rep.verdict, rep.stop_reason)
-            if rep.verdict == "PASS":
-                # soundness: no sampled point goes below the certified minimum
-                f = quotient_sum(kernel)[0].float_evaluator()
-                sample = np.abs(f(_sphere_sample(n, 10**5, seed)))
-                assert sample.min() >= rep.certified_min > 0, (n, stratum, lam)
+            # the tree, and the exact path
+            for rep in (tree_report(kernel), check_maximal_control(kernel)):
+                assert rep.verdict == _truth(lam), (n, stratum, lam, rep.verdict, rep.stop_reason)
+                if rep.verdict == "PASS":
+                    # soundness: no sampled point goes below the certified minimum
+                    f = quotient_sum(kernel)[0].float_evaluator()
+                    sample = np.abs(f(_sphere_sample(n, 10**5, seed)))
+                    assert sample.min() >= rep.certified_min > 0, (n, stratum, lam)
+            assert rep.stop_reason == "exact"
+
+
+def _zonal_kernel(lam):
+    """x1|x|^2 + lam x1 (2 x1^2 - 3 x2^2 - 3 x3^2) at n = 3: F is proportional to 1 - lam (5 x1^2 - 3) / 4,
+    which vanishes on the sphere unless -4/3 < lam < 2."""
+    x1 = MultiPoly.variable(3, 0)
+    quadric = (MultiPoly.monomial(3, (2, 0, 0), 2) - MultiPoly.monomial(3, (0, 2, 0), 3)
+               - MultiPoly.monomial(3, (0, 0, 2), 3))
+    cubic = x1 * quadric
+    return kernel_from_polynomial(3, x1 * MultiPoly.radius2(3) + cubic * lam)
+
+
+def _planar_three_layer():
+    """x1|x|^4 + Re(z^3)|x|^2 / 2 + Re(z^5) / 4: layers of degrees 1, 3 and 5, so F is quartic."""
+    r2, x1 = MultiPoly.radius2(2), MultiPoly.variable(2, 0)
+    re_z5 = MultiPoly.monomial(2, (5, 0)) - MultiPoly.monomial(2, (3, 2), 10) + MultiPoly.monomial(2, (1, 4), 5)
+    return kernel_from_polynomial(2, x1 * r2 * r2 + harmonic_cubic(2) * r2 * F(1, 2) + re_z5 * F(1, 4))
+
+
+def _assert_decided_exactly(kernel, truth):
+    rep = check_maximal_control(kernel)
+    assert rep.verdict == truth and rep.stop_reason == "exact" and rep.grid_points == 0, rep.verdict
+    f = quotient_sum(kernel)[0]
+    if rep.verdict == "PASS":
+        # soundness at the axis points, where the model and zonal families have their extrema
+        axes = [tuple(F(int(i == j)) for j in range(kernel.dim)) for i in range(kernel.dim)]
+        assert 0 < rep.certified_min <= min(abs(f.eval_exact(e)) for e in axes)
+    elif rep.sign_pair is None:
+        assert rep.witness_value == 0.0  # an exact zero
+        assert quadratic_form(f, rep.witness) == 0 or abs(float(f.eval_exact([F(x) for x in rep.witness]))) < 1e-15
+    else:
+        assert_exact_sign_pair(rep, f)
+    return rep
+
+
+def test_boundary_families_decide_exactly():
+    # the model kernel: PASS iff -1/3 < lam < 1, for every n
+    # d > 0 is inside the interval, d < 0 outside
+    for n, end, d in itertools.product((2, 3, 4), (F(-1, 3), F(1)), (F(1, 10**15), 0, -F(1, 10**15))):
+        lam = end + d if end < 0 else end - d
+        _assert_decided_exactly(model_kernel(n, lam), "PASS" if d > 0 else "FAIL(vanishing)")
+    # the zonal n = 3 family, whose |F| is least along the great circle x1 = 0 near lam = -4/3
+    for end, d in itertools.product((F(-4, 3), F(2)), (F(1, 10**9), F(1, 10**15), 0, -F(1, 10**9), -F(1, 10**15))):
+        lam = end + d if end < 0 else end - d
+        rep = _assert_decided_exactly(_zonal_kernel(lam), "PASS" if d > 0 else "FAIL(vanishing)")
+        if d > 0:  # min |F| = |F(e2)| at -4/3, |F(e1)| at 2: the diagonal M is found exactly
+            f = quotient_sum(_zonal_kernel(lam))[0]
+            least = abs(f.eval_exact((F(0), F(1), F(0)) if end < 0 else (F(1), F(0), F(0))))
+            assert float(least) * (1 - 1e-12) < rep.certified_min <= float(least)
+
+
+def test_off_diagonal_quotient_sum_is_decided_exactly():
+    # x1|x|^2 + c x1 x2 x3 at n = 3: F is proportional to 1 - c x2 x3 / 4, with min |F| = |F(e1)| (1 - |c| / 8)
+    x1, x2, x3 = (MultiPoly.variable(3, i) for i in range(3))
+    cases = ((F(7), "PASS"), (-8 + F(1, 10**12), "PASS"), (F(8), "FAIL(vanishing)"), (F(-9), "FAIL(vanishing)"))
+    for c, truth in cases:
+        kernel = kernel_from_polynomial(3, x1 * MultiPoly.radius2(3) + x1 * x2 * x3 * c)
+        rep = _assert_decided_exactly(kernel, truth)
+        a = abs(quotient_sum(kernel)[0].eval_exact((F(1), F(0), F(0))))
+        if truth == "PASS":  # the estimate |a| is above min |F|: halving lands within a factor 2 below
+            least = a * (1 - abs(c) / 8)
+            assert float(least) / 2 < rep.certified_min <= float(least)
+        elif c == 8:
+            assert np.allclose(np.abs(rep.witness), (0.0, 2**-0.5, 2**-0.5), rtol=0.0, atol=1e-15)
+
+
+def test_strata_of_the_benchmark_match_their_truth(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    for seed in range(1, 41):
+        rng = random.Random(seed)
+        for n in workloads.DECIDE_DIMS:
+            for lam, mu in itertools.chain(*workloads.draw_strata(rng).values()):
+                rep = check_maximal_control(parse_kernel_spec(workloads.model_kernel_text(n, lam, mu)))
+                assert rep.verdict == workloads.truth(lam, mu), (seed, n, lam, mu)
+                assert rep.stop_reason == ("exact" if mu == 0 else None)
+
+
+def test_sign_or_witness_is_exact():
+    rng = random.Random(9)
+    fixed = [[[0, 1], [1, 0]], [[1, 1, 0], [1, 1, 0], [0, 0, -1]], [[2, 0], [0, 0]], [[1, 2], [2, 1]], [[0, 0], [0, 0]],
+             [[2, 1], [1, 2]], [[-2, 1], [1, -2]], [[0, 0], [0, -16]]]
+    randoms = [[[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)] for n in (2, 3, 4, 5) for _ in range(40)]
+    signs = set()
+    for m in fixed + [(np.array(m) + np.array(m).T + k * np.eye(len(m), dtype=int)).tolist()
+                      for m, k in zip(randoms, itertools.cycle((0, 9, -9)))]:
+        s = np.array(m, dtype=object)
+        sign, found = _sign_or_witness(m)
+        # the sign of a definite S, by Bareiss on S and on -S
+        assert sign == (1 if _positive_definite(m) else -1 if _positive_definite((-s).tolist()) else 0), m
+        values = [np.array(x, dtype=object) @ s @ np.array(x, dtype=object) for x in found]
+        if sign:
+            assert found == []
+        else:
+            assert values == [0] if len(found) == 1 else values[0] < 0 < values[1], (m, found)
+        assert all(any(x) and all(type(a) is int for a in x) for x in found)
+        signs.add((sign, len(found)))
+    assert signs == {(1, 0), (-1, 0), (0, 1), (0, 2)}
+    # the exact zero of the degenerate model kernel keeps its direction: (1, 0), not (-1, 0)
+    assert _sign_or_witness([[0, 0], [0, -16]]) == (0, [[1, 0]])
+
+
+def test_quadratic_certificate_matches_the_eigenvalues():
+    rng, gen = random.Random(5), np.random.default_rng(5)
+    for n in (2, 3, 4, 5):
+        for _ in range(30):
+            m = np.array([[F(rng.randrange(-30, 31), rng.randrange(1, 7)) for _ in range(n)] for _ in range(n)])
+            m = (m + m.T) / 2 + F(rng.randrange(-40, 41), 4) * np.eye(n, dtype=object)
+            f = sum((MultiPoly.variable(n, i) * MultiPoly.variable(n, j) * m[i, j]
+                     for i in range(n) for j in range(n)), MultiPoly.zero(n))
+            eig = np.linalg.eigvalsh(m.astype(float))
+            if np.abs(eig).min() < 1e-6:
+                continue
+            cert = _quadratic_certificate(f)
+            assert cert.stop_reason == "exact"
+            assert (cert.verdict == "PASS") == (eig.min() > 0 or eig.max() < 0), (m, eig)
+            if cert.verdict == "PASS":
+                least = np.abs(eig).min()
+                assert least / 2 * (1 - 1e-9) < cert.certified_min <= least * (1 + 1e-12)
+                assert np.abs(f.float_evaluator()(_sphere_sample(n, 1000, n))).min() >= cert.certified_min
+            else:
+                assert cert.witness_value < 1e-10 and abs(np.linalg.norm(cert.witness) - 1.0) < 1e-15
+                if cert.sign_pair is not None:
+                    plus, minus = (f.float_evaluator()(np.array([pt]))[0] for pt in cert.sign_pair)
+                    assert minus < 0 < plus
+    # ill-conditioned: M = [[1, 1 - e], [1 - e, 1]] has the least eigenvalue e, which the halving from
+    # the diagonal's 1 reaches within its budget of n bits per bit of the trace of S
+    x1, x2, e = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1), F(1, 10**30)
+    for sign in (1, -1):
+        cert = _quadratic_certificate((x1 * x1 + x2 * x2 + x1 * x2 * (2 - 2 * e)) * sign)
+        assert cert.verdict == "PASS" and 1e-30 / 2 < cert.certified_min <= 1e-30
+
+
+def test_quartic_quotient_sum_reaches_the_tree():
+    rep = check_maximal_control(_planar_three_layer())
+    assert quotient_sum(_planar_three_layer())[0].total_degree() == 4
+    assert rep.verdict == "PASS" and rep.stop_reason == "certified"
+    assert rep.caps and 0 < rep.depth_used <= 8 and rep.trace
+    assert "level      cells  undecided       min |F|   seconds" in rep.format_text()
+
+
+def test_negative_max_depth_is_refused_on_every_path():
+    other = MultiPoly.monomial(2, (0, 3)) - MultiPoly.monomial(2, (2, 1), 3)
+    nondivisible = kernel_from_polynomial(2, MultiPoly.variable(2, 0) * MultiPoly.radius2(2) + other)
+    for kernel in (model_kernel(2, F(1, 2)), _planar_three_layer(), nondivisible):
+        with pytest.raises(ValueError, match="max_depth must be at least 0, got -1"):
+            check_maximal_control(kernel, max_depth=-1)
+        check_maximal_control(kernel, max_depth=0)  # depth 0 is accepted
 
 
 def _random_poly(rng, n, max_degree=6, max_terms=12):

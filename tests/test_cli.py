@@ -52,6 +52,9 @@ def test_check_fail_exit_codes(tmp_path, capsys):
     assert main(["check", path, "--allow-fail"]) == 0
     out = capsys.readouterr().out
     assert "FAIL(vanishing)" in out
+    # F is quadratic: decided exactly, its zero the null vector (1, 0) of M, and no tree lines
+    assert "\nstop reason    : exact\nwitness        : (1, 0)\n|F(witness)|   : 0\n" in out
+    assert "tree depth" not in out and "level " not in out
 
 
 def test_check_divisibility_verdict(tmp_path, capsys):

@@ -41,10 +41,13 @@ from oracles import (
     beurling_parts,
     beurling_truncation,
     box_2d,
+    direct_beurling_transform_grid,
     hilbert_truncated_many,
     integral,
     m_llogl,
     phi_llogl,
+    scan_beurling_maximal,
+    scan_beurling_sum,
     value_at,
 )
 
@@ -672,59 +675,6 @@ def test_beurling_transform_grid_matches_closed_form():
     mask = np.abs(zs) > 1.3
     err = np.max(np.abs(bg.values[mask] - math.pi / zs[mask] ** 2))
     assert err < 3e-2
-
-
-def _subcells(h, n):
-    offs = (np.arange(n) + 0.5) / n - 0.5
-    ox, oy = np.meshgrid(offs * h, offs * h, indexing="ij")
-    return (ox + 1j * oy).ravel()
-
-
-def scan_beurling_sum(f, z, eps, kern):
-    """Oracle: one truncation by a full pass over the cells, ring cells one by one."""
-    gx, gy = np.meshgrid(f.centers(0), f.centers(1), indexing="ij")
-    w = (gx - z.real) + 1j * (gy - z.imag)
-    d = np.abs(w)
-    half_diag = f.h * math.sqrt(2.0) / 2.0
-    outer = d >= eps + half_diag
-    total = complex(np.sum(f.values[outer] * kern(w[outer], True)) * f.h * f.h)
-    ring = (~outer) & (d > eps - half_diag) & (f.values != 0)
-    sub = _subcells(f.h, 16)
-    for i, j in np.argwhere(ring):
-        wij = w[i, j] + sub
-        keep = np.abs(wij) > eps
-        if keep.any():
-            total += complex(f.values[i, j] * np.sum(kern(wij[keep], True)) * (f.h / 16) ** 2)
-    return total
-
-
-def scan_beurling_maximal(f, z, grid, kernel="b"):
-    """Oracle: the per-radius scan of `beurling_maximal`."""
-    kern = {"b": _kernel_b, "b2": _kernel_b2}[kernel]
-    vals = [abs(scan_beurling_sum(f, complex(z), float(e), kern)) for e in grid.eps if e >= f.h / 2]
-    return max(vals, default=0.0)
-
-
-def direct_beurling_transform_grid(f, origin, h, shape):
-    """Oracle: the target x source double sum, near pairs subdivided one by one."""
-    gx, gy = np.meshgrid(f.centers(0), f.centers(1), indexing="ij")
-    src = (gx + 1j * gy).ravel()
-    vals = f.values.ravel()
-    tx = origin[0] + h * (np.arange(shape[0]) + 0.5)
-    ty = origin[1] + h * (np.arange(shape[1]) + 0.5)
-    out = np.zeros(shape, dtype=complex)
-    sub = _subcells(f.h, 8)
-    for i, x in enumerate(tx):
-        w = src - (x + 1j * ty[None, :].T)
-        far = np.abs(w) >= 4.0 * f.h
-        out[i, :] = np.where(far, _kernel_b(np.where(far, w, 1.0), True) * f.h * f.h, 0.0) @ vals
-        for r, c in zip(*np.nonzero(~far)):
-            if abs(w[r, c]) < f.h * 1e-9:
-                continue  # self cell: principal value vanishes by symmetry
-            ws = w[r, c] + sub
-            keep = np.abs(ws) > f.h * 1e-9
-            out[i, r] += vals[c] * np.sum(_kernel_b(ws[keep], True)) * (f.h / 8) ** 2
-    return out
 
 
 def _planar_fields():
