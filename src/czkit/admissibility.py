@@ -13,7 +13,9 @@ terms have degrees 0 and 2 only, F = a + x^T B x equals x^T M x on the sphere,
 M = aI + B, so F has no zero there iff M is definite (Sylvester; Horn and
 Johnson, Matrix Analysis, 7.2), which fraction-free symmetric elimination
 decides in integers: PASS with a rational t > 0 such that +-M - tI is definite
-(|F| >= t), FAIL with an exact zero or u, v with u^T M u < 0 < v^T M v.
+(|F| >= t; t is halved from the least diagonal entry, then bisected to a
+relative 2^-40 below the least eigenvalue), FAIL with an exact zero or u, v
+with u^T M u < 0 < v^T M v.
 Otherwise the sign of F on the sphere is decided by branch-and-bound over a
 cube-sphere cover: the 2n facets of the cube [-1, 1]^n, each split by a
 2^(n-1)-ary tree of boxes and projected radially onto the sphere.  A cell
@@ -570,10 +572,18 @@ def _quadratic_certificate(f: MultiPoly) -> SphereCertificate:
           for j in range(n)] for i in range(n)]  # x_i x_j has the coefficient M_ij (1 + (i != j)) in F on the sphere
     sign, found = _sign_or_witness(s)
     if sign:  # halve t below the least eigenvalue l of sign S; l >= 1 / trace^(n-1) (det >= 1): n bits per trace bit
+        def definite(t: Fraction) -> bool:  # sign S - t I, times t's denominator
+            return _positive_definite([[t.denominator * sign * x - t.numerator * (i == j) for j, x in enumerate(row)]
+                                       for i, row in enumerate(s)])
+
         t = Fraction(min(sign * s[i][i] for i in range(n)) * (1.0 - 2.0**-44))  # min diag >= least eigenvalue
-        for _ in range(n * abs(sum(s[i][i] for i in range(n))).bit_length() + 2):
-            if _positive_definite([[t.denominator * sign * x - t.numerator * (i == j) for j, x in enumerate(row)]
-                                   for i, row in enumerate(s)]):
+        for halvings in range(n * abs(sum(s[i][i] for i in range(n))).bit_length() + 2):
+            if definite(t):
+                width = t if halvings else 0  # 2t failed: bisect [t, 2t], keeping t definite, to 2^-40 of t
+                while width > t / 2**40:
+                    width /= 2
+                    if definite(t + width):
+                        t += width
                 return SphereCertificate(verdict="PASS", stop_reason="exact",
                                          certified_min=math.nextafter(float(t / (2 * scale)), 0))
             t /= 2

@@ -6,10 +6,11 @@ power series -- is a rational number times an integer power of sqrt(pi)
 times a power of i.  This module provides that number type (``SymScalar``),
 the Gamma function at positive half-integers, and the generalized binomial
 coefficient.  Every Gamma value is read from one memoised factorial table:
-``gamma_product`` evaluates a closed form -- a product of Gamma values at
-positive integers and half-integers, times a rational -- as one integer
-ratio and one sqrt(pi) power, reduced once, and ``gamma_half_integer`` is
-its one-factor case.  Sums are formed only on one basis: every sum the
+``gamma_ratio`` evaluates a closed form -- a product of Gamma values at
+positive integers and half-integers, times a rational -- as an unreduced
+integer ratio with a sqrt(pi) and an i power, compared by one
+cross-multiplication; ``gamma_product`` is the one place that reduces it
+into a ``SymScalar``.  Sums are formed only on one basis: every sum the
 identity verifiers build shares the sqrt(pi) power and the i power of its
 terms, and adding across bases raises ``ValueError``.
 
@@ -30,6 +31,7 @@ from fractions import Fraction
 from typing import Any, Hashable, Iterable, Union
 
 RationalLike = Union[int, Fraction]
+Ratio = tuple[int, int, int, int]  # num/den * sqrt(pi)**h * i**k as (num, den, h, k), unreduced
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -157,27 +159,51 @@ def _gamma_entry(t: RationalLike) -> tuple[int, int, int]:
     return math.factorial(2 * m), 4**m * math.factorial(m), 1
 
 
-def gamma_product(
-    up: Iterable[RationalLike], down: Iterable[RationalLike] = (), q: RationalLike = 1, h: int = 0, k: int = 0
-) -> SymScalar:
-    """q * sqrt(pi)**h * i**k * prod Gamma(t/2) over up / prod Gamma(t/2) over down.
+def gamma_ratio(
+    up: Iterable[RationalLike], down: Iterable[RationalLike] = (), num: int = 1, den: int = 1, h: int = 0, k: int = 0
+) -> Ratio:
+    """num/den * sqrt(pi)**h * i**k * prod Gamma(t/2) over up / prod Gamma(t/2) over down, unreduced.
 
-    Arguments are doubled, so a positive integer or half-integer a is the
-    integer t = 2a, and a factorial k! = Gamma(k+1) is t = 2k + 2.  Each
-    factor is read from the factorial table as a ratio of factorials times
-    a power of sqrt(pi); the product is kept as one integer numerator, one
-    integer denominator and one sqrt(pi) exponent, and reduced once at the
-    end.  A zero, negative or non-half-integer argument raises ValueError.
+    Arguments are doubled, so a positive integer or half-integer a is t = 2a
+    and k! = Gamma(k+1) is t = 2k + 2; each is read from the factorial table.
+    A zero, negative or non-half-integer argument raises ValueError.
     """
-    q = _as_fraction(q)
-    num, den = q.numerator, q.denominator
     for t in up:
         a, b, s = _gamma_entry(t)
         num, den, h = num * a, den * b, h + s
     for t in down:
         a, b, s = _gamma_entry(t)
         num, den, h = num * b, den * a, h - s
+    return num, den, h, k
+
+
+def gamma_product(
+    up: Iterable[RationalLike], down: Iterable[RationalLike] = (), q: RationalLike = 1, h: int = 0, k: int = 0
+) -> SymScalar:
+    """q * sqrt(pi)**h * i**k * prod Gamma(t/2) over up / prod Gamma(t/2) over down:
+    ``gamma_ratio`` reduced once into a SymScalar."""
+    q = _as_fraction(q)
+    num, den, h, k = gamma_ratio(up, down, q.numerator, q.denominator, h, k)
     return SymScalar(Fraction(num, den), h, k)
+
+
+def ratios_equal(x: Ratio, y: Ratio) -> bool:
+    """Whether two unreduced values (num, den, h, k) are equal, as SymScalars: by one
+    cross-multiplication, with i**2 = -1 folded into the sign and the basis ignored at zero."""
+    (a, b, h, k), (c, d, g, l) = x, y
+    c = -c if (k - l) % 4 == 2 else c
+    return a * d == c * b and (a == 0 or (h == g and (k - l) % 2 == 0))
+
+
+def ratio_sum(values: Iterable[Ratio]) -> Ratio:
+    """The sum of ratios on one basis (h, k) over the product of their denominators; a zero
+    term is on any basis, and two bases raise ValueError."""
+    num, den, basis = 0, 1, None
+    for a, b, h, k in values:
+        if a and basis not in (None, (h, k)):
+            raise ValueError(f"mixed-basis addition: {basis} vs ({h},{k})")
+        num, den, basis = num * b + a * den, den * b, (h, k) if a else basis
+    return (num, den, *(basis or (0, 0)))
 
 
 @functools.lru_cache(maxsize=4096, typed=True)

@@ -19,12 +19,12 @@ Fourier transform:
     triple-binomial identity) used to collapse those expressions.
 
 Every verifier compares two independently computed exact quantities; no
-floating point enters except through the explicit float bridges.  The
-closed forms are evaluated by ``exact.gamma_product`` on one factorial
-table, each as one integer ratio and one sqrt(pi) power reduced once: every
-binomial C(x, k) with positive Gamma arguments is Gamma(x+1) / (k!
-Gamma(x-k+1)), and Gamma arguments are passed doubled (t for Gamma(t/2), so
-k! is 2k+2).  Left sides keep their own recurrences and sums.
+floating point enters except through the explicit float bridges.  Closed forms
+are read from one factorial table by ``exact.gamma_ratio`` (a binomial C(x, k)
+with positive Gamma arguments is Gamma(x+1) / (k! Gamma(x-k+1)); arguments are
+doubled, t for Gamma(t/2), so k! is 2k+2).  The matching, series-constant and
+radial-sum verifiers build both sides as unreduced integer ratios, left sides by
+their own integer recurrences, and compare them by one cross-multiplication.
 
 Two sparse forms are plain dicts summed by ``exact._collect``, the one place
 that drops cancelled terms, so dict equality is exact equality: a radial
@@ -48,6 +48,7 @@ from typing import Callable, Iterator
 
 from .exact import (
     RationalLike,
+    Ratio,
     SymScalar,
     _as_fraction,
     _collect,
@@ -55,6 +56,9 @@ from .exact import (
     fundamental_normalization,
     gamma_half_integer,
     gamma_product,
+    gamma_ratio,
+    ratio_sum,
+    ratios_equal,
 )
 
 Frac = Fraction
@@ -72,14 +76,6 @@ def radial_laplacian(terms: dict[tuple[Fraction, int], Fraction], dim: int) -> d
         pair
         for (a, e), s in terms.items()
         for pair in (((a - 2, e), s * a * (a + dim - 2)), ((a - 2, 0), s * e * (2 * a + dim - 2)))
-    )
-
-
-def t_derivative(terms: dict[tuple[Fraction, int], Fraction]) -> dict:
-    """d/dt with the variable read as t: t^a -> a t^(a-1), and
-    t^a log t -> a t^(a-1) log t + t^(a-1)."""
-    return _collect(
-        pair for (a, e), s in terms.items() for pair in (((a - 1, e), s * a), ((a - 1, 0), s * e))
     )
 
 
@@ -110,18 +106,12 @@ def fundamental_coeffs(dim: int, order: int) -> tuple[Fraction | None, Fraction]
     return None, gamma_product((2 * N,), (2 * mi, 2 * (N - mi) + 2, 4 * N), Frac((-1) ** (mi + 1), 2)).q
 
 
-def fundamental_solution(
-    dim: int, order: int, alpha_override: RationalLike | None = None
-) -> dict[tuple[Fraction, int], Fraction]:
+def fundamental_solution(dim: int, order: int) -> dict[tuple[Fraction, int], Fraction]:
     """The radial solution in r, as terms {(a, e): s} in units of c
-    (log r^2 = 2 log r)."""
+    (log r^2 = 2 log r), with the free power coefficient of the log regime 0."""
     alpha, beta = fundamental_coeffs(dim, order)
-    if alpha is None:
-        alpha = _as_fraction(alpha_override) if alpha_override is not None else Frac(0)
-    elif alpha_override is not None:
-        raise ValueError("alpha is determined in this regime")
     a = Frac(2 * order + 1 - dim)
-    return _collect((((a, 0), alpha), ((a, 1), 2 * beta)))
+    return _collect((((a, 0), alpha or Frac(0)), ((a, 1), 2 * beta)))
 
 
 def radial_laplacian_check(dim: int, order: int) -> bool:
@@ -137,7 +127,7 @@ def radial_laplacian_check(dim: int, order: int) -> bool:
 # --------------------------------------------------------------------------
 
 
-def matching_coeff_closed(dim: int, order: int, L: int) -> SymScalar:
+def matching_coeff_closed(dim: int, order: int, L: int) -> Ratio:
     """Closed form of the degree-L matching coefficient, N+1 <= L <= 2N:
 
         c (-1)^(L+N) C(L+m-N-1, L-N) C(N+m, 2N-L) / ((2N)! C(L, N)),
@@ -148,42 +138,45 @@ def matching_coeff_closed(dim: int, order: int, L: int) -> SymScalar:
     n, N = dim, order
     if not (N + 1 <= L <= 2 * N):
         raise ValueError("L out of range")
-    return gamma_product(
+    return gamma_ratio(
         (2 * (L - N) + n - 1, 2 * N + n + 1, 2 * N + 2),
         (4 * N - 2 * L + 2, 2 * (L - N) + n + 1, 4 * N + 2, 2 * L + 2, 1),
-        Frac((-1) ** (L + N), 2),
-        -n,
+        (-1) ** (L + N), 2, -n,
     )
 
 
-def matching_coeffs_taylor(dim: int, order: int, alpha: RationalLike = 0) -> dict[int, SymScalar]:
-    """Matching coefficients from the Taylor data of E(t) at t = 1.
+def _taylor_at_one(dim: int, order: int, alpha: RationalLike = 0) -> tuple[list[int], int]:
+    """The Taylor data of E = ``fundamental_solution`` read in t = r^2: integers p_i and D
+    with E^(i)(1) = p_i / (D 2^i) in units of c, for i = 0..2N.
 
-    E is ``fundamental_solution`` read in t = r^2, where r^a (log r)^e =
-    t^(a/2) (log t)^e / 2^e; ``alpha`` is its power coefficient where that
-    is free, and a non-zero ``alpha`` elsewhere raises ``ValueError``.
-    A_L = sum_{i=L}^{2N} E^(i)(1)/i! * (-1)^(i-L) * C(i, L).  Only the range
-    L >= N+1 is returned; there the value is independent of the free power
-    coefficient in the log regime.
+    With a = 2N+1-n, E = t^(a/2) (p + q log t) / D for p/D = alpha and q/D = beta, and d/dt
+    maps t^(a/2-k) (p + q log t) / 2^k to t^(a/2-k-1) ((a-2k) p + 2q + (a-2k) q log t) / 2^(k+1).
+    ``alpha`` is the power coefficient where that is free; a non-zero one elsewhere raises ValueError.
     """
-    N = order
-    expr = fundamental_solution(dim, order)
-    if any(e for _, e in expr):  # the log regime: the power coefficient is free
-        expr = fundamental_solution(dim, order, alpha)
-    elif alpha:
+    free, beta = fundamental_coeffs(dim, order)
+    if free is not None and alpha:
         raise ValueError("alpha is determined in this regime")
-    cur = {(a / 2, e): s / 2**e for (a, e), s in expr.items()}
-    derivs: list[Fraction] = []
-    for _ in range(2 * N + 1):
-        derivs.append(sum(s for (_, e), s in cur.items() if not e))  # value at t = 1
-        cur = t_derivative(cur)
-    c = fundamental_normalization(dim)
-    out: dict[int, SymScalar] = {}
-    for L in range(N + 1, 2 * N + 1):
-        acc = Frac(0)
-        for i in range(L, 2 * N + 1):
-            acc += derivs[i] * (-1) ** (i - L) * (binomial(Frac(i), L) / math.factorial(i))
-        out[L] = c * acc
+    power = _as_fraction(alpha) if free is None else free
+    den = math.lcm(power.denominator, beta.denominator)
+    p, q, a, ps = int(power * den), int(beta * den), 2 * order + 1 - dim, []
+    for k in range(2 * order + 1):
+        ps.append(p)
+        p, q = (a - 2 * k) * p + 2 * q, (a - 2 * k) * q
+    return ps, den
+
+
+def matching_coeffs_taylor(dim: int, order: int, alpha: RationalLike = 0) -> dict[int, Ratio]:
+    """Matching coefficients from the Taylor data ``_taylor_at_one`` at t = 1, with M = 2N:
+
+        A_L = c sum_{i=L}^{M} E^(i)(1)/i! (-1)^(i-L) C(i, L)
+            = c sum_i (-1)^(i-L) p_i 2^(M-i) (M-L)!/(i-L)! / (D L! 2^M (M-L)!).
+
+    Only L >= N+1 is returned; there the value does not depend on the free ``alpha`` of the log regime.
+    """
+    M, (ps, den), c, out = 2 * order, _taylor_at_one(dim, order, alpha), fundamental_normalization(dim), {}
+    for L in range(order + 1, M + 1):
+        s = sum((-1) ** (i - L) * ps[i] * 2 ** (M - i) * math.perm(M - L, M - i) for i in range(L, M + 1))
+        out[L] = c.q.numerator * s, c.q.denominator * den * math.factorial(L) * 2**M * math.factorial(M - L), c.h, c.k
     return out
 
 
@@ -193,16 +186,12 @@ def verify_matching_coeffs(dim: int, order: int) -> bool:
     In the log regime the oracle is evaluated at two different free power
     coefficients and must agree (the free part cancels) before comparison.
     """
-    alpha, _ = fundamental_coeffs(dim, order)
     oracle = matching_coeffs_taylor(dim, order, 0)
-    if alpha is None:
+    if fundamental_coeffs(dim, order)[0] is None:  # the log regime
         other = matching_coeffs_taylor(dim, order, Frac(17, 3))
-        if oracle != other:
+        if not all(ratios_equal(oracle[L], other[L]) for L in oracle):
             return False
-    for L in range(order + 1, 2 * order + 1):
-        if oracle[L] != matching_coeff_closed(dim, order, L):
-            return False
-    return True
+    return all(ratios_equal(oracle[L], matching_coeff_closed(dim, order, L)) for L in oracle)
 
 
 # --------------------------------------------------------------------------
@@ -242,12 +231,9 @@ def falling_factorial_sum_b(m: int, order: int, L: int) -> bool:
         raise ValueError("this identity needs integer m")
     if not (0 <= L <= 2 * N) or L - N + m - 1 < 0:
         raise ValueError("indices outside the factorial regime")
-    lhs = Frac(0)
-    for i in range(L, 2 * N + 1):
-        lhs += Frac(math.factorial(i - N + m - 1), math.factorial(i)) * binomial(Frac(i), L)
-    # (L-N+m-1)!/L! * Gamma(N+m+1) / ((2N-L)! Gamma(L-N+m+1))
-    rhs = gamma_product((2 * (L - N + m), 2 * (N + m) + 2), (2 * L + 2, 4 * N - 2 * L + 2, 2 * (L - N + m) + 2))
-    return lhs == rhs.q
+    # both sides times L! (2N-L)!: sum_i (i-N+m-1)! (2N-L)!/(i-L)! = (L-N+m-1)! Gamma(N+m+1) / Gamma(L-N+m+1)
+    lhs = sum(math.factorial(i - N + m - 1) * math.perm(2 * N - L, 2 * N - i) for i in range(L, 2 * N + 1))
+    return ratios_equal((lhs, 1, 0, 0), gamma_ratio((2 * (L - N + m), 2 * (N + m) + 2), (2 * (L - N + m) + 2,)))
 
 
 def verify_triple_binomial(m: int, n: int, r: RationalLike, s: RationalLike) -> bool:
@@ -269,7 +255,7 @@ def verify_triple_binomial(m: int, n: int, r: RationalLike, s: RationalLike) -> 
 # --------------------------------------------------------------------------
 
 
-def series_kernel_constant(dim: int, order: int, L: int, j: int, k: int) -> SymScalar:
+def series_kernel_constant(dim: int, order: int, L: int, j: int, k: int) -> Ratio:
     """The constant attached to layer j, power k in the truncated-kernel series:
 
         i c R (-1)^k 2^k (N-j)! (n-1) C(L-1+h, N-j) C(h+j+L-N-1, k) C(N+h-1/2, N)
@@ -285,16 +271,16 @@ def series_kernel_constant(dim: int, order: int, L: int, j: int, k: int) -> SymS
     n, N = dim, order
     if not (N + 1 <= L <= 2 * N and 0 <= j <= L - N - 1 and 0 <= k <= L - N - j - 1):
         raise ValueError("index out of range")
-    return gamma_product(
+    return gamma_ratio(
         (n + 2 * L, 2 * N + n + 1, 2 * (L - N) + n - 1, n - 1, 2 * j + 1),
         (2 * k + 2, n + 2 * (j + L - N - k), n + 1, 4 * N - 2 * L + 2, 2 * (L - N - j - k),
          2 * N + 1, 2 * (L - N) + n + 1, n + 2 * j + 1),
-        Frac((-1) ** (j + k) * 2**k * (n - 1), 2),
+        (-1) ** (j + k) * 2**k * (n - 1), 2,
     )
 
 
-def series_kernel_constant_from_matching(dim: int, order: int, L: int, j: int, k: int) -> SymScalar:
-    """Same constant via the matching coefficient A_L (independent route):
+def series_kernel_constant_from_matching(dim: int, order: int, L: int, j: int, k: int, a_l: Ratio) -> Ratio:
+    """Same constant via the matching coefficient a_l = A_L (independent route):
 
         i A_L R (-1)^(L+k+N) 2^(2N+1+k) L! (N-j)! C(L-1+h, N-j) C(h+j+L-N-1, k)
           / (L-N-j-1-k)!,
@@ -303,32 +289,25 @@ def series_kernel_constant_from_matching(dim: int, order: int, L: int, j: int, k
     (N-j)! and Gamma(h+j+L-N) cancel.
     """
     n, N = dim, order
-    a_l = matching_coeff_closed(n, N, L)
-    return gamma_product(
+    return gamma_ratio(
         (2 * L + 2, n + 2 * L, 2 * j + 1),
         (2 * (L - N - j - k), 2 * k + 2, n + 2 * (j + L - N - k), n + 2 * j + 1),
-        a_l.q * ((-1) ** (L + k + N + j) * 2 ** (2 * N + 1 + k)),
-        a_l.h + n,
+        a_l[0] * (-1) ** (L + k + N + j) * 2 ** (2 * N + 1 + k), a_l[1], a_l[2] + n, a_l[3],
     )
 
 
-def bessel_zero_scaled(q: RationalLike, dim: int) -> SymScalar:
-    """2^(n/2) * (value at r = 0 of J_q(r)/r^q) = 2^(n/2-q)/Gamma(q+1).
-
-    Requires q - n/2 to be a non-negative integer so the scaled value stays
-    rational in the ring.
-    """
-    q = _as_fraction(q)
-    shift = q - Frac(dim, 2)
-    if shift.denominator != 1 or shift < 0:
+def bessel_zero_scaled(shift: int, dim: int) -> Ratio:
+    """2^(n/2) * (value at r = 0 of J_q(r)/r^q) = 2^(n/2-q)/Gamma(q+1) at q = n/2 + shift,
+    for an integer shift >= 0, so that the scaled value stays rational in the ring."""
+    if not isinstance(shift, int) or shift < 0:
         raise ValueError("q must exceed n/2 by a non-negative integer")
-    return gamma_product((), (dim + 2 * int(shift) + 2,), Frac(1, 2 ** int(shift)))
+    return gamma_ratio((), (dim + 2 * shift + 2,), 1, 2**shift)
 
 
-def series_leading_constant_scaled(dim: int, j: int) -> SymScalar:
+def series_leading_constant_scaled(dim: int, j: int) -> Ratio:
     """Closed form of the leading series constant, scaled by 2^(n/2):
     (-1)^j / (4^j (2j+1) Gamma(n/2 + 2j + 1))."""
-    return gamma_product((), (dim + 4 * j + 2,), Frac((-1) ** j, 4**j * (2 * j + 1)))
+    return gamma_ratio((), (dim + 4 * j + 2,), (-1) ** j, 4**j * (2 * j + 1))
 
 
 def verify_series_constants(dim: int, order: int) -> bool:
@@ -340,16 +319,17 @@ def verify_series_constants(dim: int, order: int) -> bool:
     also required to agree.
     """
     n, N = dim, order
-    half = Frac(n, 2)
+    a = {L: matching_coeff_closed(n, N, L) for L in range(N + 1, 2 * N + 1)}
     for j in range(N):
-        acc = SymScalar.zero()
+        terms = []
         for L in range(N + 1 + j, 2 * N + 1):
             k = L - N - j - 1
             c = series_kernel_constant(n, N, L, j, k)
-            if c != series_kernel_constant_from_matching(n, N, L, j, k):
+            if not ratios_equal(c, series_kernel_constant_from_matching(n, N, L, j, k, a[L])):
                 return False
-            acc = acc + c * bessel_zero_scaled(half + L - N + j, n)
-        if acc != series_leading_constant_scaled(n, j):
+            b = bessel_zero_scaled(L - N + j, n)
+            terms.append((c[0] * b[0], c[1] * b[1], c[2] + b[2], c[3] + b[3]))
+        if not ratios_equal(ratio_sum(terms), series_leading_constant_scaled(n, j)):
             return False
     return True
 
@@ -359,7 +339,7 @@ def verify_series_constants(dim: int, order: int) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _radial_sum_lhs(dim: int, order: int, p: int, j: int, i: int) -> SymScalar:
+def _radial_sum_lhs(dim: int, order: int, p: int, j: int, i: int) -> Ratio:
     """The inner s-sum of ``verify_radial_sum_identity``, by its term ratio."""
     n, N = dim, order
     if not (N - 1 >= p >= j + i >= 0 and j >= 0 and i >= 0):
@@ -372,14 +352,14 @@ def _radial_sum_lhs(dim: int, order: int, p: int, j: int, i: int) -> SymScalar:
         b = (s + 1) * (n + 2 * m + 2 * s + 1) * (n + 4 * m + 2 * i + 2 * s)
         num, den = b * den - a * num, b * den
     # t_0 = Gamma(h+N+m) Gamma(m+h-1/2) / ((N-j)! Gamma(h+m+j) Gamma(m+h+1/2) (N-m)! Gamma(h+2m+i))
-    return gamma_product(
+    return gamma_ratio(
         (n + 2 * (N + m), n + 2 * m - 1),
         (2 * (N - j) + 2, n + 2 * (m + j), n + 2 * m + 1, 2 * (N - m) + 2, n + 4 * m + 2 * i),
-        Frac(num, den),
+        num, den,
     )
 
 
-def _radial_sum_rhs(dim: int, order: int, p: int, j: int, i: int) -> SymScalar:
+def _radial_sum_rhs(dim: int, order: int, p: int, j: int, i: int) -> Ratio:
     """The closed form of ``verify_radial_sum_identity``: with m = p+1-i and h = n/2,
 
         (N-m-i)! (m+i-j)! / (N-j)! C(N-1/2, N-m-i) C(h+2m+i-1, m+i-j)
@@ -388,7 +368,7 @@ def _radial_sum_rhs(dim: int, order: int, p: int, j: int, i: int) -> SymScalar:
     in which (N-m-i)!, (m+i-j)! and Gamma(h+2m+i) cancel.
     """
     n, N, m = dim, order, p + 1 - i
-    return gamma_product((2 * N + 1, n + 2 * m - 1), (2 * (N - j) + 2, 2 * (m + i) + 1, n + 2 * (m + j), 2 * N + n + 1))
+    return gamma_ratio((2 * N + 1, n + 2 * m - 1), (2 * (N - j) + 2, 2 * (m + i) + 1, n + 2 * (m + j), 2 * N + n + 1))
 
 
 def verify_radial_sum_identity(dim: int, order: int, p: int, j: int, i: int) -> bool:
@@ -406,12 +386,12 @@ def verify_radial_sum_identity(dim: int, order: int, p: int, j: int, i: int) -> 
 
     the shift of the first binomial cancelling against the second one.  No
     denominator factor can vanish: each is a positive integer, since s >= 0,
-    i >= 0 and m >= 1.  So the sum
-    is t_0 times one rational, built in Horner form from O(N) integer
-    products and reduced once; every term shares the sqrt(pi) basis of t_0.
-    The right side is the independent closed form ``_radial_sum_rhs``.
+    i >= 0 and m >= 1.  So the sum is t_0 times one integer ratio, built in
+    Horner form from O(N) integer products and never reduced; every term
+    shares the sqrt(pi) basis of t_0.  The right side is the independent
+    closed form ``_radial_sum_rhs``.
     """
-    return _radial_sum_lhs(dim, order, p, j, i) == _radial_sum_rhs(dim, order, p, j, i)
+    return ratios_equal(_radial_sum_lhs(dim, order, p, j, i), _radial_sum_rhs(dim, order, p, j, i))
 
 
 # --------------------------------------------------------------------------
@@ -430,18 +410,15 @@ def power_series_coeffs_scaled(dim: int, order: int, p: int) -> dict[int, SymSca
     if p < 0:
         raise ValueError("p must be >= 0")
     half = Frac(n, 2)
-    return _collect(
-        (
-            j,
-            series_kernel_constant(n, N, N + s, j, k)
-            * Frac((-1) ** i, math.factorial(i) * 2 ** (2 * p + 1 + k))
-            / gamma_half_integer(half + p + s + 1),
-        )
-        for j in range(N)
-        for s in range(j + 1, N + 1)
-        for k in range(0, s - j)
-        if (i := p + 1 - s + k) >= 0
-    )
+    terms = []
+    for j in range(N):
+        for s in range(j + 1, N + 1):
+            for k in range(0, s - j):
+                if (i := p + 1 - s + k) >= 0:
+                    num, den, h, ik = series_kernel_constant(n, N, N + s, j, k)
+                    q = Frac((-1) ** i * num, den * math.factorial(i) * 2 ** (2 * p + 1 + k))
+                    terms.append((j, gamma_product((), (), q, h, ik) / gamma_half_integer(half + p + s + 1)))
+    return _collect(terms)
 
 
 def power_series_closed_scaled(dim: int, p: int) -> dict[int, SymScalar]:
@@ -513,11 +490,8 @@ def _suite_cell(n: int, N: int) -> Iterator[IdentityResult]:
         if ls:
             ok72 = all(falling_factorial_sum_b(mi, N, L) for L in ls)
             yield IdentityResult("factorial-sum-b", f"n={n} N={N}", ok72)
-    ok15 = True
-    for p in range(N):
-        for i in range(p + 1):
-            for j in range(p - i + 1):
-                ok15 = ok15 and verify_radial_sum_identity(n, N, p, j, i)
+    triples = ((p, j, i) for p in range(N) for i in range(p + 1) for j in range(p - i + 1))
+    ok15 = all(verify_radial_sum_identity(n, N, p, j, i) for p, j, i in triples)
     yield IdentityResult("radial-sum-identity", f"n={n} N={N}", ok15)
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from czkit.exact import RationalLike, SymScalar, _as_fraction, gamma_product, riesz_multiplier
+from czkit.exact import RationalLike, Ratio, SymScalar, _as_fraction, _collect, gamma_product, riesz_multiplier
 from czkit.gridops import (
     GridFunction,
     _beurling_truncations,
@@ -76,6 +76,12 @@ def to_complex(s: SymScalar) -> complex:
     if s.q == 0:
         return 0j
     return float(s.q) * math.pi ** (s.h / 2.0) * _I_POWERS[s.k]
+
+
+def as_scalar(r: Ratio) -> SymScalar:
+    """An unreduced (num, den, h, k) of `exact.gamma_ratio` as a SymScalar."""
+    num, den, h, k = r
+    return SymScalar(Fraction(num, den), h, k)
 
 
 def to_float(s: SymScalar) -> float:
@@ -228,6 +234,14 @@ def fundamental_coeff_product_form(dim: int, order: int) -> Fraction:
     if prod == 0:
         raise ValueError("product form degenerates (log case)")
     return 1 / prod
+
+
+def t_derivative(terms: dict[tuple[Fraction, int], Fraction]) -> dict:
+    """d/dt with the variable read as t: t^a -> a t^(a-1), and
+    t^a log t -> a t^(a-1) log t + t^(a-1)."""
+    return _collect(
+        pair for (a, e), s in terms.items() for pair in (((a - 1, e), s * a), ((a - 1, 0), s * e))
+    )
 
 
 def bessel_ratio_coeff_scaled(q: RationalLike, i: int) -> SymScalar:

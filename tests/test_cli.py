@@ -4,7 +4,6 @@ import inspect
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -108,9 +107,12 @@ def test_identities_verb_streams_records(monkeypatch, capsys):
 
 def test_identities_verb_reports_a_wrong_closed_form(monkeypatch, capsys):
     exact_form = identities.matching_coeff_closed
-    monkeypatch.setattr(
-        identities, "matching_coeff_closed", lambda *a: exact_form(*a) * Fraction(10**9 + 1, 10**9)
-    )
+
+    def off_by_one_part_in_a_billion(*a):
+        num, den, h, k = exact_form(*a)  # an unreduced num/den * sqrt(pi)**h * i**k
+        return num * (10**9 + 1), den * 10**9, h, k
+
+    monkeypatch.setattr(identities, "matching_coeff_closed", off_by_one_part_in_a_billion)
     rc = main(["identities", "--n-max", "3", "--N-max", "3"])
     out = capsys.readouterr().out
     assert rc == 1

@@ -11,6 +11,9 @@ from czkit.exact import (
     fundamental_normalization,
     gamma_half_integer,
     gamma_product,
+    gamma_ratio,
+    ratio_sum,
+    ratios_equal,
     riesz_multiplier,
 )
 from oracles import is_real, to_complex, to_float
@@ -74,6 +77,35 @@ def test_gamma_product_on_the_factorial_table():
             gamma_product((bad,))
         with pytest.raises(ValueError):
             gamma_product((2,), (bad,))
+
+
+def _unreduced(q, h, k, rng):
+    """q sqrt(pi)^h i^k as (num, den, h, k), numerator and denominator times a random nonzero integer."""
+    g = rng.choice((1, -1)) * rng.randrange(1, 9)
+    return q.numerator * g, q.denominator * g, h, k
+
+
+def test_cross_multiplied_equality_agrees_with_symscalar():
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(5000):
+        x, y = ((F(rng.randrange(-3, 4), rng.randrange(1, 4)), rng.randrange(2), rng.randrange(4)) for _ in range(2))
+        equal = SymScalar(*x) == SymScalar(*y)
+        assert ratios_equal(_unreduced(*x, rng), _unreduced(*y, rng)) == equal, (x, y)
+        seen.add((equal, x[0] == 0, x[1:] == y[1:], (x[2] - y[2]) % 2))
+    # equal and unequal pairs, zeros, shared and differing bases, i powers of both parities
+    assert {e for e, *_ in seen} == {True, False} and (True, True, False, 1) in seen and (True, False, False, 0) in seen
+    for _ in range(200):
+        h, k = rng.randrange(-2, 3), rng.randrange(4)
+        terms = [(F(rng.randrange(-5, 6), rng.randrange(1, 6)), h, k) for _ in range(rng.randrange(1, 6))]
+        want = sum((SymScalar(*t) for t in terms), SymScalar.zero())
+        got = ratio_sum(_unreduced(*t, rng) for t in terms)
+        assert ratios_equal(got, (want.q.numerator, want.q.denominator, want.h, want.k))
+    assert ratio_sum([]) == (0, 1, 0, 0) and ratios_equal(ratio_sum([(0, 3, 1, 1), (2, 4, 0, 0)]), (1, 2, 0, 0))
+    with pytest.raises(ValueError):
+        ratio_sum([(1, 2, 1, 0), (1, 2, 0, 0)])
+    # 5/7 sqrt(pi)^2 i Gamma(3/2) / Gamma(1), with Gamma(3/2) = 2!/(4 1!) sqrt(pi) from the table: not reduced
+    assert gamma_ratio((3,), (2,), 5, 7, 2, 1) == (10, 28, 3, 1)
 
 
 def test_multiplier_and_normalization_match_the_gamma_chains():

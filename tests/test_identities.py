@@ -10,6 +10,7 @@ from czkit.exact import SymScalar, binomial, fundamental_normalization, gamma_ha
 from czkit.identities import (
     _radial_sum_lhs,
     _radial_sum_rhs,
+    _taylor_at_one,
     bessel_zero_scaled,
     falling_factorial_sum_a,
     falling_factorial_sum_b,
@@ -25,7 +26,6 @@ from czkit.identities import (
     series_kernel_constant,
     series_kernel_constant_from_matching,
     series_leading_constant_scaled,
-    t_derivative,
     verify_matching_coeffs,
     verify_radial_sum_identity,
     verify_series_constants,
@@ -33,7 +33,14 @@ from czkit.identities import (
     verify_triple_binomial,
 )
 from czkit.polyalg import MultiPoly
-from oracles import bessel_ratio_coeff_scaled, bessel_ratio_float, fundamental_coeff_product_form, imag_unit
+from oracles import (
+    as_scalar,
+    bessel_ratio_coeff_scaled,
+    bessel_ratio_float,
+    fundamental_coeff_product_form,
+    imag_unit,
+    t_derivative,
+)
 
 
 def test_fundamental_coeff_examples():
@@ -100,8 +107,8 @@ def test_radial_laplacian_check_over_ranges():
 def test_matching_coeff_worked_value():
     # n=2, N=1, L=2: oracle from E(t) = c t^(1/2): E''(1)/2! = -c/8
     c = fundamental_normalization(2)
-    assert matching_coeff_closed(2, 1, 2) == c * F(-1, 8)
-    assert matching_coeffs_taylor(2, 1)[2] == c * F(-1, 8)
+    assert as_scalar(matching_coeff_closed(2, 1, 2)) == c * F(-1, 8)
+    assert as_scalar(matching_coeffs_taylor(2, 1)[2]) == c * F(-1, 8)
 
 
 def test_matching_coeffs_all_ranges():
@@ -114,16 +121,30 @@ def test_matching_coeffs_log_regime_free_coefficient_cancels():
     # in the log regime the free power coefficient must not affect L >= N+1
     a = matching_coeffs_taylor(3, 2, 0)
     b = matching_coeffs_taylor(3, 2, F(355, 113))
-    assert a == b
+    assert a.keys() == b.keys() and all(as_scalar(a[L]) == as_scalar(b[L]) for L in a)
 
 
 def test_matching_coeffs_taylor_refuses_alpha_where_it_is_determined():
-    # even n and odd n with 2N+1 < n fix the power coefficient, as in
-    # fundamental_solution(..., alpha_override=...)
+    # even n and odd n with 2N+1 < n fix the power coefficient
     assert matching_coeffs_taylor(2, 1, 0) == matching_coeffs_taylor(2, 1)
     for dim, order in ((2, 1), (4, 3), (7, 2)):
         with pytest.raises(ValueError):
             matching_coeffs_taylor(dim, order, 5)
+
+
+def test_integer_taylor_data_matches_the_fraction_chain():
+    # E^(i)(1) by t_derivative on Fraction dicts, as read from fundamental_solution in t = r^2
+    for n in range(2, 9):
+        for N in range(1, 11):
+            free = fundamental_coeffs(n, N)[0] is None
+            for alpha in (0, F(17, 3)) if free else (0,):
+                a = F(2 * N + 1 - n)
+                expr = {**fundamental_solution(n, N), **({(a, 0): alpha} if alpha else {})}
+                cur = {(b / 2, e): s / 2**e for (b, e), s in expr.items()}
+                ps, den = _taylor_at_one(n, N, alpha)
+                for i in range(2 * N + 1):
+                    assert F(ps[i], den * 2**i) == sum(s for (_, e), s in cur.items() if not e), (n, N, alpha, i)
+                    cur = t_derivative(cur)
 
 
 def test_falling_factorial_sums():
@@ -158,12 +179,13 @@ def test_series_constants_and_cross_route():
         for order in range(1, 7):
             assert verify_series_constants(n, order)
     c = series_kernel_constant(2, 2, 3, 0, 0)
-    assert c == series_kernel_constant_from_matching(2, 2, 3, 0, 0)
+    a_l = matching_coeff_closed(2, 2, 3)
+    assert as_scalar(c) == as_scalar(series_kernel_constant_from_matching(2, 2, 3, 0, 0, a_l))
 
 
 def test_leading_constant_value():
     # n=2, j=0: scaled constant 1/Gamma(2) = 1; unscaled 1/2
-    assert series_leading_constant_scaled(2, 0) == SymScalar(F(1))
+    assert as_scalar(series_leading_constant_scaled(2, 0)) == SymScalar(F(1))
 
 
 def test_bessel_series_scaled_values():
@@ -175,10 +197,11 @@ def test_bessel_series_scaled_values():
     # zero-value helper at an integer offset above n/2
     for n in (2, 3):
         for k in range(0, 4):
-            got = bessel_zero_scaled(F(n, 2) + k, n)
+            got = as_scalar(bessel_zero_scaled(k, n))
             assert got == SymScalar(F(1, 2**k)) / gamma_half_integer(F(n, 2) + k + 1)
-    with pytest.raises(ValueError):
-        bessel_zero_scaled(F(1, 2), 2)
+    for bad in (-1, F(1, 2)):
+        with pytest.raises(ValueError):
+            bessel_zero_scaled(bad, 2)
 
 
 def test_bessel_float_bridge():
@@ -198,7 +221,7 @@ def test_power_series_leading_value_matches_constant():
     # p = 0 must reduce to the leading series constant on the first layer
     for n in (2, 3, 4):
         vec = power_series_coeffs_scaled(n, 3, 0)
-        assert vec[0] == series_leading_constant_scaled(n, 0)
+        assert vec[0] == as_scalar(series_leading_constant_scaled(n, 0))
         assert vec == power_series_closed_scaled(n, 0)
 
 
@@ -231,7 +254,7 @@ def test_radial_sum_recurrence_matches_direct_sum():
                 for i in range(p + 1):
                     for j in range(p - i + 1):
                         single_term += p + 1 - i == N
-                        assert _radial_sum_lhs(n, N, p, j, i) == _radial_sum_direct(n, N, p, j, i)
+                        assert as_scalar(_radial_sum_lhs(n, N, p, j, i)) == _radial_sum_direct(n, N, p, j, i)
     assert single_term == 5 * sum(range(1, 9))  # p = N-1, i = 0, any j: s stops at N-m = 0
     for bad in ((2, 3, 3, 0, 0), (2, 3, 1, 1, 1), (2, 3, 1, -1, 0), (2, 3, 1, 0, -1)):
         with pytest.raises(ValueError):
@@ -244,8 +267,6 @@ def test_fundamental_solution_shape():
     e = fundamental_solution(3, 1)
     # exponent 2N+1-n = 0 with a log term only (free coefficient defaults 0)
     assert set(e) == {(F(0), 1)}
-    with pytest.raises(ValueError):
-        fundamental_solution(2, 1, alpha_override=1)
 
 
 def test_suite_driver_all_green():
@@ -375,22 +396,23 @@ def test_closed_forms_match_the_fraction_chains():
             if n % 2:
                 assert fundamental_coeffs(n, N) == _fundamental_coeffs_chain(n, N)
             for L in range(N + 1, 2 * N + 1):
-                assert matching_coeff_closed(n, N, L) == _matching_chain(n, N, L)
+                a_l = matching_coeff_closed(n, N, L)
+                assert as_scalar(a_l) == _matching_chain(n, N, L)
                 for j in range(L - N):
                     for k in range(L - N - j):
-                        assert series_kernel_constant(n, N, L, j, k) == _series_constant_chain(n, N, L, j, k)
+                        assert as_scalar(series_kernel_constant(n, N, L, j, k)) == _series_constant_chain(n, N, L, j, k)
                         want = _series_constant_from_matching_chain(n, N, L, j, k)
-                        assert series_kernel_constant_from_matching(n, N, L, j, k) == want
+                        assert as_scalar(series_kernel_constant_from_matching(n, N, L, j, k, a_l)) == want
             for p in range(N):
                 for i in range(p + 1):
                     for j in range(p - i + 1):
-                        assert _radial_sum_rhs(n, N, p, j, i) == _radial_sum_rhs_chain(n, N, p, j, i)
+                        assert as_scalar(_radial_sum_rhs(n, N, p, j, i)) == _radial_sum_rhs_chain(n, N, p, j, i)
         for p in range(8):
             assert power_series_closed_scaled(n, p) == _power_series_closed_chain(n, p)
         for j in range(8):
             want = SymScalar(F((-1) ** j, 4**j * (2 * j + 1))) / gamma_half_integer(half + 2 * j + 1)
-            assert series_leading_constant_scaled(n, j) == want
-            assert bessel_zero_scaled(half + j, n) == SymScalar(F(1, 2**j)) / gamma_half_integer(half + j + 1)
+            assert as_scalar(series_leading_constant_scaled(n, j)) == want
+            assert as_scalar(bessel_zero_scaled(j, n)) == SymScalar(F(1, 2**j)) / gamma_half_integer(half + j + 1)
     for twice_q in range(-1, 20):
         q = F(twice_q, 2)
         for i in range(8):
@@ -399,10 +421,14 @@ def test_closed_forms_match_the_fraction_chains():
 
 
 def _off_by_one_part_in_a_billion(value):
-    scale = F(10**9 + 1, 10**9)
+    up, down = 10**9 + 1, 10**9
     if isinstance(value, dict):
-        return {key: v * scale for key, v in value.items()}
-    return value * scale
+        return {key: v * F(up, down) for key, v in value.items()}
+    if isinstance(value, tuple) and isinstance(value[0], list):  # Taylor data: numerators over one denominator
+        return [p * up for p in value[0]], value[1] * down
+    if isinstance(value, tuple):  # an unreduced (num, den, h, k)
+        return (value[0] * up, value[1] * down, *value[2:])
+    return value * F(up, down)
 
 
 @pytest.mark.parametrize(
@@ -413,6 +439,10 @@ def _off_by_one_part_in_a_billion(value):
         ("series_leading_constant_scaled", verify_series_constants, (4, 3)),
         ("_radial_sum_rhs", verify_radial_sum_identity, (3, 4, 2, 1, 1)),
         ("power_series_closed_scaled", verify_series_stabilization, (3, 2)),
+        ("series_kernel_constant_from_matching", verify_series_constants, (4, 3)),
+        ("bessel_zero_scaled", verify_series_constants, (4, 3)),
+        ("_radial_sum_lhs", verify_radial_sum_identity, (3, 4, 2, 1, 1)),
+        ("_taylor_at_one", verify_matching_coeffs, (3, 2)),
     ],
 )
 def test_verifiers_fail_on_a_perturbed_right_side(monkeypatch, right_side, verifier, args):
