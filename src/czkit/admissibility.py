@@ -384,19 +384,6 @@ def _rational_point(center: np.ndarray, axis: int, sign: float, depth: int) -> t
     return tuple(pt)
 
 
-def _positive_definite(a: list[list[int]]) -> bool:
-    """Whether a symmetric integer matrix is positive definite: the pivots of fraction-free
-    (Bareiss) elimination, its leading principal minors, are all > 0 (Sylvester)."""
-    a, prev = [row[:] for row in a], 1
-    for k, row in enumerate(a):
-        if row[k] <= 0:
-            return False
-        for below in a[k + 1 :]:
-            below[k + 1 :] = [(row[k] * x - below[k] * y) // prev for x, y in zip(below[k + 1 :], row[k + 1 :])]
-        prev = row[k]
-    return True
-
-
 def _exclusion_cap(b: _Bounds, pt: tuple[Fraction, ...], value: Fraction, centers, radii) -> Cap | None:
     """The cap about pt of the module docstring, F(pt) = value != 0, or None when mu <= 0 or
     when a float estimate of the cap meets no cell of ``centers``/``radii``.  With pt = a / D
@@ -425,7 +412,7 @@ def _exclusion_cap(b: _Bounds, pt: tuple[Fraction, ...], value: Fraction, center
         return None
     for mu in (Fraction(rayleigh * (1.0 - 2.0**-10) / 2**k) for k in range(10)):
         shifted = mu.denominator * (curv + sigma * d2 * np.outer(ax, ax)) - mu.numerator * sigma * d2 * proj
-        if _positive_definite(shifted.tolist()):  # sigma D^4 (s M - mu P + pt pt^T), times mu's denominator
+        if _sign_or_witness(shifted.tolist())[0] == 1:  # sigma D^4 (s M - mu P + pt pt^T), times mu's denominator
             radius = min(3 * mu / b.third, reach)
             return Cap(pt, radius, abs(value) - slope * radius)
     return None
@@ -573,8 +560,8 @@ def _quadratic_certificate(f: MultiPoly) -> SphereCertificate:
     sign, found = _sign_or_witness(s)
     if sign:  # halve t below the least eigenvalue l of sign S; l >= 1 / trace^(n-1) (det >= 1): n bits per trace bit
         def definite(t: Fraction) -> bool:  # sign S - t I, times t's denominator
-            return _positive_definite([[t.denominator * sign * x - t.numerator * (i == j) for j, x in enumerate(row)]
-                                       for i, row in enumerate(s)])
+            return _sign_or_witness([[t.denominator * sign * x - t.numerator * (i == j) for j, x in enumerate(row)]
+                                     for i, row in enumerate(s)])[0] == 1
 
         t = Fraction(min(sign * s[i][i] for i in range(n)) * (1.0 - 2.0**-44))  # min diag >= least eigenvalue
         for halvings in range(n * abs(sum(s[i][i] for i in range(n))).bit_length() + 2):

@@ -5,14 +5,17 @@ fundamental-solution normalizations, the coefficients of the Bessel-type
 power series -- is a rational number times an integer power of sqrt(pi)
 times a power of i.  This module provides that number type (``SymScalar``),
 the Gamma function at positive half-integers, and the generalized binomial
-coefficient.  Every Gamma value is read from one memoised factorial table:
-``gamma_ratio`` evaluates a closed form -- a product of Gamma values at
-positive integers and half-integers, times a rational -- as an unreduced
-integer ratio with a sqrt(pi) and an i power, compared by one
-cross-multiplication; ``gamma_product`` is the one place that reduces it
-into a ``SymScalar``.  Sums are formed only on one basis: every sum the
-identity verifiers build shares the sqrt(pi) power and the i power of its
-terms, and adding across bases raises ``ValueError``.
+coefficient.  A ``SymScalar`` holds its rational part as an unreduced integer
+ratio: arithmetic multiplies and adds integers, equality is one
+cross-multiplication, and only the reduced value ``q``, ``hash`` and ``repr``
+take a gcd.  Every Gamma value is read from one memoised factorial table:
+``gamma_product`` evaluates a closed form -- a product of Gamma values at
+positive integers and half-integers, times a rational -- as such an unreduced
+``SymScalar``.  Sums are formed only on one basis: every sum the identity
+verifiers build shares the sqrt(pi) power and the i power of its terms, and
+adding across bases raises ``ValueError``.  Every generalized binomial is one
+falling product over a common denominator (``_falling``); ``binomial`` reduces
+it once, and the summation identities read it unreduced.
 
 Every sparse sum in the package -- the terms of a ``MultiPoly``, the radial
 expressions and the series coefficient vectors of ``identities`` -- is a
@@ -26,20 +29,22 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from typing import Any, Hashable, Iterable, Union
 
 RationalLike = Union[int, Fraction]
-Ratio = tuple[int, int, int, int]  # num/den * sqrt(pi)**h * i**k as (num, den, h, k), unreduced
+
+
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """x as (numerator, denominator); anything but an int or a Fraction raises TypeError."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
 
 def _collect(pairs: Iterable[tuple[Hashable, Any]]) -> dict:
@@ -52,96 +57,115 @@ def _collect(pairs: Iterable[tuple[Hashable, Any]]) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-@dataclass(frozen=True)
 class SymScalar:
-    """Exact number of the form q * sqrt(pi)**h * i**k.
+    """Exact number num/den * sqrt(pi)**h * i**k, with the integer ratio num/den unreduced.
 
-    q is rational, h is any integer (negative powers of sqrt(pi) are
-    allowed), and k is a power of i taken mod 4.  Since i^2 = -1 is already
-    rational, construction folds even i-powers into the sign of q, leaving
-    the unique canonical form with k in {0, 1}; the zero element has
-    h == k == 0.  Any k may be passed in.
+    den > 0, h is any integer (negative powers of sqrt(pi) are allowed), and
+    k is a power of i taken mod 4.  Since i^2 = -1 is already rational,
+    construction folds even i-powers into the sign of num, leaving k in
+    {0, 1}; the zero element is 0/1 with h == k == 0.  ``SymScalar(q, h, k)``
+    takes a rational q and any k.  ``==`` cross-multiplies, ``+`` adds two
+    values on one basis over the product of their denominators, and ``*``
+    and ``/`` multiply integers; only ``q`` (the reduced Fraction), ``hash``
+    and ``repr`` reduce.  Like a Fraction, an instance is immutable: its
+    parts are read-only properties, so the caches below can share it.
     """
 
-    q: Fraction
-    h: int = 0
-    k: int = 0
+    __slots__ = ("_num", "_den", "_h", "_k")
+    num, den, h, k = (property(operator.attrgetter(name)) for name in __slots__)
 
-    def __post_init__(self) -> None:
-        q = _as_fraction(self.q)
-        if q == 0:
-            object.__setattr__(self, "q", Fraction(0))
-            object.__setattr__(self, "h", 0)
-            object.__setattr__(self, "k", 0)
-        else:
-            k = self.k % 4
-            if k >= 2:
-                q = -q
-                k -= 2
-            object.__setattr__(self, "q", q)
-            object.__setattr__(self, "k", k)
+    def __new__(cls, q: RationalLike, h: int = 0, k: int = 0) -> "SymScalar":
+        return _scalar(*_ratio(q), h, k)
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild the unreduced parts
+        return _scalar, (self._num, self._den, self._h, self._k)
 
     @staticmethod
     def zero() -> "SymScalar":
-        return SymScalar(Fraction(0))
+        return SymScalar(0)
 
     @staticmethod
     def one() -> "SymScalar":
-        return SymScalar(Fraction(1))
+        return SymScalar(1)
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self._num, self._den)
 
     def is_zero(self) -> bool:
-        return self.q == 0
+        return self._num == 0
 
     def __bool__(self) -> bool:
-        return self.q != 0
+        return self._num != 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SymScalar):
+            return NotImplemented
+        return self._h == other._h and self._k == other._k and self._num * other._den == other._num * self._den
+
+    def __hash__(self) -> int:
+        return hash((self.q, self._h, self._k))
 
     def __mul__(self, other: "SymScalar | RationalLike") -> "SymScalar":
         if isinstance(other, SymScalar):
-            return SymScalar(self.q * other.q, self.h + other.h, self.k + other.k)
-        return SymScalar(self.q * _as_fraction(other), self.h, self.k)
+            return _scalar(self._num * other._num, self._den * other._den, self._h + other._h, self._k + other._k)
+        num, den = _ratio(other)
+        return _scalar(self._num * num, self._den * den, self._h, self._k)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "SymScalar | RationalLike") -> "SymScalar":
         if isinstance(other, SymScalar):
-            if other.q == 0:
+            if other._num == 0:
                 raise ZeroDivisionError("division by zero SymScalar")
-            return SymScalar(self.q / other.q, self.h - other.h, self.k - other.k)
-        d = _as_fraction(other)
-        if d == 0:
+            return _scalar(self._num * other._den, self._den * other._num, self._h - other._h, self._k - other._k)
+        num, den = _ratio(other)
+        if num == 0:
             raise ZeroDivisionError("division by zero")
-        return SymScalar(self.q / d, self.h, self.k)
+        return _scalar(self._num * den, self._den * num, self._h, self._k)
 
     def __neg__(self) -> "SymScalar":
-        return SymScalar(-self.q, self.h, self.k)
+        return _scalar(-self._num, self._den, self._h, self._k)
 
     def __add__(self, other: "SymScalar") -> "SymScalar":
         # Defined only on a shared basis (or with a zero side): every sum the
         # package forms stays on one basis, so a mixed one is a bug upstream.
         if not isinstance(other, SymScalar):
             return NotImplemented
-        if self.q == 0:
+        if self._num == 0:
             return other
-        if other.q == 0:
+        if other._num == 0:
             return self
-        if (self.h, self.k) != (other.h, other.k):
+        if (self._h, self._k) != (other._h, other._k):
             raise ValueError(
-                f"mixed-basis addition: ({self.h},{self.k}) vs ({other.h},{other.k})"
+                f"mixed-basis addition: ({self._h},{self._k}) vs ({other._h},{other._k})"
             )
-        return SymScalar(self.q + other.q, self.h, self.k)
+        return _scalar(self._num * other._den + other._num * self._den, self._den * other._den, self._h, self._k)
 
     def __sub__(self, other: "SymScalar") -> "SymScalar":
         return self + (-other)
 
     def __repr__(self) -> str:
-        if self.q == 0:
+        if self._num == 0:
             return "SymScalar(0)"
         parts = [str(self.q)]
-        if self.h:
-            parts.append(f"sqrt(pi)^{self.h}")
-        if self.k:
-            parts.append(f"i^{self.k}")
+        if self._h:
+            parts.append(f"sqrt(pi)^{self._h}")
+        if self._k:
+            parts.append(f"i^{self._k}")
         return "SymScalar(" + " * ".join(parts) + ")"
+
+
+def _scalar(num: int, den: int, h: int, k: int) -> SymScalar:
+    """num/den * sqrt(pi)**h * i**k for integers num and den != 0, unreduced, in canonical form."""
+    s = object.__new__(SymScalar)
+    if num == 0:
+        s._num, s._den, s._h, s._k = 0, 1, 0, 0
+    else:
+        if den < 0:
+            num, den = -num, -den
+        s._num, s._den, s._h, s._k = -num if k & 2 else num, den, h, k & 1  # i^k = (-1)^(k//2 mod 2) i^(k mod 2)
+    return s
 
 
 @functools.lru_cache(maxsize=4096, typed=True)
@@ -159,51 +183,23 @@ def _gamma_entry(t: RationalLike) -> tuple[int, int, int]:
     return math.factorial(2 * m), 4**m * math.factorial(m), 1
 
 
-def gamma_ratio(
-    up: Iterable[RationalLike], down: Iterable[RationalLike] = (), num: int = 1, den: int = 1, h: int = 0, k: int = 0
-) -> Ratio:
-    """num/den * sqrt(pi)**h * i**k * prod Gamma(t/2) over up / prod Gamma(t/2) over down, unreduced.
+def gamma_product(
+    up: Iterable[RationalLike], down: Iterable[RationalLike] = (), q: RationalLike = 1, h: int = 0, k: int = 0
+) -> SymScalar:
+    """q * sqrt(pi)**h * i**k * prod Gamma(t/2) over up / prod Gamma(t/2) over down, unreduced.
 
     Arguments are doubled, so a positive integer or half-integer a is t = 2a
     and k! = Gamma(k+1) is t = 2k + 2; each is read from the factorial table.
     A zero, negative or non-half-integer argument raises ValueError.
     """
+    num, den = _ratio(q)
     for t in up:
         a, b, s = _gamma_entry(t)
         num, den, h = num * a, den * b, h + s
     for t in down:
         a, b, s = _gamma_entry(t)
         num, den, h = num * b, den * a, h - s
-    return num, den, h, k
-
-
-def gamma_product(
-    up: Iterable[RationalLike], down: Iterable[RationalLike] = (), q: RationalLike = 1, h: int = 0, k: int = 0
-) -> SymScalar:
-    """q * sqrt(pi)**h * i**k * prod Gamma(t/2) over up / prod Gamma(t/2) over down:
-    ``gamma_ratio`` reduced once into a SymScalar."""
-    q = _as_fraction(q)
-    num, den, h, k = gamma_ratio(up, down, q.numerator, q.denominator, h, k)
-    return SymScalar(Fraction(num, den), h, k)
-
-
-def ratios_equal(x: Ratio, y: Ratio) -> bool:
-    """Whether two unreduced values (num, den, h, k) are equal, as SymScalars: by one
-    cross-multiplication, with i**2 = -1 folded into the sign and the basis ignored at zero."""
-    (a, b, h, k), (c, d, g, l) = x, y
-    c = -c if (k - l) % 4 == 2 else c
-    return a * d == c * b and (a == 0 or (h == g and (k - l) % 2 == 0))
-
-
-def ratio_sum(values: Iterable[Ratio]) -> Ratio:
-    """The sum of ratios on one basis (h, k) over the product of their denominators; a zero
-    term is on any basis, and two bases raise ValueError."""
-    num, den, basis = 0, 1, None
-    for a, b, h, k in values:
-        if a and basis not in (None, (h, k)):
-            raise ValueError(f"mixed-basis addition: {basis} vs ({h},{k})")
-        num, den, basis = num * b + a * den, den * b, (h, k) if a else basis
-    return (num, den, *(basis or (0, 0)))
+    return _scalar(num, den, h, k)
 
 
 @functools.lru_cache(maxsize=4096, typed=True)
@@ -212,10 +208,15 @@ def gamma_half_integer(a: RationalLike) -> SymScalar:
 
     Integer a gives (a-1)! with no sqrt(pi); half-integer a gives a rational
     multiple of sqrt(pi).  Anything else is rejected.  Results are memoised
-    like those of ``binomial`` (a SymScalar is frozen); the cache is typed so
-    that a float argument is still rejected rather than matched to an int.
+    like those of ``binomial``; the cache is typed so that a float argument
+    is still rejected rather than matched to an int.
     """
     return gamma_product((2 * _as_fraction(a),))
+
+
+def _falling(p: int, q: int, m: int) -> int:
+    """p (p - q) ... (p - (m-1) q) = q^m m! C(p/q, m): the generalized binomial over q^m m!."""
+    return math.prod(p - t * q for t in range(m))
 
 
 @functools.lru_cache(maxsize=4096, typed=True)
@@ -223,18 +224,16 @@ def binomial(a: RationalLike, m: int) -> Fraction:
     """Generalized binomial coefficient C(a, m) = a(a-1)...(a-m+1)/m!.
 
     Works for any rational a and non-negative integer m; C(a, 0) = 1, and
-    C(a, m) = 0 when a is a non-negative integer smaller than m.  Results
-    are memoised: the identity verifiers ask for few distinct (a, m) many
-    times over, and a Fraction is immutable, so sharing it is safe.  The
-    cache is typed, so that a float is rejected whatever ran before.
+    C(a, m) = 0 when a is a non-negative integer smaller than m.  The
+    falling product ``_falling`` over q^m m! is reduced once.  Results are
+    memoised: the callers ask for few distinct (a, m) many times over, and a
+    Fraction is immutable, so sharing it is safe.  The cache is typed, so
+    that a float is rejected whatever ran before.
     """
     if m < 0:
         raise ValueError("lower index must be non-negative")
-    a = _as_fraction(a)
-    num = Fraction(1)
-    for t in range(m):
-        num *= a - t
-    return num / math.factorial(m)
+    p, q = _ratio(a)
+    return Fraction(_falling(p, q, m), q**m * math.factorial(m))
 
 
 @functools.lru_cache(maxsize=1024, typed=True)

@@ -20,11 +20,14 @@ Fourier transform:
 
 Every verifier compares two independently computed exact quantities; no
 floating point enters except through the explicit float bridges.  Closed forms
-are read from one factorial table by ``exact.gamma_ratio`` (a binomial C(x, k)
-with positive Gamma arguments is Gamma(x+1) / (k! Gamma(x-k+1)); arguments are
-doubled, t for Gamma(t/2), so k! is 2k+2).  The matching, series-constant and
-radial-sum verifiers build both sides as unreduced integer ratios, left sides by
-their own integer recurrences, and compare them by one cross-multiplication.
+are read from one factorial table by ``exact.gamma_product`` as unreduced
+``SymScalar``s (a binomial C(x, k) with positive Gamma arguments is
+Gamma(x+1) / (k! Gamma(x-k+1)); arguments are doubled, t for Gamma(t/2), so k!
+is 2k+2).  Every verifier but ``radial_laplacian_check`` decides on integers:
+left sides come from their own integer recurrences or sums, the summation
+identities from falling products over one common denominator
+(``exact._falling``), and the two sides are compared by one
+cross-multiplication.
 
 Two sparse forms are plain dicts summed by ``exact._collect``, the one place
 that drops cancelled terms, so dict equality is exact equality: a radial
@@ -48,17 +51,14 @@ from typing import Callable, Iterator
 
 from .exact import (
     RationalLike,
-    Ratio,
     SymScalar,
     _as_fraction,
     _collect,
+    _falling,
     binomial,
     fundamental_normalization,
     gamma_half_integer,
     gamma_product,
-    gamma_ratio,
-    ratio_sum,
-    ratios_equal,
 )
 
 Frac = Fraction
@@ -127,7 +127,7 @@ def radial_laplacian_check(dim: int, order: int) -> bool:
 # --------------------------------------------------------------------------
 
 
-def matching_coeff_closed(dim: int, order: int, L: int) -> Ratio:
+def matching_coeff_closed(dim: int, order: int, L: int) -> SymScalar:
     """Closed form of the degree-L matching coefficient, N+1 <= L <= 2N:
 
         c (-1)^(L+N) C(L+m-N-1, L-N) C(N+m, 2N-L) / ((2N)! C(L, N)),
@@ -138,10 +138,10 @@ def matching_coeff_closed(dim: int, order: int, L: int) -> Ratio:
     n, N = dim, order
     if not (N + 1 <= L <= 2 * N):
         raise ValueError("L out of range")
-    return gamma_ratio(
+    return gamma_product(
         (2 * (L - N) + n - 1, 2 * N + n + 1, 2 * N + 2),
         (4 * N - 2 * L + 2, 2 * (L - N) + n + 1, 4 * N + 2, 2 * L + 2, 1),
-        (-1) ** (L + N), 2, -n,
+        Frac((-1) ** (L + N), 2), -n,
     )
 
 
@@ -165,7 +165,7 @@ def _taylor_at_one(dim: int, order: int, alpha: RationalLike = 0) -> tuple[list[
     return ps, den
 
 
-def matching_coeffs_taylor(dim: int, order: int, alpha: RationalLike = 0) -> dict[int, Ratio]:
+def matching_coeffs_taylor(dim: int, order: int, alpha: RationalLike = 0) -> dict[int, SymScalar]:
     """Matching coefficients from the Taylor data ``_taylor_at_one`` at t = 1, with M = 2N:
 
         A_L = c sum_{i=L}^{M} E^(i)(1)/i! (-1)^(i-L) C(i, L)
@@ -176,7 +176,7 @@ def matching_coeffs_taylor(dim: int, order: int, alpha: RationalLike = 0) -> dic
     M, (ps, den), c, out = 2 * order, _taylor_at_one(dim, order, alpha), fundamental_normalization(dim), {}
     for L in range(order + 1, M + 1):
         s = sum((-1) ** (i - L) * ps[i] * 2 ** (M - i) * math.perm(M - L, M - i) for i in range(L, M + 1))
-        out[L] = c.q.numerator * s, c.q.denominator * den * math.factorial(L) * 2**M * math.factorial(M - L), c.h, c.k
+        out[L] = c * s / (den * math.factorial(L) * 2**M * math.factorial(M - L))
     return out
 
 
@@ -189,9 +189,9 @@ def verify_matching_coeffs(dim: int, order: int) -> bool:
     oracle = matching_coeffs_taylor(dim, order, 0)
     if fundamental_coeffs(dim, order)[0] is None:  # the log regime
         other = matching_coeffs_taylor(dim, order, Frac(17, 3))
-        if not all(ratios_equal(oracle[L], other[L]) for L in oracle):
+        if oracle != other:
             return False
-    return all(ratios_equal(oracle[L], matching_coeff_closed(dim, order, L)) for L in oracle)
+    return all(oracle[L] == matching_coeff_closed(dim, order, L) for L in oracle)
 
 
 # --------------------------------------------------------------------------
@@ -207,17 +207,17 @@ def falling_factorial_sum_a(m: RationalLike, order: int, L: int) -> bool:
         raise ValueError("L out of range")
     x = N - m
     p, q = x.numerator, x.denominator
-    # C(x, i) = num / (q^i i!) with num = p (p - q) ... (p - (i-1) q), raised
-    # by C(x, i+1) = C(x, i) (x - i) / (i + 1); lhs is s / (q^i i!) at each i
-    num = math.prod(p - t * q for t in range(L))
+    # C(x, i) = num / (q^i i!) with num = _falling(p, q, i), raised by
+    # C(x, i+1) = C(x, i) (x - i) / (i + 1); lhs is s / (q^i i!) at each i
+    num = head = _falling(p, q, L)
     s = 0
     for i in range(L, 2 * N + 1):
         s = s * q * i + (-1) ** i * math.comb(i, L) * num
         num *= p - i * q
-    # Both stay off the factorial table: N-m may be <= 0, and for small L the
-    # Gamma form of C(m+N, 2N-L) would need Gamma(m+L-N+1) at m+L-N+1 <= 0.
-    rhs = (-1) ** L * binomial(x, L) * binomial(m + N, 2 * N - L)
-    return s * rhs.denominator == rhs.numerator * q ** (2 * N) * math.factorial(2 * N)
+    # With m+N = (2Nq - p)/q the right side is (-1)^L C(2N, L) head _falling(2Nq - p, q, 2N-L)
+    # over the same q^(2N) (2N)!.  Both stay off the factorial table: N-m may be <= 0, and for
+    # small L the Gamma form of C(m+N, 2N-L) would need Gamma(m+L-N+1) at m+L-N+1 <= 0.
+    return s == (-1) ** L * math.comb(2 * N, L) * head * _falling(2 * N * q - p, q, 2 * N - L)
 
 
 def falling_factorial_sum_b(m: int, order: int, L: int) -> bool:
@@ -233,20 +233,32 @@ def falling_factorial_sum_b(m: int, order: int, L: int) -> bool:
         raise ValueError("indices outside the factorial regime")
     # both sides times L! (2N-L)!: sum_i (i-N+m-1)! (2N-L)!/(i-L)! = (L-N+m-1)! Gamma(N+m+1) / Gamma(L-N+m+1)
     lhs = sum(math.factorial(i - N + m - 1) * math.perm(2 * N - L, 2 * N - i) for i in range(L, 2 * N + 1))
-    return ratios_equal((lhs, 1, 0, 0), gamma_ratio((2 * (L - N + m), 2 * (N + m) + 2), (2 * (L - N + m) + 2,)))
+    return SymScalar(lhs) == gamma_product((2 * (L - N + m), 2 * (N + m) + 2), (2 * (L - N + m) + 2,))
 
 
 def verify_triple_binomial(m: int, n: int, r: RationalLike, s: RationalLike) -> bool:
-    """sum_k C(m-r+s, k) C(n+r-s, n-k) C(r+k, m+n) = C(r, m) C(s, n)."""
+    """sum_k C(m-r+s, k) C(n+r-s, n-k) C(r+k, m+n) = C(r, m) C(s, n).
+
+    With r = R/Q and s = S/Q over a common denominator Q, C(x, j) is
+    ``_falling(Qx, Q, j)`` over Q^j j!, so the k-th term of the left side is
+    C(n, k) times three falling products over Q^(m+2n) n! (m+n)!, and the
+    right side two falling products over Q^(m+n) m! n!: the sides are
+    compared by one cross-multiplication.
+    """
     if m < 0 or n < 0:
         raise ValueError("m, n must be non-negative integers")
     r = _as_fraction(r)
     s = _as_fraction(s)
-    lhs = Frac(0)
-    for k in range(n + 1):
-        lhs += binomial(m - r + s, k) * binomial(n + r - s, n - k) * binomial(r + k, m + n)
-    rhs = binomial(r, m) * binomial(s, n)
-    return lhs == rhs
+    Q = math.lcm(r.denominator, s.denominator)
+    R, S = r.numerator * (Q // r.denominator), s.numerator * (Q // s.denominator)
+    lhs = sum(
+        math.comb(n, k)
+        * _falling(m * Q - R + S, Q, k)
+        * _falling(n * Q + R - S, Q, n - k)
+        * _falling(R + k * Q, Q, m + n)
+        for k in range(n + 1)
+    )
+    return lhs * math.factorial(m) == _falling(R, Q, m) * _falling(S, Q, n) * Q**n * math.factorial(m + n)
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +267,7 @@ def verify_triple_binomial(m: int, n: int, r: RationalLike, s: RationalLike) -> 
 # --------------------------------------------------------------------------
 
 
-def series_kernel_constant(dim: int, order: int, L: int, j: int, k: int) -> Ratio:
+def series_kernel_constant(dim: int, order: int, L: int, j: int, k: int) -> SymScalar:
     """The constant attached to layer j, power k in the truncated-kernel series:
 
         i c R (-1)^k 2^k (N-j)! (n-1) C(L-1+h, N-j) C(h+j+L-N-1, k) C(N+h-1/2, N)
@@ -271,15 +283,15 @@ def series_kernel_constant(dim: int, order: int, L: int, j: int, k: int) -> Rati
     n, N = dim, order
     if not (N + 1 <= L <= 2 * N and 0 <= j <= L - N - 1 and 0 <= k <= L - N - j - 1):
         raise ValueError("index out of range")
-    return gamma_ratio(
+    return gamma_product(
         (n + 2 * L, 2 * N + n + 1, 2 * (L - N) + n - 1, n - 1, 2 * j + 1),
         (2 * k + 2, n + 2 * (j + L - N - k), n + 1, 4 * N - 2 * L + 2, 2 * (L - N - j - k),
          2 * N + 1, 2 * (L - N) + n + 1, n + 2 * j + 1),
-        (-1) ** (j + k) * 2**k * (n - 1), 2,
+        Frac((-1) ** (j + k) * 2**k * (n - 1), 2),
     )
 
 
-def series_kernel_constant_from_matching(dim: int, order: int, L: int, j: int, k: int, a_l: Ratio) -> Ratio:
+def series_kernel_constant_from_matching(dim: int, order: int, L: int, j: int, k: int, a_l: SymScalar) -> SymScalar:
     """Same constant via the matching coefficient a_l = A_L (independent route):
 
         i A_L R (-1)^(L+k+N) 2^(2N+1+k) L! (N-j)! C(L-1+h, N-j) C(h+j+L-N-1, k)
@@ -289,25 +301,25 @@ def series_kernel_constant_from_matching(dim: int, order: int, L: int, j: int, k
     (N-j)! and Gamma(h+j+L-N) cancel.
     """
     n, N = dim, order
-    return gamma_ratio(
+    return a_l * gamma_product(
         (2 * L + 2, n + 2 * L, 2 * j + 1),
         (2 * (L - N - j - k), 2 * k + 2, n + 2 * (j + L - N - k), n + 2 * j + 1),
-        a_l[0] * (-1) ** (L + k + N + j) * 2 ** (2 * N + 1 + k), a_l[1], a_l[2] + n, a_l[3],
+        (-1) ** (L + k + N + j) * 2 ** (2 * N + 1 + k), n,
     )
 
 
-def bessel_zero_scaled(shift: int, dim: int) -> Ratio:
+def bessel_zero_scaled(shift: int, dim: int) -> SymScalar:
     """2^(n/2) * (value at r = 0 of J_q(r)/r^q) = 2^(n/2-q)/Gamma(q+1) at q = n/2 + shift,
     for an integer shift >= 0, so that the scaled value stays rational in the ring."""
     if not isinstance(shift, int) or shift < 0:
         raise ValueError("q must exceed n/2 by a non-negative integer")
-    return gamma_ratio((), (dim + 2 * shift + 2,), 1, 2**shift)
+    return gamma_product((), (dim + 2 * shift + 2,), Frac(1, 2**shift))
 
 
-def series_leading_constant_scaled(dim: int, j: int) -> Ratio:
+def series_leading_constant_scaled(dim: int, j: int) -> SymScalar:
     """Closed form of the leading series constant, scaled by 2^(n/2):
     (-1)^j / (4^j (2j+1) Gamma(n/2 + 2j + 1))."""
-    return gamma_ratio((), (dim + 4 * j + 2,), (-1) ** j, 4**j * (2 * j + 1))
+    return gamma_product((), (dim + 4 * j + 2,), Frac((-1) ** j, 4**j * (2 * j + 1)))
 
 
 def verify_series_constants(dim: int, order: int) -> bool:
@@ -321,15 +333,14 @@ def verify_series_constants(dim: int, order: int) -> bool:
     n, N = dim, order
     a = {L: matching_coeff_closed(n, N, L) for L in range(N + 1, 2 * N + 1)}
     for j in range(N):
-        terms = []
+        total = SymScalar.zero()
         for L in range(N + 1 + j, 2 * N + 1):
             k = L - N - j - 1
             c = series_kernel_constant(n, N, L, j, k)
-            if not ratios_equal(c, series_kernel_constant_from_matching(n, N, L, j, k, a[L])):
+            if c != series_kernel_constant_from_matching(n, N, L, j, k, a[L]):
                 return False
-            b = bessel_zero_scaled(L - N + j, n)
-            terms.append((c[0] * b[0], c[1] * b[1], c[2] + b[2], c[3] + b[3]))
-        if not ratios_equal(ratio_sum(terms), series_leading_constant_scaled(n, j)):
+            total = total + c * bessel_zero_scaled(L - N + j, n)
+        if total != series_leading_constant_scaled(n, j):
             return False
     return True
 
@@ -339,7 +350,7 @@ def verify_series_constants(dim: int, order: int) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _radial_sum_lhs(dim: int, order: int, p: int, j: int, i: int) -> Ratio:
+def _radial_sum_lhs(dim: int, order: int, p: int, j: int, i: int) -> SymScalar:
     """The inner s-sum of ``verify_radial_sum_identity``, by its term ratio."""
     n, N = dim, order
     if not (N - 1 >= p >= j + i >= 0 and j >= 0 and i >= 0):
@@ -352,14 +363,14 @@ def _radial_sum_lhs(dim: int, order: int, p: int, j: int, i: int) -> Ratio:
         b = (s + 1) * (n + 2 * m + 2 * s + 1) * (n + 4 * m + 2 * i + 2 * s)
         num, den = b * den - a * num, b * den
     # t_0 = Gamma(h+N+m) Gamma(m+h-1/2) / ((N-j)! Gamma(h+m+j) Gamma(m+h+1/2) (N-m)! Gamma(h+2m+i))
-    return gamma_ratio(
+    return gamma_product(
         (n + 2 * (N + m), n + 2 * m - 1),
         (2 * (N - j) + 2, n + 2 * (m + j), n + 2 * m + 1, 2 * (N - m) + 2, n + 4 * m + 2 * i),
-        num, den,
-    )
+        num,
+    ) / den
 
 
-def _radial_sum_rhs(dim: int, order: int, p: int, j: int, i: int) -> Ratio:
+def _radial_sum_rhs(dim: int, order: int, p: int, j: int, i: int) -> SymScalar:
     """The closed form of ``verify_radial_sum_identity``: with m = p+1-i and h = n/2,
 
         (N-m-i)! (m+i-j)! / (N-j)! C(N-1/2, N-m-i) C(h+2m+i-1, m+i-j)
@@ -368,7 +379,7 @@ def _radial_sum_rhs(dim: int, order: int, p: int, j: int, i: int) -> Ratio:
     in which (N-m-i)!, (m+i-j)! and Gamma(h+2m+i) cancel.
     """
     n, N, m = dim, order, p + 1 - i
-    return gamma_ratio((2 * N + 1, n + 2 * m - 1), (2 * (N - j) + 2, 2 * (m + i) + 1, n + 2 * (m + j), 2 * N + n + 1))
+    return gamma_product((2 * N + 1, n + 2 * m - 1), (2 * (N - j) + 2, 2 * (m + i) + 1, n + 2 * (m + j), 2 * N + n + 1))
 
 
 def verify_radial_sum_identity(dim: int, order: int, p: int, j: int, i: int) -> bool:
@@ -391,7 +402,7 @@ def verify_radial_sum_identity(dim: int, order: int, p: int, j: int, i: int) -> 
     shares the sqrt(pi) basis of t_0.  The right side is the independent
     closed form ``_radial_sum_rhs``.
     """
-    return ratios_equal(_radial_sum_lhs(dim, order, p, j, i), _radial_sum_rhs(dim, order, p, j, i))
+    return _radial_sum_lhs(dim, order, p, j, i) == _radial_sum_rhs(dim, order, p, j, i)
 
 
 # --------------------------------------------------------------------------
@@ -415,9 +426,8 @@ def power_series_coeffs_scaled(dim: int, order: int, p: int) -> dict[int, SymSca
         for s in range(j + 1, N + 1):
             for k in range(0, s - j):
                 if (i := p + 1 - s + k) >= 0:
-                    num, den, h, ik = series_kernel_constant(n, N, N + s, j, k)
-                    q = Frac((-1) ** i * num, den * math.factorial(i) * 2 ** (2 * p + 1 + k))
-                    terms.append((j, gamma_product((), (), q, h, ik) / gamma_half_integer(half + p + s + 1)))
+                    den = (-1) ** i * math.factorial(i) * 2 ** (2 * p + 1 + k) * gamma_half_integer(half + p + s + 1)
+                    terms.append((j, series_kernel_constant(n, N, N + s, j, k) / den))
     return _collect(terms)
 
 

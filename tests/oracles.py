@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from czkit.exact import RationalLike, Ratio, SymScalar, _as_fraction, _collect, gamma_product, riesz_multiplier
+from czkit.exact import RationalLike, SymScalar, _as_fraction, _collect, gamma_product, riesz_multiplier
 from czkit.gridops import (
     GridFunction,
     _beurling_truncations,
@@ -76,12 +76,6 @@ def to_complex(s: SymScalar) -> complex:
     if s.q == 0:
         return 0j
     return float(s.q) * math.pi ** (s.h / 2.0) * _I_POWERS[s.k]
-
-
-def as_scalar(r: Ratio) -> SymScalar:
-    """An unreduced (num, den, h, k) of `exact.gamma_ratio` as a SymScalar."""
-    num, den, h, k = r
-    return SymScalar(Fraction(num, den), h, k)
 
 
 def to_float(s: SymScalar) -> float:
@@ -223,6 +217,19 @@ def m_llogl(f: GridFunction, x) -> float:
 
 
 # ------------------------------------------------------------ exact closed forms
+
+
+def _positive_definite(a: list[list[int]]) -> bool:
+    """Whether a symmetric integer matrix is positive definite: the pivots of fraction-free
+    (Bareiss) elimination, its leading principal minors, are all > 0 (Sylvester)."""
+    a, prev = [row[:] for row in a], 1
+    for k, row in enumerate(a):
+        if row[k] <= 0:
+            return False
+        for below in a[k + 1 :]:
+            below[k + 1 :] = [(row[k] * x - below[k] * y) // prev for x, y in zip(below[k + 1 :], row[k + 1 :])]
+        prev = row[k]
+    return True
 
 
 def fundamental_coeff_product_form(dim: int, order: int) -> Fraction:

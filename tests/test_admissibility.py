@@ -17,7 +17,6 @@ from czkit.admissibility import (
     _center_error,
     _evaluate,
     _exclusion_cap,
-    _positive_definite,
     _quadratic_certificate,
     _rounding_bound,
     _sign_or_witness,
@@ -29,6 +28,7 @@ from czkit.admissibility import (
 )
 from czkit.kernels import kernel_from_polynomial, parse_kernel_spec
 from czkit.polyalg import MultiPoly
+from oracles import _positive_definite
 
 
 def harmonic_cubic(n=2):
@@ -464,14 +464,19 @@ def test_exclusion_caps_are_sound():
 
 
 def test_positive_definite_is_exact():
-    assert _positive_definite([[2, 1], [1, 2]])
-    assert not _positive_definite([[1, 2], [2, 1]])  # indefinite
-    assert not _positive_definite([[1, 1], [1, 1]])  # singular
-    assert not _positive_definite([[3, 0, 0], [0, -1, 0], [0, 0, 3]])
+    # the package's definiteness test, _sign_or_witness(m)[0] == 1, against the Bareiss oracle
+    def definite(m):
+        assert (_sign_or_witness(m)[0] == 1) == _positive_definite(m), m
+        return _positive_definite(m)
+
+    assert definite([[2, 1], [1, 2]])
+    assert not definite([[1, 2], [2, 1]])  # indefinite
+    assert not definite([[1, 1], [1, 1]])  # singular
+    assert not definite([[3, 0, 0], [0, -1, 0], [0, 0, 3]])
     # tridiag(-1, 2, -1) has lambda_min = 2 - sqrt(2) = 0.585786...: A - mu I for mu = m / 10^5
     a = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     shifted = lambda m: [[10**5 * x - m * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
-    assert _positive_definite(shifted(58578)) and not _positive_definite(shifted(58579))
+    assert definite(shifted(58578)) and not definite(shifted(58579))
     # a saddle of F on the sphere: no cap, however small
     f = MultiPoly.constant(3, 1) + MultiPoly.monomial(3, (0, 2, 0)) - MultiPoly.monomial(3, (0, 0, 2))
     e1 = (F(1), F(0), F(0))

@@ -4,6 +4,7 @@ import inspect
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -109,8 +110,7 @@ def test_identities_verb_reports_a_wrong_closed_form(monkeypatch, capsys):
     exact_form = identities.matching_coeff_closed
 
     def off_by_one_part_in_a_billion(*a):
-        num, den, h, k = exact_form(*a)  # an unreduced num/den * sqrt(pi)**h * i**k
-        return num * (10**9 + 1), den * 10**9, h, k
+        return exact_form(*a) * Fraction(10**9 + 1, 10**9)
 
     monkeypatch.setattr(identities, "matching_coeff_closed", off_by_one_part_in_a_billion)
     rc = main(["identities", "--n-max", "3", "--N-max", "3"])

@@ -1,5 +1,7 @@
 """Exact scalar ring: Gamma, generalized binomials, multiplier constants."""
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -7,13 +9,11 @@ import pytest
 
 from czkit.exact import (
     SymScalar,
+    _scalar,
     binomial,
     fundamental_normalization,
     gamma_half_integer,
     gamma_product,
-    gamma_ratio,
-    ratio_sum,
-    ratios_equal,
     riesz_multiplier,
 )
 from oracles import is_real, to_complex, to_float
@@ -79,33 +79,54 @@ def test_gamma_product_on_the_factorial_table():
             gamma_product((2,), (bad,))
 
 
-def _unreduced(q, h, k, rng):
-    """q sqrt(pi)^h i^k as (num, den, h, k), numerator and denominator times a random nonzero integer."""
+def _reduced(num, den, h, k):
+    """The oracle: num/den sqrt(pi)^h i^k as (q, h, k), q a reduced Fraction, k in {0, 1}, zero as (0, 0, 0)."""
+    q = F(num, den) * (-1 if k % 4 >= 2 else 1)
+    return (q, h, k % 2) if q else (F(0), 0, 0)
+
+
+def _random_unreduced(rng):
+    """(num, den, h, k): a small rational with numerator and denominator times one nonzero integer of either sign."""
     g = rng.choice((1, -1)) * rng.randrange(1, 9)
-    return q.numerator * g, q.denominator * g, h, k
+    return rng.randrange(-3, 4) * g, rng.randrange(1, 4) * g, rng.randrange(-1, 2), rng.randrange(4)
 
 
 def test_cross_multiplied_equality_agrees_with_symscalar():
     rng = random.Random(23)
     seen = set()
     for _ in range(5000):
-        x, y = ((F(rng.randrange(-3, 4), rng.randrange(1, 4)), rng.randrange(2), rng.randrange(4)) for _ in range(2))
-        equal = SymScalar(*x) == SymScalar(*y)
-        assert ratios_equal(_unreduced(*x, rng), _unreduced(*y, rng)) == equal, (x, y)
-        seen.add((equal, x[0] == 0, x[1:] == y[1:], (x[2] - y[2]) % 2))
-    # equal and unequal pairs, zeros, shared and differing bases, i powers of both parities
-    assert {e for e, *_ in seen} == {True, False} and (True, True, False, 1) in seen and (True, False, False, 0) in seen
+        x, y = _random_unreduced(rng), _random_unreduced(rng)
+        a, b = _scalar(*x), _scalar(*y)
+        (qa, ha, ka), (qb, hb, kb) = _reduced(*x), _reduced(*y)
+        assert (a.q, a.h, a.k) == (qa, ha, ka) and a.den > 0 and a.num * qa.denominator == qa.numerator * a.den
+        assert (a == b) == ((qa, ha, ka) == (qb, hb, kb)), (x, y)
+        assert hash(a) == hash(SymScalar(qa, ha, ka)) and repr(a) == repr(SymScalar(qa, ha, ka))
+        assert a != b or hash(a) == hash(b)
+        assert a * b == SymScalar(qa * qb, ha + hb, ka + kb)
+        if qb:
+            assert a / b == SymScalar(qa / qb, ha - hb, ka - kb)
+        seen.add((a == b, qa == 0, x[2:] == y[2:], (x[3] - y[3]) % 2, x[1] < 0))
+    # equal and unequal pairs, zeros, shared and differing bases, i powers of both parities, negated denominators
+    assert {e for e, *_ in seen} == {True, False} and (True, True, False, 1, True) in seen
+    assert (True, False, False, 0, True) in seen and (False, False, False, 1, False) in seen  # i^2 = -1 folded
+    assert repr(_scalar(6, -4, 1, 3)) == "SymScalar(3/2 * sqrt(pi)^1 * i^1)"
+    assert repr(_scalar(0, -4, 1, 1)) == "SymScalar(0)"
     for _ in range(200):
         h, k = rng.randrange(-2, 3), rng.randrange(4)
-        terms = [(F(rng.randrange(-5, 6), rng.randrange(1, 6)), h, k) for _ in range(rng.randrange(1, 6))]
-        want = sum((SymScalar(*t) for t in terms), SymScalar.zero())
-        got = ratio_sum(_unreduced(*t, rng) for t in terms)
-        assert ratios_equal(got, (want.q.numerator, want.q.denominator, want.h, want.k))
-    assert ratio_sum([]) == (0, 1, 0, 0) and ratios_equal(ratio_sum([(0, 3, 1, 1), (2, 4, 0, 0)]), (1, 2, 0, 0))
+        terms = [_random_unreduced(rng)[:2] for _ in range(rng.randrange(1, 6))]
+        got = sum((_scalar(num, den, h, k) for num, den in terms), SymScalar.zero())
+        assert got == SymScalar(sum((F(num, den) for num, den in terms), F(0)), h, k)
     with pytest.raises(ValueError):
-        ratio_sum([(1, 2, 1, 0), (1, 2, 0, 0)])
+        _scalar(1, 2, 1, 0) + _scalar(1, 2, 0, 0)
+    with pytest.raises(ValueError):
+        _scalar(1, 2, 0, 1) + _scalar(-3, 2, 0, 2)
+    with pytest.raises(AttributeError):  # immutable, as the caches share instances
+        _scalar(1, 2, 0, 0).num = 3
+    x = _scalar(6, -4, 1, 3)
+    assert pickle.loads(pickle.dumps(x)) == copy.deepcopy(x) == x and copy.copy(x).den == 4
     # 5/7 sqrt(pi)^2 i Gamma(3/2) / Gamma(1), with Gamma(3/2) = 2!/(4 1!) sqrt(pi) from the table: not reduced
-    assert gamma_ratio((3,), (2,), 5, 7, 2, 1) == (10, 28, 3, 1)
+    g = gamma_product((3,), (2,), F(5, 7), 2, 1)
+    assert (g.num, g.den, g.h, g.k) == (10, 28, 3, 1) and g.q == F(5, 14)
 
 
 def test_multiplier_and_normalization_match_the_gamma_chains():
