@@ -369,13 +369,13 @@ def _rational_point(center: np.ndarray, axis: int, sign: float, depth: int) -> t
     """A rational point of the sphere near ``center``, on the cell's facet side.
 
     The stereographic coordinates of ``center`` from the pole -sign*e_axis
-    are snapped to denominators at most 2^(depth-4), so a rational point
+    are snapped to denominators at most 2^max(depth-4, 0), so a rational point
     with a small denominator is hit once the cells around it are small
-    enough; inverse projection keeps the point exactly on the sphere.
+    enough; inverse projection keeps the point exactly on the sphere.  A
+    cell centre has |x_j| <= |x_axis|, so each |x_j| / (1 + |x_axis|) < 0.42
+    and denominator 1 (depth <= 4) snaps all to 0: the axis point.
     """
-    if depth <= 4:  # |x_j| <= |x_axis| on the sphere makes each |x_j| / (1 + |x_axis|) < 0.42: all snap to 0
-        return tuple(Fraction(int(sign) if j == axis else 0) for j in range(len(center)))
-    den = 1 << (depth - 4)
+    den = 1 << max(depth - 4, 0)
     scale = 1.0 + abs(float(center[axis]))
     t = [Fraction(float(x) / scale).limit_denominator(den) for j, x in enumerate(center) if j != axis]
     s2 = sum((ti * ti for ti in t), Fraction(0))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import math
 import os
 import sys
@@ -16,14 +17,8 @@ from .identities import run_identity_suite
 from .kernels import KernelError, load_kernel_spec
 from .polyalg import ParseError
 
-# the options of `exp` that each experiment takes, each its keyword of the same name
-EXP_OPTIONS = {
-    "counterexample-growth": ("cells",),
-    "weak11-failure": (),
-    "llogl-modular": (),
-    "pointwise-ratios": ("kernel", "mesh"),
-    "beurling-composition": ("mesh",),
-}
+# the options of `exp` that each experiment takes: its parameters, each the keyword of its option
+EXP_OPTIONS = {name: tuple(inspect.signature(fn).parameters) for name, fn in EXPERIMENTS.items()}
 
 # the least value of each integer option, per command
 COUNT_FLOORS = {"check": {"depth": 0}, "identities": {"n_max": 2, "N_max": 1}}

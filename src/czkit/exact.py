@@ -17,10 +17,10 @@ adding across bases raises ``ValueError``.  Every generalized binomial is one
 falling product over a common denominator (``_falling``); ``binomial`` reduces
 it once, and the summation identities read it unreduced.
 
-Every sparse sum in the package -- the terms of a ``MultiPoly``, the radial
-expressions and the series coefficient vectors of ``identities`` -- is a
-plain dict built by ``_collect``, the one place that drops cancelled terms,
-so no such dict holds a zero coefficient and dict equality is exact equality.
+Every sparse sum in the package -- the terms of a ``MultiPoly`` and the
+series coefficient vectors of ``identities`` -- is a plain dict built by
+``_collect``, the one place that drops cancelled terms, so no such dict holds
+a zero coefficient and dict equality is exact equality.
 
 Every operation is exact: the package never converts a ``SymScalar`` to a
 float.

@@ -39,8 +39,9 @@ from a point, m its integer offset and p the point's exact phase (its
 position modulo the cell lattice), so the points of one call that share a
 phase share one lattice of offsets, sorted by |w| once, and one sum per
 (radius, ring cell), subdivided once per call.  A point alone on its
-phase, or on one whose points' union box holds more cells than their own
-boxes together, sorts f's own box and keeps no sums.
+phase is a phase of one, whose union box is f's own box; a phase whose
+union box holds more cells than its points' own boxes together goes one
+point at a time.
 The same move prunes the square sides of the 2D Hardy-Littlewood maximal
 function: the rectangle enclosing every candidate square of one side
 bounds all their averages, read from the integral image in one lookup,
@@ -646,10 +647,11 @@ def _beurling_truncations(f: GridFunction, p: tuple, shifts: Sequence, eps: np.n
     over the ring cells, one prefix-sum difference.  `ring(sel)` subdivides
     the ring cells of the radii eps[sel] only.  The points share the w bits,
     so each (radius, ring rank) sum is subdivided once, into a slot of
-    `cache` that holds NaN until then.  One point, or a union box of more
-    cells than the points' own boxes together, sorts f's own box per point
-    and keeps no sums.  Cost: O(C log C + E log C) for C cells and E radii,
-    plus 256 sub-points per (radius, ring cell) pair that `ring` evaluates.
+    `cache` that holds NaN until then; a lone point is a phase of one, whose
+    union box is f's own box.  A union box of more cells than the points'
+    own boxes together is split into one call per point.  Cost:
+    O(C log C + E log C) for C cells and E radii, plus 256 sub-points per
+    (radius, ring cell) pair that `ring` evaluates.
     """
     kern, c = kernel
     lo = [-max(n[a] for n in shifts) for a in (0, 1)]
@@ -665,16 +667,14 @@ def _beurling_truncations(f: GridFunction, p: tuple, shifts: Sequence, eps: np.n
     half_diag = f.h * math.sqrt(2.0) / 2.0
     outer = np.searchsorted(d, eps + half_diag, side="left")
     inner = np.searchsorted(d, eps - half_diag, side="right")
-    cache = None
-    if len(shifts) > 1:  # the sum of radius r at ring rank k has the slot start[r] + k
-        start = np.cumsum(outer - inner) - outer
-        cache = np.full(start[-1] + outer[-1], np.nan, dtype=complex)
+    # the sum of radius r at ring rank k has the slot start[r] + k
+    start = np.cumsum(outer - inner) - outer
+    cache = np.full(start[-1] + outer[-1], np.nan, dtype=complex)
 
     def truncations(k: int):
-        box = f.values
-        if cache is not None:  # f's cells sit at the offsets (i, j) - n of the union box
-            i, j, box = -shifts[k][0] - lo[0], -shifts[k][1] - lo[1], np.zeros(shape, dtype=f.values.dtype)
-            box[i : i + f.values.shape[0], j : j + f.values.shape[1]] = f.values
+        # f's cells sit at the offsets (i, j) - n of the union box
+        i, j, box = -shifts[k][0] - lo[0], -shifts[k][1] - lo[1], np.zeros(shape, dtype=f.values.dtype)
+        box[i : i + f.values.shape[0], j : j + f.values.shape[1]] = f.values
         vals = box.ravel()[order]
         suffix, absum = np.zeros(len(vals) + 1, dtype=complex), np.zeros(len(vals) + 1)
         np.cumsum((vals * kw)[::-1], out=suffix[-2::-1])  # suffix[i]: ranks i and up
@@ -691,22 +691,13 @@ def _beurling_truncations(f: GridFunction, p: tuple, shifts: Sequence, eps: np.n
             cell = np.arange(counts.sum()) + np.repeat(inner[sel] - np.cumsum(counts) + counts, counts)
             live = vals[cell] != 0
             radius, cell = radius[live], cell[live]
-            if not len(cell):  # no ring cell of these radii holds mass
-                return np.zeros(len(sel), dtype=complex)
             r = sel[radius]
-            if cache is None:
-                sums = _ring_sums(w[cell], eps[r], kern, f.h)
-            else:
-                slot = start[r] + cell
-                sums = cache[slot]
-                miss = np.flatnonzero(np.isnan(sums))
-                sums[miss] = cache[slot[miss]] = _ring_sums(w[cell[miss]], eps[r[miss]], kern, f.h)
+            slot = start[r] + cell
+            sums = cache[slot]
+            miss = np.flatnonzero(np.isnan(sums))
+            sums[miss] = cache[slot[miss]] = _ring_sums(w[cell[miss]], eps[r[miss]], kern, f.h)
             part = vals[cell] * sums
-            # one partial sum per block of _RING_BLOCK pairs fixes the order of the additions
-            acc = np.zeros(len(sel), dtype=complex)
-            for b in range(0, len(cell), _RING_BLOCK):
-                rb, pb = radius[b : b + _RING_BLOCK], part[b : b + _RING_BLOCK]
-                acc += np.bincount(rb, pb.real, len(sel)) + 1j * np.bincount(rb, pb.imag, len(sel))
+            acc = np.bincount(radius, part.real, len(sel)) + 1j * np.bincount(radius, part.imag, len(sel))
             return acc * (f.h / _SUBDIV) ** 2
 
         return total, bound, ring

@@ -23,17 +23,17 @@ floating point enters except through the explicit float bridges.  Closed forms
 are read from one factorial table by ``exact.gamma_product`` as unreduced
 ``SymScalar``s (a binomial C(x, k) with positive Gamma arguments is
 Gamma(x+1) / (k! Gamma(x-k+1)); arguments are doubled, t for Gamma(t/2), so k!
-is 2k+2).  Every verifier but ``radial_laplacian_check`` decides on integers:
-left sides come from their own integer recurrences or sums, the summation
-identities from falling products over one common denominator
-(``exact._falling``), and the two sides are compared by one
-cross-multiplication.
+is 2k+2).  Every verifier decides on integers: left sides come from their own
+integer recurrences or sums, the summation identities from falling products
+over one common denominator (``exact._falling``), and the two sides are
+compared by one cross-multiplication.  The fundamental solution has one
+integer form, E = c r^a (p + q log r^2) / D in units of
+c = ``fundamental_normalization(n)``; the radial check and the Taylor oracle
+both read it.
 
-Two sparse forms are plain dicts summed by ``exact._collect``, the one place
-that drops cancelled terms, so dict equality is exact equality: a radial
-expression sum s r^a (log r)^e is {(a, e): s} with rational s in units of
-c = ``fundamental_normalization(n)``, and a series coefficient is the map
-j -> coefficient of layer 2j+1.
+One sparse form is left: a series coefficient is a plain dict j ->
+coefficient of layer 2j+1, summed by ``exact._collect``, the one place that
+drops cancelled terms, so dict equality is exact equality.
 
 Scaling convention: quantities built from the Bessel-type series carry a
 factor 2^(n/2), which is irrational for odd n.  All such values are
@@ -65,21 +65,6 @@ Frac = Fraction
 
 
 # --------------------------------------------------------------------------
-# Radial expressions  {(a, e): s}  for  sum of  s * r^a * (log r)^e,  e in {0, 1}
-# --------------------------------------------------------------------------
-
-
-def radial_laplacian(terms: dict[tuple[Fraction, int], Fraction], dim: int) -> dict:
-    """Laplacian of a radial function in dimension n: r^a -> a(a+n-2) r^(a-2),
-    and r^a log r -> a(a+n-2) r^(a-2) log r + (2a+n-2) r^(a-2)."""
-    return _collect(
-        pair
-        for (a, e), s in terms.items()
-        for pair in (((a - 2, e), s * a * (a + dim - 2)), ((a - 2, 0), s * e * (2 * a + dim - 2)))
-    )
-
-
-# --------------------------------------------------------------------------
 # Fundamental solution coefficients (three cases) and the radial check
 # --------------------------------------------------------------------------
 
@@ -106,20 +91,25 @@ def fundamental_coeffs(dim: int, order: int) -> tuple[Fraction | None, Fraction]
     return None, gamma_product((2 * N,), (2 * mi, 2 * (N - mi) + 2, 4 * N), Frac((-1) ** (mi + 1), 2)).q
 
 
-def fundamental_solution(dim: int, order: int) -> dict[tuple[Fraction, int], Fraction]:
-    """The radial solution in r, as terms {(a, e): s} in units of c
-    (log r^2 = 2 log r), with the free power coefficient of the log regime 0."""
-    alpha, beta = fundamental_coeffs(dim, order)
-    a = Frac(2 * order + 1 - dim)
-    return _collect((((a, 0), alpha or Frac(0)), ((a, 1), 2 * beta)))
+def _solution_in_integers(dim: int, order: int, alpha: RationalLike) -> tuple[int, int, int, int]:
+    """The radial solution E = c r^a (p + q log r^2) / D as the integers (a, p, q, D), with
+    a = 2N+1-n, p/D = alpha and q/D = beta.  ``alpha`` is the power coefficient where that
+    is free; a non-zero one elsewhere raises ValueError."""
+    free, beta = fundamental_coeffs(dim, order)
+    if free is not None and alpha:
+        raise ValueError("alpha is determined in this regime")
+    power = _as_fraction(alpha) if free is None else free
+    den = math.lcm(power.denominator, beta.denominator)
+    return 2 * order + 1 - dim, int(power * den), int(beta * den), den
 
 
 def radial_laplacian_check(dim: int, order: int) -> bool:
-    """Apply the radial Laplacian `order` times; expect c * r^(1-n) exactly."""
-    expr = fundamental_solution(dim, order)
+    """Apply the radial Laplacian `order` times; expect c * r^(1-n) exactly.  With L = log r^2
+    it maps r^a (p + q L) to r^(a-2) (a(a+n-2) p + 2(2a+n-2) q + a(a+n-2) q L)."""
+    a, p, q, den = _solution_in_integers(dim, order, 0)
     for _ in range(order):
-        expr = radial_laplacian(expr, dim)
-    return expr == {(Frac(1 - dim), 0): Frac(1)}
+        a, p, q = a - 2, a * (a + dim - 2) * p + 2 * (2 * a + dim - 2) * q, a * (a + dim - 2) * q
+    return (a, p, q) == (1 - dim, den, 0)
 
 
 # --------------------------------------------------------------------------
@@ -146,19 +136,14 @@ def matching_coeff_closed(dim: int, order: int, L: int) -> SymScalar:
 
 
 def _taylor_at_one(dim: int, order: int, alpha: RationalLike = 0) -> tuple[list[int], int]:
-    """The Taylor data of E = ``fundamental_solution`` read in t = r^2: integers p_i and D
+    """The Taylor data of E = ``_solution_in_integers`` read in t = r^2: integers p_i and D
     with E^(i)(1) = p_i / (D 2^i) in units of c, for i = 0..2N.
 
-    With a = 2N+1-n, E = t^(a/2) (p + q log t) / D for p/D = alpha and q/D = beta, and d/dt
-    maps t^(a/2-k) (p + q log t) / 2^k to t^(a/2-k-1) ((a-2k) p + 2q + (a-2k) q log t) / 2^(k+1).
-    ``alpha`` is the power coefficient where that is free; a non-zero one elsewhere raises ValueError.
+    E = t^(a/2) (p + q log t) / D, and d/dt maps t^(a/2-k) (p + q log t) / 2^k to
+    t^(a/2-k-1) ((a-2k) p + 2q + (a-2k) q log t) / 2^(k+1).
     """
-    free, beta = fundamental_coeffs(dim, order)
-    if free is not None and alpha:
-        raise ValueError("alpha is determined in this regime")
-    power = _as_fraction(alpha) if free is None else free
-    den = math.lcm(power.denominator, beta.denominator)
-    p, q, a, ps = int(power * den), int(beta * den), 2 * order + 1 - dim, []
+    a, p, q, den = _solution_in_integers(dim, order, alpha)
+    ps = []
     for k in range(2 * order + 1):
         ps.append(p)
         p, q = (a - 2 * k) * p + 2 * q, (a - 2 * k) * q

@@ -26,6 +26,7 @@ from czkit.gridops import (
     _whole_cells,
     hardy_littlewood,
 )
+from czkit.identities import fundamental_coeffs
 from czkit.kernels import KernelError, KernelSpec
 from czkit.polyalg import MultiPoly
 
@@ -241,6 +242,24 @@ def fundamental_coeff_product_form(dim: int, order: int) -> Fraction:
     if prod == 0:
         raise ValueError("product form degenerates (log case)")
     return 1 / prod
+
+
+def radial_laplacian(terms: dict[tuple[Fraction, int], Fraction], dim: int) -> dict:
+    """Laplacian of a radial function in dimension n: r^a -> a(a+n-2) r^(a-2),
+    and r^a log r -> a(a+n-2) r^(a-2) log r + (2a+n-2) r^(a-2)."""
+    return _collect(
+        pair
+        for (a, e), s in terms.items()
+        for pair in (((a - 2, e), s * a * (a + dim - 2)), ((a - 2, 0), s * e * (2 * a + dim - 2)))
+    )
+
+
+def fundamental_solution(dim: int, order: int) -> dict[tuple[Fraction, int], Fraction]:
+    """The radial solution in r, as terms {(a, e): s} for sum s r^a (log r)^e in units of c
+    (log r^2 = 2 log r), with the free power coefficient of the log regime 0."""
+    alpha, beta = fundamental_coeffs(dim, order)
+    a = Frac(2 * order + 1 - dim)
+    return _collect((((a, 0), alpha or Frac(0)), ((a, 1), 2 * beta)))
 
 
 def t_derivative(terms: dict[tuple[Fraction, int], Fraction]) -> dict:

@@ -10,7 +10,7 @@ import pytest
 
 import czkit
 from czkit import identities
-from czkit.cli import EXP_OPTIONS, main
+from czkit.cli import main
 from czkit.experiments import EXPERIMENTS, exp_counterexample_growth
 
 RIESZ3 = """dim 2
@@ -189,10 +189,31 @@ def test_exp_rejects_bad_options(tmp_path, capsys, argv):
     assert not os.listdir(tmp_path)
 
 
-def test_exp_options_are_the_experiment_parameters():
-    assert set(EXP_OPTIONS) == set(EXPERIMENTS)
-    for name, fn in EXPERIMENTS.items():
-        assert set(EXP_OPTIONS[name]) == set(inspect.signature(fn).parameters), name
+def test_exp_options_are_the_experiment_parameters(tmp_path, monkeypatch, capsys):
+    # each parameter of an experiment is its option --<name>, passed as that keyword; every
+    # other option of `exp` is refused for it
+    values = {"mesh": ("0.25", 0.25), "cells": ("64", 64), "kernel": ("beurling", "beurling")}
+    seen = []
+
+    def stub(**kwargs):
+        seen.append(kwargs)
+        raise ValueError("stub")
+
+    for name, fn in list(EXPERIMENTS.items()):
+        params = set(inspect.signature(fn).parameters)
+        assert params <= set(values), name
+        monkeypatch.setitem(EXPERIMENTS, name, stub)
+        for opt, (text, value) in values.items():
+            argv = ["exp", name, f"--{opt}", text, "--out", str(tmp_path)]
+            if opt in params:
+                seen.clear()
+                assert main(argv) == 2 and seen == [{opt: value}], (name, opt)
+                assert capsys.readouterr().err == f"czkit: exp {name}: stub\n"
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+                assert f"{name} does not take --{opt}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("under", [False, True])

@@ -807,6 +807,29 @@ def test_beurling_maximal_subdivides_few_ring_cells(monkeypatch):
     assert 0 < sum(pairs) <= 0.3 * alone
 
 
+def test_lone_point_subdivides_each_ring_pair_once(monkeypatch):
+    # a lone point is a phase of one: its ring sums go to the same cache as a phase's
+    disk, z, radii = GridFunction.disk(1.0, 1.0 / 16), 0.3 + 0.2j, TruncationGrid.geometric(1.0 / 16, 4.0, 24)
+    pairs = []
+
+    def counted(w, keep):
+        pairs.append(len(w) * (w.ndim == 2))  # (radius, ring cell) pairs, 256 sub-points each
+        return _kernel_b(w, keep)
+
+    monkeypatch.setitem(gridops._KERNELS, "b", (counted, 1.0))
+    every = np.arange(len(radii.eps))
+    with np.errstate(all="raise"):
+        _, _, ring = beurling_parts(disk, z, radii.eps, gridops._planar_kernel("b"))
+        some = ring(every[::3])
+        part = sum(pairs)
+        first = ring(every)
+        assert 0 < part < sum(pairs)
+        pairs.clear()
+        again = ring(every)
+    assert sum(pairs) == 0
+    assert again.tolist() == first.tolist() and first[::3].tolist() == some.tolist()
+
+
 def test_beurling_maximal_array_form_matches_scalar_calls():
     # the fields and samples of `exp_beurling_composition` (one phase per
     # field) and of `exp_pointwise_ratios --kernel beurling` (nine phases)

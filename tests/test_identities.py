@@ -10,17 +10,16 @@ from czkit.exact import SymScalar, binomial, fundamental_normalization, gamma_ha
 from czkit.identities import (
     _radial_sum_lhs,
     _radial_sum_rhs,
+    _solution_in_integers,
     _taylor_at_one,
     bessel_zero_scaled,
     falling_factorial_sum_a,
     falling_factorial_sum_b,
     fundamental_coeffs,
-    fundamental_solution,
     matching_coeff_closed,
     matching_coeffs_taylor,
     power_series_closed_scaled,
     power_series_coeffs_scaled,
-    radial_laplacian,
     radial_laplacian_check,
     run_identity_suite,
     series_kernel_constant,
@@ -37,7 +36,9 @@ from oracles import (
     bessel_ratio_coeff_scaled,
     bessel_ratio_float,
     fundamental_coeff_product_form,
+    fundamental_solution,
     imag_unit,
+    radial_laplacian,
     t_derivative,
 )
 
@@ -101,6 +102,19 @@ def test_radial_laplacian_check_over_ranges():
     for n in range(2, 6):
         for order in range(1, 7):
             assert radial_laplacian_check(n, order)
+
+
+def test_integer_radial_check_agrees_with_the_fraction_chain():
+    # the {(a, e): Fraction} chain of the oracles starts from the same E and decides alike
+    for n in range(2, 9):
+        for N in range(1, 11):
+            a, p, q, den = _solution_in_integers(n, N, 0)
+            terms = {(F(a), 0): F(p, den), (F(a), 1): F(2 * q, den)}
+            expr = fundamental_solution(n, N)
+            assert expr == {key: s for key, s in terms.items() if s}, (n, N)
+            for _ in range(N):
+                expr = radial_laplacian(expr, n)
+            assert expr == {(F(1 - n), 0): F(1)} and radial_laplacian_check(n, N), (n, N)
 
 
 def test_matching_coeff_worked_value():
@@ -423,8 +437,10 @@ def _off_by_one_part_in_a_billion(value):
     up, down = 10**9 + 1, 10**9
     if isinstance(value, dict):
         return {key: v * F(up, down) for key, v in value.items()}
-    if isinstance(value, tuple):  # Taylor data: numerators over one denominator
+    if isinstance(value, tuple) and isinstance(value[0], list):  # Taylor data: numerators over one denominator
         return [p * up for p in value[0]], value[1] * down
+    if isinstance(value, tuple):  # the (alpha, beta) of fundamental_coeffs: beta
+        return value[0], value[1] * F(up, down)
     return value * F(up, down)
 
 
@@ -440,6 +456,7 @@ def _off_by_one_part_in_a_billion(value):
         ("bessel_zero_scaled", verify_series_constants, (4, 3)),
         ("_radial_sum_lhs", verify_radial_sum_identity, (3, 4, 2, 1, 1)),
         ("_taylor_at_one", verify_matching_coeffs, (3, 2)),
+        ("fundamental_coeffs", radial_laplacian_check, (3, 2)),
     ],
 )
 def test_verifiers_fail_on_a_perturbed_right_side(monkeypatch, right_side, verifier, args):
