@@ -79,7 +79,7 @@ EPS = 2.0**-53  # unit roundoff of float64
 # At depth d a cell's side on its facet is 2^(1-d), so r^2 is about 2^-2d;
 # from depth 26 on, H r^2 / 2 is of the order of EPS * H, below the
 # rounding bound rho, and a deeper level cannot decide what rho leaves open.
-DEFAULT_MAX_DEPTH = 26
+MAX_DEPTH = 26
 CELL_BUDGET = 1_000_000  # cells over all levels of one certification
 _CHUNK = 1 << 14  # cells per vectorised evaluation; keeps peak memory flat
 _CORNERS = 1 << 11  # cell corners per vectorised chord computation, for the same reason
@@ -451,18 +451,16 @@ def _bisect_zero(ev, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return p if abs(ev(p[None])[0]) <= abs(ev(q[None])[0]) else q
 
 
-def certify_nonvanishing(f: MultiPoly, max_depth: int = DEFAULT_MAX_DEPTH) -> SphereCertificate:
+def certify_nonvanishing(f: MultiPoly) -> SphereCertificate:
     """Decide whether F vanishes on the unit sphere of R^n, n >= 2.
 
     Branch-and-bound over the cube-sphere cover (see the module docstring);
-    levels 0..max_depth are evaluated while the total number of cells
+    levels 0..MAX_DEPTH are evaluated while the total number of cells
     stays within CELL_BUDGET.
     """
     n = f.nvars
     if n < 2:
         raise ValueError("the sign certifier needs n >= 2, where the sphere is connected")
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
     b = _Bounds(f)
     cert = SphereCertificate(lipschitz_bound=b.lip, rounding_bound=b.value)
     pos = neg = None  # the evaluated points with the largest and the smallest certified value
@@ -470,7 +468,7 @@ def certify_nonvanishing(f: MultiPoly, max_depth: int = DEFAULT_MAX_DEPTH) -> Sp
     tested: set[tuple[Fraction, ...]] = set()  # rational points tried for a zero and a cap
     covers: list[tuple[np.ndarray, float, float]] = []  # Cap.floats() of each cap
     parents = None  # the undecided cells of the previous level
-    for depth in range(max_depth + 1):
+    for depth in range(MAX_DEPTH + 1):
         count = 2 * n if parents is None else len(parents) << (n - 1)
         if cert.grid_points + count > CELL_BUDGET:
             cert.stop_reason = "cell-budget"
@@ -617,10 +615,8 @@ def quotient_sum(kernel: KernelSpec) -> tuple[MultiPoly | None, list[MultiPoly],
     return f, quotients, unit, None
 
 
-def check_maximal_control(kernel: KernelSpec, max_depth: int = DEFAULT_MAX_DEPTH) -> CheckReport:
+def check_maximal_control(kernel: KernelSpec) -> CheckReport:
     """Run the divisibility-plus-nonvanishing check for an odd kernel, exactly for a quadratic F."""
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
     if kernel.parity != "odd":
         raise KernelError(f"check requires an odd kernel, got parity {kernel.parity!r}")
     f, quotients, unit, failed = quotient_sum(kernel)
@@ -634,7 +630,7 @@ def check_maximal_control(kernel: KernelSpec, max_depth: int = DEFAULT_MAX_DEPTH
             divisibility_ok=False,
             failed_degree=failed,
         )
-    cert = _quadratic_certificate(f) if f.total_degree() <= 2 else certify_nonvanishing(f, max_depth)
+    cert = _quadratic_certificate(f) if f.total_degree() <= 2 else certify_nonvanishing(f)
     return CheckReport(
         **vars(cert),
         dim=kernel.dim,

@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import __version__
-from .admissibility import DEFAULT_MAX_DEPTH, check_maximal_control
+from .admissibility import MAX_DEPTH, check_maximal_control
 from .experiments import EXPERIMENTS
 from .identities import run_identity_suite
 from .kernels import KernelError, load_kernel_spec
@@ -21,14 +21,14 @@ from .polyalg import ParseError
 EXP_OPTIONS = {name: tuple(inspect.signature(fn).parameters) for name, fn in EXPERIMENTS.items()}
 
 # the least value of each integer option, per command
-COUNT_FLOORS = {"check": {"depth": 0}, "identities": {"n_max": 2, "N_max": 1}}
+COUNT_FLOORS = {"identities": {"n_max": 2, "N_max": 1}}
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     path = args.kernelfile
     try:
         kernel = load_kernel_spec(path)
-        report = check_maximal_control(kernel, max_depth=args.depth)
+        report = check_maximal_control(kernel)
     except (OSError, UnicodeDecodeError, KernelError, ParseError) as exc:
         where = f"{path}:{exc.line}" if isinstance(exc, ParseError) else path
         print(f"czkit: {where}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
@@ -45,12 +45,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_identities(args: argparse.Namespace) -> int:
-    def show(r) -> None:
+    total = failures = 0
+    for r in run_identity_suite(args.n_max, args.N_max):
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name} [{r.params}]", flush=True)
-
-    results = run_identity_suite(n_max=args.n_max, N_max=args.N_max, progress=show)
-    failures = sum(not r.ok for r in results)
-    print(f"{len(results) - failures}/{len(results)} identities verified")
+        total += 1
+        failures += not r.ok
+    print(f"{total - failures}/{total} identities verified")
     return 0 if failures == 0 else 1
 
 
@@ -79,14 +79,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="run the divisor/non-vanishing check on a kernel file")
-    p_check.add_argument("kernelfile")
-    p_check.add_argument(
-        "--depth",
-        type=int,
-        default=DEFAULT_MAX_DEPTH,
-        help="maximum depth of the cube-sphere tree, run only when deg F >= 4; each level halves the cell side",
+    p_check = sub.add_parser(
+        "check",
+        help="run the divisor/non-vanishing check on a kernel file",
+        description="Run the divisor/non-vanishing check on a kernel file.  The cube-sphere tree runs only "
+        f"when deg F >= 4 and stops at depth {MAX_DEPTH}.",
     )
+    p_check.add_argument("kernelfile")
     p_check.add_argument("--kv", action="store_true", help="also print a key=value block")
     p_check.add_argument("--allow-fail", action="store_true", help="exit 0 on a decisive FAIL verdict")
     p_check.set_defaults(fn=_cmd_check)
@@ -100,7 +99,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
     p_exp.add_argument("--out", default="out", help="output directory for CSV tables")
     p_exp.add_argument("--mesh", type=float, help="grid mesh (pointwise-ratios, beurling-composition)")
-    p_exp.add_argument("--cells", type=int, help="cells per window piece (counterexample-growth)")
     p_exp.add_argument("--kernel", choices=("hilbert", "beurling"), help="operator (pointwise-ratios)")
     p_exp.set_defaults(fn=_cmd_exp)
 
@@ -117,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         if value < least:
             commands[args.command].error(f"--{opt.replace('_', '-')} must be at least {least}, got {value}")
     if args.command == "exp":
-        for opt in ("mesh", "cells", "kernel"):
+        for opt in ("mesh", "kernel"):
             value = getattr(args, opt)
             if value is None:
                 continue

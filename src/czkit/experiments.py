@@ -20,11 +20,11 @@ fitted statistics:
 
 Reference statistics quoted in the summaries ("frozen" constants) were
 fitted once at that configuration and are asserted by the regression tests
-with 20% slack.  So its evaluation points, levels, sample points, fields
-and quadrature settings are module constants: at a second configuration
-no frozen constant would apply.  An experiment takes exactly its command
-line options: the window cells of counterexample-growth, the kernel and
-mesh of pointwise-ratios, and the source mesh of beurling-composition.
+with 20% slack.  So its evaluation points, window cells, levels, sample
+points, fields and quadrature settings are module constants: at a second
+configuration no frozen constant would apply.  An experiment takes exactly
+its command line options: the kernel and mesh of pointwise-ratios, and the
+source mesh of beurling-composition.
 """
 from __future__ import annotations
 
@@ -91,7 +91,7 @@ def transform_closed_form(y: np.ndarray) -> np.ndarray:
     return np.log(np.abs(y)) - np.log(np.abs(y - 1.0))
 
 
-def far_window_pieces(x: float, cells: int = 1024) -> list[GridFunction]:
+def far_window_pieces(x: float, cells: int) -> list[GridFunction]:
     """Sampled transform on the window {m+x < |y-x| <= 2(m+x)}.
 
     The left part reaches from -(x+2m) to -m (denser near -m where the
@@ -164,6 +164,7 @@ def far_field_lower_terms(x: float) -> tuple[float, float]:
 # weak11-failure and levels of llogl-modular, each in decreasing order of
 # the level
 GROWTH_X = (10.0, 100.0, 1000.0, 10000.0)
+GROWTH_CELLS = 1024  # cells per window piece of counterexample-growth
 WEAK11_LAM = (1e-2, 1e-3, 1e-4)
 LLOGL_T = (1.0, 0.1, 0.01, 1e-3)
 
@@ -176,11 +177,11 @@ BEURLING_M_SUP = 0.38  # sup B*f / M(Bf) on the pinned suite
 COMPOSITION_SUP = {"disk": 12.0, "steps": 3.4}  # per-field composition ratios
 
 
-def exp_counterexample_growth(cells: int = 1024) -> ExperimentResult:
+def exp_counterexample_growth() -> ExperimentResult:
     """Tabulate the log-growth of the composed maximal transform at GROWTH_X."""
 
     def one(x: float):
-        hstar = hilbert_maximal(far_window_pieces(x, cells), x)
+        hstar = hilbert_maximal(far_window_pieces(x, GROWTH_CELLS), x)
         a, b = far_field_lower_terms(x)
         return (x, hstar, x * hstar / math.log(x), a, b, b <= 1.0 / x + 1e-12)
 

@@ -109,13 +109,9 @@ class GridFunction:
 
     # ------------------------------------------------------------ geometry
 
-    def edges(self, axis: int = 0) -> np.ndarray:
-        n = self.values.shape[axis]
-        return self.origin[axis] + self.h * np.arange(n + 1)
-
-    def centers(self, axis: int = 0) -> np.ndarray:
-        n = self.values.shape[axis]
-        return self.origin[axis] + self.h * (np.arange(n) + 0.5)
+    def edges(self) -> np.ndarray:
+        """The cell edges along the first axis."""
+        return self.origin[0] + self.h * np.arange(self.values.shape[0] + 1)
 
     def support_box(self) -> tuple[tuple[float, float], ...]:
         return tuple(
@@ -195,18 +191,18 @@ def _edge_jumps(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out)
 
 
-def _truncation_profile(fs: Sequence[GridFunction], x: float) -> tuple[np.ndarray, ...]:
+def _truncation_profile(fs: Sequence[GridFunction], x: float) -> tuple[np.ndarray, np.ndarray]:
     """The truncations at x of the summed pieces fs, from their edge jumps.
 
     T(eps) = int_eps^inf o(t) dt/t with the odd part o(t) = f(x+t) - f(x-t).
-    Returns the positive distances d = |e - x| of all cell edges e, sorted;
-    o[i], the odd part on (d[i-1], d[i]) (d[-1] = 0); and T[i] = T(d[i]).
-    o is constant between consecutive distances and is the suffix sum of
-    the jumps f(e-) - f(e+) beyond them, so T is one more suffix sum of
+    Returns T[i] = T(d[i]) at the positive distances d = |e - x| of all cell
+    edges e, sorted, and the jumps of the edges at x itself.  o is constant
+    between consecutive distances and is the suffix sum of the jumps
+    f(e-) - f(e+) beyond them, so T is one more suffix sum of
     o * log(d[i+1] / d[i]).  With no positive distance, T is the single
-    value 0.  The last array holds the jumps of the edges at x itself.  The
-    distances |origin + h k - x| of all pieces fill one buffer; each piece
-    adds a falling and a rising run, which a stable sort (timsort) merges.
+    value 0.  The distances |origin + h k - x| of all pieces fill one buffer;
+    each piece adds a falling and a rising run, which a stable sort
+    (timsort) merges.
     """
     if any(g.dim != 1 for g in fs):
         raise ValueError("Hilbert machinery is one-dimensional")
@@ -225,7 +221,7 @@ def _truncation_profile(fs: Sequence[GridFunction], x: float) -> tuple[np.ndarra
     o = jump[::-1].cumsum()[::-1]
     gain = np.zeros(max(len(d), 1), dtype=o.dtype)  # the last gain, beyond every edge, is 0
     gain[:-1] = o[1:] * np.log1p((d[1:] - d[:-1]) / d[:-1])
-    return d, o, gain[::-1].cumsum()[::-1], at_x
+    return gain[::-1].cumsum()[::-1], at_x
 
 
 def hilbert_maximal(f: GridFunction | Sequence[GridFunction], x: float) -> float:
@@ -240,7 +236,7 @@ def hilbert_maximal(f: GridFunction | Sequence[GridFunction], x: float) -> float
     to rounding in their sum, stay finite.
     """
     fs = [f] if isinstance(f, GridFunction) else list(f)
-    _, _, t, at_x = _truncation_profile(fs, x)
+    t, at_x = _truncation_profile(fs, x)
     if abs(at_x.sum()) > 1e-12 * np.abs(at_x).sum():
         return math.inf
     return float(np.max(np.abs(t)))

@@ -47,7 +47,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .exact import (
     RationalLike,
@@ -490,7 +490,14 @@ def _suite_cell(n: int, N: int) -> Iterator[IdentityResult]:
     yield IdentityResult("radial-sum-identity", f"n={n} N={N}", ok15)
 
 
-def _suite_records(n_max: int, N_max: int) -> Iterator[IdentityResult]:
+def run_identity_suite(n_max: int, N_max: int) -> Iterator[IdentityResult]:
+    """Run every exact verifier over the ranges n <= n_max, N <= N_max, plus
+    TRIPLE_COUNT seeded random tuples of the triple-binomial identity.
+
+    Yields one record per verifier per parameter cell, each as soon as it is
+    decided, before the next verifier runs; the CLI turns these into PASS/FAIL
+    lines.
+    """
     for n in range(2, n_max + 1):
         for N in range(1, N_max + 1):
             yield from _suite_cell(n, N)
@@ -508,21 +515,3 @@ def _suite_records(n_max: int, N_max: int) -> Iterator[IdentityResult]:
     for n in (2, 3):
         for p in range(0, 5):
             yield IdentityResult("series-stabilization", f"n={n} p={p}", verify_series_stabilization(n, p))
-
-
-def run_identity_suite(
-    n_max: int = 5, N_max: int = 6, progress: Callable[[IdentityResult], None] | None = None
-) -> list[IdentityResult]:
-    """Run every exact verifier over the ranges n <= n_max, N <= N_max, plus
-    TRIPLE_COUNT seeded random tuples of the triple-binomial identity.
-
-    Returns one record per verifier per parameter cell; the CLI turns these
-    into PASS/FAIL lines.  ``progress`` is called with each record as soon as
-    it is produced, before the next verifier runs.
-    """
-    results: list[IdentityResult] = []
-    for r in _suite_records(n_max, N_max):
-        results.append(r)
-        if progress:
-            progress(r)
-    return results

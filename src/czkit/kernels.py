@@ -57,9 +57,6 @@ class KernelSpec:
             parity = "mixed"
         return KernelSpec(dim, comps, parity)
 
-    def degrees(self) -> list[int]:
-        return [c.degree for c in self.components]
-
 
 def kernel_from_polynomial(dim: int, w: MultiPoly) -> KernelSpec:
     """Build a KernelSpec from a homogeneous numerator polynomial W.

@@ -45,6 +45,16 @@ def value_at(f: GridFunction, point) -> complex | float:
     return 0.0
 
 
+def centers(f: GridFunction, axis: int = 0) -> np.ndarray:
+    """The cell centres of f along one axis."""
+    return f.origin[axis] + f.h * (np.arange(f.values.shape[axis]) + 0.5)
+
+
+def degrees(kernel: KernelSpec) -> list[int]:
+    """The degrees of the kernel's layers, lowest first."""
+    return [c.degree for c in kernel.components]
+
+
 def integral(f: GridFunction) -> complex | float:
     return f.values.sum() * f.h**f.dim
 
@@ -94,12 +104,21 @@ def hilbert_truncated_many(f: GridFunction, x: float, eps: np.ndarray) -> np.nda
 
     Integrates f(y)/(y - x) over {|y - x| > eps}; no quadrature error for
     piecewise-constant f.  Between consecutive edge distances the
-    truncation is T(d) + o * log(d / eps), with d the next distance out.
+    truncation is T(d) + o * log(d / eps), with d the next distance out,
+    T(d) from `_truncation_profile` and o = f(x+t) - f(x-t) the odd part,
+    read at the midpoint t of the two distances.
     """
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0):
         raise ValueError("truncation radii must be positive")
-    d, o, t, _ = _truncation_profile([f], x)
+    t, _ = _truncation_profile([f], x)
+    d = np.sort(np.abs(f.edges() - x))
+    d = d[d > 0]
+    mid = (np.concatenate([[0.0], d[:-1]]) + d) / 2
+    cell = np.floor((x + np.stack([mid, -mid]) - f.origin[0]) / f.h).astype(int)
+    inside = (cell >= 0) & (cell < len(f.values))
+    side = np.where(inside, f.values[np.where(inside, cell, 0)], 0.0)
+    o = side[0] - side[1]
     k = np.searchsorted(d, eps, side="right")
     i = np.minimum(k, len(d) - 1)
     return np.where(k < len(d), t[i] + o[i] * np.log(d[i] / eps), 0.0)
@@ -128,7 +147,7 @@ def _subcells(h, n):
 
 def scan_beurling_sum(f, z, eps, kern):
     """Oracle: one truncation by a full pass over the cells, ring cells one by one."""
-    gx, gy = np.meshgrid(f.centers(0), f.centers(1), indexing="ij")
+    gx, gy = np.meshgrid(centers(f, 0), centers(f, 1), indexing="ij")
     w = (gx - z.real) + 1j * (gy - z.imag)
     d = np.abs(w)
     half_diag = f.h * math.sqrt(2.0) / 2.0
@@ -153,7 +172,7 @@ def scan_beurling_maximal(f, z, grid, kernel="b"):
 
 def direct_beurling_transform_grid(f, origin, h, shape):
     """Oracle: the target x source double sum, near pairs subdivided one by one."""
-    gx, gy = np.meshgrid(f.centers(0), f.centers(1), indexing="ij")
+    gx, gy = np.meshgrid(centers(f, 0), centers(f, 1), indexing="ij")
     src = (gx + 1j * gy).ravel()
     vals = f.values.ravel()
     tx = origin[0] + h * (np.arange(shape[0]) + 0.5)

@@ -48,7 +48,7 @@ def model_kernel(n, lam: F):
 
 def test_criterion_1_exact_identity_suite():
     start = time.time()
-    results = run_identity_suite(n_max=5, N_max=6)
+    results = list(run_identity_suite(5, 6))
     elapsed = time.time() - start
     failures = [r for r in results if not r.ok]
     ok = not failures and elapsed < 300.0
@@ -68,7 +68,7 @@ def test_criterion_3_admissibility_decisions():
     ok = True
     details = []
     for n in (2, 3):
-        rep = check_maximal_control(model_kernel(n, F(1)), max_depth=14)
+        rep = check_maximal_control(model_kernel(n, F(1)))
         good = (
             rep.verdict == "FAIL(vanishing)"
             and rep.witness_value < 1e-10
@@ -77,7 +77,7 @@ def test_criterion_3_admissibility_decisions():
         )
         ok &= good
         details.append(f"n={n} lam=1 {rep.verdict}")
-        rep = check_maximal_control(model_kernel(n, F(1, 2)), max_depth=14)
+        rep = check_maximal_control(model_kernel(n, F(1, 2)))
         good = rep.verdict == "PASS" and rep.certified_min > 0 and rep.depth_used <= 14
         ok &= good
         details.append(f"n={n} lam=1/2 {rep.verdict}")

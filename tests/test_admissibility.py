@@ -10,7 +10,6 @@ import pytest
 from czkit import admissibility
 from czkit.admissibility import (
     _SLACK,
-    DEFAULT_MAX_DEPTH,
     Cells,
     CheckReport,
     _Bounds,
@@ -42,11 +41,11 @@ def model_kernel(n, lam: F):
     return kernel_from_polynomial(n, w)
 
 
-def tree_report(kernel, max_depth=DEFAULT_MAX_DEPTH):
+def tree_report(kernel):
     """The report of the sign certifier on the kernel's quotient sum F, as `check_maximal_control`
     gives it when F has a term of degree 4 or more."""
     f, quotients, unit, _ = quotient_sum(kernel)
-    cert = certify_nonvanishing(f, max_depth)
+    cert = certify_nonvanishing(f)
     return CheckReport(**vars(cert), dim=kernel.dim, divisor=kernel.components[0], quotients=quotients,
                        divisibility_ok=True, unit=unit)
 
@@ -109,11 +108,12 @@ def test_mirrored_model_vanishes_on_diagonals():
     assert rep.witness_value < 1e-10
 
 
-def test_weak_mirrored_model_fails_with_sign_change():
+def test_weak_mirrored_model_fails_with_sign_change(monkeypatch):
     # at lam = -1/2 the sum -3 + 4 x2^2 vanishes at x2^2 = 3/4, off every
     # dyadic point; F(0, 1) = 1 and F(1, 0) = -3 certify the zero
     for depth in (6, 12):
-        rep = tree_report(model_kernel(2, F(-1, 2)), max_depth=depth)
+        monkeypatch.setattr(admissibility, "MAX_DEPTH", depth)
+        rep = tree_report(model_kernel(2, F(-1, 2)))
         assert rep.verdict == "FAIL(vanishing)"
         assert rep.stop_reason == "sign-change"
         f = quotient_sum(model_kernel(2, F(-1, 2)))[0].float_evaluator()
@@ -127,7 +127,7 @@ def test_weak_mirrored_model_fails_with_sign_change():
     assert "sign_pair=" in rep.format_kv()
     # exactly: e2 and e1 are the sign pair, and the witness solves -3 + 4 x2^2 = 0 in closed form
     f = quotient_sum(model_kernel(2, F(-1, 2)))[0]
-    rep = check_maximal_control(model_kernel(2, F(-1, 2)), max_depth=6)
+    rep = check_maximal_control(model_kernel(2, F(-1, 2)))
     assert rep.verdict == "FAIL(vanishing)" and rep.stop_reason == "exact"
     assert rep.sign_pair == ((0.0, 1.0), (1.0, 0.0)) and rep.rounding_bound == 0.0
     assert_exact_sign_pair(rep, f)
@@ -136,17 +136,21 @@ def test_weak_mirrored_model_fails_with_sign_change():
     assert "sign_pair=0.0,1.0;1.0,0.0\n" in rep.format_kv()
 
 
-def test_verdicts_stable_under_grid_deepening():
+def test_verdicts_stable_under_grid_deepening(monkeypatch):
+    def at_depth(report, kernel, depth):
+        monkeypatch.setattr(admissibility, "MAX_DEPTH", depth)
+        return report(kernel)
+
     for lam, expected in ((F(0), "PASS"), (F(1, 2), "PASS"), (F(1), "FAIL(vanishing)"), (F(-1), "FAIL(vanishing)")):
         k = (
             kernel_from_polynomial(2, MultiPoly.variable(2, 0))
             if lam == 0
             else model_kernel(2, lam)
         )
-        verdicts = {tree_report(k, max_depth=d).verdict for d in (6, 12)}
+        verdicts = {at_depth(tree_report, k, d).verdict for d in (6, 12)}
         assert verdicts == {expected}
         # the exact path does not read the depth
-        reports = [check_maximal_control(k, max_depth=d) for d in (0, 6, 12)]
+        reports = [at_depth(check_maximal_control, k, d) for d in (0, 6, 12)]
         assert {(rep.verdict, rep.stop_reason, rep.certified_min, rep.witness) for rep in reports} == {
             (expected, "exact", reports[0].certified_min, reports[0].witness)
         }
@@ -338,7 +342,8 @@ def test_tangential_zero_at_irrational_point_is_inconclusive(monkeypatch):
     # (x1^2 - 2 x2^2)^2 >= 0 touches 0 at x2^2 = 1/3: no sign change and no
     # rational zero, so neither certificate exists
     q = MultiPoly.monomial(2, (2, 0)) - MultiPoly.monomial(2, (0, 2), 2)
-    cert = certify_nonvanishing(q * q, max_depth=20)
+    monkeypatch.setattr(admissibility, "MAX_DEPTH", 20)
+    cert = certify_nonvanishing(q * q)
     assert cert.verdict == "INCONCLUSIVE" and cert.stop_reason == "depth-cap"
     assert cert.depth_used == 20 and cert.certified_min is None
     assert abs(cert.witness[1] ** 2 - 1 / 3) < 1e-5
@@ -346,6 +351,7 @@ def test_tangential_zero_at_irrational_point_is_inconclusive(monkeypatch):
     assert cert.caps
     zeros = [(a * (2 / 3) ** 0.5, b * (1 / 3) ** 0.5) for a in (1, -1) for b in (1, -1)]
     assert all(_cap_angle(cap, z) > float(cap.radius) for cap in cert.caps for z in zeros)
+    monkeypatch.undo()  # MAX_DEPTH back to 26
     monkeypatch.setattr(admissibility, "CELL_BUDGET", 200)
     cert = certify_nonvanishing(q * q)
     assert cert.verdict == "INCONCLUSIVE" and cert.stop_reason == "cell-budget"
@@ -355,9 +361,10 @@ def test_tangential_zero_at_irrational_point_is_inconclusive(monkeypatch):
     # beyond the rounding bound
     q = MultiPoly.monomial(2, (0, 1), 3) - MultiPoly.monomial(2, (1, 0), F(3, 4))
     center = np.array([[4.0, 1.0]]) / np.sqrt(17.0)
+    monkeypatch.setattr(admissibility, "MAX_DEPTH", 12)
     for g, sign in ((q * q, -1), (-(q * q), 1)):
         assert g.float_evaluator()(center)[0] * sign > 0
-        cert = certify_nonvanishing(g, max_depth=12)
+        cert = certify_nonvanishing(g)
         assert cert.verdict == "INCONCLUSIVE" and cert.stop_reason == "depth-cap"
 
 
@@ -374,8 +381,6 @@ def test_tangential_zero_at_rational_point_is_exact():
         assert certify_nonvanishing(MultiPoly.zero(n)).stop_reason == "exact-zero"
     with pytest.raises(ValueError):
         certify_nonvanishing(MultiPoly.constant(1, 1))
-    with pytest.raises(ValueError, match="max_depth must be at least 0"):
-        certify_nonvanishing(q * q, max_depth=-1)
 
 
 def test_model_kernels_near_the_boundary_get_caps_at_the_axis():
@@ -661,15 +666,6 @@ def test_quartic_quotient_sum_reaches_the_tree():
     assert rep.verdict == "PASS" and rep.stop_reason == "certified"
     assert rep.caps and 0 < rep.depth_used <= 8 and rep.trace
     assert "level      cells  undecided       min |F|   seconds" in rep.format_text()
-
-
-def test_negative_max_depth_is_refused_on_every_path():
-    other = MultiPoly.monomial(2, (0, 3)) - MultiPoly.monomial(2, (2, 1), 3)
-    nondivisible = kernel_from_polynomial(2, MultiPoly.variable(2, 0) * MultiPoly.radius2(2) + other)
-    for kernel in (model_kernel(2, F(1, 2)), _planar_three_layer(), nondivisible):
-        with pytest.raises(ValueError, match="max_depth must be at least 0, got -1"):
-            check_maximal_control(kernel, max_depth=-1)
-        check_maximal_control(kernel, max_depth=0)  # depth 0 is accepted
 
 
 def _random_poly(rng, n, max_degree=6, max_terms=12):

@@ -41,6 +41,7 @@ from oracles import (
     beurling_parts,
     beurling_truncation,
     box_2d,
+    centers,
     direct_beurling_transform_grid,
     hilbert_truncated_many,
     integral,
@@ -235,10 +236,10 @@ def dense_transform_many(f, xs):
 def test_lattice_transform_matches_dense_oracle():
     cases = []
     for mesh in (1.0 / 128, 1.0 / 256, 1.0 / 100, 0.2):
-        cases += [(f, _transform_grid(f, 48.0, 3072).centers()) for _, f in hilbert_test_suite(mesh)]
+        cases += [(f, centers(_transform_grid(f, 48.0, 3072))) for _, f in hilbert_test_suite(mesh)]
     for w in ADVERSARIAL_WINDOWS:
         gw = GridFunction.sample_1d(transform_closed_form, -w, w, 2048)
-        cases.append((gw, _transform_grid(gw, 4.0 * w, 2048).centers()))
+        cases.append((gw, centers(_transform_grid(gw, 4.0 * w, 2048))))
     rng = np.random.default_rng(9)
     h = 1.0 / 64
     cx = GridFunction(-0.25, h, rng.normal(size=40) + 1j * rng.normal(size=40))
@@ -671,7 +672,7 @@ def test_beurling_iterated_kernel_closed_form():
 def test_beurling_transform_grid_matches_closed_form():
     disk = GridFunction.disk(1.0, 1.0 / 16)
     bg = beurling_transform_grid(disk, (-3.0, -3.0), 1.0 / 8, (48, 48))
-    zs = bg.centers(0)[:, None] + 1j * bg.centers(1)[None, :]
+    zs = centers(bg, 0)[:, None] + 1j * centers(bg, 1)[None, :]
     mask = np.abs(zs) > 1.3
     err = np.max(np.abs(bg.values[mask] - math.pi / zs[mask] ** 2))
     assert err < 3e-2
@@ -742,7 +743,7 @@ def test_beurling_truncations_match_scan_oracle():
     radii = TruncationGrid(np.concatenate([[0.03, 1.0 / 16, 0.07], np.geomspace(0.1, 3.0, 90)]))
     with np.errstate(all="raise"):
         for f in _planar_fields():
-            centre = complex(f.centers(0)[3], f.centers(1)[2])
+            centre = complex(centers(f, 0)[3], centers(f, 1)[2])
             for z in (centre, centre + 0.013 - 0.021j, 0.3 + 0.2j, 2.7 + 0.4j):
                 for kernel, kern in (("b", _kernel_b), ("b2", _kernel_b2)):
                     got = beurling_maximal(f, z, radii, kernel=kernel)
@@ -766,7 +767,7 @@ def test_beurling_ring_bound_holds_at_every_radius():
     radii = np.concatenate([[1.0 / 16, 0.07], np.geomspace(0.1, 3.0, 90)])
     with np.errstate(all="raise"):
         for f in _planar_fields() + [lone]:
-            centre = complex(f.centers(0)[0], f.centers(1)[0])
+            centre = complex(centers(f, 0)[0], centers(f, 1)[0])
             eps = radii[radii >= f.h / 2]
             for z in (centre, centre - 0.163 + 0.051j, centre + 0.0625 - 0.3j, 2.7 + 0.4j):
                 for kernel in ("b", "b2"):

@@ -283,33 +283,25 @@ def test_fundamental_solution_shape():
 
 
 def test_suite_driver_all_green():
-    results = run_identity_suite(n_max=3, N_max=3)
+    results = list(run_identity_suite(3, 3))
     assert results and all(r.ok for r in results)
 
 
 def test_suite_progress_streams_before_later_verifiers(monkeypatch):
-    class FirstRecord(Exception):
-        pass
+    def second_verifier(*args):
+        raise AssertionError("the second verifier ran before the first record was yielded")
 
-    def later_verifier(*args):
-        raise AssertionError("a later verifier ran before the first record was reported")
-
-    def stop(record):
-        raise FirstRecord(record.name)
-
-    monkeypatch.setattr(identities, "verify_series_stabilization", later_verifier)
-    monkeypatch.setattr(identities, "verify_radial_sum_identity", later_verifier)
-    with pytest.raises(FirstRecord, match="radial-laplacian"):
-        run_identity_suite(n_max=2, N_max=1, progress=stop)
-    seen = []
-    monkeypatch.undo()
-    results = run_identity_suite(n_max=2, N_max=2, progress=seen.append)
-    assert seen == results
+    monkeypatch.setattr(identities, "verify_matching_coeffs", second_verifier)
+    records = run_identity_suite(2, 1)
+    first = next(records)
+    assert (first.name, first.params, first.ok) == ("radial-laplacian", "n=2 N=1", True)
+    with pytest.raises(AssertionError, match="^the second verifier ran"):
+        next(records)
 
 
 def test_suite_ranges_are_configuration():
     # the caps are knobs, not code: one cell beyond the default range
-    results = run_identity_suite(n_max=6, N_max=7)
+    results = list(run_identity_suite(6, 7))
     beyond = [r for r in results if "n=6" in r.params and "N=7" in r.params]
     assert beyond and all(r.ok for r in beyond)
 

@@ -28,31 +28,35 @@ def _readme_block():
 
 
 def _referenced(*trees):
-    """The names of every Name and Attribute node in `trees`."""
+    """The references in `trees`: `name` for each Name node, `.attr` for each
+    Attribute node."""
     names = set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                names.add("." + node.attr)
     return names
 
 
 def _definitions(path, tree):
-    """(where, shown name, name, the names its body references) for each
-    module-level function and class of `tree`, parsed from `path`, and each
-    public method of its classes; a class's own references leave out its
-    public methods."""
+    """(where, shown name, the references that call it, the references its
+    body makes) for each module-level function and class of `tree`, parsed
+    from `path`, and each public method of its classes; a class's own
+    references leave out its public methods."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             public = [m for m in node.body if isinstance(m, FUNCTIONS) and not m.name.startswith("_")]
             for m in public:
-                yield f"{path.name}:{m.lineno}", f"{node.name}.{m.name}", m.name, _referenced(m) - {m.name}
+                keys = {"." + m.name}
+                yield f"{path.name}:{m.lineno}", f"{node.name}.{m.name}", keys, _referenced(m) - keys
             rest = [m for m in node.body if m not in public] + node.bases + node.decorator_list
-            yield f"{path.name}:{node.lineno}", node.name, node.name, _referenced(*rest) - {node.name}
+            keys = {node.name, "." + node.name}
+            yield f"{path.name}:{node.lineno}", node.name, keys, _referenced(*rest) - keys
         elif isinstance(node, FUNCTIONS):
-            yield f"{path.name}:{node.lineno}", node.name, node.name, _referenced(node) - {node.name}
+            keys = {node.name, "." + node.name}
+            yield f"{path.name}:{node.lineno}", node.name, keys, _referenced(node) - keys
 
 
 def test_every_module_level_definition_has_a_program_caller():
@@ -70,11 +74,11 @@ def test_every_module_level_definition_has_a_program_caller():
     grown = True
     while grown:
         grown = False
-        for _, _, name, refs in definitions:
-            if name in live and not refs <= live:
+        for _, _, keys, refs in definitions:
+            if keys & live and not refs <= live:
                 live |= refs
                 grown = True
-    uncalled = [f"{where} {shown}" for where, shown, name, _ in definitions if name not in live]
+    uncalled = [f"{where} {shown}" for where, shown, keys, _ in definitions if not keys & live]
     assert uncalled == [], "no caller outside the tests: " + ", ".join(uncalled)
     unresolved = [name for name in czkit.__all__ if not hasattr(czkit, name)]
     assert unresolved == [], "unresolved in czkit.__all__: " + ", ".join(unresolved)
