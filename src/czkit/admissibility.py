@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import SymScalar, riesz_multiplier
+from .exact import riesz_multiplier
 from .kernels import KernelError, KernelSpec
 from .polyalg import HarmonicComponent, MultiPoly, divide_exact
 
@@ -82,7 +82,6 @@ EPS = 2.0**-53  # unit roundoff of float64
 MAX_DEPTH = 26
 CELL_BUDGET = 1_000_000  # cells over all levels of one certification
 _CHUNK = 1 << 14  # cells per vectorised evaluation; keeps peak memory flat
-_CORNERS = 1 << 11  # cell corners per vectorised chord computation, for the same reason
 _EXACT_TRIES = 2  # undecided cells per level tested for an exact rational zero
 _SLACK = 1.0 + 2.0**-40  # relative cover for the handful of roundings in a bound
 
@@ -138,7 +137,6 @@ class CheckReport(SphereCertificate):
     quotients: list[MultiPoly] = field(default_factory=list)
     divisibility_ok: bool = False
     failed_degree: int | None = None
-    unit: SymScalar | None = None
 
     def format_text(self) -> str:
         lines = [
@@ -323,19 +321,18 @@ def sphere_grid(cells: Cells) -> tuple[np.ndarray, np.ndarray]:
     facet around its center), and the sublevel sets of that angle are
     convex on the facet plane, so its maximum is at a box corner.  The
     angles do not depend on the facet, so they are taken with the axis
-    coordinate first.  The radii are inflated to cover the rounding of the
-    chords and of the normalised points.
+    coordinate first, one corner at a time for all cells, so memory does
+    not grow with the 2^(n-1) corners.  The radii are inflated to cover the
+    rounding of the chords and of the normalised points.
     """
     k, m = cells.u.shape
     centers = _normalize(cells.embed(cells.u).T)
     facet = np.concatenate([np.ones((1, k)), np.ascontiguousarray(cells.u.T)])  # axis coordinate first
     base = _normalize(facet)
-    corners = np.array(list(itertools.product((0.0,), *[(-1.0, 1.0)] * m))).T[:, :, None] * cells.half_width
     chord2 = 0.0  # sqrt is monotone, so it is taken once, of the largest square
-    step = max(1, _CORNERS // max(k, 1))
-    for i in range(0, 1 << m, step):
-        w = _normalize(facet[:, None, :] + corners[:, i : i + step])
-        chord2 = np.maximum(chord2, ((base[:, None, :] - w) ** 2).sum(0).max(0))
+    for corner in itertools.product((0.0,), *[(-1.0, 1.0)] * m):
+        w = _normalize(facet + np.array(corner)[:, None] * cells.half_width)
+        chord2 = np.maximum(chord2, ((base - w) ** 2).sum(0))
     radii = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * np.sqrt(chord2) * _SLACK + _center_error(m + 1))) * _SLACK
     return centers.T, radii
 
@@ -418,10 +415,10 @@ def _exclusion_cap(b: _Bounds, pt: tuple[Fraction, ...], value: Fraction, center
     return None
 
 
-def _outside_caps(caps, idx: np.ndarray, centers, radii, low: float) -> tuple[np.ndarray, float]:
-    """The cells of idx inside none of ``caps`` (floats: point, radius and bound rounded down),
-    and low lowered to the bound of each cap that holds one: radius + angle to point <= R."""
-    for point, radius, bound in caps:
+def _outside_caps(caps: list[Cap], idx: np.ndarray, centers, radii, low: float) -> tuple[np.ndarray, float]:
+    """The cells of idx inside none of ``caps``, tested in ``Cap.floats``, and low lowered to
+    the bound of each cap that holds one: radius + angle to point <= R."""
+    for point, radius, bound in map(Cap.floats, caps):
         if len(idx) and radii[idx].min() <= radius:
             chord = np.sqrt(((centers[idx] - point) ** 2).sum(1))  # as in sphere_grid, to the exact center
             angle = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord * _SLACK + _center_error(len(point)))) * _SLACK
@@ -466,7 +463,6 @@ def certify_nonvanishing(f: MultiPoly) -> SphereCertificate:
     pos = neg = None  # the evaluated points with the largest and the smallest certified value
     certified_min = math.inf
     tested: set[tuple[Fraction, ...]] = set()  # rational points tried for a zero and a cap
-    covers: list[tuple[np.ndarray, float, float]] = []  # Cap.floats() of each cap
     parents = None  # the undecided cells of the previous level
     for depth in range(MAX_DEPTH + 1):
         count = 2 * n if parents is None else len(parents) << (n - 1)
@@ -499,7 +495,7 @@ def certify_nonvanishing(f: MultiPoly) -> SphereCertificate:
             cert.witness = tuple(float(x) for x in w)
             cert.witness_value = float(abs(b.f(w[None])[0]))
         else:
-            undecided, certified_min = _outside_caps(covers, undecided, centers, radii, certified_min)
+            undecided, certified_min = _outside_caps(cert.caps, undecided, centers, radii, certified_min)
             for j in undecided[np.argsort(absval[undecided], kind="stable")[:_EXACT_TRIES]]:
                 pt = _rational_point(centers[j], int(cells.axis[j]), float(cells.sign[j]), depth)
                 if pt in tested:
@@ -512,10 +508,9 @@ def certify_nonvanishing(f: MultiPoly) -> SphereCertificate:
                     break
                 cap = _exclusion_cap(b, pt, value, centers[undecided], radii[undecided])
                 if cap is not None:
-                    cert.caps += [cap, cap._replace(point=tuple(-x for x in pt))] if b.even else [cap]
-                    tested.add(cert.caps[-1].point)
-                    new = [c.floats() for c in cert.caps[len(covers) :]]
-                    covers += new
+                    new = [cap, cap._replace(point=tuple(-x for x in pt))] if b.even else [cap]
+                    cert.caps += new
+                    tested.add(new[-1].point)
                     undecided, certified_min = _outside_caps(new, undecided, centers, radii, certified_min)
         if cert.stop_reason is None and len(undecided) == 0:
             cert.verdict, cert.stop_reason = "PASS", "certified"
@@ -587,39 +582,33 @@ def _quadratic_certificate(f: MultiPoly) -> SphereCertificate:
                              sign_pair=(tuple(_normalize(v).tolist()), tuple(_normalize(u).tolist())))
 
 
-def quotient_sum(kernel: KernelSpec) -> tuple[MultiPoly | None, list[MultiPoly], SymScalar, int | None]:
+def quotient_sum(kernel: KernelSpec) -> tuple[MultiPoly | None, list[MultiPoly], int | None]:
     """Divide every layer by the lowest one and form the weighted sum.
 
-    Returns (F, quotients, unit, failed_degree).  F has rational
-    coefficients; the true weighted sum is unit * F, where the unit is the
-    shared sqrt(pi)/i factor of the per-degree multiplier constants (all
-    odd degrees share one basis, the sign alternation being rational).
+    Returns (F, quotients, failed_degree).  F has rational coefficients:
+    the true weighted sum is F times the sqrt(pi)/i factor that the
+    per-degree multiplier constants share (all odd degrees share one
+    basis, the sign alternation being rational), and a nonzero factor
+    moves no zero of F.
     """
     divisor = kernel.components[0]
     quotients: list[MultiPoly] = []
     for comp in kernel.components:
         q = divide_exact(comp.poly, divisor.poly)
         if q is None:
-            return None, quotients, SymScalar.one(), comp.degree
+            return None, quotients, comp.degree
         quotients.append(q)
-    f = MultiPoly.zero(kernel.dim)
-    unit = None
-    for comp, q in zip(kernel.components, quotients):
-        gamma = riesz_multiplier(comp.degree, kernel.dim)
-        if unit is None:
-            unit = SymScalar(Fraction(1), gamma.h, gamma.k)
-        elif (gamma.h, gamma.k) != (unit.h, unit.k):
-            raise AssertionError("multiplier constants do not share a basis")
-        f = f + q * gamma.q
-    assert unit is not None
-    return f, quotients, unit, None
+    gammas = [riesz_multiplier(comp.degree, kernel.dim) for comp in kernel.components]
+    if len({(g.h, g.k) for g in gammas}) != 1:
+        raise AssertionError("multiplier constants do not share a basis")
+    return sum((q * g.q for q, g in zip(quotients, gammas)), MultiPoly.zero(kernel.dim)), quotients, None
 
 
 def check_maximal_control(kernel: KernelSpec) -> CheckReport:
     """Run the divisibility-plus-nonvanishing check for an odd kernel, exactly for a quadratic F."""
     if kernel.parity != "odd":
         raise KernelError(f"check requires an odd kernel, got parity {kernel.parity!r}")
-    f, quotients, unit, failed = quotient_sum(kernel)
+    f, quotients, failed = quotient_sum(kernel)
     divisor = kernel.components[0]
     if f is None:
         return CheckReport(
@@ -637,5 +626,4 @@ def check_maximal_control(kernel: KernelSpec) -> CheckReport:
         divisor=divisor,
         quotients=quotients,
         divisibility_ok=True,
-        unit=unit,
     )

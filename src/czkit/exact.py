@@ -8,7 +8,9 @@ the Gamma function at positive half-integers, and the generalized binomial
 coefficient.  A ``SymScalar`` holds its rational part as an unreduced integer
 ratio: arithmetic multiplies and adds integers, equality is one
 cross-multiplication, and only the reduced value ``q``, ``hash`` and ``repr``
-take a gcd.  Every Gamma value is read from one memoised factorial table:
+take a gcd.  Every Gamma value is read from one memoised factorial table,
+the module's one cache: the multiplier constants and normalizations are
+products of its reads, formed afresh at each call.
 ``gamma_product`` evaluates a closed form -- a product of Gamma values at
 positive integers and half-integers, times a rational -- as such an unreduced
 ``SymScalar``.  Sums are formed only on one basis: every sum the identity
@@ -68,7 +70,7 @@ class SymScalar:
     values on one basis over the product of their denominators, and ``*``
     and ``/`` multiply integers; only ``q`` (the reduced Fraction), ``hash``
     and ``repr`` reduce.  Like a Fraction, an instance is immutable: its
-    parts are read-only properties, so the caches below can share it.
+    parts are read-only properties.
     """
 
     __slots__ = ("_num", "_den", "_h", "_k")
@@ -83,10 +85,6 @@ class SymScalar:
     @staticmethod
     def zero() -> "SymScalar":
         return SymScalar(0)
-
-    @staticmethod
-    def one() -> "SymScalar":
-        return SymScalar(1)
 
     @property
     def q(self) -> Fraction:
@@ -202,14 +200,11 @@ def gamma_product(
     return _scalar(num, den, h, k)
 
 
-@functools.lru_cache(maxsize=4096, typed=True)
 def gamma_half_integer(a: RationalLike) -> SymScalar:
     """Gamma(a) for a a positive integer or half-integer, exactly.
 
     Integer a gives (a-1)! with no sqrt(pi); half-integer a gives a rational
-    multiple of sqrt(pi).  Anything else is rejected.  Results are memoised
-    like those of ``binomial``; the cache is typed so that a float argument
-    is still rejected rather than matched to an int.
+    multiple of sqrt(pi).  Anything else is rejected.
     """
     return gamma_product((2 * _as_fraction(a),))
 
@@ -219,16 +214,13 @@ def _falling(p: int, q: int, m: int) -> int:
     return math.prod(p - t * q for t in range(m))
 
 
-@functools.lru_cache(maxsize=4096, typed=True)
 def binomial(a: RationalLike, m: int) -> Fraction:
     """Generalized binomial coefficient C(a, m) = a(a-1)...(a-m+1)/m!.
 
     Works for any rational a and non-negative integer m; C(a, 0) = 1, and
     C(a, m) = 0 when a is a non-negative integer smaller than m.  The
-    falling product ``_falling`` over q^m m! is reduced once.  Results are
-    memoised: the callers ask for few distinct (a, m) many times over, and a
-    Fraction is immutable, so sharing it is safe.  The cache is typed, so
-    that a float is rejected whatever ran before.
+    falling product ``_falling`` over q^m m! is reduced once.  A float a
+    raises TypeError.
     """
     if m < 0:
         raise ValueError("lower index must be non-negative")
@@ -236,7 +228,6 @@ def binomial(a: RationalLike, m: int) -> Fraction:
     return Fraction(_falling(p, q, m), q**m * math.factorial(m))
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
 def riesz_multiplier(degree: int, dim: int) -> SymScalar:
     """Fourier multiplier constant of the degree-d higher-order Riesz transform.
 
@@ -253,7 +244,6 @@ def riesz_multiplier(degree: int, dim: int) -> SymScalar:
     return gamma_product((degree,), (dim + degree,), 1, dim, -degree)
 
 
-@functools.lru_cache(maxsize=256, typed=True)
 def fundamental_normalization(dim: int) -> SymScalar:
     """Constant c with Fourier transform of c/|x|^(n-1) equal to 1/|xi|.
 

@@ -83,12 +83,11 @@ def _fmt(v) -> str:
 
 
 def transform_closed_form(y: np.ndarray) -> np.ndarray:
-    """Closed form log|y| - log|y-1| used to sample the transform of the
-    unit-interval indicator.  The kernel convention of the lab produces the
-    opposite sign; only absolute values enter the experiments, and the
-    closed form is adopted throughout for the composed-operator scans."""
+    """The transform log|y-1| - log|y| of the unit-interval indicator, in the
+    lab's convention (`hilbert_transform_many`), sampled by the
+    composed-operator scans."""
     y = np.asarray(y, dtype=float)
-    return np.log(np.abs(y)) - np.log(np.abs(y - 1.0))
+    return np.log(np.abs(y - 1.0)) - np.log(np.abs(y))
 
 
 def far_window_pieces(x: float, cells: int) -> list[GridFunction]:

@@ -233,9 +233,13 @@ def hilbert_maximal(f: GridFunction | Sequence[GridFunction], x: float) -> float
     is the largest |T| at a positive edge distance.  At an x where the
     summed pieces jump, T grows like |jump| log(1/eps) and the sup is inf;
     pieces whose jumps at x cancel (equal values across a shared edge), up
-    to rounding in their sum, stay finite.
+    to rounding in their sum, stay finite.  x must be one finite real
+    coordinate, and at least one piece is needed.
     """
     fs = [f] if isinstance(f, GridFunction) else list(f)
+    if not fs:
+        raise ValueError("hilbert_maximal needs at least one grid function")
+    (x,) = _checked_point(1, x)
     t, at_x = _truncation_profile(fs, x)
     if abs(at_x.sum()) > 1e-12 * np.abs(at_x).sum():
         return math.inf
@@ -250,9 +254,16 @@ def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
     relative), every target-edge offset lies on it too, and the sum is one
     real-FFT correlation (`_lattice_correlate`) of the edge jumps,
     zero-stuffed every s steps, with a log table over the lattice range:
-    O((span s / f.h + s K) log), K edges.
+    O((span s / f.h + s K) log), K edges.  f must be 1D and every target a
+    finite real.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if f.dim != 1:
+        raise ValueError("Hilbert machinery is one-dimensional")
+    xs = np.atleast_1d(np.asarray(xs))
+    xs = xs if np.iscomplexobj(xs) else xs.astype(float)
+    bad = np.iscomplexobj(xs) | ~np.isfinite(xs)
+    if bad.any():
+        raise ValueError(f"point {xs[bad][0].item()!r} is not 1 finite real coordinate(s)")
     edges = f.edges()
     near = edges[np.clip(np.rint((xs - edges[0]) / f.h), 0, len(edges) - 1).astype(np.intp)]
     if np.min(np.abs(xs - near)) < 1e-13 * max(1.0, float(np.max(np.abs(xs)))):
@@ -390,11 +401,14 @@ def _interval_averages_max(edges: np.ndarray, cellvals: np.ndarray, x: float) ->
     return max(_max_slope(csum, edges, lo, hi) for lo, hi in splits)
 
 
-def _checked_point(f: GridFunction, x) -> tuple[float, ...]:
-    """x as f.dim finite coordinates."""
+def _checked_point(dim: int, x) -> tuple[float, ...]:
+    """x as dim finite real coordinates, else ValueError.  A finite int or
+    float in 1D passes without numpy: `hilbert_maximal` checks every call's point."""
+    if dim == 1 and isinstance(x, (int, float)) and math.isfinite(x):
+        return (float(x),)
     pt = np.ravel(x)
-    if np.iscomplexobj(pt) or pt.size != f.dim or not np.isfinite(pt.astype(float)).all():
-        raise ValueError(f"point {x!r} is not {f.dim} finite real coordinate(s)")
+    if np.iscomplexobj(pt) or pt.size != dim or not np.isfinite(pt.astype(float)).all():
+        raise ValueError(f"point {x!r} is not {dim} finite real coordinate(s)")
     return tuple(pt.astype(float).tolist())
 
 
@@ -406,7 +420,7 @@ def hardy_littlewood(f: GridFunction, x) -> float:
     point of other than f.dim coordinates, a non-finite point and a window
     of more than 8192 cells per axis raise ValueError.
     """
-    x = _checked_point(f, x)
+    x = _checked_point(f.dim, x)
     if f.dim == 1:
         (edges,), vals = _window(f, x)
         return _interval_averages_max(edges, vals, x[0])
@@ -552,8 +566,8 @@ def iterated_m2(f: GridFunction, x) -> float | np.ndarray:
     if f.dim != 1:
         raise ValueError("iterated maximal function implemented for dim 1")
     inner, out = {}, []
-    for xx in np.atleast_1d(np.asarray(x, dtype=float)).tolist():
-        (xx,) = _checked_point(f, xx)
+    for xx in np.atleast_1d(np.asarray(x)).tolist():
+        (xx,) = _checked_point(1, xx)
         (edges,), vals = _window(f, (xx,))
         key = (edges[0], len(edges))
         if key not in inner:

@@ -57,7 +57,6 @@ from .exact import (
     _falling,
     binomial,
     fundamental_normalization,
-    gamma_half_integer,
     gamma_product,
 )
 
@@ -135,7 +134,7 @@ def matching_coeff_closed(dim: int, order: int, L: int) -> SymScalar:
     )
 
 
-def _taylor_at_one(dim: int, order: int, alpha: RationalLike = 0) -> tuple[list[int], int]:
+def _taylor_at_one(dim: int, order: int, alpha: RationalLike) -> tuple[list[int], int]:
     """The Taylor data of E = ``_solution_in_integers`` read in t = r^2: integers p_i and D
     with E^(i)(1) = p_i / (D 2^i) in units of c, for i = 0..2N.
 
@@ -150,7 +149,7 @@ def _taylor_at_one(dim: int, order: int, alpha: RationalLike = 0) -> tuple[list[
     return ps, den
 
 
-def matching_coeffs_taylor(dim: int, order: int, alpha: RationalLike = 0) -> dict[int, SymScalar]:
+def matching_coeffs_taylor(dim: int, order: int, alpha: RationalLike) -> dict[int, SymScalar]:
     """Matching coefficients from the Taylor data ``_taylor_at_one`` at t = 1, with M = 2N:
 
         A_L = c sum_{i=L}^{M} E^(i)(1)/i! (-1)^(i-L) C(i, L)
@@ -405,13 +404,14 @@ def power_series_coeffs_scaled(dim: int, order: int, p: int) -> dict[int, SymSca
     n, N = dim, order
     if p < 0:
         raise ValueError("p must be >= 0")
-    half = Frac(n, 2)
     terms = []
     for j in range(N):
         for s in range(j + 1, N + 1):
             for k in range(0, s - j):
                 if (i := p + 1 - s + k) >= 0:
-                    den = (-1) ** i * math.factorial(i) * 2 ** (2 * p + 1 + k) * gamma_half_integer(half + p + s + 1)
+                    # (-1)^i i! 2^(2p+1+k) Gamma(n/2 + p + s + 1)
+                    q = (-1) ** i * math.factorial(i) * 2 ** (2 * p + 1 + k)
+                    den = gamma_product((n + 2 * (p + s + 1),), (), q)
                     terms.append((j, series_kernel_constant(n, N, N + s, j, k) / den))
     return _collect(terms)
 

@@ -227,7 +227,7 @@ def m_llogl(f: GridFunction, x) -> float:
     """sup over every grid-aligned cube containing x of the L log L
     average: the smallest lam with M(Phi(|f|/lam))(x) <= 1.  Phi(0) = 0,
     so `hardy_littlewood` scans it on the hull window of f and x."""
-    x = _checked_point(f, x)
+    x = _checked_point(f.dim, x)
     a = np.abs(f.values)
 
     def avg(lam: float) -> float:

@@ -44,10 +44,10 @@ def model_kernel(n, lam: F):
 def tree_report(kernel):
     """The report of the sign certifier on the kernel's quotient sum F, as `check_maximal_control`
     gives it when F has a term of degree 4 or more."""
-    f, quotients, unit, _ = quotient_sum(kernel)
+    f, quotients, _ = quotient_sum(kernel)
     cert = certify_nonvanishing(f)
     return CheckReport(**vars(cert), dim=kernel.dim, divisor=kernel.components[0], quotients=quotients,
-                       divisibility_ok=True, unit=unit)
+                       divisibility_ok=True)
 
 
 def quadratic_form(f, x):
@@ -154,6 +154,19 @@ def test_verdicts_stable_under_grid_deepening(monkeypatch):
         assert {(rep.verdict, rep.stop_reason, rep.certified_min, rep.witness) for rep in reports} == {
             (expected, "exact", reports[0].certified_min, reports[0].witness)
         }
+    # F = (x1^2 - 2 x2^2)^2 + |x|^4/1000 > 0 is smallest on the irrational lines x1 = +-sqrt(2) x2:
+    # depth 6 stops short of a verdict, and depths 12 and 20 give one certificate
+    x1, x2, r2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1), MultiPoly.radius2(2)
+    q = x1 * x1 - x2 * x2 * 2
+    f = q * q + r2 * r2 * F(1, 1000)
+    shallow = at_depth(certify_nonvanishing, f, 6)
+    assert (shallow.verdict, shallow.stop_reason, shallow.grid_points, len(shallow.caps)) == (
+        "INCONCLUSIVE", "depth-cap", 172, 4)
+    deep = [at_depth(certify_nonvanishing, f, d) for d in (12, 20)]
+    assert {(c.verdict, c.depth_used, c.grid_points, len(c.caps), c.certified_min) for c in deep} == {
+        ("PASS", 8, 228, 4, deep[0].certified_min)
+    }
+    assert 0 < deep[0].certified_min < 1e-3
 
 
 def test_higher_degree_divisor_family():
@@ -198,7 +211,7 @@ def test_quotients_recovered_for_constructed_kernels():
         if lam == 0 or abs(lam) >= 1:
             continue
         k = model_kernel(2, lam)
-        f, quotients, unit, failed = quotient_sum(k)
+        f, quotients, failed = quotient_sum(k)
         assert failed is None
         assert quotients[0] == MultiPoly.constant(2, 1)
         want = (

@@ -47,8 +47,8 @@ def test_binomial_values():
     assert binomial(F(7, 3), 0) == 1
 
 
-def test_binomial_cache_is_typed():
-    # an int call first must not let the equal float through the cache
+def test_binomial_rejects_a_float():
+    # a float is refused, also after the equal int was asked for
     assert binomial(5, 2) == 10
     with pytest.raises(TypeError):
         binomial(5.0, 2)
@@ -120,7 +120,7 @@ def test_cross_multiplied_equality_agrees_with_symscalar():
         _scalar(1, 2, 1, 0) + _scalar(1, 2, 0, 0)
     with pytest.raises(ValueError):
         _scalar(1, 2, 0, 1) + _scalar(-3, 2, 0, 2)
-    with pytest.raises(AttributeError):  # immutable, as the caches share instances
+    with pytest.raises(AttributeError):  # immutable, like a Fraction
         _scalar(1, 2, 0, 0).num = 3
     x = _scalar(6, -4, 1, 3)
     assert pickle.loads(pickle.dumps(x)) == copy.deepcopy(x) == x and copy.copy(x).den == 4

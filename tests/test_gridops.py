@@ -226,6 +226,25 @@ def test_pv_transform_closed_form():
         hilbert_transform_many(f, np.array([2.3, 0.5]))  # a cell edge
 
 
+@pytest.mark.parametrize(
+    "call, f, x, match",
+    [
+        (hilbert_maximal, step01(), math.nan, "finite real coordinate"),
+        (hilbert_maximal, step01(), math.inf, "finite real coordinate"),
+        (hilbert_maximal, step01(), np.array([0.3, 0.4]), "finite real coordinate"),
+        (hilbert_maximal, step01(), 1 + 1j, "finite real coordinate"),
+        (hilbert_maximal, [], 0.3, "at least one grid function"),
+        (hilbert_transform_many, step01(), [0.3, math.nan], "finite real coordinate"),
+        (hilbert_transform_many, step01(), [0.3, math.inf], "finite real coordinate"),
+        (hilbert_transform_many, step01(), np.array([0.3 + 0.5j, 2.3]), "finite real coordinate"),
+        (hilbert_transform_many, box_2d(0.0, 1.0, 0.0, 1.0, 0.25), [0.3], "one-dimensional"),
+    ],
+)
+def test_hilbert_entry_points_refuse_bad_input(call, f, x, match):
+    with pytest.raises(ValueError, match=match):
+        call(f, x)
+
+
 def dense_transform_many(f, xs):
     """Oracle: sum over edges of log|x - e| (f(e-) - f(e+)) as one dense
     (targets x edges) log table."""
@@ -546,7 +565,7 @@ def test_maximal_functions_refuse_bad_points():
             for x in (wrong, np.full(f.dim, math.nan), np.full(f.dim, math.inf), np.full(f.dim, 0.5 + 0.5j)):
                 with pytest.raises(ValueError, match="finite real coordinate"):
                     call(f, x)
-    for x in (math.nan, np.array([0.5, math.inf])):
+    for x in (math.nan, np.array([0.5, math.inf]), np.array([0.5 + 7j])):
         with pytest.raises(ValueError, match="finite"):
             iterated_m2(line, x)
     # an all-zero field answers 0 without a bisection, yet still checks its point

@@ -121,7 +121,7 @@ def test_matching_coeff_worked_value():
     # n=2, N=1, L=2: oracle from E(t) = c t^(1/2): E''(1)/2! = -c/8
     c = fundamental_normalization(2)
     assert matching_coeff_closed(2, 1, 2) == c * F(-1, 8)
-    assert matching_coeffs_taylor(2, 1)[2] == c * F(-1, 8)
+    assert matching_coeffs_taylor(2, 1, 0)[2] == c * F(-1, 8)
 
 
 def test_matching_coeffs_all_ranges():
@@ -139,7 +139,6 @@ def test_matching_coeffs_log_regime_free_coefficient_cancels():
 
 def test_matching_coeffs_taylor_refuses_alpha_where_it_is_determined():
     # even n and odd n with 2N+1 < n fix the power coefficient
-    assert matching_coeffs_taylor(2, 1, 0) == matching_coeffs_taylor(2, 1)
     for dim, order in ((2, 1), (4, 3), (7, 2)):
         with pytest.raises(ValueError):
             matching_coeffs_taylor(dim, order, 5)
