@@ -30,10 +30,9 @@ from .polyalg import (
     divide_exact,
     harmonic_decompose,
     laplacian,
-    sphere_monomial_integral,
 )
 from .kernels import KernelSpec, kernel_from_polynomial, load_kernel_spec
-from .admissibility import CheckReport, check_maximal_control, spherical_gradient_bound
+from .admissibility import CheckReport, check_maximal_control
 from .identities import run_identity_suite
 from .gridops import (
     GridFunction,
@@ -56,13 +55,11 @@ __all__ = [
     "apply_diffop",
     "harmonic_decompose",
     "divide_exact",
-    "sphere_monomial_integral",
     "KernelSpec",
     "kernel_from_polynomial",
     "load_kernel_spec",
     "CheckReport",
     "check_maximal_control",
-    "spherical_gradient_bound",
     "run_identity_suite",
     "GridFunction",
     "TruncationGrid",

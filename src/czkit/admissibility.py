@@ -213,18 +213,6 @@ def _coef_sum(p: MultiPoly) -> Fraction:
     return sum((abs(c) for c in p.terms.values()), Fraction(0))
 
 
-def spherical_gradient_bound(f: MultiPoly) -> float:
-    """Upper bound for sup |grad F| on the closed unit ball.
-
-    Each partial derivative is bounded on the ball by the sum of the
-    absolute values of its coefficients (every monomial is at most 1 there);
-    summing the per-partial bounds dominates the Euclidean norm of the
-    gradient.  The exact rational bound is nudged up one ulp on conversion.
-    """
-    total = sum((_coef_sum(f.partial(i)) for i in range(f.nvars)), Fraction(0))
-    return float(total) * (1.0 + 2.0**-50)
-
-
 def _rounding_bound(p: MultiPoly) -> float:
     """A-priori bound on |float_evaluator(p)(x) - p(x)| for |x| <= 1 + 2^-40.
 
@@ -246,7 +234,8 @@ class _Bounds:
         partials = [f.partial(i) for i in range(n)]
         second = sum((_coef_sum(p.partial(j)) for p in partials for j in range(n)), Fraction(0))
         first = sum((_coef_sum(p) for p in partials), Fraction(0))
-        self.lip = spherical_gradient_bound(f)
+        # sup |grad F| on the unit ball: each partial is at most its coefficient sum there
+        self.lip = float(first) * (1.0 + 2.0**-50)
         # |d^2/dt^2 F(gamma(t))| <= |Hess F| + |grad F . gamma| on a unit-speed great circle
         self.hess = float(second + first) * (1.0 + 2.0**-50)
         # for the exact caps: F = sum c x^a / scale with integers c, of degrees up to top; F(-x) = F(x) if even

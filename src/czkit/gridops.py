@@ -167,6 +167,7 @@ class TruncationGrid:
     @staticmethod
     def geometric(lo: float, hi: float, per_decade: int) -> "TruncationGrid":
         """Geometric radii from lo to hi, about per_decade of them per decade."""
+        lo, hi = _positive_finite("lo", lo), _positive_finite("hi", hi)
         count = max(2, int(per_decade * math.log10(hi / lo)) + 1)
         return TruncationGrid(np.geomspace(lo, hi, count))
 
@@ -255,7 +256,7 @@ def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
     real-FFT correlation (`_lattice_correlate`) of the edge jumps,
     zero-stuffed every s steps, with a log table over the lattice range:
     O((span s / f.h + s K) log), K edges.  f must be 1D and every target a
-    finite real.
+    finite real; no targets give an empty array.
     """
     if f.dim != 1:
         raise ValueError("Hilbert machinery is one-dimensional")
@@ -264,6 +265,8 @@ def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
     bad = np.iscomplexobj(xs) | ~np.isfinite(xs)
     if bad.any():
         raise ValueError(f"point {xs[bad][0].item()!r} is not 1 finite real coordinate(s)")
+    if not xs.size:
+        return np.zeros(0, dtype=np.result_type(f.values, float))
     edges = f.edges()
     near = edges[np.clip(np.rint((xs - edges[0]) / f.h), 0, len(edges) - 1).astype(np.intp)]
     if np.min(np.abs(xs - near)) < 1e-13 * max(1.0, float(np.max(np.abs(xs)))):
@@ -770,8 +773,9 @@ def beurling_transform_grid(
 ) -> GridFunction:
     """Principal-value transform of f sampled at the centers of a target grid.
 
-    The target mesh h must be r * f.h for an integer r >= 1.  Every
-    source-target offset is then c0 + f.h * m on one integer lattice, so
+    The target origin must be a finite planar point and the target mesh h
+    must be r * f.h for an integer r >= 1.  Every source-target offset is
+    then c0 + f.h * m on one integer lattice, so
     the transform is a lattice convolution: one table holds K(w) f.h^2 per
     offset, except that offsets closer than 4 source meshes hold the cell
     integral on 8 x 8 sub-points, and the offset 0 holds 0, since the
@@ -784,6 +788,7 @@ def beurling_transform_grid(
     """
     if f.dim != 2:
         raise ValueError("planar transform needs a 2D grid function")
+    origin = _checked_point(2, origin)
     if len(shape) != 2 or min(shape) < 1:
         raise ValueError(f"target shape {tuple(shape)!r} must be two positive cell counts")
     r = round(h / f.h)

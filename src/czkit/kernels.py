@@ -3,9 +3,10 @@
 A kernel is described by the finite list of harmonic layers of its
 numerator: the restriction of the numerator to the unit sphere expands as
 a finite sum of homogeneous harmonic polynomials, and that list (plus the
-dimension) is the whole specification.  Construction enforces the standing
-hypotheses: zero mean on the sphere (checked exactly) and no degree-0
-layer.
+dimension) is the whole specification.  The standing hypothesis, zero mean
+on the sphere, is one exact check on that list: every layer of positive
+degree has mean zero there, so the mean is the degree-0 layer, and a
+kernel with one is refused.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from .polyalg import (
     ParseError,
     harmonic_decompose,
     poly_from_text,
-    sphere_mean,
 )
 
 
@@ -45,7 +45,8 @@ class KernelSpec:
         if len(set(degrees)) != len(degrees):
             raise KernelError("duplicate component degrees")
         if degrees[0] == 0:
-            raise KernelError("degree-0 component breaks the cancellation hypothesis")
+            (mean,) = comps[0].poly.terms.values()
+            raise KernelError(f"nonzero sphere mean: {mean}")
         for c in comps:
             if c.poly.nvars != dim:
                 raise KernelError("component variable count does not match the dimension")
@@ -63,7 +64,8 @@ def kernel_from_polynomial(dim: int, w: MultiPoly) -> KernelSpec:
 
     W must be homogeneous with exactly zero mean on the unit sphere; the
     components are its harmonic layers, which reproduce W on |x| = 1.
-    A nonzero mean is rejected, reporting the exact offending value.
+    A nonzero mean is W's constant layer, which `KernelSpec.from_components`
+    refuses, reporting its exact value.
     """
     if w.nvars != dim:
         raise KernelError("polynomial variable count does not match the dimension")
@@ -71,15 +73,7 @@ def kernel_from_polynomial(dim: int, w: MultiPoly) -> KernelSpec:
         raise KernelError("zero polynomial")
     if not w.is_homogeneous():
         raise KernelError("numerator must be homogeneous")
-    mean = sphere_mean(w)
-    if mean != 0:
-        raise KernelError(f"nonzero sphere mean: {mean}")
-    comps = []
-    for _, h in harmonic_decompose(w):
-        deg = h.homogeneous_degree()
-        if deg == 0:
-            raise AssertionError("zero-mean polynomial produced a constant layer")
-        comps.append(HarmonicComponent(deg, h))
+    comps = [HarmonicComponent(h.homogeneous_degree(), h) for _, h in harmonic_decompose(w)]
     return KernelSpec.from_components(dim, comps)
 
 

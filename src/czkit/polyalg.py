@@ -3,9 +3,8 @@
 Polynomials are stored as a map from dense exponent tuples to Fraction
 coefficients.  Everything here is exact: evaluation, differentiation,
 the Laplacian, differential-operator application P(d)Q, decomposition of
-a homogeneous polynomial into harmonic layers H_k * |x|^(2k), exact
-single-divisor division, and closed-form monomial integrals over the
-unit sphere (normalized surface measure).
+a homogeneous polynomial into harmonic layers H_k * |x|^(2k), and exact
+single-divisor division.
 
 The scale stays small (a handful of variables, degrees in the teens), so
 exponent vectors are plain tuples and no term-order tricks beyond graded
@@ -22,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import SymScalar, _as_fraction, _collect, gamma_product
+from .exact import _as_fraction, _collect
 
 Monomial = tuple[int, ...]
 
@@ -323,34 +322,6 @@ def divide_exact(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
     if not (quot * d - p).is_zero():
         raise AssertionError("division verification failed")
     return quot
-
-
-def sphere_monomial_integral(alpha: Sequence[int], dim: int) -> SymScalar:
-    """Integral of x^alpha over the unit sphere, normalized measure.
-
-    Zero when any exponent is odd; otherwise
-        Gamma(n/2) * prod Gamma((a_i+1)/2) / (Gamma((n+|a|)/2) * pi^(n/2)).
-    The result is always rational (sqrt(pi) powers cancel).
-    """
-    alpha = tuple(alpha)
-    if len(alpha) != dim:
-        raise ValueError("exponent vector length must equal the dimension")
-    if any(a < 0 for a in alpha):
-        raise ValueError("negative exponent")
-    if any(a % 2 for a in alpha):
-        return SymScalar.zero()
-    out = gamma_product((dim, *(a + 1 for a in alpha)), (dim + sum(alpha),), 1, -dim)
-    if out.h != 0 or out.k != 0:
-        raise AssertionError("sphere integral did not reduce to a rational")
-    return out
-
-
-def sphere_mean(p: MultiPoly) -> Fraction:
-    """Exact mean of a polynomial over the unit sphere of R^p.nvars."""
-    total = Fraction(0)
-    for mono, coef in p.terms.items():
-        total += coef * sphere_monomial_integral(mono, p.nvars).q
-    return total
 
 
 # ------------------------------------------------------------- text format

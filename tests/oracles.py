@@ -252,6 +252,43 @@ def _positive_definite(a: list[list[int]]) -> bool:
     return True
 
 
+def sphere_monomial_integral(alpha: Sequence[int], dim: int) -> SymScalar:
+    """Integral of x^alpha over the unit sphere, normalized measure.
+
+    Zero when any exponent is odd; otherwise
+        Gamma(n/2) * prod Gamma((a_i+1)/2) / (Gamma((n+|a|)/2) * pi^(n/2)).
+    The result is always rational (sqrt(pi) powers cancel).
+    """
+    alpha = tuple(alpha)
+    if len(alpha) != dim:
+        raise ValueError("exponent vector length must equal the dimension")
+    if any(a < 0 for a in alpha):
+        raise ValueError("negative exponent")
+    if any(a % 2 for a in alpha):
+        return SymScalar.zero()
+    out = gamma_product((dim, *(a + 1 for a in alpha)), (dim + sum(alpha),), 1, -dim)
+    if out.h != 0 or out.k != 0:
+        raise AssertionError("sphere integral did not reduce to a rational")
+    return out
+
+
+def sphere_mean(p: MultiPoly) -> Fraction:
+    """Exact mean of a polynomial over the unit sphere of R^p.nvars, monomial by monomial."""
+    return sum((coef * sphere_monomial_integral(mono, p.nvars).q for mono, coef in p.terms.items()), Frac(0))
+
+
+def spherical_gradient_bound(f: MultiPoly) -> float:
+    """Upper bound for sup |grad F| on the closed unit ball.
+
+    Each partial derivative is bounded on the ball by the sum of the
+    absolute values of its coefficients (every monomial is at most 1 there);
+    summing the per-partial bounds dominates the Euclidean norm of the
+    gradient.  The exact rational bound is nudged up one ulp on conversion.
+    """
+    total = sum((abs(c) for i in range(f.nvars) for c in f.partial(i).terms.values()), Frac(0))
+    return float(total) * (1.0 + 2.0**-50)
+
+
 def fundamental_coeff_product_form(dim: int, order: int) -> Fraction:
     """alpha as the inverse of the defining product (beta = 0 cases only)."""
     n, N = dim, order

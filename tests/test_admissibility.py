@@ -23,11 +23,10 @@ from czkit.admissibility import (
     check_maximal_control,
     quotient_sum,
     sphere_grid,
-    spherical_gradient_bound,
 )
-from czkit.kernels import kernel_from_polynomial, parse_kernel_spec
-from czkit.polyalg import MultiPoly
-from oracles import _positive_definite
+from czkit.kernels import KernelError, kernel_from_polynomial, parse_kernel_spec
+from czkit.polyalg import MultiPoly, harmonic_decompose
+from oracles import _positive_definite, sphere_mean, spherical_gradient_bound
 
 
 def harmonic_cubic(n=2):
@@ -134,6 +133,25 @@ def test_weak_mirrored_model_fails_with_sign_change(monkeypatch):
     assert abs(rep.witness[1] ** 2 - 0.75) < 1e-15 and rep.certified_min is None
     assert "F < -rho at" in rep.format_text() and "level " not in rep.format_text()
     assert "sign_pair=0.0,1.0;1.0,0.0\n" in rep.format_kv()
+    # F = (x1^2 - 2 x2^2)^2 - |x|^4/10^5 is negative only in thin wedges about the irrational lines
+    # x1 = +-sqrt(2) x2: depth 6 stops short of a verdict, and depths 12 and 20 find one sign pair
+    x1, x2, r2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1), MultiPoly.radius2(2)
+    q = x1 * x1 - x2 * x2 * 2
+    f = q * q - r2 * r2 * F(1, 10**5)
+    monkeypatch.setattr(admissibility, "MAX_DEPTH", 6)
+    shallow = certify_nonvanishing(f)
+    assert (shallow.verdict, shallow.stop_reason, shallow.depth_used, shallow.grid_points, len(shallow.caps)) == (
+        "INCONCLUSIVE", "depth-cap", 6, 172, 4)
+    deep = []
+    for depth in (12, 20):
+        monkeypatch.setattr(admissibility, "MAX_DEPTH", depth)
+        deep.append(certify_nonvanishing(f))
+    assert {(c.verdict, c.stop_reason, c.depth_used, c.grid_points, len(c.caps), c.sign_pair) for c in deep} == {
+        ("FAIL(vanishing)", "sign-change", 8, 244, 4, deep[0].sign_pair)
+    }
+    plus, minus = (np.array([pt]) for pt in deep[0].sign_pair)
+    ev = f.float_evaluator()
+    assert ev(plus)[0] > deep[0].rounding_bound and ev(minus)[0] < -deep[0].rounding_bound
 
 
 def test_verdicts_stable_under_grid_deepening(monkeypatch):
@@ -235,6 +253,31 @@ def test_even_kernel_rejected():
     even = kernel_from_polynomial(2, MultiPoly.monomial(2, (2, 0)) - MultiPoly.monomial(2, (0, 2)))
     with pytest.raises(ValueError):
         check_maximal_control(even)
+
+
+def test_constant_layer_is_the_sphere_mean_and_lip_is_the_gradient_bound():
+    # the degree-0 harmonic layer of a form is its sphere mean (every other layer averages to 0),
+    # which kernel construction refuses by value; the cell test's lip is the gradient-bound oracle
+    rng = random.Random(28)
+    for trial in range(240):
+        n, d = rng.randint(2, 4), trial % 7
+        monos = [m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d]
+        w = MultiPoly(n, {m: F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                          for m in rng.sample(monos, min(len(monos), rng.randint(1, 4)))})
+        if d % 2 == 0 and trial % 3 == 0:
+            w = w - MultiPoly.radius_power(n, d // 2) * sphere_mean(w)  # zero mean, and possibly zero
+        mean = sphere_mean(w)
+        layers = [h for _, h in harmonic_decompose(w)]
+        assert sum((h.terms[(0,) * n] for h in layers if h.homogeneous_degree() == 0), F(0)) == mean
+        if mean:
+            with pytest.raises(KernelError, match=f"^nonzero sphere mean: {mean}$"):
+                kernel_from_polynomial(n, w)
+        elif not w.is_zero():
+            assert kernel_from_polynomial(n, w).components[0].degree > 0
+    for n in (2, 3, 4):
+        for lam in (F(1), F(1, 2), F(-1), F(-1, 2), F(2)):
+            f = quotient_sum(model_kernel(n, lam))[0]
+            assert _Bounds(f).lip == spherical_gradient_bound(f)
 
 
 def test_gradient_bound_examples():

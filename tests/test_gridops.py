@@ -931,6 +931,16 @@ def test_beurling_transform_grid_rejects_bad_targets():
     for shape in ((0, 4), (4, 0), (), (4,)):
         with pytest.raises(ValueError, match="two positive cell counts"):
             beurling_transform_grid(disk, (0.0, 0.0), 1.0 / 8, shape)
+    for origin in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan), (0.0,), (0.5j, 0.0)):
+        with pytest.raises(ValueError, match=re.escape(f"point {origin!r} is not 2 finite real coordinate(s)")):
+            beurling_transform_grid(disk, origin, 1.0 / 8, (4, 4))
+
+
+def test_no_points_give_an_empty_array():
+    line, disk = step01(), GridFunction.disk(1.0, 1.0 / 8)
+    for got in (hilbert_transform_many(line, []), iterated_m2(line, []), beurling_maximal(disk, [])):
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+    assert hilbert_transform_many(GridFunction(0.0, 0.25, np.full(4, 1j)), np.array([])).dtype == complex
 
 
 def test_beurling_maximal_far_field():
@@ -961,6 +971,9 @@ def test_grid_function_basics():
         for args, name in (((h, 0.25), "radius"), ((1.0, h), "mesh")):
             with pytest.raises(ValueError, match=f"^{name} {h!r} is not positive and finite$"):
                 GridFunction.disk(*args)
+        for args, name in (((h, 4.0), "lo"), ((0.25, h), "hi")):
+            with pytest.raises(ValueError, match=f"^{name} {h!r} is not positive and finite$"):
+                TruncationGrid.geometric(*args, 24)
     with pytest.raises(ValueError):
         TruncationGrid(np.array([0.5, 0.5]))
 

@@ -11,7 +11,7 @@ from czkit.kernels import (
     kernel_from_polynomial,
     parse_kernel_spec,
 )
-from czkit.polyalg import MultiPoly
+from czkit.polyalg import HarmonicComponent, MultiPoly
 from oracles import degrees, multiplier_eval, omega
 
 
@@ -104,11 +104,12 @@ def test_multiplier_parity():
 def test_degree_zero_layer_forbidden():
     with pytest.raises(KernelError):
         KernelSpec.from_components(2, [])
+    odd = HarmonicComponent(1, MultiPoly.variable(2, 0))
+    with pytest.raises(KernelError, match="^nonzero sphere mean: -3/2$"):
+        KernelSpec.from_components(2, [odd, HarmonicComponent(0, MultiPoly.constant(2, F(-3, 2)))])
 
 
 def test_mixed_parity_flag():
-    from czkit.polyalg import HarmonicComponent
-
     odd = HarmonicComponent(1, MultiPoly.variable(2, 0))
     even = HarmonicComponent(
         2, MultiPoly.monomial(2, (2, 0)) - MultiPoly.monomial(2, (0, 2))

@@ -14,9 +14,8 @@ from czkit.polyalg import (
     harmonic_decompose,
     laplacian,
     poly_from_text,
-    sphere_mean,
-    sphere_monomial_integral,
 )
+from oracles import sphere_mean, sphere_monomial_integral
 
 
 def x(n, i):
