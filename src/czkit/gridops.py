@@ -48,15 +48,17 @@ bounds all their averages, read from the integral image in one lookup,
 and only the sides whose bound beats the best average found are scanned.
 
 A transform sampled on targets commensurate with the source grid is a
-lattice correlation in 1D as in 2D: one FFT correlation with a table over
-the lattice of target-source offsets (after the precorrected FFT of
-Phillips & White, IEEE TCAD 16, 1997).  In 1D the table is log|offset|
-against the edge jumps, with no quadrature error; in 2D it holds the
-kernel in the far field and a subdivided stencil within 4 meshes.  Both
-run through `_lattice_correlate`: real FFTs of the real and imaginary
-parts at the smallest 2-3-5-7-smooth length that no kept output wraps
-at (Frigo & Johnson, Proc. IEEE 93, 2005, on real-input and
-mixed-radix transforms).
+lattice correlation in 1D as in 2D: FFT correlation with a table over the
+lattice of target-source offsets (after the precorrected FFT of Phillips &
+White, IEEE TCAD 16, 1997).  In 1D the table is log|offset| against the
+edge jumps, with no quadrature error; in 2D it holds the kernel in the far
+field and a subdivided stencil within 4 meshes, and is polyphase: targets r
+meshes apart get one table per residue class mod r of the source cells, at
+the target mesh, with the r^2 spectra summed before one inverse per part.
+Both run through `_lattice_correlate`: real FFTs of the real and imaginary
+parts at the smallest 2-3-5-7-smooth length that no kept output wraps at
+(Frigo & Johnson, Proc. IEEE 93, 2005, on real-input and mixed-radix
+transforms).
 """
 from __future__ import annotations
 
@@ -284,7 +286,7 @@ def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
     table = np.log(np.abs(w), out=np.zeros_like(w), where=w != 0)
     u = np.zeros(n + 1, dtype=f.values.dtype)
     u[::s] = _edge_jumps(f.values, np.empty(len(edges), dtype=u.dtype))
-    return _lattice_correlate(u, table, (m - m.min() + n,))
+    return _lattice_correlate([(u, table)], (m - m.min() + n,))
 
 
 def _fast_len(n: int) -> int:
@@ -300,32 +302,38 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def _lattice_correlate(src: np.ndarray, table: np.ndarray, keep: tuple) -> np.ndarray:
-    """The sums out[j] = sum_k src[k] table[j - k] at the outputs j = keep.
+def _lattice_correlate(pairs, keep: tuple) -> np.ndarray:
+    """The sums out[j] = sum over the pairs (src, table) and k of src[k] table[j - k]
+    at j = keep, for tables of one shape and dtype over srcs of one dtype.
 
     keep holds an index array or slice per axis, selecting outputs with
-    len(src) - 1 <= j < len(table) on that axis: every term of those is in
-    range, and none wraps in a circular convolution at any length of at
-    least len(table).  Each axis runs at the smallest 2-3-5-7-smooth such
-    length.  The real and imaginary parts go through real FFTs, one table
-    part at a time, and combine as (a + ib)(c + id) = ac - bd + i(ad + bc).
+    len(src) - 1 <= j < len(table) on that axis for every src: every term
+    of those is in range, and none wraps in a circular convolution at any
+    length of at least len(table).  Each axis runs at the smallest
+    2-3-5-7-smooth such length.  Real and imaginary parts go through real
+    FFTs, one table part at a time, as (a + ib)(c + id) = ac - bd + i(ad + bc),
+    summed over the pairs, one held at a time, before one inverse per part.
     """
-    size = [_fast_len(n) for n in table.shape]
-    axes = list(range(table.ndim))
+    re = im = None
+    for src, table in pairs:
+        size = [_fast_len(n) for n in table.shape]
+        axes = list(range(table.ndim))
 
-    def spectrum(a: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(a, size, axes)
+        def spectrum(a: np.ndarray) -> np.ndarray:
+            return np.fft.rfftn(a, size, axes)
 
-    a = spectrum(src.real)
-    b = spectrum(src.imag) if np.iscomplexobj(src) else None
-    c = spectrum(table.real)
-    re, im = a * c, (None if b is None else b * c)
-    if np.iscomplexobj(table):
-        del c
-        d = spectrum(table.imag)
-        if b is not None:
-            re -= b * d
-        im = a * d if im is None else im + a * d
+        a = spectrum(src.real)
+        b = spectrum(src.imag) if np.iscomplexobj(src) else None
+        c = spectrum(table.real)
+        pr, pi = a * c, (None if b is None else b * c)
+        if np.iscomplexobj(table):
+            del c
+            d = spectrum(table.imag)
+            if b is not None:
+                pr -= b * d
+            pi = a * d if pi is None else pi + a * d
+        src = table = a = b = c = d = None  # drop this pair before the next table is built
+        re, im = (pr, pi) if re is None else (re + pr, None if pi is None else im + pi)
     out = np.fft.irfftn(re, size, axes)[keep]
     return out if im is None else out + 1j * np.fft.irfftn(im, size, axes)[keep]
 
@@ -607,9 +615,10 @@ def _planar_kernel(name: str):
 
 _SUBDIV = 16  # 2^4 per axis: dyadic subdivision depth 4 on boundary cells
 _NEAR_SUBDIV = 8  # per axis, on source cells within 4 meshes of a target
-# ring cells per vectorised block, 64k sub-points; blocks of 16 to 512 cells
-# run equally fast, of 1024 about half as fast
-_RING_BLOCK = 256
+# ring cells per vectorised block: 16k sub-points, 256 KiB per complex temporary.  Row sums
+# do not depend on the block, so ring sums are bit-identical at any size; over the 30,793
+# ring pairs of the four planar bench ops, 64 took 80-108 ms, 256 93-129 ms (best of 3, 2 vCPUs).
+_RING_BLOCK = 64
 
 
 @functools.lru_cache(maxsize=16)
@@ -768,6 +777,20 @@ def beurling_maximal(
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
+def _beurling_table(w: np.ndarray, h: float) -> np.ndarray:
+    """K(w) h^2 at the source-target offsets w of side-h cells; within 4 meshes
+    the cell integral on 8 x 8 sub-points, and 0 at the offset 0, whose centered
+    cell drops out of the principal value by quarter-turn symmetry."""
+    near = np.abs(w) < 4.0 * h
+    wn = w[near]
+    table = _kernel_b(w, ~near)  # the near entries are overwritten by the stencil below
+    table *= h * h
+    ws = wn[:, None] + _sub_offsets(h, _NEAR_SUBDIV)
+    stencil = _kernel_b(ws, np.abs(ws) > h * 1e-9).sum(axis=1)
+    table[near] = np.where(np.abs(wn) < h * 1e-9, 0.0, stencil * (h / _NEAR_SUBDIV) ** 2)
+    return table
+
+
 def beurling_transform_grid(
     f: GridFunction, origin, h: float, shape: tuple[int, int]
 ) -> GridFunction:
@@ -775,43 +798,35 @@ def beurling_transform_grid(
 
     The target origin must be a finite planar point and the target mesh h
     must be r * f.h for an integer r >= 1.  Every source-target offset is
-    then c0 + f.h * m on one integer lattice, so
-    the transform is a lattice convolution: one table holds K(w) f.h^2 per
-    offset, except that offsets closer than 4 source meshes hold the cell
-    integral on 8 x 8 sub-points, and the offset 0 holds 0, since the
-    centered cell drops out of the principal value by quarter-turn
-    symmetry.  `_lattice_correlate` convolves the values with the table
-    and keeps every r-th output, none of which wraps.  Cost: five real FFTs
-    (six for complex values) of the M = (n1 + r(s1 - 1)) (n2 + r(s2 - 1))
-    table entries, each axis padded to a 2-3-5-7-smooth length, with n the
-    source and s the target shape: O(M log M).
+    then c0 + f.h * m on one integer lattice, and each of the r^2 residue
+    classes a = m mod r, f.values[a1::r, a2::r], lies on the offsets
+    c0 + f.h a + h q, q on a lattice of the target mesh.  `_lattice_correlate`
+    correlates each class with its own `_beurling_table`, one at a time,
+    and sums the spectra; no kept output wraps.  Cost: per class, three real
+    FFTs (four for complex values) of M = (N1 + s1 - 1) (N2 + s2 - 1) table
+    entries, N = ceil(n / r) for the source shape n and s the target shape,
+    each axis padded to a 2-3-5-7-smooth length; then one inverse per real
+    and imaginary part: O(r^2 M log M), with M about 1/r^2 of the offsets.
     """
     if f.dim != 2:
         raise ValueError("planar transform needs a 2D grid function")
     origin = _checked_point(2, origin)
     if len(shape) != 2 or min(shape) < 1:
         raise ValueError(f"target shape {tuple(shape)!r} must be two positive cell counts")
-    r = round(h / f.h)
+    r = round(_positive_finite("target mesh", h) / f.h)
     if r < 1 or abs(h - r * f.h) > 1e-9 * f.h:
         raise ValueError(
             f"target mesh {h!r} is not a positive integer multiple of the source mesh {f.h!r}"
         )
     (n1, n2), (s1, s2) = f.values.shape, shape
-    # table entry p holds the offset m = n - 1 - p, so out[i] = sum_k v[k] G[r i - k + n - 1]
-    m1 = n1 - 1 - np.arange(n1 + r * (s1 - 1))
-    m2 = n2 - 1 - np.arange(n2 + r * (s2 - 1))
+    big1, big2 = -(-n1 // r), -(-n2 // r)  # N = ceil(n / r), the cells of the largest class
+    # class a's entry p is the offset a + r (N - 1 - p): out[i] = sum_k v[a + r k] G_a[i - k + N - 1]
+    q1 = r * (big1 - 1 - np.arange(big1 + s1 - 1))[:, None]
+    q2 = r * (big2 - 1 - np.arange(big2 + s2 - 1))[None, :]
     c0 = complex(
         f.origin[0] - origin[0] + (f.h - h) / 2, f.origin[1] - origin[1] + (f.h - h) / 2
     )
-    w = c0 + f.h * (m1[:, None] + 1j * m2[None, :])
-    near = np.abs(w) < 4.0 * f.h
-    wn = w[near]
-    table = _kernel_b(w, ~near)  # the near entries are overwritten by the stencil below
-    del w  # no offset grid is held through the transforms
-    table *= f.h * f.h
-    ws = wn[:, None] + _sub_offsets(f.h, _NEAR_SUBDIV)
-    stencil = _kernel_b(ws, np.abs(ws) > f.h * 1e-9).sum(axis=1)
-    table[near] = np.where(np.abs(wn) < f.h * 1e-9, 0.0, stencil * (f.h / _NEAR_SUBDIV) ** 2)
-    del near
-    keep = (slice(n1 - 1, n1 - 1 + r * s1, r), slice(n2 - 1, n2 - 1 + r * s2, r))
-    return GridFunction(origin, h, _lattice_correlate(f.values, table, keep))
+    pairs = ((f.values[a1::r, a2::r], _beurling_table(c0 + f.h * (a1 + q1 + 1j * (a2 + q2)), f.h))
+             for a1 in range(r) for a2 in range(r))
+    keep = (slice(big1 - 1, big1 - 1 + s1), slice(big2 - 1, big2 - 1 + s2))
+    return GridFunction(origin, h, _lattice_correlate(pairs, keep))

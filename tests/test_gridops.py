@@ -2,6 +2,7 @@
 planar truncations."""
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -719,13 +720,14 @@ def test_beurling_transform_grid_matches_direct_oracle():
                     want = direct_beurling_transform_grid(f, origin, h, shape)
                     assert got.h == h and got.origin == origin
                     assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
-        # 64 source cells, r = 2 and 192 targets correlate over 446 = 2 * 223
-        # offsets, run at 448: a real and a complex field
+        # 64 source cells at r = 2 give residue classes of 32 cells, which
+        # with 192 targets correlate over 223 offsets (prime), run at 224: a
+        # real and a complex field
         rng = np.random.default_rng(3)
         for vals in (rng.uniform(-1.0, 1.0, (64, 3)), rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))):
             f = GridFunction((-1.0, 0.0), 1.0 / 32, vals)
             origin, h, shape = (-7.0 + 0.37 / 16, -0.11 / 16), 1.0 / 16, (192, 3)
-            assert f.values.shape[0] + 2 * (shape[0] - 1) == 446 and gridops._fast_len(446) == 448
+            assert f.values.shape[0] // 2 + shape[0] - 1 == 223 and gridops._fast_len(223) == 224
             got = beurling_transform_grid(f, origin, h, shape)
             want = direct_beurling_transform_grid(f, origin, h, shape)
             assert got.values.shape == shape
@@ -740,19 +742,24 @@ def test_lattice_correlate_fast_length_matches_raw_length():
 
     for src_cplx in (False, True):
         for table_cplx in (False, True):
-            # 1D: 223 is prime, index-array outputs
+            # 1D, one pair: 223 is prime, index-array outputs
             src, table = draw(40, src_cplx), draw(223, table_cplx)
             keep = (np.array([39, 40, 100, 222]),)
             raw = np.fft.ifft(np.fft.fft(src, 223) * np.fft.fft(table))[keep]
-            got = gridops._lattice_correlate(src, table, keep)
+            got = gridops._lattice_correlate([(src, table)], keep)
             assert np.iscomplexobj(got) == (src_cplx or table_cplx)
             assert np.max(np.abs(got - raw)) <= 1e-13 * np.max(np.abs(raw))
-            # 2D: 446 = 2 * 223 and 97 prime, strided outputs up to the last
-            src, table = draw((64, 5), src_cplx), draw((446, 97), table_cplx)
-            keep = (slice(63, 446, 2), slice(4, 97, 3))
-            raw = np.fft.ifft2(np.fft.fft2(src, table.shape) * np.fft.fft2(table))[keep]
-            got = gridops._lattice_correlate(src, table, keep)
-            assert got.shape == raw.shape == (192, 31)
+            # 2D, the 9 residue classes mod 3 of a 64 x 7 source, of uneven
+            # sizes, against their own 223 x 97 tables (both prime), from a
+            # generator; strided outputs from the largest class's last cell
+            full = draw((64, 7), src_cplx)
+            pairs = [(full[a1::3, a2::3], draw((223, 97), table_cplx)) for a1 in range(3) for a2 in range(3)]
+            assert {s.shape for s, _ in pairs} == {(22, 3), (22, 2), (21, 3), (21, 2)}
+            keep = (slice(21, 223), slice(2, 97, 3))
+            raw = sum(np.fft.ifft2(np.fft.fft2(s, t.shape) * np.fft.fft2(t)) for s, t in pairs)[keep]
+            got = gridops._lattice_correlate((pair for pair in pairs), keep)
+            assert np.iscomplexobj(got) == (src_cplx or table_cplx)
+            assert got.shape == raw.shape == (202, 32)
             assert np.max(np.abs(got - raw)) <= 1e-13 * np.max(np.abs(raw))
     assert [gridops._fast_len(n) for n in (1, 7, 11, 97, 223, 446, 12413)] == [1, 7, 12, 98, 224, 448, 12500]
 
@@ -795,6 +802,20 @@ def test_beurling_ring_bound_holds_at_every_radius():
                     got = np.abs(total + ring(np.arange(len(eps))))
                     # the bound `beurling_maximal` prunes with
                     assert np.all(got <= (np.abs(total) + bound) * (1.0 + 1e-12))
+
+
+def test_beurling_transform_grid_peak_memory():
+    # the composition-32 field and targets: one class table at the target
+    # mesh and its spectra at a time peak near 4 MiB, while one 448 x 448
+    # table over all offsets with its spectra takes 14 MiB
+    disk = GridFunction.disk(1.0, 1.0 / 32)
+    tracemalloc.start()
+    try:
+        _transform_grid_2d(disk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
 
 
 def test_beurling_maximal_subdivides_few_ring_cells(monkeypatch):
@@ -925,8 +946,11 @@ def test_beurling_maximal_refuses_non_finite_points():
 
 def test_beurling_transform_grid_rejects_bad_targets():
     disk = GridFunction.disk(1.0, 1.0 / 16)
-    for h in (1.0 / 24, 3.0 / 32, 0.0, -1.0 / 8):
+    for h in (1.0 / 24, 3.0 / 32):
         with pytest.raises(ValueError, match="not a positive integer multiple"):
+            beurling_transform_grid(disk, (0.0, 0.0), h, (4, 4))
+    for h in (0.0, -1.0 / 8, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"target mesh {h!r} is not positive and finite")):
             beurling_transform_grid(disk, (0.0, 0.0), h, (4, 4))
     for shape in ((0, 4), (4, 0), (), (4,)):
         with pytest.raises(ValueError, match="two positive cell counts"):
