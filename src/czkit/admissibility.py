@@ -134,7 +134,6 @@ class CheckReport(SphereCertificate):
     dim: int
     verdict: str  # PASS / FAIL(divisibility) / FAIL(vanishing) / INCONCLUSIVE
     divisor: HarmonicComponent
-    quotients: list[MultiPoly] = field(default_factory=list)
     divisibility_ok: bool = False
     failed_degree: int | None = None
 
@@ -571,10 +570,11 @@ def _quadratic_certificate(f: MultiPoly) -> SphereCertificate:
                              sign_pair=(tuple(_normalize(v).tolist()), tuple(_normalize(u).tolist())))
 
 
-def quotient_sum(kernel: KernelSpec) -> tuple[MultiPoly | None, list[MultiPoly], int | None]:
+def quotient_sum(kernel: KernelSpec) -> tuple[MultiPoly | None, int | None]:
     """Divide every layer by the lowest one and form the weighted sum.
 
-    Returns (F, quotients, failed_degree).  F has rational coefficients:
+    Returns (F, None), or (None, the degree of the first layer that the
+    lowest one does not divide).  F has rational coefficients:
     the true weighted sum is F times the sqrt(pi)/i factor that the
     per-degree multiplier constants share (all odd degrees share one
     basis, the sign alternation being rational), and a nonzero factor
@@ -585,26 +585,25 @@ def quotient_sum(kernel: KernelSpec) -> tuple[MultiPoly | None, list[MultiPoly],
     for comp in kernel.components:
         q = divide_exact(comp.poly, divisor.poly)
         if q is None:
-            return None, quotients, comp.degree
+            return None, comp.degree
         quotients.append(q)
     gammas = [riesz_multiplier(comp.degree, kernel.dim) for comp in kernel.components]
     if len({(g.h, g.k) for g in gammas}) != 1:
         raise AssertionError("multiplier constants do not share a basis")
-    return sum((q * g.q for q, g in zip(quotients, gammas)), MultiPoly.zero(kernel.dim)), quotients, None
+    return sum((q * g.q for q, g in zip(quotients, gammas)), MultiPoly.zero(kernel.dim)), None
 
 
 def check_maximal_control(kernel: KernelSpec) -> CheckReport:
     """Run the divisibility-plus-nonvanishing check for an odd kernel, exactly for a quadratic F."""
     if kernel.parity != "odd":
         raise KernelError(f"check requires an odd kernel, got parity {kernel.parity!r}")
-    f, quotients, failed = quotient_sum(kernel)
+    f, failed = quotient_sum(kernel)
     divisor = kernel.components[0]
     if f is None:
         return CheckReport(
             dim=kernel.dim,
             verdict="FAIL(divisibility)",
             divisor=divisor,
-            quotients=quotients,
             divisibility_ok=False,
             failed_degree=failed,
         )
@@ -613,6 +612,5 @@ def check_maximal_control(kernel: KernelSpec) -> CheckReport:
         **vars(cert),
         dim=kernel.dim,
         divisor=divisor,
-        quotients=quotients,
         divisibility_ok=True,
     )

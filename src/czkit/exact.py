@@ -90,9 +90,6 @@ class SymScalar:
     def q(self) -> Fraction:
         return Fraction(self._num, self._den)
 
-    def is_zero(self) -> bool:
-        return self._num == 0
-
     def __bool__(self) -> bool:
         return self._num != 0
 

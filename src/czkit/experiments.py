@@ -202,15 +202,16 @@ def exp_counterexample_growth() -> ExperimentResult:
     )
 
 
-def weak11_profile(x_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def weak11_profile(x_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Far-window maximal profile on 16 log-spaced points per decade of
-    [m, x_max], each window piece on 512 cells."""
+    [m, x_max], each window piece on 512 cells, and the width of the cell
+    of [m, x_max] that each point stands for."""
     lo = M_CUT * 1.05
     xs = np.geomspace(lo, x_max, int(16 * math.log10(x_max / lo)) + 1)
     prof = np.array([hilbert_maximal(far_window_pieces(float(x), 512), float(x)) for x in xs])
     inner = np.sqrt(xs[1:] * xs[:-1])
     edges = np.concatenate([[M_CUT], inner, [x_max]])
-    return xs, prof, np.diff(edges)
+    return prof, np.diff(edges)
 
 
 def exp_weak11_failure() -> ExperimentResult:
@@ -219,13 +220,12 @@ def exp_weak11_failure() -> ExperimentResult:
     mesh 1/16."""
     lam_min = WEAK11_LAM[-1]
     x_max = 40.0 * math.log(1.0 / lam_min) / lam_min
-    _, prof, widths = weak11_profile(x_max)
+    prof, widths = weak11_profile(x_max)
 
     disk = GridFunction.disk(1.0, 1.0 / 16)
-    grid = TruncationGrid.default_for(disk, per_decade=24)
     r_max = 1.5 * math.sqrt(4.0 / lam_min)
     radii = np.geomspace(1.3, r_max, 60)
-    bprof = beurling_maximal(disk, radii, grid)
+    bprof = beurling_maximal(disk, radii)
     r_inner = np.sqrt(radii[1:] * radii[:-1])
     r_edges = np.concatenate([[1.0], r_inner, [r_max * 1.1]])
 
@@ -313,7 +313,8 @@ def _transform_grid(f: GridFunction, half_width: float, cells: int) -> GridFunct
 
 def _transform_grid_2d(f: GridFunction) -> GridFunction:
     """Beurling transform of f on the square [-6, 6)^2 at twice the mesh
-    of f, its origin shifted by -0.11 target meshes on each axis.
+    of f, its origin shifted by -0.11 target meshes on each axis; a target
+    mesh that does not tile the square raises ValueError.
 
     Known defect: the targets then sit 0.28 source meshes off a source
     center on each axis, where the 8 x 8 near stencil of
@@ -323,7 +324,7 @@ def _transform_grid_2d(f: GridFunction) -> GridFunction:
     1/32 alike.  Exact tables in `beurling_transform_grid` would remove it.
     """
     h = 2.0 * f.h
-    sz = int(12.0 / h)
+    sz = _whole_cells(12.0, h)
     return beurling_transform_grid(f, (-6.0 - 0.11 * h, -6.0 - 0.11 * h), h, (sz, sz))
 
 
@@ -366,9 +367,8 @@ def exp_pointwise_ratios(kernel: str = "hilbert", mesh: float | None = None) -> 
     if kernel == "beurling":
         disk = GridFunction.disk(1.0, 1.0 / 16 if mesh is None else mesh)
         bg = _transform_grid_2d(disk)
-        grid = TruncationGrid.default_for(disk, per_decade=24)
         rows = []
-        for z, bstar in zip(BEURLING_SAMPLES.tolist(), beurling_maximal(disk, BEURLING_SAMPLES, grid).tolist()):
+        for z, bstar in zip(BEURLING_SAMPLES.tolist(), beurling_maximal(disk, BEURLING_SAMPLES).tolist()):
             mbf = hardy_littlewood(bg, (z.real, z.imag))
             rows.append(("disk", z.real, z.imag, bstar, mbf, bstar / mbf))
         return ExperimentResult(
@@ -416,8 +416,8 @@ def exp_beurling_composition(mesh: float = 1.0 / 16) -> ExperimentResult:
     (mesh-independent), so a refinement changes only quadrature, not the
     scanned radii.
     """
-    eps_f = TruncationGrid.geometric(1.0 / 16, 16.0, 24)
-    eps_b = TruncationGrid.geometric(1.0 / 8, 40.0, 24)
+    eps_f = TruncationGrid.geometric(1.0 / 16, 16.0)
+    eps_b = TruncationGrid.geometric(1.0 / 8, 40.0)
     rows = []
     sups: dict[str, float] = {}
     for name, f in (("disk", GridFunction.disk(1.0, mesh)), ("steps", step_field(mesh))):

@@ -83,7 +83,7 @@ def _positive_finite(name: str, value: float) -> float:
 def _whole_cells(length: float, mesh: float) -> int:
     """The number of mesh cells in length, refused unless it is a positive
     whole number."""
-    cells = round(length / mesh)
+    cells = round(length / _positive_finite("mesh", mesh)) if math.isfinite(length) else 0
     if cells < 1 or abs(cells * mesh - length) > 1e-9 * length:
         raise ValueError(f"mesh {mesh!r} does not divide {length!r} into whole cells")
     return cells
@@ -94,7 +94,7 @@ class GridFunction:
 
     1D: cell i covers [origin + i*h, origin + (i+1)*h).
     2D: cell (i, j) covers the product of the axis intervals; values[i, j].
-    The function is zero outside the stored extent.
+    The function is zero outside the stored extent.  A bad origin or mesh raises ValueError.
     """
 
     def __init__(self, origin, h: float, values: np.ndarray):
@@ -103,10 +103,7 @@ class GridFunction:
             raise ValueError("values must be a 1D or 2D array")
         self.dim = values.ndim
         self.h = _positive_finite("mesh", h)
-        if self.dim == 1:
-            self.origin = (float(origin),) if np.isscalar(origin) else (float(origin[0]),)
-        else:
-            self.origin = (float(origin[0]), float(origin[1]))
+        self.origin = _checked_point(self.dim, origin)
         self.values = values
 
     # ------------------------------------------------------------ geometry
@@ -130,8 +127,10 @@ class GridFunction:
 
     @staticmethod
     def sample_1d(fn, lo: float, hi: float, cells: int) -> "GridFunction":
-        """Midpoint sampling of a callable on [lo, hi]."""
-        h = (hi - lo) / cells
+        """Midpoint sampling of a callable on cells >= 1 equal cells of [lo, hi]."""
+        if not (float(cells).is_integer() and cells >= 1):
+            raise ValueError(f"cell count {cells!r} is not a whole number >= 1")
+        h = _positive_finite("mesh", (hi - lo) / cells)
         xs = lo + h * (np.arange(cells) + 0.5)
         return GridFunction(lo, h, np.asarray(fn(xs), dtype=float))
 
@@ -154,9 +153,12 @@ class GridFunction:
         return GridFunction(origin, h, vals)
 
 
+RADII_PER_DECADE = 24  # truncation radii per decade of every geometric grid
+
+
 @dataclass(frozen=True)
 class TruncationGrid:
-    """Finite increasing list of truncation radii."""
+    """Finite increasing list of truncation radii; `geometric` spaces RADII_PER_DECADE to a decade."""
 
     eps: np.ndarray
 
@@ -167,17 +169,17 @@ class TruncationGrid:
         object.__setattr__(self, "eps", e)
 
     @staticmethod
-    def geometric(lo: float, hi: float, per_decade: int) -> "TruncationGrid":
-        """Geometric radii from lo to hi, about per_decade of them per decade."""
+    def geometric(lo: float, hi: float) -> "TruncationGrid":
+        """Geometric radii from lo to hi, about RADII_PER_DECADE of them per decade."""
         lo, hi = _positive_finite("lo", lo), _positive_finite("hi", hi)
-        count = max(2, int(per_decade * math.log10(hi / lo)) + 1)
+        count = max(2, int(RADII_PER_DECADE * math.log10(hi / lo)) + 1)
         return TruncationGrid(np.geomspace(lo, hi, count))
 
     @staticmethod
-    def default_for(f: GridFunction, per_decade: int = 64) -> "TruncationGrid":
-        box = f.support_box()
-        diam = max(hi - lo for lo, hi in box) * (2 ** 0.5 if f.dim == 2 else 1.0)
-        return TruncationGrid.geometric(f.h / 2, 4.0 * diam, per_decade)
+    def default_for(f: GridFunction) -> "TruncationGrid":
+        """Geometric radii from half a mesh of planar f to 4 sqrt(2) times its box's longest side."""
+        diam = max(hi - lo for lo, hi in f.support_box()) * 2 ** 0.5
+        return TruncationGrid.geometric(f.h / 2, 4.0 * diam)
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +734,7 @@ def beurling_maximal(
 ) -> float | np.ndarray:
     """Scan sup over the radii of the truncation grid; a lower bound.
 
+    The default grid is `TruncationGrid.default_for(f)`, 24 radii per decade.
     z is one point (a float returns) or a 1D array of points (an array of
     one value each returns); a non-finite point raises ValueError.  Per
     point, the sorted cells of `_beurling_truncations` give every radius of

@@ -100,7 +100,7 @@ def parse_kernel_spec(text: str) -> KernelSpec:
         lines[n - 1] = ""  # blanked, so the term parser keeps the file's line numbers
     if dim is None:
         raise KernelError("missing `dim n` line")
-    w = poly_from_text("\n".join(lines), nvars=dim)
+    w = poly_from_text("\n".join(lines), dim)
     return kernel_from_polynomial(dim, w)
 
 

@@ -326,13 +326,13 @@ def divide_exact(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
 
 # ------------------------------------------------------------- text format
 
-def poly_from_text(text: str, nvars: int | None = None) -> MultiPoly:
-    """Parse the one-term-per-line format; '#' comments and blanks ignored.
+def poly_from_text(text: str, nvars: int) -> MultiPoly:
+    """Parse the one-term-per-line format in nvars variables; '#' comments
+    and blanks ignored.
 
     A malformed term raises ParseError with the number of its line in text.
     """
     terms: list[tuple[Monomial, Fraction]] = []
-    seen_nvars = nvars
     for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -343,11 +343,7 @@ def poly_from_text(text: str, nvars: int | None = None) -> MultiPoly:
             expo = tuple(int(f) for f in fields[1:])
         except (ValueError, ZeroDivisionError):
             raise ParseError(n, f"expected `num[/den] e1 ... en` with den != 0, got {line!r}") from None
-        if seen_nvars is None:
-            seen_nvars = len(expo)
-        if len(expo) != seen_nvars or min(expo, default=0) < 0:
-            raise ParseError(n, f"expected {seen_nvars} non-negative exponents, got {line!r}")
+        if len(expo) != nvars or min(expo, default=0) < 0:
+            raise ParseError(n, f"expected {nvars} non-negative exponents, got {line!r}")
         terms.append((expo, coef))
-    if seen_nvars is None:
-        raise ValueError("no polynomial terms found")
-    return MultiPoly(seen_nvars, _collect(terms))
+    return MultiPoly(nvars, _collect(terms))

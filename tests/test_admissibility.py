@@ -24,6 +24,7 @@ from czkit.admissibility import (
     quotient_sum,
     sphere_grid,
 )
+from czkit.exact import SymScalar, riesz_multiplier
 from czkit.kernels import KernelError, kernel_from_polynomial, parse_kernel_spec
 from czkit.polyalg import MultiPoly, harmonic_decompose
 from oracles import _positive_definite, sphere_mean, spherical_gradient_bound
@@ -43,10 +44,8 @@ def model_kernel(n, lam: F):
 def tree_report(kernel):
     """The report of the sign certifier on the kernel's quotient sum F, as `check_maximal_control`
     gives it when F has a term of degree 4 or more."""
-    f, quotients, _ = quotient_sum(kernel)
-    cert = certify_nonvanishing(f)
-    return CheckReport(**vars(cert), dim=kernel.dim, divisor=kernel.components[0], quotients=quotients,
-                       divisibility_ok=True)
+    cert = certify_nonvanishing(quotient_sum(kernel)[0])
+    return CheckReport(**vars(cert), dim=kernel.dim, divisor=kernel.components[0], divisibility_ok=True)
 
 
 def quadratic_form(f, x):
@@ -86,10 +85,11 @@ def test_half_strength_model_passes_with_certificate():
 
 
 def test_single_layer_kernel_passes_trivially():
-    for rep in (check_maximal_control(kernel_from_polynomial(2, harmonic_cubic())),
-                tree_report(kernel_from_polynomial(2, harmonic_cubic()))):
+    kernel = kernel_from_polynomial(2, harmonic_cubic())
+    # the one quotient is 1, so F is the constant gamma_3
+    assert quotient_sum(kernel) == (MultiPoly.constant(2, riesz_multiplier(3, 2).q), None)
+    for rep in (check_maximal_control(kernel), tree_report(kernel)):
         assert rep.verdict == "PASS"
-        assert rep.quotients[0] == MultiPoly.constant(2, 1)
         assert abs(rep.certified_min - 2.0 / 3.0) < 1e-12  # |gamma_3| rational part
 
 
@@ -192,8 +192,6 @@ def test_higher_degree_divisor_family():
     # (real part of z^9) factors through the degree-3 one (real part of z^3)
     # with quotient 4 P3^2 - 3 |x|^6, and the multiplier ratio is -1/3, so
     # weight b = 3 degenerates at the axis while b = 1 is certified
-    from czkit.exact import SymScalar, riesz_multiplier
-
     assert riesz_multiplier(9, 2) / riesz_multiplier(3, 2) == SymScalar(F(-1, 3))
     p3 = harmonic_cubic(2)
     r6 = MultiPoly.radius_power(2, 3)
@@ -203,10 +201,13 @@ def test_higher_degree_divisor_family():
     assert laplacian(p9).is_zero()
     for b, expect in ((F(1), "PASS"), (F(3), "FAIL(vanishing)")):
         w = p3 * r6 + p9 * b
-        rep = check_maximal_control(kernel_from_polynomial(2, w))
+        kernel = kernel_from_polynomial(2, w)
+        rep = check_maximal_control(kernel)
         assert rep.verdict == expect, (b, rep.verdict)
         assert rep.divisor.degree == 3
-        assert rep.quotients[1] == (p3 * p3 * 4 - r6 * 3) * b
+        # F = gamma_3 + gamma_9 q = gamma_3 (1 - q / 3) for the quotient q = (4 P3^2 - 3 |x|^6) b
+        assert quotient_sum(kernel)[0] == (
+            MultiPoly.constant(2, 1) - (p3 * p3 * 4 - r6 * 3) * (b / 3)) * riesz_multiplier(3, 2).q
         if expect == "PASS":
             assert rep.certified_min > 0
         else:
@@ -229,13 +230,14 @@ def test_quotients_recovered_for_constructed_kernels():
         if lam == 0 or abs(lam) >= 1:
             continue
         k = model_kernel(2, lam)
-        f, quotients, failed = quotient_sum(k)
+        f, failed = quotient_sum(k)
         assert failed is None
-        assert quotients[0] == MultiPoly.constant(2, 1)
+        # the quotients are 1 and 3 lam (x1^2 - 3 x2^2), weighted by gamma_1 and gamma_3
         want = (
             MultiPoly.monomial(2, (2, 0)) - MultiPoly.monomial(2, (0, 2), 3)
         ) * (lam * 3)
-        assert quotients[1] == want
+        gamma = [riesz_multiplier(d, 2).q for d in (1, 3)]
+        assert f == MultiPoly.constant(2, gamma[0]) + want * gamma[1]
 
 
 def test_verdict_invariant_under_kernel_scaling():

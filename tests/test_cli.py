@@ -191,6 +191,16 @@ def test_exp_rejects_bad_options(tmp_path, capsys, argv):
     assert not os.listdir(tmp_path)
 
 
+def test_pointwise_beurling_refuses_an_untiled_transform_grid(tmp_path, capsys):
+    # source mesh 0.07: the transform grid's target mesh 0.14 does not tile [-6, 6)^2
+    argv = ["exp", "pointwise-ratios", "--kernel", "beurling", "--mesh", "0.07", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"czkit: exp pointwise-ratios: mesh {2 * 0.07!r} does not divide 12.0 into whole cells\n"
+    assert not os.listdir(tmp_path)
+
+
 def test_exp_options_are_the_experiment_parameters(tmp_path, monkeypatch, capsys):
     # each parameter of an experiment is its option --<name>, passed as that keyword; every
     # other option of `exp` is refused for it

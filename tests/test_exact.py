@@ -209,7 +209,7 @@ def test_float_bridge():
 
 def test_sum_canonicalization_and_zero():
     s = SymScalar(F(1), 1, 1) - SymScalar(F(1), 1, 1)
-    assert s.is_zero() and s == SymScalar.zero()
+    assert not s and s == SymScalar.zero()
     assert s + SymScalar.zero() == SymScalar.zero()
     with pytest.raises(ValueError):
         SymScalar(F(1)) + SymScalar(F(1), 1, 0)

@@ -9,6 +9,7 @@ from czkit.experiments import (
     GROWTH_X,
     POINTWISE_M2_SUP,
     ExperimentResult,
+    _transform_grid_2d,
     exp_beurling_composition,
     exp_counterexample_growth,
     exp_llogl_modular,
@@ -67,7 +68,7 @@ def test_weak11_failure_summary():
 
 
 def test_weak11_level_above_sup_has_zero_measure():
-    xs, prof, widths = weak11_profile(5000.0)
+    prof, widths = weak11_profile(5000.0)
     lam = float(prof.max()) * 1.5
     assert widths[prof > lam].sum() == 0.0
 
@@ -94,6 +95,16 @@ def test_pointwise_ratios_beurling():
     res = exp_pointwise_ratios("beurling")
     assert res.summary["sup_ratio"] <= res.summary["frozen_sup"] * 1.2
     assert res.summary["sup_ratio"] >= res.summary["frozen_sup"] * 0.8
+
+
+def test_transform_grid_tiles_its_square_or_refuses():
+    # the bench's source meshes 1/16 and 1/32 tile [-6, 6)^2 at twice the mesh;
+    # at 0.07 the 85 target cells of side 0.14 would end at 5.88
+    for mesh in (1.0 / 16, 1.0 / 32):
+        bg = _transform_grid_2d(GridFunction((0.0, 0.0), mesh, np.ones((1, 1))))
+        assert bg.values.shape == (round(6.0 / mesh),) * 2 and bg.values.shape[0] * bg.h == 12.0
+    with pytest.raises(ValueError, match=rf"^mesh {2 * 0.07!r} does not divide 12.0 into whole cells$"):
+        _transform_grid_2d(GridFunction((0.0, 0.0), 0.07, np.ones((1, 1))))
 
 
 # the meshes of the benchmark's composition-* and pointwise-hilbert-* ops

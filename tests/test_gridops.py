@@ -821,7 +821,7 @@ def test_beurling_transform_grid_peak_memory():
 def test_beurling_maximal_subdivides_few_ring_cells(monkeypatch):
     # the numerator field of `exp_beurling_composition` at mesh 1/32, first sample
     bg = beurling_transform_grid(GridFunction.disk(1.0, 1.0 / 32), (-6.0 - 0.11 / 16,) * 2, 1.0 / 16, (192, 192))
-    z, radii = COMPOSITION_SAMPLES[0], TruncationGrid.geometric(1.0 / 8, 40.0, 24)
+    z, radii = COMPOSITION_SAMPLES[0], TruncationGrid.geometric(1.0 / 8, 40.0)
     pairs = []
 
     def counted(w, keep):
@@ -850,7 +850,7 @@ def test_beurling_maximal_subdivides_few_ring_cells(monkeypatch):
 
 def test_lone_point_subdivides_each_ring_pair_once(monkeypatch):
     # a lone point is a phase of one: its ring sums go to the same cache as a phase's
-    disk, z, radii = GridFunction.disk(1.0, 1.0 / 16), 0.3 + 0.2j, TruncationGrid.geometric(1.0 / 16, 4.0, 24)
+    disk, z, radii = GridFunction.disk(1.0, 1.0 / 16), 0.3 + 0.2j, TruncationGrid.geometric(1.0 / 16, 4.0)
     pairs = []
 
     def counted(w, keep):
@@ -874,7 +874,7 @@ def test_lone_point_subdivides_each_ring_pair_once(monkeypatch):
 def test_beurling_maximal_array_form_matches_scalar_calls():
     # the fields and samples of `exp_beurling_composition` (one phase per
     # field) and of `exp_pointwise_ratios --kernel beurling` (nine phases)
-    radii = TruncationGrid.geometric(1.0 / 16, 16.0, 24)
+    radii = TruncationGrid.geometric(1.0 / 16, 16.0)
     disk = GridFunction.disk(1.0, 1.0 / 16)
     cases = [(g, COMPOSITION_SAMPLES) for f in (disk, step_field(1.0 / 16)) for g in (f, _transform_grid_2d(f))]
     with np.errstate(all="raise"):
@@ -896,7 +896,7 @@ def test_beurling_maximal_phase_groups_match_lone_points(monkeypatch):
         return truncations(f, p, shifts, eps, kernel)
 
     monkeypatch.setattr(gridops, "_beurling_truncations", spy)
-    radii = TruncationGrid.geometric(1.0 / 16, 4.0, 12)
+    radii = TruncationGrid(np.geomspace(1.0 / 16, 4.0, 22))  # 12 radii per decade
     rng = np.random.default_rng(7)
     field = GridFunction((-0.625, -0.5), 1.0 / 8, rng.choice([0.0, 1.0, -0.5], size=(10, 8)))
     tenth = GridFunction((-0.5, -0.3), 0.1, rng.normal(size=(8, 6)))
@@ -997,7 +997,27 @@ def test_grid_function_basics():
                 GridFunction.disk(*args)
         for args, name in (((h, 4.0), "lo"), ((0.25, h), "hi")):
             with pytest.raises(ValueError, match=f"^{name} {h!r} is not positive and finite$"):
-                TruncationGrid.geometric(*args, 24)
+                TruncationGrid.geometric(*args)
+        with pytest.raises(ValueError, match=f"^mesh {h!r} is not positive and finite$"):
+            GridFunction.indicator_1d(0.0, 1.0, h)
+
+    def unsampled(xs):
+        raise AssertionError("sampled before the grid was checked")
+
+    for a, b in ((0.0, math.inf), (math.nan, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match=f"^mesh 0.25 does not divide {b - a!r} into whole cells$"):
+            GridFunction.indicator_1d(a, b, 0.25)
+    for lo, hi, cells in ((0.0, 1.0, 0), (0.0, 1.0, -2), (0.0, 1.0, 4.5), (0.0, 1.0, math.nan)):
+        with pytest.raises(ValueError, match=rf"^cell count {cells!r} is not a whole number >= 1$"):
+            GridFunction.sample_1d(unsampled, lo, hi, cells)
+    for lo, hi in ((0.0, math.inf), (0.0, math.nan), (-math.inf, 0.0), (1.0, 0.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match=f"^mesh {(hi - lo) / 4!r} is not positive and finite$"):
+            GridFunction.sample_1d(unsampled, lo, hi, 4)
+    for origin, values in (((math.nan, 0.0), np.ones((2, 2))), ((0.0, math.inf), np.ones((2, 2))),
+                           (0.5, np.ones((2, 2))), ((0.0, 1.0), np.ones(3)), (math.nan, np.ones(3))):
+        with pytest.raises(ValueError, match=f"is not {values.ndim} finite real coordinate"):
+            GridFunction(origin, 0.5, values)
+    assert GridFunction([0.25], 0.5, np.ones(3)).origin == (0.25,)
     with pytest.raises(ValueError):
         TruncationGrid(np.array([0.5, 0.5]))
 

@@ -8,7 +8,9 @@ module-level code of ``src/czkit/*.py``, in a definition that is itself
 referenced, in ``bench/*.py`` or in the README's "Library entry points"
 block.  A method counts as referenced by any ``Attribute`` of its name.  A
 name that only tests call belongs in ``tests/oracles.py``.  Every name in
-``czkit.__all__`` must resolve.
+``czkit.__all__`` must resolve.  Every field of a dataclass or ``NamedTuple``
+of ``src/czkit`` must be read, as an ``Attribute`` load, in ``src/czkit``,
+in ``bench/*.py`` or in that README block.
 """
 import ast
 import re
@@ -82,3 +84,27 @@ def test_every_module_level_definition_has_a_program_caller():
     assert uncalled == [], "no caller outside the tests: " + ", ".join(uncalled)
     unresolved = [name for name in czkit.__all__ if not hasattr(czkit, name)]
     assert unresolved == [], "unresolved in czkit.__all__: " + ", ".join(unresolved)
+
+
+def _is_record(node):
+    """Whether the class `node` is a dataclass or a ``NamedTuple``."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list] + node.bases
+    return any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple") for m in marks)
+
+
+def _loaded_attributes(tree):
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_record_field_is_read_by_the_program():
+    fields, read = [], _loaded_attributes(ast.parse(_readme_block()))
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _loaded_attributes(tree)
+        if path.parent == PACKAGE:
+            records = [c for c in tree.body if isinstance(c, ast.ClassDef) and _is_record(c)]
+            fields += [(f"{path.name}:{f.lineno} {c.name}.{f.target.id}", f.target.id) for c in records
+                       for f in c.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    assert len(fields) > 20  # the rule sees the records
+    unread = [shown for shown, name in fields if name not in read]
+    assert unread == [], "fields no program code reads: " + ", ".join(unread)

@@ -9,6 +9,7 @@ import pytest
 from czkit.exact import SymScalar, binomial
 from czkit.polyalg import (
     MultiPoly,
+    ParseError,
     apply_diffop,
     divide_exact,
     harmonic_decompose,
@@ -151,7 +152,7 @@ def test_exact_division_roundtrip_randomized():
 
 
 def test_sphere_monomial_integrals():
-    assert sphere_monomial_integral((1, 0), 2).is_zero()
+    assert not sphere_monomial_integral((1, 0), 2)
     for n in (2, 3, 5):
         assert sphere_monomial_integral((0,) * n, n) == SymScalar(F(1))
     assert sphere_monomial_integral((2, 0), 2) == SymScalar(F(1, 2))
@@ -203,11 +204,13 @@ def test_sphere_mean():
 
 def test_text_format_roundtrip():
     p = MultiPoly(2, {(3, 0): F(1), (1, 2): F(-3, 4)})
-    assert poly_from_text("1 3 0\n-3/4 1 2") == p
-    parsed = poly_from_text("# comment\n\n1/2 2 0\n-1/2 0 2\n")
+    assert poly_from_text("1 3 0\n-3/4 1 2", 2) == p
+    parsed = poly_from_text("# comment\n\n1/2 2 0\n-1/2 0 2\n", 2)
     assert parsed == MultiPoly(2, {(2, 0): F(1, 2), (0, 2): F(-1, 2)})
-    with pytest.raises(ValueError):
-        poly_from_text("1 1 0\n1 1 0 0\n")
+    assert poly_from_text("# no terms\n", 3) == MultiPoly.zero(3)
+    with pytest.raises(ParseError, match="^expected 2 non-negative exponents, got '1 1 0 0'$") as err:
+        poly_from_text("1 1 0\n1 1 0 0\n", 2)
+    assert err.value.line == 2
 
 
 def test_point_and_multi_index_must_match_the_variable_count():
