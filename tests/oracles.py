@@ -139,6 +139,29 @@ def beurling_parts(f: GridFunction, z: complex, eps: np.ndarray, kernel: tuple):
     return _beurling_truncations(f, p, [n], eps, kernel)(0)
 
 
+def sorted_prefix_parts(f: GridFunction, z: complex, eps: np.ndarray, kernel: tuple):
+    """Oracle: the outside parts and ring bounds of `_beurling_truncations` at
+    the one point z, read as before the per-radius bins: f's cells sorted by
+    |w|, a suffix sum of f K and a prefix sum of |f| over that order, each
+    read at the ring ranks [inner, outer) of every radius."""
+    kern, c = kernel
+    p, n = _phase(f, complex(z))
+    wx, wy = (f.h * (np.arange(-m, s - m) - q) for m, s, q in zip(n, f.values.shape, p))
+    w = (wx[:, None] + 1j * wy[None, :]).ravel()
+    d = np.abs(w)
+    order = np.argsort(d, kind="stable")
+    w, d, vals = w[order], d[order], f.values.ravel()[order]
+    half_diag = f.h * math.sqrt(2.0) / 2.0
+    outer = np.searchsorted(d, eps + half_diag, side="left")
+    inner = np.searchsorted(d, eps - half_diag, side="right")
+    suffix, absum = np.zeros(len(vals) + 1, dtype=complex), np.zeros(len(vals) + 1)
+    np.cumsum((vals * kern(w, d > 0))[::-1], out=suffix[-2::-1])  # suffix[i]: ranks i and up
+    np.cumsum(np.abs(vals), out=absum[1:])  # absum[i]: ranks below i
+    # the last term bounds the rounding of the prefix sums: 2 n u, u = 2^-53, n the cells of f
+    ring_abs = absum[outer] - absum[inner] + 2.3e-16 * f.values.size * absum[outer]
+    return suffix[outer] * (f.h * f.h), c * (f.h / eps) ** 2 * ring_abs
+
+
 def _subcells(h, n):
     offs = (np.arange(n) + 0.5) / n - 0.5
     ox, oy = np.meshgrid(offs * h, offs * h, indexing="ij")

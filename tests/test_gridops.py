@@ -50,6 +50,7 @@ from oracles import (
     phi_llogl,
     scan_beurling_maximal,
     scan_beurling_sum,
+    sorted_prefix_parts,
     value_at,
 )
 
@@ -275,6 +276,33 @@ def test_lattice_transform_matches_dense_oracle():
         hilbert_transform_many(step01(1.0 / 8), np.array([-10.0, 0.625]))
     with pytest.raises(ValueError, match="source mesh"):
         hilbert_transform_many(step01(1.0 / 8), np.array([0.1, 0.1 + math.sqrt(2.0) / 8]))
+
+
+def test_hilbert_transform_many_paths_agree(monkeypatch):
+    # the correlation runs only where J nonzero jumps times T targets exceed
+    # its table: the hat's 256 and 512 jumps, not the step's 2 or the three-step's 4
+    calls, correlate = [], gridops._lattice_correlate
+
+    def counted(pairs, keep):
+        calls.append(keep)
+        return correlate(pairs, keep)
+
+    monkeypatch.setattr(gridops, "_lattice_correlate", counted)
+    for mesh in (1.0 / 128, 1.0 / 256):
+        for name, f in hilbert_test_suite(mesh):
+            xs = centers(_transform_grid(f, 48.0, 3072))
+            calls.clear()
+            got = hilbert_transform_many(f, xs)
+            assert len(calls) == (name == "hat")
+            # the other path at the same targets: 24 of them put the hat under
+            # its table, eight copies of all of them put the steps over theirs
+            calls.clear()
+            if name == "hat":
+                got, other = got[::128], hilbert_transform_many(f, xs[::128])
+            else:
+                other = hilbert_transform_many(f, np.tile(xs, 8))[: len(xs)]
+            assert len(calls) == (name != "hat")
+            assert np.max(np.abs(got - other)) <= 1e-13 * np.max(np.abs(got))
 
 
 # ------------------------------------------------------------------ maximal
@@ -802,6 +830,45 @@ def test_beurling_ring_bound_holds_at_every_radius():
                     got = np.abs(total + ring(np.arange(len(eps))))
                     # the bound `beurling_maximal` prunes with
                     assert np.all(got <= (np.abs(total) + bound) * (1.0 + 1e-12))
+
+
+def test_beurling_parts_match_sorted_prefix_oracle():
+    # each point reads its own cells' bins, alone and on a shared lattice,
+    # and agrees with one sort of its cells read by prefix sums
+    radii = np.concatenate([[1.0 / 16, 0.07], np.geomspace(0.1, 3.0, 90)])
+    with np.errstate(all="raise"):
+        for f in _planar_fields():
+            eps, centre = radii[radii >= f.h / 2], complex(centers(f, 0)[2], centers(f, 1)[3])
+            # the first four lie whole meshes apart on the mesh 1/8, so they share
+            # one lattice phase; the fifth, a cell centre, is alone on its own
+            zs = [centre + (3 - 5j) / 128 + f.h * k for k in (0, 1, 2j, -1 + 1j)] + [centre]
+            (p, _), *_ = phases = [gridops._phase(f, z) for z in zs]
+            assert {q for q, _ in phases[:4]} == {p} != {phases[4][0]}
+            for kern in (gridops._planar_kernel("b"), gridops._planar_kernel("b2")):
+                shared = gridops._beurling_truncations(f, p, [n for _, n in phases[:4]], eps, kern)
+                scale = kern[1] * (f.h / eps) ** 2 * np.abs(f.values).sum()
+                for k, z in enumerate(zs):
+                    want_total, want_bound = sorted_prefix_parts(f, z, eps, kern)
+                    reads = [beurling_parts(f, z, eps, kern)] + ([shared(k)] if k < 4 else [])
+                    for total, bound, _ in reads:
+                        assert np.all(np.abs(total - want_total) <= 1e-13 * np.abs(want_total))
+                        # relative to c (h/e)^2 sum |f|, the largest bound at the radius:
+                        # the two readers cover their rounding from different sums
+                        assert np.all(np.abs(bound - want_bound) <= 1e-13 * scale)
+
+
+def test_beurling_maximal_peak_memory():
+    # the composition-32 disk numerator: per point, a read of the field's own
+    # cells, in place of a zero-filled and sorted copy of the 276 x 224 union box
+    bg = _transform_grid_2d(GridFunction.disk(1.0, 1.0 / 32))
+    radii = TruncationGrid.geometric(1.0 / 8, 40.0)
+    tracemalloc.start()
+    try:
+        beurling_maximal(bg, COMPOSITION_SAMPLES, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_beurling_transform_grid_peak_memory():
