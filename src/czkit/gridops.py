@@ -146,8 +146,11 @@ class GridFunction:
         vals = np.zeros((n, n))
         rim = np.abs(d - radius) <= h  # cells possibly cut by the circle
         vals[d < radius - h] = 1.0
-        sub = (gx[rim] + 1j * gy[rim])[:, None] + _sub_offsets(h, 16)
-        vals[rim] = (np.abs(sub) < radius).mean(axis=1)
+        cells, share = (gx[rim] + 1j * gy[rim])[:, None], np.empty(np.count_nonzero(rim))
+        for b in range(0, len(share), _RING_BLOCK):  # a row's mean does not depend on the block
+            sub = cells[b : b + _RING_BLOCK] + _sub_offsets(h, 16)
+            share[b : b + _RING_BLOCK] = (np.abs(sub) < radius).mean(axis=1)
+        vals[rim] = share
         return GridFunction(origin, h, vals)
 
 
@@ -598,11 +601,15 @@ def iterated_m2(f: GridFunction, x) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Each kernel is evaluated where ``keep`` holds and is 0 elsewhere; a dropped w is never divided by.
+# Each kernel is evaluated where ``keep`` holds and is +0 elsewhere; a dropped w is never divided by.
 
 
 def _kernel_b(w: np.ndarray, keep) -> np.ndarray:
-    return np.divide(1.0, w * w, out=np.zeros_like(w), where=keep)
+    """1/w^2, divided in place into w * w: one complex array of w's size besides w."""
+    out = w * w
+    np.divide(1.0, out, out=out, where=keep)
+    np.copyto(out, 0.0, where=np.logical_not(keep))
+    return out
 
 
 def _kernel_b2(w: np.ndarray, keep) -> np.ndarray:
@@ -680,10 +687,13 @@ def _beurling_truncations(f: GridFunction, p: tuple, shifts: Sequence, eps: np.n
     only, each (radius, ring rank) sum once for all the points, which share
     the w bits, into a slot of `cache` that holds NaN until then.  A union
     box of more cells than the points' own boxes together is split into one
-    call per point.  Per phase: O(B log B) time and 26 B per cell for B box
-    cells (byte bins, up to 255 radii), plus 16 B per ring slot; per point:
-    O(C + E) time and about 40 B per cell for C cells of f and E radii, plus
-    256 sub-points per (radius, ring cell) pair that `ring` evaluates.
+    call per point.  Per phase: O(B log B) time and 26 B per cell kept for B
+    box cells (byte bins, up to 255 radii), plus 16 B per ring slot.  The
+    build peaks near 44 B per cell for b (2.6 MiB on the composition-32
+    numerator): |w| is sorted and freed before K(w) forms in place beside a
+    rebuilt w.  Per point: O(C + E) time and about 40 B per cell for C cells
+    of f and E radii, plus 256 sub-points per (radius, ring cell) pair that
+    `ring` evaluates.
     """
     kern, c = kernel
     lo = [-max(n[a] for n in shifts) for a in (0, 1)]
@@ -691,12 +701,13 @@ def _beurling_truncations(f: GridFunction, p: tuple, shifts: Sequence, eps: np.n
     if shape[0] * shape[1] > len(shifts) * f.values.size:
         return lambda k: _beurling_truncations(f, p, [shifts[k]], eps, kernel)(0)
     wx, wy = (f.h * (np.arange(a, a + s) - q) for a, s, q in zip(lo, shape, p))
-    w = wx[:, None] + 1j * wy[None, :]
-    d = np.abs(w)
+    d = np.abs(wx[:, None] + 1j * wy[None, :])
     half_diag, bin_type = f.h * math.sqrt(2.0) / 2.0, np.min_scalar_type(len(eps))
     out_bin = np.searchsorted(eps + half_diag, d, side="right").astype(bin_type)
     in_bin = np.searchsorted(eps - half_diag, d, side="left").astype(bin_type)
-    kw, order = kern(w, d > 0), np.argsort(d, axis=None, kind="stable")
+    order, keep = np.argsort(d, axis=None, kind="stable"), d > 0
+    del d  # |w| goes before K(w) forms; w is rebuilt for it, not held through the sort
+    kw = kern(wx[:, None] + 1j * wy[None, :], keep)
     # ranks below outer[r] (inner[r]) lie within e + h sqrt(2)/2 (e - h sqrt(2)/2)
     outer, inner = (np.bincount(b.ravel(), minlength=len(eps) + 1).cumsum()[:-1] for b in (out_bin, in_bin))
     # the sum of radius r at ring rank k has the slot start[r] + k

@@ -22,6 +22,7 @@ from czkit.gridops import (
     _kernel_b2,
     _phase,
     _planar_kernel,
+    _sub_offsets,
     _truncation_profile,
     _whole_cells,
     hardy_littlewood,
@@ -213,6 +214,36 @@ def direct_beurling_transform_grid(f, origin, h, shape):
             keep = np.abs(ws) > f.h * 1e-9
             out[i, r] += vals[c] * np.sum(_kernel_b(ws[keep], True)) * (f.h / 8) ** 2
     return out
+
+
+# ---------------------------------------------- earlier forms of the lab's inputs
+
+
+def kernel_b_out_of_place(w: np.ndarray, keep) -> np.ndarray:
+    """`gridops._kernel_b` into a zero-filled output, beside the w * w temporary."""
+    return np.divide(1.0, w * w, out=np.zeros_like(w), where=keep)
+
+
+def disk_whole_rim(radius: float, h: float) -> GridFunction:
+    """`GridFunction.disk` with the 16 x 16 sub-points of every rim cell at once."""
+    half = math.ceil(radius / h) + 1
+    origin = (-half * h, -half * h)
+    xs = origin[0] + h * (np.arange(2 * half) + 0.5)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    d = np.hypot(gx, gy)
+    vals = np.zeros((2 * half, 2 * half))
+    rim = np.abs(d - radius) <= h
+    vals[d < radius - h] = 1.0
+    sub = (gx[rim] + 1j * gy[rim])[:, None] + _sub_offsets(h, 16)
+    vals[rim] = (np.abs(sub) < radius).mean(axis=1)
+    return GridFunction(origin, h, vals)
+
+
+def seeded_step_field(mesh: float) -> GridFunction:
+    """`experiments.step_field` with its levels drawn from seed 5."""
+    coarse = np.random.default_rng(5).choice([0.0, 1.0, -0.5], size=(16, 16), p=[0.5, 0.3, 0.2])
+    rep = _whole_cells(1.0 / 8, mesh)
+    return GridFunction((-1.0, -1.0), mesh, np.repeat(np.repeat(coarse, rep, axis=0), rep, axis=1))
 
 
 # ------------------------------------------------------ L log L maximal function

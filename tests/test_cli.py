@@ -94,6 +94,29 @@ def test_python_dash_m_runs_the_cli():
     assert "czkit" in run.stdout
 
 
+def test_exp_ops_load_no_lazy_numpy_module(tmp_path):
+    # numpy 2 loads numpy.random and numpy.ma at their first use, for megabytes
+    # of RSS each; numpy 1 loads both with numpy, and then they do not count
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = """if True:
+        import contextlib, io, os, sys
+        import numpy
+        base = set(sys.modules)
+        from workloads import LAB_OPS
+        from czkit.cli import main
+        for ops in LAB_OPS.values():
+            for op_id, argv in ops.items():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv + ["--out", os.path.join(sys.argv[1], op_id)]) == 0, op_id
+        print(*sorted(m for m in set(sys.modules) - base if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])))
+    """
+    path = os.pathsep.join(os.path.join(root, d) for d in ("src", "bench"))
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
+
+
 def test_identities_verb_streams_records(monkeypatch, capsys):
     def later_verifier(*args):
         raise RuntimeError("stop")

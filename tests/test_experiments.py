@@ -19,10 +19,12 @@ from czkit.experiments import (
     far_window_pieces,
     full_window_core,
     full_window_pieces,
+    step_field,
     transform_closed_form,
     weak11_profile,
 )
 from czkit.gridops import GridFunction, hilbert_maximal, hilbert_transform_many
+from oracles import seeded_step_field
 
 
 def test_closed_form_sampling():
@@ -30,6 +32,13 @@ def test_closed_form_sampling():
     ys = np.array([2.3, -0.7, 0.43])
     want = hilbert_transform_many(GridFunction.indicator_1d(0.0, 1.0, 1.0 / 64), ys)
     assert np.max(np.abs(transform_closed_form(ys) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("mesh", [1.0 / 8, 1.0 / 16, 1.0 / 32])
+def test_step_field_is_the_seed_5_draw(mesh):
+    got, want = step_field(mesh), seeded_step_field(mesh)
+    assert (got.origin, got.h, got.values.shape) == (want.origin, want.h, want.values.shape)
+    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
 
 
 def test_far_window_pieces_cover_one_doubling():

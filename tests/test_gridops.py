@@ -44,8 +44,10 @@ from oracles import (
     box_2d,
     centers,
     direct_beurling_transform_grid,
+    disk_whole_rim,
     hilbert_truncated_many,
     integral,
+    kernel_b_out_of_place,
     m_llogl,
     phi_llogl,
     scan_beurling_maximal,
@@ -869,6 +871,42 @@ def test_beurling_maximal_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_kernel_b_in_place_keeps_the_bits():
+    # a mixed mask over dropped zeros and kept offsets, and the scalar mask of the oracles
+    rng = np.random.default_rng(19)
+    w = rng.standard_normal((48, 256)) + 1j * rng.standard_normal((48, 256))
+    w[::5, ::3] = 0.0
+    before = w.copy()
+    keep = np.abs(w) > 0.5
+    got = _kernel_b(w, keep)
+    assert np.array_equal(got.view(np.uint64), kernel_b_out_of_place(w, keep).view(np.uint64))
+    assert np.all(got[~keep].view(np.uint64) == 0)  # dropped entries are +0.0, both parts
+    assert np.array_equal(w.view(np.uint64), before.view(np.uint64))
+    v = w[keep]
+    assert np.array_equal(_kernel_b(v, True).view(np.uint64), kernel_b_out_of_place(v, True).view(np.uint64))
+
+
+def test_blocked_disk_keeps_the_bits():
+    for radius, h in ((1.0, 1.0 / 32), (1.0, 1.0 / 16), (0.5, 1.0 / 8), (0.3, 0.07)):
+        got, want = GridFunction.disk(radius, h), disk_whole_rim(radius, h)
+        assert (got.origin, got.h) == (want.origin, want.h)
+        assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+    cut = GridFunction.disk(1.0, 1.0 / 32).values
+    assert np.count_nonzero((cut > 0) & (cut < 1)) > 3 * gridops._RING_BLOCK  # a rim of several blocks
+
+
+def test_disk_peak_memory():
+    # the rim's sub-points go in blocks of _RING_BLOCK cells: all 412 rim
+    # cells of this disk at once took 2.7 MiB
+    tracemalloc.start()
+    try:
+        GridFunction.disk(1.0, 1.0 / 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_beurling_transform_grid_peak_memory():
