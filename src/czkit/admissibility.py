@@ -226,24 +226,25 @@ def _rounding_bound(p: MultiPoly) -> float:
 
 
 class _Bounds:
-    """Evaluators for F and grad F, with the exact constants of the cell test."""
+    """Evaluators for F and grad F, with the exact constants of the cell test, and F's
+    exact first and second partial polynomials, which give the caps their derivatives."""
 
     def __init__(self, f: MultiPoly):
         n = f.nvars
-        partials = [f.partial(i) for i in range(n)]
-        second = sum((_coef_sum(p.partial(j)) for p in partials for j in range(n)), Fraction(0))
+        self.gradient = partials = [f.partial(i) for i in range(n)]
+        self.hessian = [[p.partial(j) for j in range(n)] for p in partials]
+        second = sum((_coef_sum(q) for row in self.hessian for q in row), Fraction(0))
         first = sum((_coef_sum(p) for p in partials), Fraction(0))
         # sup |grad F| on the unit ball: each partial is at most its coefficient sum there
         self.lip = float(first) * (1.0 + 2.0**-50)
         # |d^2/dt^2 F(gamma(t))| <= |Hess F| + |grad F . gamma| on a unit-speed great circle
         self.hess = float(second + first) * (1.0 + 2.0**-50)
-        # for the exact caps: F = sum c x^a / scale with integers c, of degrees up to top; F(-x) = F(x) if even
+        # for the exact caps: scale clears F's denominators, its terms have degrees up to top; F(-x) = F(x) if even
         self.scale = math.lcm(*(c.denominator for c in f.terms.values()))
-        self.scaled = [(a, c.numerator * (self.scale // c.denominator)) for a, c in f.terms.items()]
         self.top, self.even = max(map(sum, f.terms), default=0), all(sum(a) % 2 == 0 for a in f.terms)
         # the bound of hess for d^3/dt^3 = D^3F[g',g',g'] - 3 D^2F[g,g'] - DF[g']: a term
         # c x^a of degree d contributes at most |c| (d(d-1)(d-2) + 3d(d-1) + d) = |c| d^3
-        self.third = Fraction(sum(abs(c) * sum(a) ** 3 for a, c in self.scaled), self.scale)
+        self.third = sum((abs(c) * sum(a) ** 3 for a, c in f.terms.items()), Fraction(0))
         self.delta = _center_error(n)
         # value at a computed center versus F at the true center
         self.value = _rounding_bound(f) + 2.0 * self.lip * self.delta
@@ -372,18 +373,13 @@ def _rational_point(center: np.ndarray, axis: int, sign: float, depth: int) -> t
 def _exclusion_cap(b: _Bounds, pt: tuple[Fraction, ...], value: Fraction, centers, radii) -> Cap | None:
     """The cap about pt of the module docstring, F(pt) = value != 0, or None when mu <= 0 or
     when a float estimate of the cap meets no cell of ``centers``/``radii``.  With pt = a / D
-    and sigma = S D^top (S clears F's coefficients), the work is in integers."""
+    and sigma = S D^top (S clears F's coefficients), the work is in integers: the gradient
+    and the Hessian at pt are the partial polynomials of ``b``, evaluated exactly."""
     n, s, den = len(pt), 1 if value > 0 else -1, math.lcm(*(x.denominator for x in pt))
-    a = [int(x * den) for x in pt]
-    grad, hess = [0] * n, [[0] * n for _ in range(n)]  # sigma grad F / D and sigma Hess F / D^2
-    for alpha, c in b.scaled:
-        w = c * den ** (b.top - sum(alpha))
-        for i in (i for i in range(n) if alpha[i]):
-            e = [k - (m == i) for m, k in enumerate(alpha)]
-            grad[i] += w * alpha[i] * math.prod(map(pow, a, e))
-            for j in (j for j in range(n) if e[j]):
-                hess[i][j] += w * alpha[i] * e[j] * math.prod(map(pow, a, [k - (m == j) for m, k in enumerate(e)]))
-    r, sigma, d2 = sum(map(operator.mul, a, grad)), b.scale * den**b.top, den * den  # r = sigma pt . grad F
+    a, sigma, d2 = [int(x * den) for x in pt], b.scale * den**b.top, den * den
+    grad = [int(p.eval_exact(pt) * sigma / den) for p in b.gradient]  # sigma grad F / D
+    hess = [[int(q.eval_exact(pt) * sigma / d2) for q in row] for row in b.hessian]  # sigma Hess F / D^2
+    r = sum(map(operator.mul, a, grad))  # sigma pt . grad F
     ax, eye = np.array(a, dtype=object), np.eye(n, dtype=object)
     proj = d2 * eye - np.outer(ax, ax)  # D^2 P
     curv = s * proj @ (d2 * np.array(hess, dtype=object) - r * eye) @ proj  # sigma D^4 s M

@@ -308,7 +308,7 @@ def hilbert_test_suite(mesh: float) -> list[tuple[str, GridFunction]]:
 
 def _transform_grid(f: GridFunction, half_width: float, cells: int) -> GridFunction:
     gh = 2.0 * half_width / cells
-    org = -half_width + 0.37 * gh  # centers off the source edges, spaced on a lattice of f.h / s
+    org = -half_width + 0.37 * gh  # centers off the source edges, on its lattice where f.h divides gh
     return GridFunction(org, gh, hilbert_transform_many(f, org + gh * (np.arange(cells) + 0.5)))
 
 

@@ -7,12 +7,13 @@ and o is constant between consecutive cell-edge distances |e - x|, where
 it is the suffix sum of the edge jumps f(e-) - f(e+).  Its supremum over
 all truncation radii is attained at an edge distance, so the maximal
 Hilbert transform is computed exactly, not scanned; at a point where f
-jumps it is infinite.  The planar
-(Beurling-type) truncations use a midpoint rule with 16 x 16 sub-points on
-the cells crossing the truncation circle.  That rule is not exact: at a
-one-mesh radius on the composition fields, its relative gap to a 256 x 256
-rule was measured at up to about 1e-5 for the kernel b and up to 0.51 for
-the iterated kernel b2 (disk at mesh 1/16).  Maximal functions take suprema
+jumps it is infinite.  The planar (Beurling-type) truncations use a midpoint
+rule with 16 x 16 sub-points on the cells crossing the truncation circle,
+through `_subcell_sums`, the one sub-point rule (the disk's rim and the near
+transform table use it too).  That rule is not exact: at a one-mesh radius
+on the composition fields, its relative gap to a 256 x 256 rule was measured
+at up to about 1e-5 for the kernel b and up to 0.51 for the iterated kernel
+b2 (disk at mesh 1/16).  Maximal functions take suprema
 over every grid-aligned interval or square containing x, scanned on the
 aligned hull of the support and x (squared up in 2D), so both sides of any
 inequality tested here range over the same cube family.
@@ -45,18 +46,18 @@ function: the rectangle enclosing every candidate square of one side
 bounds all their averages, read from the integral image in one lookup,
 and only the sides whose bound beats the best average found are scanned.
 
-A transform sampled on targets commensurate with the source grid is a
-lattice correlation in 1D as in 2D: FFT correlation with a table over the
-lattice of target-source offsets (after the precorrected FFT of Phillips &
-White, IEEE TCAD 16, 1997).  In 1D the table is log|offset| against the
-edge jumps, with no quadrature error; in 2D it holds the kernel in the far
-field and a subdivided stencil within 4 meshes, and is polyphase: targets r
-meshes apart get one table per residue class mod r of the source cells, at
-the target mesh, with the r^2 spectra summed before one inverse per part.
-Both run through `_lattice_correlate`: real FFTs of the real and imaginary
-parts at the smallest 2-3-5-7-smooth length that no kept output wraps at
-(Frigo & Johnson, Proc. IEEE 93, 2005, on real-input and mixed-radix
-transforms).
+A transform sampled on targets on the source lattice is a lattice
+correlation in 1D as in 2D: FFT correlation with a table over the lattice of
+target-source offsets (after the precorrected FFT of Phillips & White, IEEE
+TCAD 16, 1997).  In 1D the table is log|offset| against the edge jumps,
+with no quadrature error, and other targets sum over the jumps directly; in
+2D it holds the kernel in the far field and a subdivided stencil within 4
+meshes, and is polyphase: targets r meshes apart get one table per residue
+class mod r of the source cells, at the target mesh, with the r^2 spectra
+summed before one inverse per part.  Both run through `_lattice_correlate`:
+real FFTs of the real and imaginary parts at the smallest 2-3-5-7-smooth
+length that no kept output wraps at (Frigo & Johnson, Proc. IEEE 93, 2005,
+on real-input and mixed-radix transforms).
 """
 from __future__ import annotations
 
@@ -135,7 +136,7 @@ class GridFunction:
     @staticmethod
     def disk(radius: float, h: float) -> "GridFunction":
         """Indicator of the disk of the given radius about 0; a rim cell
-        holds the share of its 16 x 16 sub-points inside the circle."""
+        holds the share of its _SUBDIV x _SUBDIV sub-points inside the circle."""
         radius, h = _positive_finite("radius", radius), _positive_finite("mesh", h)
         half = math.ceil(radius / h) + 1
         n = 2 * half
@@ -146,11 +147,9 @@ class GridFunction:
         vals = np.zeros((n, n))
         rim = np.abs(d - radius) <= h  # cells possibly cut by the circle
         vals[d < radius - h] = 1.0
-        cells, share = (gx[rim] + 1j * gy[rim])[:, None], np.empty(np.count_nonzero(rim))
-        for b in range(0, len(share), _RING_BLOCK):  # a row's mean does not depend on the block
-            sub = cells[b : b + _RING_BLOCK] + _sub_offsets(h, 16)
-            share[b : b + _RING_BLOCK] = (np.abs(sub) < radius).mean(axis=1)
-        vals[rim] = share
+        # the kernel 1 (a kept sub-point is nonzero) where |s| exceeds the float below radius: |s| >= radius
+        outside = _subcell_sums(gx[rim] + 1j * gy[rim], math.nextafter(radius, 0.0), np.logical_and, h, _SUBDIV)
+        vals[rim] = 1.0 - outside.real / _SUBDIV**2
         return GridFunction(origin, h, vals)
 
 
@@ -165,8 +164,8 @@ class TruncationGrid:
 
     def __post_init__(self) -> None:
         e = np.asarray(self.eps, dtype=float)
-        if e.ndim != 1 or len(e) == 0 or np.any(e <= 0) or np.any(np.diff(e) <= 0):
-            raise ValueError("eps must be a strictly increasing positive 1D array")
+        if e.ndim != 1 or len(e) == 0 or not (np.isfinite(e).all() and (e > 0).all() and (np.diff(e) > 0).all()):
+            raise ValueError("eps must be a strictly increasing 1D array of positive finite radii")
         object.__setattr__(self, "eps", e)
 
     @staticmethod
@@ -256,20 +255,21 @@ def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
     """Principal-value transform at many non-edge points, exactly.
 
     Summation by parts gives H(x) = sum over edges e of log|x - e| (f(e-) - f(e+)).
-    With the targets on one lattice xs[0] + m f.h / s, s <= 64 (to 1e-9
-    relative), every target-edge offset lies on it too, and the sum is one
-    real-FFT correlation (`_lattice_correlate`) of the edge jumps,
-    zero-stuffed every s steps, with a log table of M = span s / f.h + s K
-    entries, K edges: O(M log M) time, about 40 B per entry.  After the edge
-    and lattice refusals, J nonzero jumps against T <= M / J targets are
-    summed directly, in O(J T) time and 8 B per pair, with no more logs than
-    the table (measured faster up to J T = 6-10 M, at M = 12,413 and 25,337).
-    f must be 1D and every target a finite real; no targets give an empty array.
+    With the targets on the source lattice, xs[0] + m f.h (to 1e-9 relative),
+    and J nonzero jumps times T targets above M = span / f.h + K, K edges, the
+    sum is one real-FFT correlation (`_lattice_correlate`) of the edge jumps
+    with a log table of M entries: O(M log M) time, about 40 B per entry, and
+    fewer logarithms than pairs.  Every other call sums over the jumps in
+    blocks of _BLOCK pairs: O(J T) time and 8 B per pair of a block (measured
+    faster up to J T = 6-10 M, at M = 12,413 and 25,337).  f must be 1D and xs
+    one number or a 1D array of finite reals; no targets give an empty array.
     """
     if f.dim != 1:
         raise ValueError("Hilbert machinery is one-dimensional")
-    xs = np.atleast_1d(np.asarray(xs))
-    xs = xs if np.iscomplexobj(xs) else xs.astype(float)
+    xs = np.asarray(xs)
+    if xs.ndim > 1:
+        raise ValueError(f"points must be one number or a 1D array, not an array of shape {xs.shape}")
+    xs = np.atleast_1d(xs if np.iscomplexobj(xs) else xs.astype(float))
     bad = np.iscomplexobj(xs) | ~np.isfinite(xs)
     if bad.any():
         raise ValueError(f"point {xs[bad][0].item()!r} is not 1 finite real coordinate(s)")
@@ -279,23 +279,19 @@ def hilbert_transform_many(f: GridFunction, xs: np.ndarray) -> np.ndarray:
     near = edges[np.clip(np.rint((xs - edges[0]) / f.h), 0, len(edges) - 1).astype(np.intp)]
     if np.min(np.abs(xs - near)) < 1e-13 * max(1.0, float(np.max(np.abs(xs)))):
         raise ValueError("principal value undefined at a cell edge")
-    for s in range(1, 65):
-        t = (xs - xs[0]) * (s / f.h)
-        m = np.rint(t).astype(np.intp)
-        if np.max(np.abs(t - m)) <= 1e-9 * max(1.0, float(np.max(np.abs(t)))):
-            break
-    else:
-        raise ValueError(f"targets lie on no lattice of step {f.h!r}/s, s <= 64, of the source mesh {f.h!r}")
-    n = s * (len(edges) - 1)
-    jumps = _edge_jumps(f.values, np.empty(len(edges), dtype=f.values.dtype))
-    w = (xs[0] - edges[0]) + (f.h / s) * np.arange(m.min() - n, m.max() + 1)
-    if np.count_nonzero(jumps) * len(xs) <= len(w):  # no more logarithms than the table
-        return np.log(np.abs(xs[:, None] - edges[jumps != 0])) @ jumps[jumps != 0]
-    # a zero offset pairs no target with an edge (tested above): keep it finite
-    table = np.log(np.abs(w), out=np.zeros_like(w), where=w != 0)
-    u = np.zeros(n + 1, dtype=f.values.dtype)
-    u[::s] = jumps
-    return _lattice_correlate([(u, table)], (m - m.min() + n,))
+    n = len(edges) - 1
+    jumps = _edge_jumps(f.values, np.empty(n + 1, dtype=f.values.dtype))
+    t = (xs - xs[0]) / f.h
+    m = np.rint(t).astype(np.intp)
+    if (np.count_nonzero(jumps) * len(xs) > n + m.max() - m.min() + 1
+            and np.max(np.abs(t - m)) <= 1e-9 * max(1.0, float(np.max(np.abs(t))))):
+        w = (xs[0] - edges[0]) + f.h * np.arange(m.min() - n, m.max() + 1)
+        # a zero offset pairs no target with an edge (tested above): keep it finite
+        table = np.log(np.abs(w), out=np.zeros_like(w), where=w != 0)
+        return _lattice_correlate([(jumps, table)], (m - m.min() + n,))
+    at, jumps = edges[jumps != 0], jumps[jumps != 0]
+    rows = max(1, _BLOCK // max(len(jumps), 1))
+    return np.concatenate([np.log(np.abs(xs[b : b + rows, None] - at)) @ jumps for b in range(0, len(xs), rows)])
 
 
 def _fast_len(n: int) -> int:
@@ -327,10 +323,7 @@ def _lattice_correlate(pairs, keep: tuple) -> np.ndarray:
     for src, table in pairs:
         size = [_fast_len(n) for n in table.shape]
         axes = list(range(table.ndim))
-
-        def spectrum(a: np.ndarray) -> np.ndarray:
-            return np.fft.rfftn(a, size, axes)
-
+        spectrum = functools.partial(np.fft.rfftn, s=size, axes=axes)
         a = spectrum(src.real)
         b = spectrum(src.imag) if np.iscomplexobj(src) else None
         c = spectrum(table.real)
@@ -628,10 +621,10 @@ def _planar_kernel(name: str):
 
 _SUBDIV = 16  # 2^4 per axis: dyadic subdivision depth 4 on boundary cells
 _NEAR_SUBDIV = 8  # per axis, on source cells within 4 meshes of a target
-# ring cells per vectorised block: 16k sub-points, 256 KiB per complex temporary.  Row sums
-# do not depend on the block, so ring sums are bit-identical at any size; over the 30,793
-# ring pairs of the four planar bench ops, 64 took 80-108 ms, 256 93-129 ms (best of 3, 2 vCPUs).
-_RING_BLOCK = 64
+# elements per vectorised block, 256 KiB per complex temporary.  Row sums do not depend on the
+# block, so sums are bit-identical at any size; over the 30,793 ring pairs of the four planar
+# bench ops, 64 cells of 16 x 16 sub-points took 80-108 ms, 256 93-129 ms (best of 3, 2 vCPUs).
+_BLOCK = 1 << 14
 
 
 @functools.lru_cache(maxsize=16)
@@ -644,13 +637,16 @@ def _sub_offsets(h: float, n: int) -> np.ndarray:
     return table
 
 
-def _ring_sums(w: np.ndarray, e: np.ndarray, kern, h: float) -> np.ndarray:
-    """Per pair, the sum of K(w + s) over the 16 x 16 sub-points s of a
-    side-h cell with |w + s| > e, in blocks of _RING_BLOCK pairs."""
-    sub, out = _sub_offsets(h, _SUBDIV), np.empty(len(w), dtype=complex)
-    for b in range(0, len(w), _RING_BLOCK):
-        ws = w[b : b + _RING_BLOCK, None] + sub
-        out[b : b + _RING_BLOCK] = kern(ws, np.abs(ws) > e[b : b + _RING_BLOCK, None]).sum(axis=1)
+def _subcell_sums(w: np.ndarray, e, kern, h: float, n: int) -> np.ndarray:
+    """Per offset w[k], the sum of kern(w[k] + s, |w[k] + s| > e[k]) over the
+    midpoints s of the n x n sub-cells of a side-h cell, as complex; e is one
+    radius or one per offset.  The offsets go in blocks of _BLOCK sub-points,
+    and each sum is bit-identical at any block size."""
+    sub, out = _sub_offsets(h, n), np.empty(len(w), dtype=complex)
+    e, rows = np.broadcast_to(e, w.shape), _BLOCK // (n * n)
+    for b in range(0, len(w), rows):
+        ws = w[b : b + rows, None] + sub
+        out[b : b + rows] = kern(ws, np.abs(ws) > e[b : b + rows, None]).sum(axis=1)
     return out
 
 
@@ -740,7 +736,7 @@ def _beurling_truncations(f: GridFunction, p: tuple, shifts: Sequence, eps: np.n
             sums = cache[slot]
             miss = np.flatnonzero(np.isnan(sums))
             w = wx[bx[miss]] + 1j * wy[by[miss]]
-            sums[miss] = cache[slot[miss]] = _ring_sums(w, eps[sel[radius[miss]]], kern, f.h)
+            sums[miss] = cache[slot[miss]] = _subcell_sums(w, eps[sel[radius[miss]]], kern, f.h, _SUBDIV)
             part = f.values[bx - i, by - j] * sums
             acc = np.bincount(radius, part.real, len(sel)) + 1j * np.bincount(radius, part.imag, len(sel))
             return acc * (f.h / _SUBDIV) ** 2
@@ -757,8 +753,9 @@ def beurling_maximal(
 
     The default grid is `TruncationGrid.default_for(f)`, 24 radii per decade.
     z is one point (a float returns) or a 1D array of points (an array of
-    one value each returns); a non-finite point raises ValueError.  The
-    points of one exact lattice phase (`_phase`) share one
+    one value each returns); a non-finite point, and points with no radius of
+    the grid of at least half a mesh, raise ValueError.  The points of one
+    exact lattice phase (`_phase`) share one
     `_beurling_truncations`: O(B log B) time and 26 B per cell for their
     union box of B cells, then per point O(C + E) time and about 40 B per
     cell, for C cells of f and E radii, bound every radius of at least half
@@ -781,9 +778,11 @@ def beurling_maximal(
     if bad.size:
         raise ValueError(f"point {complex(bad[0])!r} is not finite")
     eps = grid.eps[grid.eps >= f.h / 2]
+    if zs.size and not eps.size:
+        raise ValueError(f"no truncation radius reaches half the mesh, {f.h / 2!r}")
     out = np.zeros(len(zs))
     phases: dict[tuple[float, float], list] = {}
-    for k, zk in enumerate(zs.tolist() if len(eps) else []):
+    for k, zk in enumerate(zs.tolist()):
         p, n = _phase(f, zk)
         phases.setdefault(p, []).append((k, n))
     for p, members in phases.items():
@@ -803,14 +802,14 @@ def beurling_maximal(
 
 def _beurling_table(w: np.ndarray, h: float) -> np.ndarray:
     """K(w) h^2 at the source-target offsets w of side-h cells; within 4 meshes
-    the cell integral on 8 x 8 sub-points, and 0 at the offset 0, whose centered
-    cell drops out of the principal value by quarter-turn symmetry."""
+    the cell integral on the 8 x 8 sub-points of `_subcell_sums`, and 0 at the
+    offset 0, whose centered cell drops out of the principal value by
+    quarter-turn symmetry."""
     near = np.abs(w) < 4.0 * h
     wn = w[near]
     table = _kernel_b(w, ~near)  # the near entries are overwritten by the stencil below
     table *= h * h
-    ws = wn[:, None] + _sub_offsets(h, _NEAR_SUBDIV)
-    stencil = _kernel_b(ws, np.abs(ws) > h * 1e-9).sum(axis=1)
+    stencil = _subcell_sums(wn, h * 1e-9, _kernel_b, h, _NEAR_SUBDIV)
     table[near] = np.where(np.abs(wn) < h * 1e-9, 0.0, stencil * (h / _NEAR_SUBDIV) ** 2)
     return table
 

@@ -239,6 +239,25 @@ def disk_whole_rim(radius: float, h: float) -> GridFunction:
     return GridFunction(origin, h, vals)
 
 
+def ring_sums(w: np.ndarray, e: np.ndarray, kern, h: float) -> np.ndarray:
+    """Per pair, the sum of K(w + s) over the 16 x 16 sub-points s of a
+    side-h cell with |w + s| > e, in blocks of 64 pairs: the ring sums of
+    `_beurling_truncations` before `gridops._subcell_sums`."""
+    sub, out = _sub_offsets(h, 16), np.empty(len(w), dtype=complex)
+    for b in range(0, len(w), 64):
+        ws = w[b : b + 64, None] + sub
+        out[b : b + 64] = kern(ws, np.abs(ws) > e[b : b + 64, None]).sum(axis=1)
+    return out
+
+
+def near_stencil(wn: np.ndarray, h: float, kern) -> np.ndarray:
+    """The unscaled 8 x 8 sub-point sums of `gridops._beurling_table` at its near
+    offsets wn, every offset at once, for the kernel kern (`_kernel_b` there),
+    as before `gridops._subcell_sums`."""
+    ws = wn[:, None] + _sub_offsets(h, 8)
+    return kern(ws, np.abs(ws) > h * 1e-9).sum(axis=1)
+
+
 def seeded_step_field(mesh: float) -> GridFunction:
     """`experiments.step_field` with its levels drawn from seed 5."""
     coarse = np.random.default_rng(5).choice([0.0, 1.0, -0.5], size=(16, 16), p=[0.5, 0.3, 0.2])
@@ -304,6 +323,26 @@ def _positive_definite(a: list[list[int]]) -> bool:
             below[k + 1 :] = [(row[k] * x - below[k] * y) // prev for x, y in zip(below[k + 1 :], row[k + 1 :])]
         prev = row[k]
     return True
+
+
+def cap_derivatives(f: MultiPoly, pt: Sequence[Fraction]) -> tuple[list[int], list[list[int]]]:
+    """sigma grad F(pt) / D and sigma Hess F(pt) / D^2 in integers, monomial by
+    monomial, for pt = a / D (D the lcm of its denominators), sigma = S D^top, S
+    the lcm of F's denominators and top its degree: the loops of
+    `admissibility._exclusion_cap` before it read `_Bounds`'s partial polynomials."""
+    n, den = len(pt), math.lcm(*(Fraction(x).denominator for x in pt))
+    a = [int(x * den) for x in pt]
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    top = max(map(sum, f.terms), default=0)
+    grad, hess = [0] * n, [[0] * n for _ in range(n)]
+    for alpha, c in f.terms.items():
+        w = c.numerator * (scale // c.denominator) * den ** (top - sum(alpha))
+        for i in (i for i in range(n) if alpha[i]):
+            e = [k - (m == i) for m, k in enumerate(alpha)]
+            grad[i] += w * alpha[i] * math.prod(map(pow, a, e))
+            for j in (j for j in range(n) if e[j]):
+                hess[i][j] += w * alpha[i] * e[j] * math.prod(map(pow, a, [k - (m == j) for m, k in enumerate(e)]))
+    return grad, hess
 
 
 def sphere_monomial_integral(alpha: Sequence[int], dim: int) -> SymScalar:

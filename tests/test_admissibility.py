@@ -1,5 +1,6 @@
 """The divisor/non-vanishing decision procedure."""
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -17,6 +18,7 @@ from czkit.admissibility import (
     _evaluate,
     _exclusion_cap,
     _quadratic_certificate,
+    _rational_point,
     _rounding_bound,
     _sign_or_witness,
     certify_nonvanishing,
@@ -27,7 +29,7 @@ from czkit.admissibility import (
 from czkit.exact import SymScalar, riesz_multiplier
 from czkit.kernels import KernelError, kernel_from_polynomial, parse_kernel_spec
 from czkit.polyalg import MultiPoly, harmonic_decompose
-from oracles import _positive_definite, sphere_mean, spherical_gradient_bound
+from oracles import _positive_definite, cap_derivatives, sphere_mean, spherical_gradient_bound
 
 
 def harmonic_cubic(n=2):
@@ -524,6 +526,27 @@ def test_exclusion_caps_are_sound():
         signed = f.float_evaluator()(x) * (1 if v0 > 0 else -1)
         assert signed.min() >= float(cap.lower) - b.value, (trial, f, cap)
     assert made >= 50
+
+
+def test_cap_derivatives_match_the_monomial_loops():
+    # sigma grad F / D and sigma Hess F / D^2 as `_exclusion_cap` reads them off the exact partial
+    # polynomials of `_Bounds`, at rational points snapped as the tree snaps them, depths 0 to 20:
+    # CI's three-layer kernel and the n = 4 family (x2^2 + x3^2 + x4^2)|x|^2 + m|x|^4
+    r2 = MultiPoly.radius2(4)
+    family = (r2 - MultiPoly.monomial(4, (2, 0, 0, 0))) * r2 + r2 * r2 * F(1, 1000)
+    gen = np.random.default_rng(31)
+    for f in (quotient_sum(_planar_three_layer())[0], family):
+        b = _Bounds(f)
+        for depth in range(21):
+            for c in gen.standard_normal((3, f.nvars)):
+                axis = int(np.argmax(np.abs(c)))
+                pt = _rational_point(c / np.linalg.norm(c), axis, float(np.sign(c[axis])), depth)
+                den = math.lcm(*(x.denominator for x in pt))
+                sigma = b.scale * den**b.top
+                grad = [p.eval_exact(pt) * sigma / den for p in b.gradient]
+                hess = [[q.eval_exact(pt) * sigma / den**2 for q in row] for row in b.hessian]
+                assert all(x.denominator == 1 for x in grad + sum(hess, []))
+                assert (grad, hess) == cap_derivatives(f, pt)
 
 
 def test_positive_definite_is_exact():

@@ -49,7 +49,9 @@ from oracles import (
     integral,
     kernel_b_out_of_place,
     m_llogl,
+    near_stencil,
     phi_llogl,
+    ring_sums,
     scan_beurling_maximal,
     scan_beurling_sum,
     sorted_prefix_parts,
@@ -242,6 +244,8 @@ def test_pv_transform_closed_form():
         (hilbert_transform_many, step01(), [0.3, math.inf], "finite real coordinate"),
         (hilbert_transform_many, step01(), np.array([0.3 + 0.5j, 2.3]), "finite real coordinate"),
         (hilbert_transform_many, box_2d(0.0, 1.0, 0.0, 1.0, 0.25), [0.3], "one-dimensional"),
+        (hilbert_transform_many, step01(), np.full((2, 2), 0.3), r"1D array, not an array of shape \(2, 2\)"),
+        (hilbert_transform_many, step01(), np.full((3, 1), 0.3), r"1D array, not an array of shape \(3, 1\)"),
     ],
 )
 def test_hilbert_entry_points_refuse_bad_input(call, f, x, match):
@@ -256,8 +260,17 @@ def dense_transform_many(f, xs):
     return table @ -np.diff(f.values, prepend=0, append=0)
 
 
-def test_lattice_transform_matches_dense_oracle():
+def test_lattice_transform_matches_dense_oracle(monkeypatch):
+    tables, correlate = [], gridops._lattice_correlate
+
+    def spy(pairs, keep):
+        pairs = list(pairs)
+        tables.extend(table for _, table in pairs)
+        return correlate(pairs, keep)
+
+    monkeypatch.setattr(gridops, "_lattice_correlate", spy)
     cases = []
+    # the targets 1/32 apart lie on the lattice of the meshes 1/128 and 1/256, not of 1/100 or 0.2
     for mesh in (1.0 / 128, 1.0 / 256, 1.0 / 100, 0.2):
         cases += [(f, centers(_transform_grid(f, 48.0, 3072))) for _, f in hilbert_test_suite(mesh)]
     for w in ADVERSARIAL_WINDOWS:
@@ -266,22 +279,39 @@ def test_lattice_transform_matches_dense_oracle():
     rng = np.random.default_rng(9)
     h = 1.0 / 64
     cx = GridFunction(-0.25, h, rng.normal(size=40) + 1j * rng.normal(size=40))
-    cases.append((cx, -0.25 + h * (0.3 + np.arange(-90, 270) / 3.0)))  # s = 3
-    # the lattice of step 1/16 from -10 runs through every edge of f, so
-    # some lattice offsets are exactly 0 without pairing a target with an edge
+    cases.append((cx, -0.25 + h * (0.3 + np.arange(-90, 270) / 3.0)))  # h / 3 apart: the direct sum
     cases.append((step01(1.0 / 8), np.array([-10.0, 12.0625])))
+    cases.append((step01(1.0 / 8), np.array([0.1, 0.1 + math.sqrt(2.0) / 8])))  # on no lattice of the source
     for f, xs in cases:
         got, want = hilbert_transform_many(f, xs), dense_transform_many(f, xs)
         assert got.dtype == want.dtype and np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # 65 jumps against 80 targets on the edge lattice outside the support take the
+    # FFT, whose offsets -10 + k / 8 reach 0 at k = 80 without pairing a target with an edge
+    tables.clear()
+    rough, xs = GridFunction(0.0, 1.0 / 8, rng.normal(size=64)), np.arange(40) / 8
+    xs = np.concatenate([xs - 10.0, xs + 12.0])
+    got, want = hilbert_transform_many(rough, xs), dense_transform_many(rough, xs)
+    assert len(tables) == 1 and len(tables[0]) == 64 + (22 * 8 + 39) + 1 and np.all(np.isfinite(tables[0]))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     with pytest.raises(ValueError, match="cell edge"):
         hilbert_transform_many(step01(1.0 / 8), np.array([-10.0, 0.625]))
-    with pytest.raises(ValueError, match="source mesh"):
-        hilbert_transform_many(step01(1.0 / 8), np.array([0.1, 0.1 + math.sqrt(2.0) / 8]))
+
+
+def test_hat_transform_matches_a_long_double_sum_off_the_lattice():
+    # the hat at meshes whose lattice the 1/32-spaced targets miss: a sub-lattice FFT
+    # read 6.9e-14, 4.3e-14 and 6.0e-14 of max |H| here, the direct sum reads below 1e-15
+    for mesh in (1.0 / 100, 0.1, 0.2):
+        f = dict(hilbert_test_suite(mesh))["hat"]
+        xs = centers(_transform_grid(f, 48.0, 3072))
+        edges, jumps = (np.asarray(a, dtype=np.longdouble) for a in (f.edges(), -np.diff(f.values, prepend=0, append=0)))
+        want = np.log(np.abs(edges[None, :] - xs.astype(np.longdouble)[:, None])) @ jumps
+        got = hilbert_transform_many(f, xs)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_hilbert_transform_many_paths_agree(monkeypatch):
-    # the correlation runs only where J nonzero jumps times T targets exceed
+    # the correlation runs only on the source lattice, where J nonzero jumps times T targets exceed
     # its table: the hat's 256 and 512 jumps, not the step's 2 or the three-step's 4
     calls, correlate = [], gridops._lattice_correlate
 
@@ -305,6 +335,25 @@ def test_hilbert_transform_many_paths_agree(monkeypatch):
                 other = hilbert_transform_many(f, np.tile(xs, 8))[: len(xs)]
             assert len(calls) == (name != "hat")
             assert np.max(np.abs(got - other)) <= 1e-13 * np.max(np.abs(got))
+    # off the source lattice every target set takes the direct sum, in blocks of pairs, and so
+    # do two targets 10^5 apart, whose 2 x 2 pairs are summed before an 800,009-entry table is built
+    calls.clear()
+    for mesh in (1.0 / 100, 0.1, 0.2):
+        f = dict(hilbert_test_suite(mesh))["hat"]
+        hilbert_transform_many(f, centers(_transform_grid(f, 48.0, 3072)))
+    w = ADVERSARIAL_WINDOWS[0]
+    gw = GridFunction.sample_1d(transform_closed_form, -w, w, 2048)
+    for f, xs, bound in ((gw, -w + gw.h * math.sqrt(2.0) * (np.arange(2048) + 0.5), 2 * 2**20),  # 2,049 jumps
+                         (GridFunction.indicator_1d(0.0, 1.0, 1.0 / 8), np.array([0.3, 0.3 + 1e5]), 2**20)):
+        tracemalloc.start()
+        try:
+            got = hilbert_transform_many(f, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = dense_transform_many(f, xs)
+        assert peak <= bound and np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert calls == []
 
 
 # ------------------------------------------------------------------ maximal
@@ -808,7 +857,8 @@ def test_beurling_truncations_match_scan_oracle():
                     for eps in radii.eps[radii.eps >= f.h / 2][::7]:
                         got = beurling_truncation(f, z, eps, kernel=kernel)
                         assert abs(got - scan_beurling_sum(f, z, eps, kern)) <= 1e-12 * want
-            assert beurling_maximal(f, 0j, TruncationGrid(np.array([f.h / 4]))) == 0.0
+            with pytest.raises(ValueError, match=re.escape(f"no truncation radius reaches half the mesh, {f.h / 2!r}")):
+                beurling_maximal(f, 0j, TruncationGrid(np.array([f.h / 4])))
         # inside the disk, b2: the sup sits at a small radius whose ring bound
         # dwarfs |total|, so the pruning must keep that radius
         disk, eps = GridFunction.disk(0.5, 1.0 / 8), radii.eps[1:]
@@ -894,11 +944,26 @@ def test_blocked_disk_keeps_the_bits():
         assert (got.origin, got.h) == (want.origin, want.h)
         assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
     cut = GridFunction.disk(1.0, 1.0 / 32).values
-    assert np.count_nonzero((cut > 0) & (cut < 1)) > 3 * gridops._RING_BLOCK  # a rim of several blocks
+    assert np.count_nonzero((cut > 0) & (cut < 1)) > 3 * gridops._BLOCK // gridops._SUBDIV**2  # several blocks
+
+
+def test_subcell_sums_keep_the_bits_of_the_old_rules():
+    # ring sums and near stencils over several blocks of both block sizes (64 and 256 offsets),
+    # at lattice offsets (the transform table's, 0 among them) and at generic ones
+    rng, h = np.random.default_rng(23), 1.0 / 16
+    w = h * (rng.uniform(-6.0, 6.0, 1100) + 1j * rng.uniform(-6.0, 6.0, 1100))
+    w[:300] = h * (rng.integers(-4, 5, 300) + 1j * rng.integers(-4, 5, 300))
+    e = rng.uniform(0.0, 6.0 * h, len(w))
+    assert len(w) > 3 * gridops._BLOCK // gridops._NEAR_SUBDIV**2
+    for kern in (_kernel_b, _kernel_b2):
+        got = gridops._subcell_sums(w, e, kern, h, gridops._SUBDIV)
+        assert np.array_equal(got.view(np.uint64), ring_sums(w, e, kern, h).view(np.uint64))
+        got = gridops._subcell_sums(w, h * 1e-9, kern, h, gridops._NEAR_SUBDIV)
+        assert np.array_equal(got.view(np.uint64), near_stencil(w, h, kern).view(np.uint64))
 
 
 def test_disk_peak_memory():
-    # the rim's sub-points go in blocks of _RING_BLOCK cells: all 412 rim
+    # the rim's sub-points go in blocks of _BLOCK sub-points: all 412 rim
     # cells of this disk at once took 2.7 MiB
     tracemalloc.start()
     try:
@@ -1047,6 +1112,12 @@ def test_beurling_maximal_refuses_non_finite_points():
                 beurling_maximal(disk, z)
     with pytest.raises(ValueError, match="1D array"):
         beurling_maximal(disk, np.zeros((2, 2)))
+    # no radius of at least half a mesh: refused for points, an empty array for none
+    small = TruncationGrid(np.array([0.01, 0.02]))
+    for z in (0.3 + 0.2j, np.array([0.3 + 0.2j, 0.5 + 0.5j])):
+        with pytest.raises(ValueError, match=re.escape("no truncation radius reaches half the mesh, 0.0625")):
+            beurling_maximal(disk, z, small)
+    assert beurling_maximal(disk, np.array([], dtype=complex), small).shape == (0,)
 
 
 def test_beurling_transform_grid_rejects_bad_targets():
@@ -1125,6 +1196,9 @@ def test_grid_function_basics():
     assert GridFunction([0.25], 0.5, np.ones(3)).origin == (0.25,)
     with pytest.raises(ValueError):
         TruncationGrid(np.array([0.5, 0.5]))
+    for eps in ([0.1, math.nan], [math.nan], [0.1, math.inf], [-math.inf, 0.1], [0.1, math.nan, 0.3]):
+        with pytest.raises(ValueError, match="positive finite radii"):
+            TruncationGrid(np.array(eps))
 
 
 def test_box_2d_refuses_empty_or_unaligned_sides():
